@@ -34,14 +34,7 @@ from .forest import (
 )
 from .pairstats import PairStats, compute_pair_stats
 from .serialize import load_model, save_model
-from .tree import (
-    COMPLETELY_RANDOM,
-    RANDOM_SPLIT,
-    TreeModel,
-    TreeParams,
-    train_tree,
-    tree_predict_dist,
-)
+from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
 from .weightopt import (
     ObjectiveParams,
     frank_wolfe,

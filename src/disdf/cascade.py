@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, kfold_indices
-from .errors import DataError, DimensionError
+from .errors import BadCellError, DataError, DimensionError
 from .forest import (
     ForestModel,
     class_vectors_batch,
@@ -84,32 +84,33 @@ def _hinge_total(obj: ObjectiveParams, w: np.ndarray) -> float:
     return float(hinge @ hinge)
 
 
-def _fit_forest_slot(task):
+@dataclass(frozen=True)
+class _SlotTask:
+    """Inputs of one forest slot of a level; pickled to pool workers."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    num_classes: int
+    kind: str
+    cfg: TrainConfig
+    folds: list
+    fold_rngs: list
+    deploy_rng: np.random.Generator
+    pair_rng: np.random.Generator
+
+
+def _fit_forest_slot(task: _SlotTask):
     """Fit one forest slot of a level: fold forests, refit, weight training.
 
     Returns the deployable forest, the out-of-fold class vectors used for
     augmentation and level scoring, and optimizer diagnostics.
     """
-    (
-        features,
-        labels,
-        num_classes,
-        kind,
-        n_trees,
-        params,
-        folds,
-        mode,
-        tau,
-        lam,
-        fw_iterations,
-        pair_budget,
-        fold_rngs,
-        deploy_rng,
-        pair_rng,
-    ) = task
+    features, labels, num_classes = task.features, task.labels, task.num_classes
+    cfg, kind = task.cfg, task.kind
+    n_trees, params = cfg.trees_per_forest, cfg.tree_params()
     n = features.shape[0]
     oof = np.empty((n, n_trees, num_classes))
-    for (train_idx, hold_idx), fold_rng in zip(folds, fold_rngs):
+    for (train_idx, hold_idx), fold_rng in zip(task.folds, task.fold_rngs):
         fold_forest = train_forest(
             Dataset(features[train_idx], labels[train_idx], num_classes),
             kind,
@@ -120,14 +121,14 @@ def _fit_forest_slot(task):
         oof[hold_idx] = forest_tree_dists_batch(fold_forest, features[hold_idx])
 
     deploy = train_forest(
-        Dataset(features, labels, num_classes), kind, n_trees, params, deploy_rng
+        Dataset(features, labels, num_classes), kind, n_trees, params, task.deploy_rng
     )
 
     info = {}
-    if mode == MODE_DISDF:
-        stats = compute_pair_stats(oof, labels, pair_budget, pair_rng)
-        obj = ObjectiveParams(stats, tau, lam)
-        w_fw, gap = frank_wolfe(obj, fw_iterations)
+    if cfg.mode == MODE_DISDF:
+        stats = compute_pair_stats(oof, labels, cfg.pair_budget, task.pair_rng)
+        obj = ObjectiveParams(stats, cfg.tau, cfg.lam)
+        w_fw, gap = frank_wolfe(obj, cfg.fw_iterations)
         uniform = uniform_weights(n_trees)
         j_fw = objective(obj, w_fw)
         j_uniform = objective(obj, uniform)
@@ -165,19 +166,13 @@ def _train_level(features, labels, num_classes, cfg, rng, workers):
     for kind in cfg.forest_kinds():
         children = rng.spawn(1)[0].spawn(cfg.folds + 2)
         tasks.append(
-            (
+            _SlotTask(
                 features,
                 labels,
                 num_classes,
                 kind,
-                cfg.trees_per_forest,
-                cfg.tree_params(),
+                cfg,
                 folds,
-                cfg.mode,
-                cfg.tau,
-                cfg.lam,
-                cfg.fw_iterations,
-                cfg.pair_budget,
                 children[: cfg.folds],
                 children[cfg.folds],
                 children[cfg.folds + 1],
@@ -284,6 +279,9 @@ def predict_batch(model: CascadeModel, X: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"expected (n, {model.base_dim}) inputs, got {X.shape}"
         )
+    # a NaN would silently go right at every split
+    if not np.isfinite(X).all():
+        raise BadCellError("features contain NaN or infinite values")
     feats = X
     for q, level in enumerate(model.levels):
         class_vectors = [class_vectors_batch(f, feats) for f in level.forests]

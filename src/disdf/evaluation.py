@@ -76,9 +76,11 @@ def _run_repetition(task):
     train_ds, test_ds = split(ds, n_train, n_test, split_seq, stratify=cfg.stratify)
     out = {}
     for mode in MODES:
-        cfg_mode = replace(cfg, mode=mode)
+        # Generator.spawn advances the SeedSequence it was built from, so each
+        # mode gets a fresh copy of train_seq and both grow the same trees
+        fresh_seq = np.random.SeedSequence(train_seq.entropy, spawn_key=train_seq.spawn_key)
         model = train_cascade(
-            train_ds, cfg_mode, rng=np.random.default_rng(train_seq)
+            train_ds, replace(cfg, mode=mode), rng=np.random.default_rng(fresh_seq)
         )
         out[mode] = accuracy(model, test_ds)
     return rep, out

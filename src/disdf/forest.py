@@ -1,4 +1,4 @@
-"""Forests of decision trees with per-tree weights on the unit simplex."""
+"""Forests of decision trees in one flat node table, with simplex weights."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .tree import RANDOM_SPLIT, TreeModel, TreeParams, train_tree
+from .tree import RANDOM_SPLIT, TreeParams, train_tree
 
 SIMPLEX_TOL = 1e-6
 
@@ -31,23 +31,35 @@ def check_weights(w, n_trees: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    """A bag of trees of one kind plus a weight vector on the unit simplex."""
+    """T trees of one kind in one flat node table, plus simplex weights.
 
-    trees: list[TreeModel]
+    Node ids are global: tree t owns nodes ``roots[t]`` up to the next root,
+    ``feature[i] < 0`` marks node i as a leaf, and children always have
+    larger ids than their parent, so routing ends once every position sits
+    on a leaf.  ``dist`` rows are the leaf class distributions.
+    """
+
+    feature: np.ndarray  # (n_nodes,) int32, -1 at leaves
+    threshold: np.ndarray  # (n_nodes,) float64
+    left: np.ndarray  # (n_nodes,) int32 global node ids
+    right: np.ndarray  # (n_nodes,) int32 global node ids
+    dist: np.ndarray  # (n_nodes, C) float64, valid at leaf rows
+    roots: np.ndarray  # (T,) int32
+    weights: np.ndarray  # (T,) float64 on the unit simplex
     kind: str
-    weights: np.ndarray
     num_classes: int
+    n_features: int
 
     def __post_init__(self):
-        self.weights = check_weights(self.weights, len(self.trees))
+        self.weights = check_weights(self.weights, self.n_trees)
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.roots.shape[0]
 
     @property
-    def n_features(self) -> int:
-        return self.trees[0].n_features
+    def n_nodes(self) -> int:
+        return self.feature.shape[0]
 
     def with_weights(self, w) -> "ForestModel":
         return replace(self, weights=check_weights(w, self.n_trees))
@@ -60,7 +72,7 @@ def train_forest(
     params: TreeParams,
     rng: np.random.Generator,
 ) -> ForestModel:
-    """Train ``n_trees`` trees and initialize weights uniformly.
+    """Train ``n_trees`` trees into one node table and weight them uniformly.
 
     Random-split-search trees each see a bootstrap resample; completely-random
     trees see the full data.  Each tree gets its own spawned rng stream, so
@@ -73,12 +85,29 @@ def train_forest(
     trees = []
     for tree_rng in rng.spawn(n_trees):
         if kind == RANDOM_SPLIT:
-            idx = tree_rng.integers(0, ds.n, size=ds.n)
-            view = ds.subset(idx)
+            view = ds.subset(tree_rng.integers(0, ds.n, size=ds.n))
         else:
             view = ds
         trees.append(train_tree(view, kind, params, tree_rng))
-    return ForestModel(trees, kind, uniform_weights(n_trees), ds.num_classes)
+    feature, threshold, left, right, dist = map(np.concatenate, zip(*trees))
+    sizes = [tree[0].size for tree in trees]
+    roots = (np.cumsum(sizes) - sizes).astype(np.int32)
+    internal = feature >= 0
+    offset = np.repeat(roots, sizes)[internal]
+    left[internal] += offset
+    right[internal] += offset
+    return ForestModel(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        dist=dist,
+        roots=roots,
+        weights=uniform_weights(n_trees),
+        kind=kind,
+        num_classes=ds.num_classes,
+        n_features=ds.feature_dim,
+    )
 
 
 def forest_tree_dists(forest: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -92,12 +121,28 @@ def forest_tree_dists(forest: ForestModel, x: np.ndarray) -> np.ndarray:
 
 
 def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Per-tree class distributions for each row of X, shape (n, T, C)."""
+    """Per-tree class distributions for each row of X, shape (n, T, C).
+
+    Routes all n*T (row, tree) positions at once; position k is row k // T
+    in tree k % T.  Each step moves every position not yet on a leaf one
+    level down, and a tie at a threshold goes left.
+    """
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty((X.shape[0], forest.n_trees, forest.num_classes))
-    for t, tree in enumerate(forest.trees):
-        out[:, t, :] = tree.predict_dist_batch(X)
-    return out
+    if X.ndim != 2 or X.shape[1] != forest.n_features:
+        raise DimensionError(
+            f"expected (n, {forest.n_features}) inputs, got {X.shape}"
+        )
+    n, T = X.shape[0], forest.n_trees
+    feature, threshold = forest.feature, forest.threshold
+    node = np.tile(forest.roots, n)
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[live // T, feature[at]] <= threshold[at]
+        at = np.where(go_left, forest.left[at], forest.right[at])
+        node[live] = at
+        live = live[feature[at] >= 0]
+    return forest.dist[node].reshape(n, T, forest.num_classes)
 
 
 def forest_class_vector(forest: ForestModel, x: np.ndarray, w) -> np.ndarray:

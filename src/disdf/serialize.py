@@ -2,9 +2,17 @@
 
 Layout: a small text header (magic, format version, payload sha256 and byte
 count) followed by the binary payload.  The payload is a length-prefixed JSON
-structure block plus every array (weights, tree node arrays, leaf
-distributions) as raw little-endian bytes, so a load/save round trip is
-bit-exact and predictions are bitwise identical.
+structure block (config, dims, and per level and forest its kind and tree
+count) followed by seven arrays per forest, level by level and forest by
+forest: ``weights``, ``feature``, ``threshold``, ``left``, ``right``,
+``dist`` and ``roots``, the forest's flat node table (see
+:class:`~disdf.forest.ForestModel`).  Arrays are raw little-endian bytes, so
+a load/save round trip is bit-exact and predictions are bitwise identical.
+
+Version 1 files (every tree's arrays stored separately) are rejected.
+Loading checks each table's structure, so a file with a valid checksum but a
+cyclic or out-of-range child, feature or root fails with
+:class:`ModelFormatError` instead of hanging or misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -19,11 +27,20 @@ import numpy as np
 from .cascade import CascadeModel, LevelModel
 from .config import TrainConfig
 from .errors import ModelFormatError
-from .forest import ForestModel
-from .tree import TreeModel
+from .forest import SIMPLEX_TOL, ForestModel, check_weights
 
 MAGIC = "DISDF-MODEL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# per forest, in file order; all but weights are ForestModel's node table
+_FOREST_ARRAYS = (
+    ("weights", "<f8"),
+    ("feature", "<i4"),
+    ("threshold", "<f8"),
+    ("left", "<i4"),
+    ("right", "<i4"),
+    ("dist", "<f8"),
+    ("roots", "<i4"),
+)
 
 _DTYPES = {"<i4": np.dtype("<i4"), "<f8": np.dtype("<f8")}
 
@@ -92,13 +109,8 @@ def save_model(model: CascadeModel, path) -> None:
     buf.write(meta)
     for level in model.levels:
         for forest in level.forests:
-            _pack_array(buf, forest.weights)
-            for tree in forest.trees:
-                _pack_array(buf, tree.feature)
-                _pack_array(buf, tree.threshold)
-                _pack_array(buf, tree.left)
-                _pack_array(buf, tree.right)
-                _pack_array(buf, tree.dist)
+            for name, _ in _FOREST_ARRAYS:
+                _pack_array(buf, getattr(forest, name))
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).hexdigest()
     header = f"{MAGIC} {FORMAT_VERSION}\nsha256 {digest}\nbytes {len(payload)}\n---\n"
@@ -149,33 +161,31 @@ def load_model(path) -> CascadeModel:
     config = TrainConfig.from_dict(meta["config"])
     num_classes = meta["num_classes"]
     levels = []
+    input_dim = meta["base_dim"]
     for level_meta in meta["levels"]:
+        if level_meta["input_dim"] != input_dim:
+            raise ModelFormatError(
+                f"{path}: level {len(levels)} has input dim "
+                f"{level_meta['input_dim']}, expected {input_dim}"
+            )
+        if not level_meta["forests"]:
+            raise ModelFormatError(f"{path}: level {len(levels)} has no forests")
         forests = []
         for forest_meta in level_meta["forests"]:
-            weights = reader.array()
-            trees = []
-            for _ in range(forest_meta["n_trees"]):
-                feature = reader.array()
-                threshold = reader.array()
-                left = reader.array()
-                right = reader.array()
-                dist = reader.array()
-                trees.append(
-                    TreeModel(
-                        kind=forest_meta["kind"],
-                        n_features=level_meta["input_dim"],
-                        num_classes=num_classes,
-                        feature=feature,
-                        threshold=threshold,
-                        left=left,
-                        right=right,
-                        dist=dist,
-                    )
-                )
+            arrays = {name: reader.array() for name, _ in _FOREST_ARRAYS}
+            _check_forest(path, arrays, forest_meta["n_trees"], input_dim, num_classes)
             forests.append(
-                ForestModel(trees, forest_meta["kind"], weights, num_classes)
+                ForestModel(
+                    **arrays,
+                    kind=forest_meta["kind"],
+                    num_classes=num_classes,
+                    n_features=input_dim,
+                )
             )
-        levels.append(LevelModel(forests, input_dim=level_meta["input_dim"]))
+        levels.append(LevelModel(forests, input_dim=input_dim))
+        input_dim = levels[-1].output_dim
+    if not levels:
+        raise ModelFormatError(f"{path}: model has no levels")
     labels = meta.get("class_labels")
     return CascadeModel(
         levels=levels,
@@ -186,3 +196,46 @@ def load_model(path) -> CascadeModel:
         level_scores=tuple(meta.get("level_scores", ())),
         class_labels=tuple(labels) if labels else None,
     )
+
+
+def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes: int):
+    """Reject a node table that could hang, misroute or index out of bounds."""
+
+    def bad(what: str):
+        raise ModelFormatError(f"{path}: malformed forest table: {what}")
+
+    for name, code in _FOREST_ARRAYS:
+        if arrays[name].dtype.str != code:
+            bad(f"{name} has dtype {arrays[name].dtype.str}, expected {code}")
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    roots, dist = arrays["roots"], arrays["dist"]
+    n_nodes = feature.size
+    if n_trees < 1 or roots.shape != (n_trees,) or arrays["weights"].shape != (n_trees,):
+        bad(f"roots and weights must have length n_trees = {n_trees}")
+    for name in ("feature", "threshold", "left", "right"):
+        if arrays[name].shape != (n_nodes,):
+            bad(f"{name} has shape {arrays[name].shape}, expected ({n_nodes},)")
+    if dist.shape != (n_nodes, num_classes):
+        bad(f"dist has shape {dist.shape}, expected ({n_nodes}, {num_classes})")
+    if roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n_nodes:
+        bad("roots must start at 0, increase strictly and stay below n_nodes")
+    # each internal node's children lie after it and before the next tree's root
+    ends = np.append(roots[1:], n_nodes)
+    tree_end = np.repeat(ends, ends - roots)
+    internal = np.flatnonzero(feature >= 0)
+    for child in (left[internal], right[internal]):
+        if np.any(child <= internal) or np.any(child >= tree_end[internal]):
+            bad("a child id does not lie after its parent within the same tree")
+    if np.any(feature[internal] >= input_dim):
+        bad(f"a split feature is outside [0, {input_dim})")
+    leaf_dist = dist[feature < 0]
+    if not (
+        np.isfinite(leaf_dist).all()
+        and np.all(leaf_dist >= -SIMPLEX_TOL)
+        and np.all(np.abs(leaf_dist.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    ):
+        bad("a leaf distribution is off the unit simplex")
+    try:
+        check_weights(arrays["weights"], n_trees)
+    except ValueError as exc:
+        bad(str(exc))

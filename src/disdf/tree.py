@@ -1,4 +1,4 @@
-"""Single decision trees: induction and leaf class-distribution prediction.
+"""Single decision trees: induction into flat node arrays.
 
 Two induction kinds are supported.  ``random-split-search`` samples
 ceil(sqrt(m)) candidate features per node and takes the best Gini split over
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError
+from .errors import DataError
 
 RANDOM_SPLIT = "random-split-search"
 COMPLETELY_RANDOM = "completely-random"
@@ -26,65 +26,6 @@ TREE_KINDS = (RANDOM_SPLIT, COMPLETELY_RANDOM)
 class TreeParams:
     min_leaf: int = 1
     max_depth: int | None = None
-
-
-@dataclass
-class TreeModel:
-    """Flat-array binary tree; ``feature[i] < 0`` marks node i as a leaf.
-
-    Children always have larger ids than their parent, so batch routing can
-    iterate until every sample sits on a leaf.
-    """
-
-    kind: str
-    n_features: int
-    num_classes: int
-    feature: np.ndarray  # (n_nodes,) int32, -1 for leaves
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int32
-    right: np.ndarray  # (n_nodes,) int32
-    dist: np.ndarray  # (n_nodes, C) float64, valid at leaf rows
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    def predict_dist_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf class distribution for each row of X, shape (n, C)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionError(
-                f"expected (n, {self.n_features}) inputs, got {X.shape}"
-            )
-        pos = np.zeros(X.shape[0], dtype=np.int32)
-        feature, threshold = self.feature, self.threshold
-        left, right = self.left, self.right
-        while True:
-            f = feature[pos]
-            active = f >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            p = pos[rows]
-            go_left = X[rows, feature[p]] <= threshold[p]
-            pos[rows] = np.where(go_left, left[p], right[p])
-        return self.dist[pos]
-
-
-def tree_predict_dist(tree: TreeModel, x: np.ndarray) -> np.ndarray:
-    """Class distribution at the leaf reached by x; ties at a threshold go left."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.n_features,):
-        raise DimensionError(
-            f"expected a length-{tree.n_features} vector, got shape {x.shape}"
-        )
-    pos = 0
-    while tree.feature[pos] >= 0:
-        if x[tree.feature[pos]] <= tree.threshold[pos]:
-            pos = tree.left[pos]
-        else:
-            pos = tree.right[pos]
-    return tree.dist[pos].copy()
 
 
 class _Builder:
@@ -112,16 +53,13 @@ class _Builder:
         self.dist.append(np.zeros(self.num_classes))
         return len(self.feature) - 1
 
-    def finish(self, kind: str, n_features: int) -> TreeModel:
-        return TreeModel(
-            kind=kind,
-            n_features=n_features,
-            num_classes=self.num_classes,
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            dist=np.vstack(self.dist),
+    def finish(self) -> tuple[np.ndarray, ...]:
+        return (
+            np.asarray(self.feature, dtype=np.int32),
+            np.asarray(self.threshold, dtype=np.float64),
+            np.asarray(self.left, dtype=np.int32),
+            np.asarray(self.right, dtype=np.int32),
+            np.vstack(self.dist),
         )
 
 
@@ -165,12 +103,15 @@ def train_tree(
     kind: str,
     params: TreeParams,
     rng: np.random.Generator,
-) -> TreeModel:
-    """Grow one decision tree on ``samples``.
+) -> tuple[np.ndarray, ...]:
+    """Grow one decision tree on ``samples``; return its node arrays.
 
-    Growth stops when a node is pure, has fewer than ``min_leaf`` samples,
-    hits the depth cap, or no usable split exists among the candidate
-    features.  Leaf distributions are class-frequency vectors.
+    The arrays are ``(feature, threshold, left, right, dist)``: node 0 is the
+    root, ``feature < 0`` marks a leaf, children have larger ids than their
+    parent, and ``dist`` rows are valid at leaves.  Growth stops when a node
+    is pure, has fewer than ``min_leaf`` samples, hits the depth cap, or no
+    usable split exists among the candidate features.  Leaf distributions
+    are class-frequency vectors.
     """
     if kind not in TREE_KINDS:
         raise ValueError(f"unknown tree kind {kind!r}")
@@ -239,4 +180,4 @@ def train_tree(
             else:
                 builder.right[parent] = node_id
 
-    return builder.finish(kind, m)
+    return builder.finish()

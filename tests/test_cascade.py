@@ -13,16 +13,11 @@ from disdf.cascade import (
 )
 from disdf.config import TrainConfig
 from disdf.data import Dataset
-from disdf.errors import DataError, DegeneratePairsError, DimensionError
-from disdf.forest import (
-    ForestModel,
-    class_vectors_batch,
-    forest_tree_dists_batch,
-    train_forest,
-    uniform_weights,
-)
+from disdf.errors import BadCellError, DataError, DegeneratePairsError, DimensionError
+from disdf.forest import class_vectors_batch, forest_tree_dists_batch, train_forest
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
-from tests.test_tree import single_leaf_tree
+from tests.test_forest import TABLE
+from tests.test_tree import leaf_forest
 
 
 def blobs(n=60, m=4, gap=8.0, seed=0, num_classes=2):
@@ -49,16 +44,9 @@ def fast_cfg(**kw):
     return TrainConfig(**base)
 
 
-def leaf_forest(dists, n_features, num_classes):
-    trees = [single_leaf_tree(d, n_features=n_features) for d in dists]
-    return ForestModel(
-        trees, COMPLETELY_RANDOM, uniform_weights(len(trees)), num_classes
-    )
-
-
 def manual_cascade(forest_dists, n_features, num_classes):
     """Single-level cascade of single-leaf forests with the given outputs."""
-    forests = [leaf_forest([d], n_features, num_classes) for d in forest_dists]
+    forests = [leaf_forest([d], n_features) for d in forest_dists]
     level = LevelModel(forests, input_dim=n_features)
     return CascadeModel(
         levels=[level],
@@ -138,7 +126,7 @@ class TestDimensions:
 
 class TestAugment:
     def test_single_forest_augment_values(self):
-        forest = leaf_forest([[0.4, 0.4, 0.2]], n_features=5, num_classes=3).with_weights(
+        forest = leaf_forest([[0.4, 0.4, 0.2]], n_features=5).with_weights(
             [1.0]
         )
         level = LevelModel([forest], input_dim=5)
@@ -159,7 +147,7 @@ class TestAugment:
 
     def test_dimension_mismatch(self):
         level = LevelModel(
-            [leaf_forest([[1.0, 0.0]], n_features=3, num_classes=2)], input_dim=3
+            [leaf_forest([[1.0, 0.0]], n_features=3)], input_dim=3
         )
         with pytest.raises(DimensionError):
             augment(level, np.zeros(4))
@@ -199,6 +187,43 @@ class TestPredict:
         model = manual_cascade([[1.0, 0.0]], n_features=2, num_classes=2)
         with pytest.raises(DimensionError):
             predict(model, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN would otherwise go right at every split and get a class
+        ds = blobs(n=30, m=3, seed=6)
+        model = train_cascade(ds, fast_cfg(mode="baseline"))
+        X = ds.features[:4].copy()
+        X[2, 1] = bad
+        with pytest.raises(BadCellError):
+            predict_batch(model, X)
+        with pytest.raises(BadCellError):
+            predict(model, X[2])
+
+
+class TestWorkerIndependence:
+    def test_two_workers_give_identical_tables_and_weights(self):
+        ds = blobs(n=36, m=4, seed=15)
+        cfg = fast_cfg(max_levels=2, patience=2)
+        serial = train_cascade(ds, cfg, workers=1)
+        pooled = train_cascade(ds, cfg, workers=2)
+        assert serial.level_scores == pooled.level_scores
+        assert serial.n_levels == pooled.n_levels
+        for l1, l2 in zip(serial.levels, pooled.levels):
+            for f1, f2 in zip(l1.forests, l2.forests, strict=True):
+                for name in TABLE:
+                    np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
+
+    def test_worker_error_reaches_caller_unchanged(self):
+        features = np.random.default_rng(0).normal(size=(12, 3))
+        ds = Dataset(features, np.zeros(12, dtype=int), 2)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(DegeneratePairsError) as caught:
+                train_cascade(ds, fast_cfg(), workers=workers)
+            errors.append(caught.value)
+        assert type(errors[0]) is type(errors[1])
+        assert str(errors[0]) == str(errors[1])
 
 
 class TestTrainCascade:

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from disdf.cascade import predict_batch, train_cascade
+from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf.cli import main
 from disdf.errors import ModelFormatError
-from disdf.serialize import load_model, save_model
-from tests.test_cascade import blobs, fast_cfg
+from disdf.serialize import FORMAT_VERSION, load_model, save_model
+from tests.test_cascade import blobs, fast_cfg, manual_cascade
+from tests.test_forest import TABLE
+from tests.test_tree import leaf_forest
 
 
 @pytest.fixture
@@ -177,10 +181,10 @@ class TestModelFile:
         for l1, l2 in zip(model.levels, loaded.levels):
             for f1, f2 in zip(l1.forests, l2.forests):
                 assert f1.kind == f2.kind
-                np.testing.assert_array_equal(f1.weights, f2.weights)
-                for t1, t2 in zip(f1.trees, f2.trees):
-                    np.testing.assert_array_equal(t1.threshold, t2.threshold)
-                    np.testing.assert_array_equal(t1.dist, t2.dist)
+                for name in TABLE:
+                    a1, a2 = getattr(f1, name), getattr(f2, name)
+                    assert a1.dtype == a2.dtype
+                    np.testing.assert_array_equal(a1, a2)
 
     def test_config_echo_round_trips(self, tmp_path):
         model, _ = self.trained()
@@ -207,15 +211,30 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="truncated|checksum"):
             load_model(path)
 
-    def test_future_version_rejected(self, tmp_path):
+    def retag(self, tmp_path, version):
         model, _ = self.trained()
         path = tmp_path / "m.model"
         save_model(model, path)
         blob = path.read_bytes()
-        assert blob.startswith(b"DISDF-MODEL 1\n")
-        path.write_bytes(b"DISDF-MODEL 2\n" + blob[len(b"DISDF-MODEL 1\n") :])
-        with pytest.raises(ModelFormatError, match="version 2"):
+        tag = f"DISDF-MODEL {FORMAT_VERSION}\n".encode()
+        assert blob.startswith(tag)
+        path.write_bytes(f"DISDF-MODEL {version}\n".encode() + blob[len(tag) :])
+        return path
+
+    def test_future_version_rejected(self, tmp_path):
+        path = self.retag(tmp_path, FORMAT_VERSION + 1)
+        with pytest.raises(ModelFormatError, match=f"version {FORMAT_VERSION + 1}"):
             load_model(path)
+
+    def test_version_1_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
+        # version 1 stored each tree's arrays separately; it is not readable
+        path = self.retag(tmp_path, 1)
+        code = main(
+            ["predict", "--model", str(path), "--data", str(toy_csv),
+             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "version 1" in capsys.readouterr().err
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.model"
@@ -230,6 +249,94 @@ class TestModelFile:
              "--out", str(out), *TRAIN_FLAGS]
         )
         assert load_model(out).class_labels == ("a", "b")
+
+
+def rewrite_payload(path, old: bytes, new: bytes) -> None:
+    """Replace the first ``old`` in a model file's payload; keep the checksum valid."""
+    head, _, payload = path.read_bytes().partition(b"---\n")
+    assert old in payload
+    payload = payload.replace(old, new, 1)
+    tag = head.decode().splitlines()[0]
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"{tag}\nsha256 {digest}\nbytes {len(payload)}\n---\n"
+    path.write_bytes(header.encode() + payload)
+
+
+def patched(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+class TestStructuralChecks:
+    """A file with a valid checksum but a broken node table fails at load."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model, _ = TestModelFile().trained()
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        return model, path
+
+    def test_self_loop_rejected_instead_of_hanging(self, saved, toy_csv, tmp_path):
+        model, path = saved
+        forest = model.levels[0].forests[0]
+        assert forest.feature[0] >= 0
+        rewrite_payload(path, forest.left.tobytes(), patched(forest.left, 0, 0).tobytes())
+        with pytest.raises(ModelFormatError, match="child"):
+            load_model(path)
+        code = main(
+            ["predict", "--model", str(path), "--data", str(toy_csv),
+             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("right", 0, "n_nodes", "child"),
+            ("left", 0, "next_root", "child"),
+            ("feature", 0, "input_dim", "feature"),
+            ("roots", 0, 1, "roots"),
+            ("roots", 1, 0, "roots"),
+            ("dist", "first_leaf", (2.0, -1.0), "simplex"),
+            ("weights", 0, 5.0, "simplex"),
+        ],
+    )
+    def test_broken_table_rejected(self, saved, name, index, value, message):
+        model, path = saved
+        forest = model.levels[0].forests[0]
+        positions = {"first_leaf": int(np.argmax(forest.feature < 0))}
+        values = {"n_nodes": forest.n_nodes, "next_root": forest.roots[1],
+                  "input_dim": model.base_dim}
+        array = getattr(forest, name)
+        bad = patched(array, positions.get(index, index), values.get(value, value))
+        rewrite_payload(path, array.tobytes(), bad.tobytes())
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_tree_count_mismatch_rejected(self, saved):
+        _, path = saved
+        rewrite_payload(path, b'"n_trees": 4', b'"n_trees": 3')
+        with pytest.raises(ModelFormatError, match="n_trees"):
+            load_model(path)
+
+    def test_first_level_dim_must_equal_base_dim(self, saved):
+        _, path = saved
+        rewrite_payload(path, b'"input_dim": 4', b'"input_dim": 5')
+        with pytest.raises(ModelFormatError, match="input dim"):
+            load_model(path)
+
+    def test_level_dims_follow_recurrence(self, tmp_path):
+        model = manual_cascade([[0.6, 0.4]], n_features=3, num_classes=2)
+        second = LevelModel([leaf_forest([[0.1, 0.9]], n_features=5)], input_dim=5)
+        model.levels.append(second)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert load_model(path).n_levels == 2
+        rewrite_payload(path, b'"input_dim": 5', b'"input_dim": 6')
+        with pytest.raises(ModelFormatError, match="input dim 6, expected 5"):
+            load_model(path)
 
 
 class TestBench:

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from disdf.cascade import predict
+from disdf import evaluation
+from disdf.cascade import predict, train_cascade
 from disdf.config import TrainConfig
 from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError
@@ -16,6 +17,7 @@ from disdf.evaluation import (
     run_grid,
 )
 from tests.test_cascade import blobs, fast_cfg, manual_cascade
+from tests.test_forest import TABLE
 
 
 class TestAccuracy:
@@ -113,6 +115,22 @@ class TestRepeatedHoldout:
         ds = blobs(n=30, m=2, seed=7)
         with pytest.raises(DataError):
             repeated_holdout(ds, 10, reps=0, cfg=fast_cfg(), seed=0)
+
+    def test_both_modes_grow_identical_first_level(self, monkeypatch):
+        # only the weights may differ between the modes of one repetition
+        models = {}
+
+        def recording_train(train, cfg, rng=None, workers=1):
+            models[cfg.mode] = train_cascade(train, cfg, rng=rng, workers=workers)
+            return models[cfg.mode]
+
+        monkeypatch.setattr(evaluation, "train_cascade", recording_train)
+        ds = blobs(n=48, m=3, seed=9)
+        repeated_holdout(ds, 24, reps=1, cfg=fast_cfg(fw_iterations=60), seed=3)
+        pairs = zip(*(models[m].levels[0].forests for m in evaluation.MODES), strict=True)
+        for f1, f2 in pairs:
+            for name in TABLE[:-1]:
+                np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
     def test_parallel_workers_match_serial(self):
         ds = blobs(n=48, m=2, seed=8)

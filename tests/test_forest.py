@@ -4,7 +4,6 @@ import pytest
 from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError
 from disdf.forest import (
-    ForestModel,
     class_vectors_batch,
     forest_class_vector,
     forest_tree_dists,
@@ -12,8 +11,8 @@ from disdf.forest import (
     train_forest,
     uniform_weights,
 )
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
-from tests.test_tree import make_ds, single_leaf_tree
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
+from tests.test_tree import leaf_forest, make_ds
 
 # three-tree, three-class leaf distributions from the worked weighted-average
 # example; tree 3 is a one-hot leaf
@@ -27,8 +26,10 @@ DISTS = np.array(
 
 
 def example_forest():
-    trees = [single_leaf_tree(row, n_features=2) for row in DISTS]
-    return ForestModel(trees, COMPLETELY_RANDOM, uniform_weights(3), 3)
+    return leaf_forest(DISTS, n_features=2)
+
+
+TABLE = ("feature", "threshold", "left", "right", "dist", "roots", "weights")
 
 
 class TestTrainForest:
@@ -50,10 +51,27 @@ class TestTrainForest:
         ds = make_ds(rng.normal(size=(25, 3)), rng.integers(2, size=25), 2)
         f1 = train_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
         f2 = train_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
-        for t1, t2 in zip(f1.trees, f2.trees):
-            np.testing.assert_array_equal(t1.feature, t2.feature)
-            np.testing.assert_array_equal(t1.threshold, t2.threshold)
-            np.testing.assert_array_equal(t1.dist, t2.dist)
+        for name in TABLE:
+            np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
+
+    def test_table_concatenates_trees_with_global_child_ids(self):
+        rng = np.random.default_rng(8)
+        ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
+        f = train_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
+        ends = np.append(f.roots[1:], f.n_nodes)
+        assert f.roots[0] == 0 and np.all(f.roots < ends)
+        assert f.feature.dtype == f.left.dtype == f.roots.dtype == np.int32
+        tree_rngs = np.random.default_rng(9).spawn(4)
+        for t, (start, end) in enumerate(zip(f.roots, ends)):
+            feature, threshold, left, right, dist = train_tree(
+                ds, COMPLETELY_RANDOM, TreeParams(), tree_rngs[t]
+            )
+            internal = feature >= 0
+            np.testing.assert_array_equal(f.feature[start:end], feature)
+            np.testing.assert_array_equal(f.threshold[start:end], threshold)
+            np.testing.assert_array_equal(f.dist[start:end], dist)
+            np.testing.assert_array_equal(f.left[start:end][internal], left[internal] + start)
+            np.testing.assert_array_equal(f.right[start:end][internal], right[internal] + start)
 
     def test_empty_dataset_rejected(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=int), 2)
@@ -68,12 +86,7 @@ class TestTreeDists:
         np.testing.assert_allclose(out, DISTS)
 
     def test_single_tree_matrix(self):
-        f = ForestModel(
-            [single_leaf_tree([0.3, 0.7], n_features=1)],
-            COMPLETELY_RANDOM,
-            [1.0],
-            2,
-        )
+        f = leaf_forest([0.3, 0.7], n_features=1)
         out = forest_tree_dists(f, [5.0])
         assert out.shape == (1, 2)
         np.testing.assert_allclose(out[0], [0.3, 0.7])

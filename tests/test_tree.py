@@ -3,47 +3,86 @@ import pytest
 
 from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError
-from disdf.tree import (
-    COMPLETELY_RANDOM,
-    RANDOM_SPLIT,
-    TreeModel,
-    TreeParams,
-    train_tree,
-    tree_predict_dist,
+from disdf.forest import (
+    ForestModel,
+    forest_tree_dists,
+    forest_tree_dists_batch,
+    train_forest,
 )
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
 
 
 def make_ds(X, y, C):
     return Dataset(np.asarray(X, dtype=float), np.asarray(y), C)
 
 
-def single_leaf_tree(dist, n_features=1):
-    dist = np.atleast_2d(np.asarray(dist, dtype=float))
-    return TreeModel(
-        kind=COMPLETELY_RANDOM,
+def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
+    """A one-tree forest over ``train_tree``-style node arrays."""
+    feature, threshold, left, right, dist = arrays
+    return ForestModel(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        dist=np.asarray(dist, dtype=float),
+        roots=np.zeros(1, dtype=np.int32),
+        weights=[1.0],
+        kind=kind,
+        num_classes=np.shape(dist)[1],
         n_features=n_features,
-        num_classes=dist.shape[1],
-        feature=np.array([-1], dtype=np.int32),
-        threshold=np.array([0.0]),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        dist=dist,
+    )
+
+
+def grow(ds, kind, params, rng):
+    return one_tree(train_tree(ds, kind, params, rng), ds.feature_dim, kind)
+
+
+def leaf_forest(dists, n_features=1):
+    """A forest of single-leaf trees; tree t always predicts ``dists[t]``."""
+    dists = np.atleast_2d(np.asarray(dists, dtype=float))
+    T = dists.shape[0]
+    return ForestModel(
+        feature=np.full(T, -1, dtype=np.int32),
+        threshold=np.zeros(T),
+        left=np.full(T, -1, dtype=np.int32),
+        right=np.full(T, -1, dtype=np.int32),
+        dist=dists,
+        roots=np.arange(T, dtype=np.int32),
+        weights=np.full(T, 1.0 / T),
+        kind=COMPLETELY_RANDOM,
+        num_classes=dists.shape[1],
+        n_features=n_features,
     )
 
 
 def stump(feature, threshold, left_dist, right_dist, n_features):
     left_dist = np.asarray(left_dist, dtype=float)
-    right_dist = np.asarray(right_dist, dtype=float)
-    return TreeModel(
-        kind=RANDOM_SPLIT,
-        n_features=n_features,
-        num_classes=left_dist.shape[0],
-        feature=np.array([feature, -1, -1], dtype=np.int32),
-        threshold=np.array([threshold, 0.0, 0.0]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        dist=np.vstack([np.zeros_like(left_dist), left_dist, right_dist]),
+    return one_tree(
+        (
+            [feature, -1, -1],
+            [threshold, 0.0, 0.0],
+            [1, -1, -1],
+            [2, -1, -1],
+            np.vstack([np.zeros_like(left_dist), left_dist, right_dist]),
+        ),
+        n_features,
     )
+
+
+def route(tree, x):
+    """Leaf distribution a one-tree forest gives for one input."""
+    return forest_tree_dists(tree, x)[0]
+
+
+def walk(forest, x, t):
+    """Reference walker: one input down tree t, one node at a time."""
+    node = forest.roots[t]
+    while forest.feature[node] >= 0:
+        if x[forest.feature[node]] <= forest.threshold[node]:
+            node = forest.left[node]
+        else:
+            node = forest.right[node]
+    return forest.dist[node]
 
 
 def tree_depth(tree):
@@ -59,13 +98,13 @@ def tree_depth(tree):
 class TestDegenerateInputs:
     def test_single_sample_gives_one_hot_leaf(self, kind):
         ds = make_ds([[1.0, 2.0]], [1], 3)
-        tree = train_tree(ds, kind, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, kind, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
-        np.testing.assert_allclose(tree_predict_dist(tree, [9.0, 9.0]), [0, 1, 0])
+        np.testing.assert_allclose(route(tree, [9.0, 9.0]), [0, 1, 0])
 
     def test_pure_node_stops_immediately(self, kind):
         ds = make_ds([[0.0], [1.0], [2.0]], [1, 1, 1], 2)
-        tree = train_tree(ds, kind, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, kind, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
 
     def test_empty_view_rejected(self, kind):
@@ -77,34 +116,34 @@ class TestDegenerateInputs:
 class TestRandomSplitSearch:
     def test_separable_data_gives_depth_one_perfect_tree(self):
         ds = make_ds([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1], 2)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
         assert tree_depth(tree) == 1
         preds = [
-            int(np.argmax(tree_predict_dist(tree, row))) for row in ds.features
+            int(np.argmax(route(tree, row))) for row in ds.features
         ]
         assert preds == ds.labels.tolist()
 
     def test_threshold_is_midpoint(self):
         ds = make_ds([[0.0], [2.0]], [0, 1], 2)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(1.0)
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[3.0], [3.0], [3.0]], [0, 1, 0], 2)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
         np.testing.assert_allclose(tree.dist[0], [2 / 3, 1 / 3])
 
     def test_max_depth_cap(self):
         rng = np.random.default_rng(1)
         ds = make_ds(rng.normal(size=(64, 3)), rng.integers(2, size=64), 2)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(max_depth=2), rng)
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(max_depth=2), rng)
         assert tree_depth(tree) <= 2
 
     def test_min_leaf_stops_growth(self):
         ds = make_ds([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], 2)
-        tree = train_tree(
+        tree = grow(
             ds, RANDOM_SPLIT, TreeParams(min_leaf=5), np.random.default_rng(0)
         )
         assert tree.n_nodes == 1
@@ -115,7 +154,7 @@ class TestCompletelyRandom:
         rng = np.random.default_rng(3)
         X = rng.uniform(-5, 5, size=(80, 4))
         ds = make_ds(X, rng.integers(3, size=80), 3)
-        tree = train_tree(ds, COMPLETELY_RANDOM, TreeParams(), rng)
+        tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), rng)
         internal = tree.feature >= 0
         f = tree.feature[internal]
         assert np.all(tree.threshold[internal] >= X[:, f].min(axis=0))
@@ -123,45 +162,67 @@ class TestCompletelyRandom:
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[7.0, 7.0], [7.0, 7.0]], [0, 1], 2)
-        tree = train_tree(ds, COMPLETELY_RANDOM, TreeParams(), np.random.default_rng(0))
+        tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
 
 
 class TestPrediction:
     def test_single_leaf_returns_distribution_for_any_input(self):
-        tree = single_leaf_tree([0.4, 0.4, 0.2])
+        tree = leaf_forest([0.4, 0.4, 0.2])
         for x in ([0.0], [100.0], [-3.5]):
-            np.testing.assert_allclose(tree_predict_dist(tree, x), [0.4, 0.4, 0.2])
+            np.testing.assert_allclose(route(tree, x), [0.4, 0.4, 0.2])
 
     def test_tie_at_threshold_routes_left(self):
         tree = stump(0, 1.0, [1.0, 0.0], [0.0, 1.0], n_features=1)
-        np.testing.assert_allclose(tree_predict_dist(tree, [1.0]), [1.0, 0.0])
-        np.testing.assert_allclose(tree_predict_dist(tree, [1.0 + 1e-12]), [0.0, 1.0])
+        np.testing.assert_allclose(route(tree, [1.0]), [1.0, 0.0])
+        np.testing.assert_allclose(route(tree, [1.0 + 1e-12]), [0.0, 1.0])
+
+    def test_trees_route_independently_through_global_ids(self):
+        # a leaf and a stump in one table: the stump's child ids are global
+        stumpy = stump(1, 0.0, [1.0, 0.0], [0.0, 1.0], n_features=2)
+        forest = ForestModel(
+            feature=np.append(-1, stumpy.feature).astype(np.int32),
+            threshold=np.append(0.0, stumpy.threshold),
+            left=np.array([-1, 2, -1, -1], dtype=np.int32),
+            right=np.array([-1, 3, -1, -1], dtype=np.int32),
+            dist=np.vstack([[0.5, 0.5], stumpy.dist]),
+            roots=np.array([0, 1], dtype=np.int32),
+            weights=[0.5, 0.5],
+            kind=RANDOM_SPLIT,
+            num_classes=2,
+            n_features=2,
+        )
+        out = forest_tree_dists_batch(forest, [[9.0, -1.0], [9.0, 1.0]])
+        np.testing.assert_array_equal(out[:, 0], [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_array_equal(out[:, 1], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_distributions_sum_to_one_property(self):
         rng = np.random.default_rng(7)
         ds = make_ds(rng.normal(size=(60, 5)), rng.integers(4, size=60), 4)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(), rng)
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(), rng)
         X = rng.normal(size=(1000, 5))
-        sums = tree.predict_dist_batch(X).sum(axis=1)
+        sums = forest_tree_dists_batch(tree, X)[:, 0].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        assert tree.predict_dist_batch(X).min() >= 0.0
+        assert forest_tree_dists_batch(tree, X)[:, 0].min() >= 0.0
 
-    def test_batch_matches_single(self):
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    def test_batch_matches_single(self, kind):
         rng = np.random.default_rng(11)
         ds = make_ds(rng.normal(size=(40, 3)), rng.integers(2, size=40), 2)
-        tree = train_tree(ds, COMPLETELY_RANDOM, TreeParams(), rng)
+        forest = train_forest(ds, kind, 6, TreeParams(), rng)
         X = rng.normal(size=(25, 3))
-        batch = tree.predict_dist_batch(X)
+        batch = forest_tree_dists_batch(forest, X)
         for row, expected in zip(X, batch):
-            np.testing.assert_array_equal(tree_predict_dist(tree, row), expected)
+            np.testing.assert_array_equal(forest_tree_dists(forest, row), expected)
+            for t in range(forest.n_trees):
+                np.testing.assert_array_equal(walk(forest, row, t), expected[t])
 
     def test_dimension_mismatch(self):
-        tree = single_leaf_tree([1.0, 0.0], n_features=2)
+        tree = leaf_forest([1.0, 0.0], n_features=2)
         with pytest.raises(DimensionError):
-            tree_predict_dist(tree, [1.0])
+            route(tree, [1.0])
         with pytest.raises(DimensionError):
-            tree.predict_dist_batch(np.zeros((3, 5)))
+            forest_tree_dists_batch(tree, np.zeros((3, 5)))
 
 
 class TestDeterminism:
@@ -171,18 +232,15 @@ class TestDeterminism:
         ds = make_ds(rng.normal(size=(50, 6)), rng.integers(3, size=50), 3)
         t1 = train_tree(ds, kind, TreeParams(), np.random.default_rng(99))
         t2 = train_tree(ds, kind, TreeParams(), np.random.default_rng(99))
-        np.testing.assert_array_equal(t1.feature, t2.feature)
-        np.testing.assert_array_equal(t1.threshold, t2.threshold)
-        np.testing.assert_array_equal(t1.left, t2.left)
-        np.testing.assert_array_equal(t1.right, t2.right)
-        np.testing.assert_array_equal(t1.dist, t2.dist)
+        for a1, a2 in zip(t1, t2, strict=True):
+            np.testing.assert_array_equal(a1, a2)
 
 
 class TestTreeShape:
     def test_proper_binary_tree(self):
         rng = np.random.default_rng(21)
         ds = make_ds(rng.normal(size=(70, 4)), rng.integers(3, size=70), 3)
-        tree = train_tree(ds, RANDOM_SPLIT, TreeParams(), rng)
+        tree = grow(ds, RANDOM_SPLIT, TreeParams(), rng)
         internal = np.nonzero(tree.feature >= 0)[0]
         children = np.concatenate([tree.left[internal], tree.right[internal]])
         # every non-root node appears exactly once as a child
@@ -191,7 +249,7 @@ class TestTreeShape:
     def test_leaf_distributions_valid(self):
         rng = np.random.default_rng(22)
         ds = make_ds(rng.normal(size=(30, 2)), rng.integers(2, size=30), 2)
-        tree = train_tree(ds, COMPLETELY_RANDOM, TreeParams(), rng)
+        tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), rng)
         leaves = tree.feature < 0
         np.testing.assert_allclose(tree.dist[leaves].sum(axis=1), 1.0, atol=1e-9)
         assert tree.dist[leaves].min() >= 0.0
