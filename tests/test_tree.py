@@ -205,17 +205,17 @@ class TestPrediction:
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
         assert forest_tree_dists_batch(tree, X)[:, 0].min() >= 0.0
 
-    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
-    def test_batch_matches_single(self, kind):
-        rng = np.random.default_rng(11)
-        ds = make_ds(rng.normal(size=(40, 3)), rng.integers(2, size=40), 2)
-        forest = train_forest(ds, kind, 6, TreeParams(), rng)
-        X = rng.normal(size=(25, 3))
-        batch = forest_tree_dists_batch(forest, X)
-        for row, expected in zip(X, batch):
-            np.testing.assert_array_equal(forest_tree_dists(forest, row), expected)
-            for t in range(forest.n_trees):
-                np.testing.assert_array_equal(walk(forest, row, t), expected[t])
+    def test_batch_matches_single(self):
+        for kind in (RANDOM_SPLIT, COMPLETELY_RANDOM):
+            rng = np.random.default_rng(11)
+            ds = make_ds(rng.normal(size=(40, 3)), rng.integers(2, size=40), 2)
+            forest = train_forest(ds, kind, 6, TreeParams(), rng)
+            X = rng.normal(size=(25, 3))
+            batch = forest_tree_dists_batch(forest, X)
+            for row, expected in zip(X, batch):
+                np.testing.assert_array_equal(forest_tree_dists(forest, row), expected)
+                for t in range(forest.n_trees):
+                    np.testing.assert_array_equal(walk(forest, row, t), expected[t])
 
     def test_dimension_mismatch(self):
         tree = leaf_forest([1.0, 0.0], n_features=2)
