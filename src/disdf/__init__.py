@@ -14,7 +14,6 @@ from .config import MODE_BASELINE, MODE_DISDF, TrainConfig
 from .data import Dataset, kfold_indices, load_csv, load_features, split
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DataError,
     DegeneratePairsError,
     DimensionError,
@@ -35,14 +34,6 @@ from .forest import (
 from .pairstats import PairStats, compute_pair_stats
 from .serialize import load_model, save_model
 from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
-from .weightopt import (
-    ObjectiveParams,
-    frank_wolfe,
-    gradient,
-    lmo_vertex,
-    objective,
-    project_simplex,
-    reference_solve,
-)
+from .weightopt import ObjectiveParams, frank_wolfe, gradient, objective
 
 __version__ = "0.1.0"

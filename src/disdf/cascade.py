@@ -80,7 +80,7 @@ def _best_level(scores) -> int:
 
 
 def _hinge_total(obj: ObjectiveParams, w: np.ndarray) -> float:
-    hinge = np.maximum(0.0, obj.tau - obj.q_diff @ w)
+    hinge = np.maximum(0.0, obj.tau - obj.stats.q_diff @ w)
     return float(hinge @ hinge)
 
 
@@ -134,8 +134,6 @@ def _fit_forest_slot(task: _SlotTask):
         j_uniform = objective(obj, uniform)
         # never deploy weights worse than the uniform baseline point
         weights = w_fw if j_fw <= j_uniform else uniform
-        q_same = stats.Q[stats.z == 0]
-        q_diff = stats.Q[stats.z == 1]
         info = {
             "duality_gap": gap,
             "objective_trained": min(j_fw, j_uniform),
@@ -145,10 +143,10 @@ def _fit_forest_slot(task: _SlotTask):
             "hinge_trained": _hinge_total(obj, weights),
             "hinge_uniform": _hinge_total(obj, uniform),
             # mean out-of-fold Manhattan distances between class vectors
-            "d1_same_trained": float((q_same @ weights).mean()),
-            "d1_same_uniform": float((q_same @ uniform).mean()),
-            "d1_diff_trained": float((q_diff @ weights).mean()),
-            "d1_diff_uniform": float((q_diff @ uniform).mean()),
+            "d1_same_trained": float(stats.q_same_mean @ weights),
+            "d1_same_uniform": float(stats.q_same_mean @ uniform),
+            "d1_diff_trained": float((stats.q_diff @ weights).mean()),
+            "d1_diff_uniform": float((stats.q_diff @ uniform).mean()),
         }
     else:
         weights = uniform_weights(n_trees)

@@ -33,9 +33,5 @@ class DegeneratePairsError(DisdfError):
     """Degenerate pair set: all training pairs share one same/different-class flag."""
 
 
-class ConvergenceError(DisdfError):
-    """An iterative solver failed to reach its tolerance within its iteration cap."""
-
-
 class ModelFormatError(DisdfError):
     """A model file is unreadable, corrupted, or has an unsupported version."""

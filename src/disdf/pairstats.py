@@ -1,10 +1,12 @@
-"""Pairwise squared/absolute distribution differences feeding the weight optimizer.
+"""Pairwise distribution statistics, reduced to what the weight objective reads.
 
-For a pair of training instances (i, j) and tree t, ``P[pair, t]`` is the
-squared Euclidean difference between the tree's class distributions for i and
-j, and ``Q[pair, t]`` the Manhattan difference.  ``z`` flags pairs as 0 for
-same-class and 1 for different-class; ``pi`` aggregates P over same-class
-pairs.
+For a pair of training instances (i, j) and tree t, let ``p`` be the squared
+Euclidean and ``q`` the Manhattan difference between the tree's class
+distributions for i and j.  A pair is flagged z = 0 when i and j share a
+class and z = 1 otherwise.  The objective reads ``p`` only through its sum
+over z = 0 pairs (``pi``) and ``q`` only on z = 1 pairs (``q_diff``, one row
+per pair); the mean ``q`` row over z = 0 pairs (``q_same_mean``) feeds the
+training diagnostics.
 """
 
 from __future__ import annotations
@@ -13,23 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairsError
+from .errors import ConfigError, DegeneratePairsError
 
 _CHUNK = 1024
+# bound on the pair index arrays plus q_diff; above it, sample pairs instead
+MAX_PAIR_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
 class PairStats:
-    pair_i: np.ndarray  # (n_pairs,) int32, i < j
-    pair_j: np.ndarray  # (n_pairs,) int32
-    z: np.ndarray  # (n_pairs,) uint8; 0 same class, 1 different
-    P: np.ndarray  # (n_pairs, T) squared-difference sums
-    Q: np.ndarray  # (n_pairs, T) absolute-difference sums, in [0, 2]
-    pi: np.ndarray  # (T,) sum of P over same-class pairs
+    pi: np.ndarray  # (T,) squared differences summed over same-class pairs
+    q_diff: np.ndarray  # (n_diff, T) Manhattan differences, in [0, 2]
+    q_same_mean: np.ndarray  # (T,) mean Manhattan difference of same-class pairs
+    n_same: int
 
     @property
     def n_pairs(self) -> int:
-        return self.z.shape[0]
+        return self.n_same + self.q_diff.shape[0]
 
     @property
     def n_trees(self) -> int:
@@ -39,12 +41,10 @@ class PairStats:
     def empty(cls, n_trees: int) -> "PairStats":
         """Stats with no pairs at all (objective reduces to the regularizer)."""
         return cls(
-            pair_i=np.empty(0, dtype=np.int32),
-            pair_j=np.empty(0, dtype=np.int32),
-            z=np.empty(0, dtype=np.uint8),
-            P=np.empty((0, n_trees)),
-            Q=np.empty((0, n_trees)),
             pi=np.zeros(n_trees),
+            q_diff=np.empty((0, n_trees)),
+            q_same_mean=np.zeros(n_trees),
+            n_same=0,
         )
 
 
@@ -59,7 +59,9 @@ def compute_pair_stats(
     All unordered pairs i < j are used unless ``pair_budget`` is smaller than
     n(n-1)/2, in which case a uniform subsample that keeps at least one pair
     of each z value is retained.  Raises :class:`DegeneratePairsError` when
-    every pair shares one z value (e.g. single-class data).
+    every pair shares one z value (e.g. single-class data), and
+    :class:`ConfigError` before allocating when the pair arrays would exceed
+    ``MAX_PAIR_BYTES``.
     """
     tree_dists = np.asarray(tree_dists, dtype=np.float64)
     labels = np.asarray(labels)
@@ -70,6 +72,14 @@ def compute_pair_stats(
         )
     if n < 2:
         raise DegeneratePairsError("need at least two samples to form pairs")
+    T = tree_dists.shape[1]
+    need = _pair_bytes(n, T, pair_budget)
+    if need > MAX_PAIR_BYTES:
+        raise ConfigError(
+            f"pair statistics for {n} rows and {T} trees need about "
+            f"{need / 2**20:.0f} MiB, over the {MAX_PAIR_BYTES / 2**20:.0f} MiB "
+            "limit; set --pair-budget to sample fewer pairs"
+        )
 
     ii, jj = np.triu_indices(n, k=1)
     z = (labels[ii] != labels[jj]).astype(np.uint8)
@@ -88,25 +98,39 @@ def compute_pair_stats(
         keep.sort()
         ii, jj, z = ii[keep], jj[keep], z[keep]
 
-    n_pairs = ii.size
-    T = tree_dists.shape[1]
-    P = np.empty((n_pairs, T))
-    Q = np.empty((n_pairs, T))
-    for start in range(0, n_pairs, _CHUNK):
-        end = min(start + _CHUNK, n_pairs)
-        d = tree_dists[ii[start:end]] - tree_dists[jj[start:end]]
-        P[start:end] = np.einsum("ptc,ptc->pt", d, d)
-        Q[start:end] = np.abs(d).sum(axis=2)
+    same = z == 0
+    pi = np.zeros(T)
+    q_same_sum = np.zeros(T)
+    for _, d in _pair_differences(tree_dists, ii[same], jj[same]):
+        pi += np.einsum("ptc,ptc->t", d, d)
+        q_same_sum += np.abs(d).sum(axis=2).sum(axis=0)
+    diff_i, diff_j = ii[~same], jj[~same]
+    q_diff = np.empty((diff_i.size, T))
+    for start, d in _pair_differences(tree_dists, diff_i, diff_j):
+        q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
 
-    pi = P[z == 0].sum(axis=0)
+    n_same = int(same.sum())
     return PairStats(
-        pair_i=ii.astype(np.int32),
-        pair_j=jj.astype(np.int32),
-        z=z,
-        P=P,
-        Q=Q,
-        pi=pi,
+        pi=pi, q_diff=q_diff, q_same_mean=q_same_sum / n_same, n_same=n_same
     )
+
+
+def _pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
+    """Bytes of the index arrays over all pairs plus q_diff over kept pairs."""
+    n_all = n * (n - 1) // 2
+    kept = n_all if pair_budget is None else min(n_all, max(pair_budget, 2))
+    # ii, jj, labels[ii], labels[jj] and z over all pairs, then the
+    # same/different split of ii and jj over kept pairs
+    index = n_all * (4 * 8 + 1)
+    split = kept * 2 * 8
+    return index + split + kept * n_trees * 8
+
+
+def _pair_differences(tree_dists, ii, jj):
+    """Yield (start, d), d the (chunk, T, C) differences of pairs from start."""
+    for start in range(0, ii.size, _CHUNK):
+        end = start + _CHUNK
+        yield start, tree_dists[ii[start:end]] - tree_dists[jj[start:end]]
 
 
 def _ensure_both_kinds(keep, z, rng):

@@ -10,9 +10,10 @@ forest: ``weights``, ``feature``, ``threshold``, ``left``, ``right``,
 a load/save round trip is bit-exact and predictions are bitwise identical.
 
 Version 1 files (every tree's arrays stored separately) are rejected.
-Loading checks each table's structure, so a file with a valid checksum but a
-cyclic or out-of-range child, feature or root fails with
-:class:`ModelFormatError` instead of hanging or misrouting at prediction.
+Loading checks the JSON block's keys, types and values and each table's
+structure, so a file with a valid checksum but a missing key, a cyclic or
+out-of-range child, feature or root fails with :class:`ModelFormatError`
+instead of a bare ``KeyError``, a hang or misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import struct
 import numpy as np
 
 from .cascade import CascadeModel, LevelModel
-from .config import TrainConfig
-from .errors import ModelFormatError
+from .config import MODES, TrainConfig
+from .errors import ConfigError, ModelFormatError
 from .forest import SIMPLEX_TOL, ForestModel, check_weights
+from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
 FORMAT_VERSION = 2
@@ -155,47 +157,73 @@ def load_model(path) -> CascadeModel:
     (meta_len,) = struct.unpack("<Q", reader.take(8))
     try:
         meta = json.loads(reader.take(meta_len))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ModelFormatError(f"{path}: bad metadata block: {exc}") from None
 
-    config = TrainConfig.from_dict(meta["config"])
-    num_classes = meta["num_classes"]
+    # the file, not the caller's configuration, is at fault when its config is bad
+    try:
+        config = TrainConfig.from_dict(_field(path, meta, "config", dict))
+    except (ConfigError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: bad config in metadata: {exc}") from None
+    num_classes = _field(path, meta, "num_classes", int, range(2, 2**31))
+    base_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
+    mode = _field(path, meta, "mode", str, MODES)
+    scores = _field(path, meta, "level_scores", list)
+    labels = meta.get("class_labels")
+    if not all(isinstance(x, (int, float)) for x in scores):
+        raise ModelFormatError(f"{path}: level scores are not all numbers")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ModelFormatError(f"{path}: class labels are not a list of strings")
     levels = []
-    input_dim = meta["base_dim"]
-    for level_meta in meta["levels"]:
-        if level_meta["input_dim"] != input_dim:
+    input_dim = base_dim
+    for level_meta in _field(path, meta, "levels", list):
+        if _field(path, level_meta, "input_dim", int) != input_dim:
             raise ModelFormatError(
                 f"{path}: level {len(levels)} has input dim "
                 f"{level_meta['input_dim']}, expected {input_dim}"
             )
-        if not level_meta["forests"]:
+        if not _field(path, level_meta, "forests", list):
             raise ModelFormatError(f"{path}: level {len(levels)} has no forests")
         forests = []
         for forest_meta in level_meta["forests"]:
+            n_trees = _field(path, forest_meta, "n_trees", int)
+            kind = _field(path, forest_meta, "kind", str, TREE_KINDS)
             arrays = {name: reader.array() for name, _ in _FOREST_ARRAYS}
-            _check_forest(path, arrays, forest_meta["n_trees"], input_dim, num_classes)
+            _check_forest(path, arrays, n_trees, input_dim, num_classes)
             forests.append(
                 ForestModel(
-                    **arrays,
-                    kind=forest_meta["kind"],
-                    num_classes=num_classes,
-                    n_features=input_dim,
+                    **arrays, kind=kind, num_classes=num_classes, n_features=input_dim
                 )
             )
         levels.append(LevelModel(forests, input_dim=input_dim))
         input_dim = levels[-1].output_dim
     if not levels:
         raise ModelFormatError(f"{path}: model has no levels")
-    labels = meta.get("class_labels")
     return CascadeModel(
         levels=levels,
-        base_dim=meta["base_dim"],
+        base_dim=base_dim,
         num_classes=num_classes,
-        mode=meta["mode"],
+        mode=mode,
         config=config,
-        level_scores=tuple(meta.get("level_scores", ())),
+        level_scores=tuple(scores),
         class_labels=tuple(labels) if labels else None,
     )
+
+
+def _field(path, block, key: str, kind: type, choices=None):
+    """``block[key]``, which must exist, have type ``kind`` and lie in ``choices``."""
+    value = block.get(key) if isinstance(block, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelFormatError(
+            f"{path}: metadata field {key!r} is missing or not of type {kind.__name__}"
+        )
+    if choices is not None and value not in choices:
+        raise ModelFormatError(
+            f"{path}: metadata field {key!r} has bad value {value!r}"
+        )
+    return value
 
 
 def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes: int):

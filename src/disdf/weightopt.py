@@ -7,18 +7,17 @@ The objective for one forest with weights w is
 
 which is convex on the simplex.  It is minimized with the Frank-Wolfe method,
 whose linear subproblem over the simplex is solved at a vertex (the index of
-the smallest gradient component).  A projected-gradient reference solver is
-provided as a high-precision oracle.
+the smallest gradient component, ties going to the lowest index).  ``pi`` and
+the different-class rows ``Q_ij`` are read from :class:`PairStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .pairstats import PairStats
 
 RENORM_PERIOD = 100
@@ -31,8 +30,6 @@ class ObjectiveParams:
     stats: PairStats
     tau: float
     lam: float
-    # Q rows of different-class pairs, cached for the hinge term
-    q_diff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.tau) or self.tau <= 0:
@@ -41,7 +38,6 @@ class ObjectiveParams:
             raise ValueError(
                 f"lambda must be a non-negative finite real, got {self.lam}"
             )
-        self.q_diff = np.ascontiguousarray(self.stats.Q[self.stats.z == 1])
 
     @property
     def n_trees(self) -> int:
@@ -59,7 +55,7 @@ def _check_len(params: ObjectiveParams, w) -> np.ndarray:
 
 def objective(params: ObjectiveParams, w) -> float:
     w = _check_len(params, w)
-    hinge = np.maximum(0.0, params.tau - params.q_diff @ w)
+    hinge = np.maximum(0.0, params.tau - params.stats.q_diff @ w)
     return float(
         params.stats.pi @ (w * w) + hinge @ hinge + params.lam * (w @ w)
     )
@@ -69,47 +65,29 @@ def gradient(params: ObjectiveParams, w) -> np.ndarray:
     """Exact gradient of :func:`objective` (validated by finite differences)."""
     w = _check_len(params, w)
     grad = 2.0 * w * (params.lam + params.stats.pi)
-    if params.q_diff.shape[0]:
-        hinge = np.maximum(0.0, params.tau - params.q_diff @ w)
-        grad -= 2.0 * (params.q_diff.T @ hinge)
+    q_diff = params.stats.q_diff
+    if q_diff.shape[0]:
+        hinge = np.maximum(0.0, params.tau - q_diff @ w)
+        grad -= 2.0 * (q_diff.T @ hinge)
     return grad
-
-
-def lmo_vertex(grad) -> np.ndarray:
-    """One-hot minimizer of <g, w> over the simplex; ties go to the lowest index."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.size == 0:
-        raise ValueError("empty gradient")
-    if np.isnan(grad).any():
-        raise ValueError("gradient contains NaN")
-    out = np.zeros(grad.shape[0])
-    out[int(np.argmin(grad))] = 1.0
-    return out
 
 
 def frank_wolfe(
     params: ObjectiveParams,
     n_iterations: int,
-    w0: np.ndarray | None = None,
-    gap_tol: float | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Run Frank-Wolfe with step sizes 2/(s+2) from w0 (default uniform).
+    """Run Frank-Wolfe with step sizes 2/(s+2) from the uniform weights.
 
     Every iterate is a convex combination of simplex points, so feasibility
     is preserved; as a guard against floating-point drift the iterate is
     renormalized every ``RENORM_PERIOD`` steps.  Returns the final iterate
     and its duality gap <w - g, grad J(w)> where g is the LMO vertex at w.
-    When ``gap_tol`` is set, iteration stops early once the gap falls below
-    it.  ``callback(s, w, gap)`` is invoked with a copy of each iterate.
+    ``callback(s, w, gap)`` is invoked with a copy of each iterate.
     """
     if n_iterations < 1:
         raise ValueError(f"need at least one iteration, got {n_iterations}")
-    T = params.n_trees
-    if w0 is None:
-        w = np.full(T, 1.0 / T)
-    else:
-        w = _check_len(params, w0).copy()
+    w = np.full(params.n_trees, 1.0 / params.n_trees)
 
     for s in range(n_iterations):
         grad = gradient(params, w)
@@ -117,8 +95,6 @@ def frank_wolfe(
         gap = float(w @ grad - grad[t0])
         if callback is not None:
             callback(s, w.copy(), gap)
-        if gap_tol is not None and gap <= gap_tol:
-            break
         gamma = 2.0 / (s + 2.0)
         w *= 1.0 - gamma
         w[t0] += gamma
@@ -129,59 +105,3 @@ def frank_wolfe(
     grad = gradient(params, w)
     gap = float(w @ grad - grad.min())
     return w, gap
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based, exact)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / j > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
-
-
-def reference_solve(
-    params: ObjectiveParams,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-) -> np.ndarray:
-    """High-precision minimizer via projected gradient with backtracking.
-
-    Runs until the Frank-Wolfe duality gap (an upper bound on suboptimality)
-    drops to ``tol``.  Intended for small instances (tens of trees); raises
-    :class:`ConvergenceError` with the last gap if the cap is hit.
-    """
-    T = params.n_trees
-    if T > 64:
-        raise ValueError(f"reference solver is for T <= 64, got {T}")
-    w = np.full(T, 1.0 / T)
-    f_w = objective(params, w)
-    eta = 1.0
-    gap = np.inf
-    for _ in range(max_iter):
-        grad = gradient(params, w)
-        gap = float(w @ grad - grad.min())
-        if gap <= tol:
-            return w
-        # backtracking with a rounding allowance so steps near the optimum,
-        # where true decrease is below machine precision, are still accepted
-        slack = 1e-14 * (1.0 + abs(f_w))
-        while True:
-            cand = project_simplex(w - eta * grad)
-            step = cand - w
-            f_cand = objective(params, cand)
-            if f_cand <= f_w + grad @ step + (step @ step) / (2.0 * eta) + slack:
-                break
-            eta *= 0.5
-            if eta < 1e-16:
-                raise ConvergenceError(
-                    f"projected-gradient line search stalled at gap {gap:.3e}"
-                )
-        w, f_w = cand, f_cand
-        eta = min(eta * 1.5, 1e8)
-    raise ConvergenceError(
-        f"no convergence to gap {tol:.1e} within {max_iter} iterations; "
-        f"last gap {gap:.3e}"
-    )

@@ -20,13 +20,8 @@ from disdf.evaluation import repeated_holdout
 from disdf.forest import forest_tree_dists_batch
 from disdf.pairstats import PairStats
 from disdf.serialize import load_model, save_model
-from disdf.weightopt import (
-    ObjectiveParams,
-    frank_wolfe,
-    gradient,
-    objective,
-    reference_solve,
-)
+from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
+from tests.oracles import reference_solve
 from tests.test_cascade import blobs
 from tests.test_weightopt import (
     away_from_kinks,

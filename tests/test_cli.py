@@ -1,9 +1,11 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from disdf.cascade import LevelModel, predict_batch, train_cascade
+from disdf import pairstats
 from disdf.cli import main
 from disdf.errors import ModelFormatError
 from disdf.serialize import FORMAT_VERSION, load_model, save_model
@@ -251,15 +253,26 @@ class TestModelFile:
         assert load_model(out).class_labels == ("a", "b")
 
 
+def write_payload(path, payload: bytes) -> None:
+    """Write a model file around ``payload`` with a valid header and checksum."""
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"DISDF-MODEL {FORMAT_VERSION}\nsha256 {digest}\nbytes {len(payload)}\n"
+    path.write_bytes(header.encode() + b"---\n" + payload)
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply ``edit`` to a model file's JSON block; keep length and checksum valid."""
+    payload = path.read_bytes().partition(b"---\n")[2]
+    end = 8 + struct.unpack("<Q", payload[:8])[0]
+    meta = edit(payload[8:end])
+    write_payload(path, struct.pack("<Q", len(meta)) + meta + payload[end:])
+
+
 def rewrite_payload(path, old: bytes, new: bytes) -> None:
     """Replace the first ``old`` in a model file's payload; keep the checksum valid."""
-    head, _, payload = path.read_bytes().partition(b"---\n")
+    payload = path.read_bytes().partition(b"---\n")[2]
     assert old in payload
-    payload = payload.replace(old, new, 1)
-    tag = head.decode().splitlines()[0]
-    digest = hashlib.sha256(payload).hexdigest()
-    header = f"{tag}\nsha256 {digest}\nbytes {len(payload)}\n---\n"
-    path.write_bytes(header.encode() + payload)
+    write_payload(path, payload.replace(old, new, 1))
 
 
 def patched(array, index, value):
@@ -337,6 +350,89 @@ class TestStructuralChecks:
         rewrite_payload(path, b'"input_dim": 5', b'"input_dim": 6')
         with pytest.raises(ModelFormatError, match="input dim 6, expected 5"):
             load_model(path)
+
+
+class TestMetadataChecks:
+    """A valid checksum over a bad JSON block fails at load and exits 2."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"base_dim"', b'"base_dom"', "'base_dim' is missing"),
+            # inside the config, whose keys come first in the sorted block
+            (b'"tau"', b'"tan"', "config.*unknown config keys"),
+            (b'"fw_iterations": 80', b'"fw_iterations": 0', "config.*fw_iterations"),
+            (b'"tau": 0.5', b'"tau": null', "config"),
+            (b'"num_classes": 2', b'"num_classes": "2"', "'num_classes' .*type int"),
+            (b'"n_trees": 4', b'"n_trees": true', "'n_trees' .*type int"),
+            (b'"level_scores": [', b'"level_scores": {"a": 0}, "x": [', "level_scores"),
+            (b'"levels": [', b'"levels": {"a": 0}, "x": [', "'levels'"),
+            (b'"forests": [{', b'"forests": [7, {', "'n_trees'"),
+            (b'"kind": "completely-random"', b'"kind": "completely-rondom"', "'kind'"),
+            (b'"mode": "disdf", "num', b'"mode": "disdX", "num', "'mode'"),
+            (b'"class_labels": null', b'"class_labels": 3', "class labels"),
+            (b'{"base_dim"', b'[{"base_dim"', "'config' is missing"),
+        ],
+    )
+    def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):
+        model, _ = TestModelFile().trained()
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert old in path.read_bytes()
+        if old.startswith(b"{"):
+            # the whole block becomes a list holding the original object
+            rewrite_meta(path, lambda meta: b"[" + meta + b"]")
+        else:
+            rewrite_meta(path, lambda meta: meta.replace(old, new, 1))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        code = main(
+            ["predict", "--model", str(path), "--data", str(toy_csv),
+             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+
+
+def test_mutation_fuzz(tmp_path):
+    """Random byte overwrites with a valid checksum: rejected, or predictions valid."""
+    model, _ = TestModelFile().trained()
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    payload = path.read_bytes().partition(b"---\n")[2]
+    meta_end = 8 + struct.unpack("<Q", payload[:8])[0]
+    rng = np.random.default_rng(2024)
+    outcomes = {"rejected": 0, "predicted": 0}
+    for trial in range(200):
+        # even trials hit the JSON block, odd ones the array blocks
+        lo, hi = (8, meta_end) if trial % 2 == 0 else (meta_end, len(payload))
+        blob = bytearray(payload)
+        for pos in rng.integers(lo, hi, size=rng.integers(1, 4)):
+            blob[pos] = rng.integers(256)
+        write_payload(path, bytes(blob))
+        try:
+            loaded = load_model(path)
+        except ModelFormatError:
+            outcomes["rejected"] += 1
+            continue
+        X = rng.normal(scale=4.0, size=(20, loaded.base_dim))
+        preds = predict_batch(loaded, X)
+        assert preds.shape == (20,)
+        assert preds.min() >= 0 and preds.max() < loaded.num_classes
+        outcomes["predicted"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["predicted"] > 0
+
+
+def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
+    # 24 rows, 3 trees: 9108 index bytes plus 40 per kept pair, 20148 for all
+    # 276 pairs and 9908 for a budget of 20
+    monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 12000)
+    out = tmp_path / "m.model"
+    args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+            *TRAIN_FLAGS]
+    assert main(args) == 3
+    assert "--pair-budget" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--pair-budget", "20"]) == 0
 
 
 class TestBench:

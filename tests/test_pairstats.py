@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from disdf.errors import DegeneratePairsError
+from disdf import pairstats
+from disdf.errors import ConfigError, DegeneratePairsError
 from disdf.pairstats import PairStats, compute_pair_stats
 
 
@@ -10,14 +11,21 @@ def random_dists(rng, n, n_trees, num_classes):
     return rng.dirichlet(np.ones(num_classes), size=(n, n_trees))
 
 
-def brute_force_stats(dists, labels):
-    """Literal double loop over pairs; the oracle for P, Q, and pi."""
+def brute_force_stats(dists, labels, keep=None):
+    """Literal double loop over pairs; the oracle for pi, q_diff and q_same_mean.
+
+    ``keep`` lists the retained pairs by their position in the i < j loop
+    order; all pairs are used when it is None.
+    """
     n, n_trees, num_classes = dists.shape
-    pairs, P, Q = [], [], []
     pi = np.zeros(n_trees)
+    q_same, q_diff = [], []
+    position = 0
     for i in range(n):
         for j in range(i + 1, n):
-            z = 0 if labels[i] == labels[j] else 1
+            position += 1
+            if keep is not None and position - 1 not in keep:
+                continue
             p_row = np.zeros(n_trees)
             q_row = np.zeros(n_trees)
             for t in range(n_trees):
@@ -25,12 +33,19 @@ def brute_force_stats(dists, labels):
                     d = dists[i, t, c] - dists[j, t, c]
                     p_row[t] += d * d
                     q_row[t] += abs(d)
-            pairs.append((i, j, z))
-            P.append(p_row)
-            Q.append(q_row)
-            if z == 0:
+            if labels[i] == labels[j]:
                 pi += p_row
-    return pairs, np.array(P), np.array(Q), pi
+                q_same.append(q_row)
+            else:
+                q_diff.append(q_row)
+    return pi, np.array(q_diff), np.mean(q_same, axis=0), len(q_same)
+
+
+def assert_matches_oracle(stats, pi, q_diff, q_same_mean, n_same):
+    assert stats.n_same == n_same
+    np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
+    np.testing.assert_allclose(stats.q_diff, q_diff, atol=1e-12)
+    np.testing.assert_allclose(stats.q_same_mean, q_same_mean, atol=1e-12)
 
 
 class TestPairValues:
@@ -39,39 +54,26 @@ class TestPairValues:
         dists = np.array([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]])
         labels = np.array([0, 0, 1])
         stats = compute_pair_stats(dists, labels)
-        by_pair = {
-            (i, j): k
-            for k, (i, j) in enumerate(zip(stats.pair_i, stats.pair_j))
-        }
-        same = by_pair[(0, 1)]
-        assert stats.z[same] == 0
-        np.testing.assert_allclose(stats.P[same], [0.0])
-        np.testing.assert_allclose(stats.Q[same], [0.0])
-        diff = by_pair[(0, 2)]
-        assert stats.z[diff] == 1
-        np.testing.assert_allclose(stats.P[diff], [2.0])
-        np.testing.assert_allclose(stats.Q[diff], [2.0])
+        # the same-class pair (0, 1) is identical; (0, 2) and (1, 2) disagree fully
+        assert stats.n_same == 1
+        np.testing.assert_allclose(stats.pi, [0.0])
+        np.testing.assert_allclose(stats.q_same_mean, [0.0])
+        np.testing.assert_allclose(stats.q_diff, [[2.0], [2.0]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         dists = random_dists(rng, 6, 3, 4)
         labels = np.array([0, 0, 1, 1, 2, 0])
         stats = compute_pair_stats(dists, labels)
-        pairs, P, Q, pi = brute_force_stats(dists, labels)
-        assert [(i, j, z) for i, j, z in pairs] == list(
-            zip(stats.pair_i.tolist(), stats.pair_j.tolist(), stats.z.tolist())
-        )
-        np.testing.assert_allclose(stats.P, P, atol=1e-12)
-        np.testing.assert_allclose(stats.Q, Q, atol=1e-12)
-        np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
+        assert_matches_oracle(stats, *brute_force_stats(dists, labels))
 
     def test_pi_from_two_same_class_pairs(self):
         rng = np.random.default_rng(1)
         dists = random_dists(rng, 4, 1, 3)
         labels = np.array([0, 0, 1, 1])
         stats = compute_pair_stats(dists, labels)
-        _, _, _, pi = brute_force_stats(dists, labels)
-        assert (stats.z == 0).sum() == 2
+        pi, _, _, n_same = brute_force_stats(dists, labels)
+        assert stats.n_same == n_same == 2
         np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
 
 
@@ -81,12 +83,13 @@ class TestInvariants:
         dists = random_dists(rng, 10, 4, 5)
         labels = rng.integers(3, size=10)
         stats = compute_pair_stats(dists, labels)
-        assert stats.P.min() >= 0.0
-        assert stats.Q.min() >= 0.0
-        assert stats.Q.max() <= 2.0 + 1e-12
-        # P <= Q * max_c|p_i - p_j| <= Q for probability vectors
-        assert np.all(stats.P <= stats.Q + 1e-12)
+        assert stats.q_diff.min() >= 0.0
+        assert stats.q_diff.max() <= 2.0 + 1e-12
+        assert stats.q_same_mean.min() >= 0.0
+        assert stats.q_same_mean.max() <= 2.0 + 1e-12
         assert stats.pi.min() >= 0.0
+        # per pair P <= Q * max_c|p_i - p_j| <= Q for probability vectors
+        assert np.all(stats.pi <= stats.n_same * stats.q_same_mean + 1e-12)
 
     def test_symmetry_under_sample_reversal(self):
         rng = np.random.default_rng(3)
@@ -95,23 +98,23 @@ class TestInvariants:
         labels = rng.integers(2, size=n)
         forward = compute_pair_stats(dists, labels)
         backward = compute_pair_stats(dists[::-1], labels[::-1])
-        # pair (i, j) maps to (n-1-j, n-1-i) after reversal
-        back_index = {
-            (i, j): k
-            for k, (i, j) in enumerate(zip(backward.pair_i, backward.pair_j))
-        }
-        for k, (i, j) in enumerate(zip(forward.pair_i, forward.pair_j)):
-            kb = back_index[(n - 1 - j, n - 1 - i)]
-            np.testing.assert_allclose(forward.P[k], backward.P[kb], atol=1e-12)
-            np.testing.assert_allclose(forward.Q[k], backward.Q[kb], atol=1e-12)
-            assert forward.z[k] == backward.z[kb]
+        np.testing.assert_allclose(forward.pi, backward.pi, atol=1e-12)
+        np.testing.assert_allclose(
+            forward.q_same_mean, backward.q_same_mean, atol=1e-12
+        )
+        # pair (i, j) maps to (n-1-j, n-1-i): the rows are reordered, not changed
+        def by_rows(q):
+            return q[np.lexsort(q.T[::-1])]
+
+        np.testing.assert_array_equal(by_rows(forward.q_diff), by_rows(backward.q_diff))
 
     def test_z_flags_match_labels(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(3, size=8)
         stats = compute_pair_stats(random_dists(rng, 8, 1, 2), labels)
-        for i, j, z in zip(stats.pair_i, stats.pair_j, stats.z):
-            assert z == (0 if labels[i] == labels[j] else 1)
+        same = sum(labels[i] == labels[j] for i in range(8) for j in range(i + 1, 8))
+        assert stats.n_same == same
+        assert stats.q_diff.shape == (28 - same, 1)
 
 
 class TestDegenerate:
@@ -138,7 +141,7 @@ class TestPairBudget:
         labels = np.repeat([0, 1], 6)
         stats = compute_pair_stats(dists, labels, pair_budget=9, rng=rng)
         assert stats.n_pairs == 9
-        assert (stats.z == 0).any() and (stats.z == 1).any()
+        assert stats.n_same > 0 and stats.q_diff.shape[0] > 0
 
     def test_budget_at_least_full_set_keeps_everything(self):
         rng = np.random.default_rng(9)
@@ -156,16 +159,39 @@ class TestPairBudget:
             stats = compute_pair_stats(
                 dists, labels, pair_budget=4, rng=np.random.default_rng(trial)
             )
-            assert (stats.z == 0).any() and (stats.z == 1).any()
+            assert stats.n_same > 0 and stats.q_diff.shape[0] > 0
 
     def test_pi_aggregates_only_retained_pairs(self):
         rng = np.random.default_rng(11)
         dists = random_dists(rng, 8, 3, 2)
         labels = np.repeat([0, 1], 4)
-        stats = compute_pair_stats(dists, labels, pair_budget=10, rng=rng)
-        np.testing.assert_allclose(
-            stats.pi, stats.P[stats.z == 0].sum(axis=0), atol=1e-12
+        stats = compute_pair_stats(
+            dists, labels, pair_budget=10, rng=np.random.default_rng(12)
         )
+        # the sample compute_pair_stats draws: 10 of the 28 pairs, both kinds present
+        keep = set(np.random.default_rng(12).choice(28, size=10, replace=False))
+        assert stats.n_pairs == 10
+        assert_matches_oracle(stats, *brute_force_stats(dists, labels, keep))
+
+
+class TestMemoryBound:
+    def test_checked_before_pairs_are_formed(self, monkeypatch):
+        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 1000)
+        rng = np.random.default_rng(13)
+        # single-class labels fail only once pairs exist, so this must come first
+        with pytest.raises(ConfigError, match="--pair-budget"):
+            compute_pair_stats(random_dists(rng, 30, 2, 2), np.zeros(30, dtype=int))
+
+    def test_budget_lowers_the_estimate(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        dists = random_dists(rng, 12, 40, 2)
+        labels = np.repeat([0, 1], 6)
+        # 2178 index bytes plus 336 per kept pair: 24354 for all 66, 4866 for 8
+        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 5000)
+        with pytest.raises(ConfigError, match="--pair-budget"):
+            compute_pair_stats(dists, labels)
+        stats = compute_pair_stats(dists, labels, pair_budget=8, rng=rng)
+        assert stats.n_pairs == 8
 
 
 class TestEmptyStats:
