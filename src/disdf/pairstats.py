@@ -81,31 +81,34 @@ def compute_pair_stats(
             "limit; set --pair-budget to sample fewer pairs"
         )
 
-    ii, jj = np.triu_indices(n, k=1)
-    z = (labels[ii] != labels[jj]).astype(np.uint8)
-    if z.min() == z.max():
-        which = "different-class" if z[0] == 1 else "same-class"
+    n_all = n * (n - 1) // 2
+    n_same_all = int(_same_class_after(labels).sum())
+    if n_same_all in (0, n_all):
+        which = "different-class" if n_same_all == 0 else "same-class"
         raise DegeneratePairsError(
             f"degenerate pair set: every pair is {which}; "
             "both kinds are required"
         )
 
-    if pair_budget is not None and pair_budget < ii.size:
+    if pair_budget is not None and pair_budget < n_all:
         if rng is None:
             rng = np.random.default_rng()
-        keep = rng.choice(ii.size, size=max(int(pair_budget), 2), replace=False)
-        keep = _ensure_both_kinds(keep, z, rng)
+        keep = rng.choice(n_all, size=max(int(pair_budget), 2), replace=False)
+        keep = _ensure_both_kinds(keep, labels, rng)
         keep.sort()
-        ii, jj, z = ii[keep], jj[keep], z[keep]
+        ii, jj = _pairs_at(keep, n)
+    else:
+        ii, jj = np.triu_indices(n, k=1)
 
-    same = z == 0
+    same = labels[ii] == labels[jj]
     pi = np.zeros(T)
     q_same_sum = np.zeros(T)
     for _, d in _pair_differences(tree_dists, ii[same], jj[same]):
         pi += np.einsum("ptc,ptc->t", d, d)
         q_same_sum += np.abs(d).sum(axis=2).sum(axis=0)
     diff_i, diff_j = ii[~same], jj[~same]
-    q_diff = np.empty((diff_i.size, T))
+    # column-major: Frank-Wolfe reads the column q_diff[:, t] and q_diff.T @ h
+    q_diff = np.empty((diff_i.size, T), order="F")
     for start, d in _pair_differences(tree_dists, diff_i, diff_j):
         q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
 
@@ -116,14 +119,43 @@ def compute_pair_stats(
 
 
 def _pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
-    """Bytes of the index arrays over all pairs plus q_diff over kept pairs."""
+    """Bytes of the pair index arrays plus q_diff, over the pairs formed."""
     n_all = n * (n - 1) // 2
-    kept = n_all if pair_budget is None else min(n_all, max(pair_budget, 2))
-    # ii, jj, labels[ii], labels[jj] and z over all pairs, then the
-    # same/different split of ii and jj over kept pairs
-    index = n_all * (4 * 8 + 1)
-    split = kept * 2 * 8
-    return index + split + kept * n_trees * 8
+    split_and_q = 2 * 8 + n_trees * 8
+    if pair_budget is None or pair_budget >= n_all:
+        # ii, jj, labels[ii], labels[jj] and the same-class mask over all
+        # pairs, then the same/different split of ii and jj and q_diff
+        return n_all * (4 * 8 + 1 + split_and_q)
+    kept = max(pair_budget, 2)
+    # Generator.choice without replacement permutes all n_all indices when it
+    # keeps more than a 50th of a large population, else hashes the kept ones
+    choice = 8 * n_all if n_all > 10_000 and kept > n_all // 50 else 24 * kept
+    # keep, ii, jj, labels[ii], labels[jj] and the mask over kept pairs, and
+    # a few per-row arrays over n
+    return choice + kept * (5 * 8 + 1 + split_and_q) + 6 * 8 * n
+
+
+def _same_class_after(labels):
+    """Per row i, the number of rows j > i that share its label."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    after = np.empty(order.size, dtype=np.int64)
+    last = np.searchsorted(ordered, ordered, side="right") - 1
+    after[order] = last - np.arange(order.size)
+    return after
+
+
+def _row_starts(n):
+    """Linear index of pair (i, i + 1) in ``np.triu_indices(n, 1)`` order."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2
+
+
+def _pairs_at(linear, n):
+    """The pairs (i, j) at linear positions of ``np.triu_indices(n, 1)``."""
+    starts = _row_starts(n)
+    ii = np.searchsorted(starts, linear, side="right") - 1
+    return ii, linear - starts[ii] + ii + 1
 
 
 def _pair_differences(tree_dists, ii, jj):
@@ -133,12 +165,25 @@ def _pair_differences(tree_dists, ii, jj):
         yield start, tree_dists[ii[start:end]] - tree_dists[jj[start:end]]
 
 
-def _ensure_both_kinds(keep, z, rng):
-    """Swap pairs into the subsample so both z values stay represented."""
+def _ensure_both_kinds(keep, labels, rng):
+    """Swap pairs into the subsample so both z values stay represented.
+
+    The swapped-in pair is drawn uniformly among all pairs of the missing
+    kind, found by its rank in pair order without forming the pairs.
+    """
+    n = labels.shape[0]
     for value in (0, 1):
-        if not (z[keep] == value).any():
-            pool = np.nonzero(z == value)[0]
+        ii, jj = _pairs_at(keep, n)
+        if not ((labels[ii] != labels[jj]) == value).any():
+            per_row = _same_class_after(labels)
+            if value == 1:
+                per_row = n - 1 - np.arange(n) - per_row
             slot = rng.integers(keep.size)
+            rank = rng.integers(per_row.sum())
+            ends = np.cumsum(per_row)
+            i = int(np.searchsorted(ends, rank, side="right"))
+            later = (labels[i + 1 :] != labels[i]) == value
+            j = i + 1 + np.flatnonzero(later)[rank - ends[i] + per_row[i]]
             keep = keep.copy()
-            keep[slot] = pool[rng.integers(pool.size)]
+            keep[slot] = _row_starts(n)[i] + j - i - 1
     return keep

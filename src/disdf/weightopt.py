@@ -64,10 +64,15 @@ def objective(params: ObjectiveParams, w) -> float:
 def gradient(params: ObjectiveParams, w) -> np.ndarray:
     """Exact gradient of :func:`objective` (validated by finite differences)."""
     w = _check_len(params, w)
+    return _gradient_at(params, w, params.stats.q_diff @ w)
+
+
+def _gradient_at(params: ObjectiveParams, w, residual) -> np.ndarray:
+    """The gradient at w given its residual ``q_diff @ w``."""
     grad = 2.0 * w * (params.lam + params.stats.pi)
     q_diff = params.stats.q_diff
     if q_diff.shape[0]:
-        hinge = np.maximum(0.0, params.tau - q_diff @ w)
+        hinge = np.maximum(0.0, params.tau - residual)
         grad -= 2.0 * (q_diff.T @ hinge)
     return grad
 
@@ -81,16 +86,21 @@ def frank_wolfe(
 
     Every iterate is a convex combination of simplex points, so feasibility
     is preserved; as a guard against floating-point drift the iterate is
-    renormalized every ``RENORM_PERIOD`` steps.  Returns the final iterate
+    renormalized every ``RENORM_PERIOD`` steps.  The residual ``q_diff @ w``
+    moves with the iterate, ``r <- (1 - gamma) r + gamma q_diff[:, t]``, so
+    a step reads ``q_diff`` once, for the gradient; ``r`` is recomputed
+    exactly whenever the iterate is renormalized.  Returns the final iterate
     and its duality gap <w - g, grad J(w)> where g is the LMO vertex at w.
     ``callback(s, w, gap)`` is invoked with a copy of each iterate.
     """
     if n_iterations < 1:
         raise ValueError(f"need at least one iteration, got {n_iterations}")
+    q_diff = params.stats.q_diff
     w = np.full(params.n_trees, 1.0 / params.n_trees)
+    residual = q_diff @ w
 
     for s in range(n_iterations):
-        grad = gradient(params, w)
+        grad = _gradient_at(params, w, residual)
         t0 = int(np.argmin(grad))
         gap = float(w @ grad - grad[t0])
         if callback is not None:
@@ -101,6 +111,10 @@ def frank_wolfe(
         if (s + 1) % RENORM_PERIOD == 0:
             np.maximum(w, 0.0, out=w)
             w /= w.sum()
+            residual = q_diff @ w
+        else:
+            residual *= 1.0 - gamma
+            residual += gamma * q_diff[:, t0]
 
     grad = gradient(params, w)
     gap = float(w @ grad - grad.min())

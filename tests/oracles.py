@@ -1,8 +1,8 @@
-"""Reference solver for the per-forest weight problem, used as a test oracle."""
+"""Reference solvers for the per-forest weight problem, used as test oracles."""
 
 import numpy as np
 
-from disdf.weightopt import ObjectiveParams, gradient, objective
+from disdf.weightopt import RENORM_PERIOD, ObjectiveParams, gradient, objective
 
 
 class ConvergenceError(Exception):
@@ -63,3 +63,26 @@ def reference_solve(
         f"no convergence to gap {tol:.1e} within {max_iter} iterations; "
         f"last gap {gap:.3e}"
     )
+
+
+def plain_frank_wolfe(params: ObjectiveParams, n_iterations: int, callback=None):
+    """Frank-Wolfe that evaluates ``gradient(params, w)`` afresh at every step.
+
+    The same steps, vertex rule, renormalization and callback as
+    :func:`disdf.weightopt.frank_wolfe`, without carrying ``q_diff @ w``.
+    """
+    w = np.full(params.n_trees, 1.0 / params.n_trees)
+    for s in range(n_iterations):
+        grad = gradient(params, w)
+        t0 = int(np.argmin(grad))
+        gap = float(w @ grad - grad[t0])
+        if callback is not None:
+            callback(s, w.copy(), gap)
+        gamma = 2.0 / (s + 2.0)
+        w *= 1.0 - gamma
+        w[t0] += gamma
+        if (s + 1) % RENORM_PERIOD == 0:
+            np.maximum(w, 0.0, out=w)
+            w /= w.sum()
+    grad = gradient(params, w)
+    return w, float(w @ grad - grad.min())

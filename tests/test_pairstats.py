@@ -1,9 +1,15 @@
+import multiprocessing
+import os
+import uuid
+
 import numpy as np
 import pytest
 
-from disdf import pairstats
+from disdf import cascade, pairstats
+from disdf.cascade import train_cascade
 from disdf.errors import ConfigError, DegeneratePairsError
 from disdf.pairstats import PairStats, compute_pair_stats
+from tests.test_cascade import blobs, fast_cfg
 
 
 def random_dists(rng, n, n_trees, num_classes):
@@ -173,6 +179,41 @@ class TestPairBudget:
         assert stats.n_pairs == 10
         assert_matches_oracle(stats, *brute_force_stats(dists, labels, keep))
 
+    def test_swapped_in_pair_drawn_from_all_pairs_of_its_kind(self):
+        rng = np.random.default_rng(15)
+        labels = np.array([0] * 9 + [1] * 2)
+        dists = random_dists(rng, 11, 2, 2)
+        ii, jj = np.triu_indices(11, k=1)
+        differ = labels[ii] != labels[jj]
+        swapped = 0
+        for seed in range(40):
+            # the draw written out over all 55 pairs: a budget of 2, and if
+            # it holds one kind only, a slot gets a uniform pair of the other
+            draw = np.random.default_rng(seed)
+            keep = draw.choice(55, size=2, replace=False)
+            for value in (False, True):
+                if not (differ[keep] == value).any():
+                    pool = np.flatnonzero(differ == value)
+                    slot = draw.integers(keep.size)
+                    keep[slot] = pool[draw.integers(pool.size)]
+                    swapped += 1
+            stats = compute_pair_stats(
+                dists, labels, pair_budget=2, rng=np.random.default_rng(seed)
+            )
+            expected = brute_force_stats(dists, labels, set(keep))
+            assert_matches_oracle(stats, *expected)
+        assert swapped > 0
+
+    def test_budget_on_many_rows_forms_only_kept_pairs(self):
+        # all 2e8 pairs would need about 12 GiB; the budget keeps that off
+        rng = np.random.default_rng(16)
+        n = 20_000
+        dists = random_dists(rng, n, 2, 2)
+        labels = rng.integers(2, size=n)
+        stats = compute_pair_stats(dists, labels, pair_budget=100, rng=rng)
+        assert stats.n_pairs == 100
+        assert stats.n_same > 0 and stats.q_diff.shape[0] > 0
+
 
 class TestMemoryBound:
     def test_checked_before_pairs_are_formed(self, monkeypatch):
@@ -186,12 +227,55 @@ class TestMemoryBound:
         rng = np.random.default_rng(14)
         dists = random_dists(rng, 12, 40, 2)
         labels = np.repeat([0, 1], 6)
-        # 2178 index bytes plus 336 per kept pair: 24354 for all 66, 4866 for 8
+        # all 66 pairs: 2178 index bytes plus 336 per pair, 24354; a budget
+        # of 8 forms only the kept pairs: 3784
         monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 5000)
         with pytest.raises(ConfigError, match="--pair-budget"):
             compute_pair_stats(dists, labels)
         stats = compute_pair_stats(dists, labels, pair_budget=8, rng=rng)
         assert stats.n_pairs == 8
+
+
+def record_layout(directory):
+    """A compute_pair_stats that also leaves one file per call in directory."""
+
+    def recording(*args):
+        stats = compute_pair_stats(*args)
+        layout = "F" if stats.q_diff.flags.f_contiguous else "not F"
+        (directory / f"{os.getpid()}-{uuid.uuid4().hex}").write_text(layout)
+        return stats
+
+    return recording
+
+
+class TestLayout:
+    """q_diff is column-major, the layout Frank-Wolfe reads it in."""
+
+    def test_full_pair_set(self):
+        rng = np.random.default_rng(17)
+        stats = compute_pair_stats(random_dists(rng, 9, 3, 2), np.repeat([0, 1, 2], 3))
+        assert stats.q_diff.flags.f_contiguous
+
+    def test_pair_budget(self):
+        rng = np.random.default_rng(18)
+        labels = np.repeat([0, 1], 5)
+        stats = compute_pair_stats(
+            random_dists(rng, 10, 3, 2), labels, pair_budget=12, rng=rng
+        )
+        assert stats.q_diff.shape == (stats.n_pairs - stats.n_same, 3)
+        assert stats.q_diff.flags.f_contiguous
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording wrapper reaches pool workers only when they fork",
+    )
+    def test_inside_two_worker_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cascade, "compute_pair_stats", record_layout(tmp_path))
+        model = train_cascade(blobs(n=36, m=4, seed=19), fast_cfg(), workers=2)
+        records = list(tmp_path.iterdir())
+        assert len(records) == sum(len(level.forests) for level in model.levels)
+        assert all(r.name.split("-")[0] != str(os.getpid()) for r in records)
+        assert all(r.read_text() == "F" for r in records)
 
 
 class TestEmptyStats:

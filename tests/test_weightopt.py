@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from disdf.pairstats import PairStats
 from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
-from tests.oracles import ConvergenceError, project_simplex, reference_solve
+from tests.oracles import (
+    ConvergenceError,
+    plain_frank_wolfe,
+    project_simplex,
+    reference_solve,
+)
 
 
 def pair_rows(rng, n_trees, n_same, n_diff, num_classes=3):
@@ -292,6 +299,54 @@ class TestFrankWolfe:
         params = ObjectiveParams(PairStats.empty(2), 0.5, 1.0)
         with pytest.raises(ValueError):
             frank_wolfe(params, 0)
+
+
+def run_recorded(solver, params, n_iterations):
+    """A solver's result plus every (step, iterate, gap) its callback saw."""
+    seen = []
+    w, gap = solver(params, n_iterations, callback=lambda *step: seen.append(step))
+    return w, gap, seen
+
+
+def assert_same_run(got, expected):
+    (w, gap, seen), (w_ref, gap_ref, seen_ref) = got, expected
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+    assert gap == pytest.approx(gap_ref, rel=1e-9, abs=1e-12)
+    assert [s for s, _, _ in seen] == [s for s, _, _ in seen_ref]
+    for (_, w_s, gap_s), (_, w_ref_s, gap_ref_s) in zip(seen, seen_ref):
+        np.testing.assert_allclose(w_s, w_ref_s, rtol=0, atol=1e-12)
+        assert gap_s == pytest.approx(gap_ref_s, rel=1e-9, abs=1e-12)
+
+
+# 100 is RENORM_PERIOD: these cross the step that recomputes q_diff @ w
+ITERATION_COUNTS = [1, 99, 100, 101, 350]
+
+
+class TestCarriedResidual:
+    """frank_wolfe carries q_diff @ w; the plain solver recomputes the gradient."""
+
+    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_plain_solver(self, n_iterations, order):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            n_trees = int(rng.integers(2, 9))
+            stats = pair_instance(rng, n_trees, 8, 12)
+            assert stats.q_diff.flags.c_contiguous
+            params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.2)), 0.01)
+            laid_out = replace(stats, q_diff=np.asarray(stats.q_diff, order=order))
+            got = run_recorded(
+                frank_wolfe, replace(params, stats=laid_out), n_iterations
+            )
+            assert_same_run(got, run_recorded(plain_frank_wolfe, params, n_iterations))
+
+    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
+    def test_empty_stats_match_plain_solver(self, n_iterations):
+        params = ObjectiveParams(PairStats.empty(4), 0.5, 0.1)
+        assert_same_run(
+            run_recorded(frank_wolfe, params, n_iterations),
+            run_recorded(plain_frank_wolfe, params, n_iterations),
+        )
 
 
 class TestProjectSimplex:
