@@ -156,6 +156,16 @@ def _fit_forest_slot(task: _SlotTask):
     return deploy, oof_class_vectors, info
 
 
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]`` in order, in a pool when workers and tasks > 1."""
+    if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _train_level(features, labels, num_classes, cfg, rng, workers):
     n = features.shape[0]
     fold_rng = rng.spawn(1)[0]
@@ -176,13 +186,7 @@ def _train_level(features, labels, num_classes, cfg, rng, workers):
                 children[cfg.folds + 1],
             )
         )
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_fit_forest_slot, tasks))
-    else:
-        results = [_fit_forest_slot(t) for t in tasks]
+    results = _map_tasks(_fit_forest_slot, tasks, workers)
 
     forests = [r[0] for r in results]
     oof_class_vectors = [r[1] for r in results]

@@ -1,5 +1,9 @@
 """Command-line interface: train, predict, and bench subcommands.
 
+Training flags and ``--config`` file lines give TrainConfig fields as text,
+flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
+``--pair-budget`` or ``--max-depth`` and a bad value exits 3 from either.
+
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error.  The DISDF_THREADS environment variable sets the default worker count;
 --threads overrides it.
@@ -32,8 +36,6 @@ EXIT_INTERNAL = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-_INT_OR_NONE_FIELDS = {"pair_budget", "max_depth"}
-
 
 def _parse_label_col(text: str):
     stripped = text.strip()
@@ -49,26 +51,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _coerce(field: dataclasses.Field, raw: str):
-    text = raw.strip()
-    if field.name in _INT_OR_NONE_FIELDS:
-        return None if text.lower() in ("none", "") else int(text)
-    if field.type in ("int", int):
-        return int(text)
-    if field.type in ("float", float):
-        return float(text)
-    if field.type in ("bool", bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{field.name}: expected a boolean, got {raw!r}")
-    return text
-
-
-def _read_config_file(path) -> dict:
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    out = {}
+def _read_config_file(path) -> tuple[dict, dict]:
+    """A config file's ``key=value`` texts, and the ``file:line`` of each key."""
+    text, origin = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -78,60 +63,40 @@ def _read_config_file(path) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         key, eq, value = stripped.partition("=")
-        key = key.strip()
-        if not eq or key not in fields:
+        if not eq:
             raise ConfigError(f"{path}:{line_no}: expected '<field>=<value>', got {line!r}")
-        try:
-            out[key] = _coerce(fields[key], value)
-        except ValueError:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {value!r}") from None
-    return out
+        key = key.strip()
+        text[key], origin[key] = value, f"{path}:{line_no}"
+    return text, origin
 
 
 def _build_config(args) -> TrainConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    flag_to_field = {
-        "mode": "mode",
-        "trees": "trees_per_forest",
-        "forests": "forests_per_level",
-        "max_levels": "max_levels",
-        "patience": "patience",
-        "folds": "folds",
-        "tau": "tau",
-        "lam": "lam",
-        "fw_iterations": "fw_iterations",
-        "pair_budget": "pair_budget",
-        "seed": "seed",
-        "min_leaf": "min_leaf",
-        "max_depth": "max_depth",
-    }
-    for flag, field in flag_to_field.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[field] = value
-    if getattr(args, "stratify", False):
-        values["stratify"] = True
-    return TrainConfig(**values).validate()
+    text, origin = _read_config_file(args.config) if args.config else ({}, {})
+    for f in dataclasses.fields(TrainConfig):
+        flag_text = getattr(args, f.name, None)
+        if flag_text is not None:
+            text[f.name] = flag_text
+            origin.pop(f.name, None)
+    return TrainConfig.from_text(text, origin)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    # each flag stores its text under the TrainConfig field it sets
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--mode", choices=("disdf", "baseline"))
-    p.add_argument("--trees", type=int, help="trees per forest")
-    p.add_argument("--forests", type=int, help="forests per level")
-    p.add_argument("--max-levels", dest="max_levels", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--tau", type=float, help="contrastive margin")
-    p.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
-    p.add_argument("--fw-iterations", dest="fw_iterations", type=int)
-    p.add_argument("--pair-budget", dest="pair_budget", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--stratify", action="store_true", default=False)
+    p.add_argument("--mode", dest="mode", metavar="{disdf,baseline}")
+    p.add_argument("--trees", dest="trees_per_forest", help="trees per forest")
+    p.add_argument("--forests", dest="forests_per_level", help="forests per level")
+    p.add_argument("--max-levels", dest="max_levels")
+    p.add_argument("--patience", dest="patience")
+    p.add_argument("--folds", dest="folds")
+    p.add_argument("--tau", dest="tau", help="contrastive margin")
+    p.add_argument("--lambda", dest="lam", help="regularization strength")
+    p.add_argument("--fw-iterations", dest="fw_iterations")
+    p.add_argument("--pair-budget", dest="pair_budget", help="pairs per forest, or none")
+    p.add_argument("--seed", dest="seed")
+    p.add_argument("--min-leaf", dest="min_leaf")
+    p.add_argument("--max-depth", dest="max_depth", help="tree depth cap, or none")
+    p.add_argument("--stratify", dest="stratify", action="store_const", const="true")
 
 
 def _threads(args) -> int:
@@ -162,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="predict class indices for a feature CSV")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True, help="feature CSV (no label column)")
+    p_pred.add_argument("--data", required=True, help="feature CSV")
     p_pred.add_argument(
         "--label-col",
         type=_parse_label_col,
         default=None,
-        help="if given, drop this column from the input before predicting",
+        help="if given, drop this column, whatever its values, before predicting",
     )
     p_pred.add_argument("--out", required=True, help="output CSV of class indices")
 
@@ -200,11 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.label_col is None:
-        X = load_features(args.data)
-    else:
-        ds = load_csv(args.data, args.label_col)
-        X = ds.features
+    X = load_features(args.data, args.label_col)
     if X.shape[0] == 0:
         Path(args.out).write_text("")
         print(f"0 predictions written to {args.out}")

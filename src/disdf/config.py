@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
@@ -10,6 +10,26 @@ from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 MODE_DISDF = "disdf"
 MODE_BASELINE = "baseline"
 MODES = (MODE_DISDF, MODE_BASELINE)
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_field(annotation: str, text: str):
+    """A field's value from its text; ``X | None`` reads ``none`` or "" as None."""
+    kind, _, optional = annotation.partition(" | ")
+    text = text.strip()
+    if optional == "None" and text.lower() in ("none", ""):
+        return None
+    if kind != "bool":
+        return {"int": int, "float": float, "str": str}[kind](text)
+    if text.lower() not in _BOOLS:
+        raise ValueError(text)
+    return _BOOLS[text.lower()]
+
+
+def _where(origin: dict | None, key: str) -> str:
+    return f"{origin[key]}: " if origin and key in origin else ""
 
 
 @dataclass
@@ -77,9 +97,30 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+    def from_dict(cls, data: dict, origin: dict | None = None) -> "TrainConfig":
+        """A validated config; an error about a key starts with its ``origin``."""
+        unknown = [key for key in data if key not in cls.__dataclass_fields__]
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(
+                f"{_where(origin, unknown[0])}unknown config keys: {unknown}"
+            )
         return cls(**data).validate()
+
+    @classmethod
+    def from_text(cls, text: dict, origin: dict | None = None) -> "TrainConfig":
+        """:meth:`from_dict` of ``{field: text}``, parsed by the field annotations.
+
+        Booleans are 1/true/yes/on or 0/false/no/off; ``none`` or "" is None
+        for an ``int | None`` field.  ``origin`` maps a key to, e.g., ``file:line``.
+        """
+        values = dict(text)
+        for f in fields(cls):
+            if f.name in text:
+                try:
+                    values[f.name] = _parse_field(f.type, text[f.name])
+                except ValueError:
+                    raise ConfigError(
+                        f"{_where(origin, f.name)}bad value for {f.name}: "
+                        f"{text[f.name]!r}"
+                    ) from None
+        return cls.from_dict(values, origin)

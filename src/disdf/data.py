@@ -1,4 +1,8 @@
-"""Loading labeled tabular data and producing reproducible splits."""
+"""Loading tabular data and producing reproducible splits.
+
+``load_csv`` (training files) and ``load_features`` (query files) share one
+CSV reader, ``_read_table``; only ``load_csv`` encodes and checks labels.
+"""
 
 from __future__ import annotations
 
@@ -98,18 +102,18 @@ def _parse_feature_cell(token: str, row_no: int, col_no: int) -> float:
     return value
 
 
-def load_csv(path, label_column) -> Dataset:
-    """Load a CSV file with one label column into a :class:`Dataset`.
+def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a CSV into its (n, m) float feature matrix and its label tokens.
 
-    ``label_column`` is a 0-based column index or, when the file has a header
-    row, a column name.  Labels are re-encoded to contiguous 0-based indices
-    in order of first appearance.  A header row is assumed present iff the
-    first row contains a non-numeric cell outside the label column.
+    ``label_column`` is ``None`` (all columns are features and the tokens are
+    ``None``), a 0-based column index, or a column name, which requires a
+    header row.  Otherwise a header row is assumed present iff the first row
+    has a non-numeric cell outside the label column.  A file without data rows
+    yields a (0, 0) matrix and no tokens.
     """
     rows = _read_rows(path)
     if not rows:
-        raise DataError(f"{path}: file contains no data rows")
-
+        return np.empty((0, 0), dtype=np.float64), None
     width = len(rows[0])
     if isinstance(label_column, str):
         header = [c.strip() for c in rows[0]]
@@ -119,82 +123,71 @@ def load_csv(path, label_column) -> Dataset:
             raise DataError(
                 f"{path}: no column named {label_column!r} in header {header}"
             ) from None
-        data_rows = rows[1:]
-        first_line = 2
+        has_header = True
     else:
-        label_idx = int(label_column)
-        if not -width <= label_idx < width:
-            raise DataError(
-                f"{path}: label column {label_idx} out of range for {width} columns"
-            )
-        if label_idx < 0:
-            label_idx += width
+        label_idx = None
+        if label_column is not None:
+            label_idx = int(label_column)
+            if not -width <= label_idx < width:
+                raise DataError(
+                    f"{path}: label column {label_idx} out of range for {width} columns"
+                )
+            label_idx %= width
         has_header = any(
             not _is_number(cell)
             for col, cell in enumerate(rows[0])
             if col != label_idx
         )
-        data_rows = rows[1:] if has_header else rows
-        first_line = 2 if has_header else 1
-
+    data_rows = rows[1:] if has_header else rows
     if not data_rows:
-        raise DataError(f"{path}: file contains no data rows")
-
-    n = len(data_rows)
-    m = width - 1
-    if m < 1:
+        return np.empty((0, 0), dtype=np.float64), None
+    feature_cols = [col for col in range(width) if col != label_idx]
+    if not feature_cols:
         raise DataError(f"{path}: need at least one feature column")
 
-    features = np.empty((n, m), dtype=np.float64)
-    encoding: dict[str, int] = {}
-    labels = np.empty(n, dtype=np.int64)
+    first_line = 2 if has_header else 1
+    features = np.empty((len(data_rows), len(feature_cols)), dtype=np.float64)
     for r, row in enumerate(data_rows):
         line_no = first_line + r
         if len(row) != width:
             raise RaggedRowError(
                 f"{path}: row {line_no} has {len(row)} columns, expected {width}"
             )
-        c = 0
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                continue
-            features[r, c] = _parse_feature_cell(cell.strip(), line_no, col)
-            c += 1
-        token = row[label_idx].strip()
-        labels[r] = encoding.setdefault(token, len(encoding))
+        features[r] = [
+            _parse_feature_cell(row[col].strip(), line_no, col) for col in feature_cols
+        ]
+    if label_idx is None:
+        return features, None
+    return features, [row[label_idx].strip() for row in data_rows]
 
+
+def load_csv(path, label_column) -> Dataset:
+    """Load a CSV file with one label column into a :class:`Dataset`.
+
+    ``label_column`` is a 0-based column index or, when the file has a header
+    row, a column name.  Labels are re-encoded to contiguous 0-based indices
+    in order of first appearance.  A header row is assumed present iff the
+    first row contains a non-numeric cell outside the label column.
+    """
+    features, tokens = _read_table(path, label_column)
+    if not tokens:
+        raise DataError(f"{path}: file contains no data rows")
+    encoding: dict[str, int] = {}
+    labels = [encoding.setdefault(token, len(encoding)) for token in tokens]
     if len(encoding) < 2:
         raise SingleClassError(
-            f"{path}: label column has a single class {next(iter(encoding))!r}"
+            f"{path}: label column has a single class {tokens[0]!r}"
         )
-    names = tuple(sorted(encoding, key=encoding.get))
-    return Dataset(features, labels, len(encoding), names)
+    return Dataset(features, labels, len(encoding), tuple(encoding))
 
 
-def load_features(path) -> np.ndarray:
-    """Load a label-free feature CSV; returns an (n, m) float matrix.
+def load_features(path, label_column=None) -> np.ndarray:
+    """The (n, m) float feature matrix of a CSV, read as by :func:`load_csv`.
 
-    A header row is assumed present iff the first row has any non-numeric
-    cell.  An empty file yields a (0, 0) matrix.
+    A given ``label_column`` is dropped unread, so any labels are accepted.  A
+    file without data rows yields a (0, 0) matrix.
     """
-    rows = _read_rows(path)
-    if not rows:
-        return np.empty((0, 0), dtype=np.float64)
-    has_header = any(not _is_number(cell) for cell in rows[0])
-    data_rows = rows[1:] if has_header else rows
-    first_line = 2 if has_header else 1
-    if not data_rows:
-        return np.empty((0, 0), dtype=np.float64)
-    width = len(rows[0])
-    features = np.empty((len(data_rows), width), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        if len(row) != width:
-            raise RaggedRowError(
-                f"{path}: row {first_line + r} has {len(row)} columns, expected {width}"
-            )
-        for col, cell in enumerate(row):
-            features[r, col] = _parse_feature_cell(cell.strip(), first_line + r, col)
-    return features
+    return _read_table(path, label_column)[0]
 
 
 def split(

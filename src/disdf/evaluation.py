@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import predict_batch, train_cascade
+from .cascade import _map_tasks, predict_batch, train_cascade
 from .config import MODE_BASELINE, MODE_DISDF, TrainConfig
 from .data import Dataset, split
 from .errors import DataError, DimensionError
@@ -83,7 +83,7 @@ def _run_repetition(task):
             train_ds, replace(cfg, mode=mode), rng=np.random.default_rng(fresh_seq)
         )
         out[mode] = accuracy(model, test_ds)
-    return rep, out
+    return out
 
 
 def repeated_holdout(
@@ -99,17 +99,8 @@ def repeated_holdout(
         raise DataError(f"reps must be >= 1, got {reps}")
     n_train, n_test = holdout_sizes(ds.n, n_train)
     tasks = [(ds, n_train, n_test, cfg, seed, rep) for rep in range(reps)]
-    if workers > 1 and reps > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
-            results = list(pool.map(_run_repetition, tasks))
-    else:
-        results = [_run_repetition(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    per_mode = {
-        mode: tuple(acc[mode] for _, acc in results) for mode in MODES
-    }
+    results = _map_tasks(_run_repetition, tasks, workers)
+    per_mode = {mode: tuple(acc[mode] for acc in results) for mode in MODES}
     return HoldoutResult(
         n_train=n_train,
         n_test=n_test,

@@ -151,13 +151,6 @@ def forest_class_vector(forest: ForestModel, x: np.ndarray, w) -> np.ndarray:
     return w @ forest_tree_dists(forest, x)
 
 
-def class_vectors_batch(
-    forest: ForestModel, X: np.ndarray, w: np.ndarray | None = None
-) -> np.ndarray:
-    """Weighted class vectors for each row of X, shape (n, C).
-
-    Uses the forest's trained weights when ``w`` is omitted.
-    """
-    w = forest.weights if w is None else check_weights(w, forest.n_trees)
-    dists = forest_tree_dists_batch(forest, X)
-    return np.einsum("ntc,t->nc", dists, w)
+def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Class vectors for each row of X under the forest's weights, shape (n, C)."""
+    return np.einsum("ntc,t->nc", forest_tree_dists_batch(forest, X), forest.weights)

@@ -42,11 +42,14 @@ class TestTrain:
         out = tmp_path / "m.model"
         code = main(
             ["train", "--data", str(toy_csv), "--label-col", "3",
-             "--out", str(out), "--seed", "7", *TRAIN_FLAGS]
+             "--out", str(out), "--seed", "7", *TRAIN_FLAGS,
+             "--pair-budget", "none", "--max-depth", "None"]
         )
         assert code == 0
         assert out.exists()
         assert "level(s)" in capsys.readouterr().out
+        config = load_model(out).config
+        assert config.pair_budget is None and config.max_depth is None
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         code = main(
@@ -64,6 +67,24 @@ class TestTrain:
         assert code == 3
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--trees", "abc", "trees_per_forest"),
+            ("--pair-budget", "1.5", "pair_budget"),
+            ("--lambda", "much", "lam"),
+            ("--mode", "fast", "mode"),
+        ],
+    )
+    def test_bad_flag_value_exit_3(self, toy_csv, tmp_path, capsys, flag, value, field):
+        # the same parser reads flags and config files, so both exit 3
+        code = main(
+            ["train", "--data", str(toy_csv), "--label-col", "3",
+             "--out", str(tmp_path / "m.model"), flag, value]
+        )
+        assert code == 3
+        assert field in capsys.readouterr().err
+
     def test_single_class_csv_exit_2(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("1.0,a\n2.0,a\n")
@@ -77,25 +98,38 @@ class TestTrain:
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(
             "tau=0.7\ntrees_per_forest=3\nfw_iterations=40\nmax_levels=1\n"
+            "pair_budget=100\nmax_depth=4\nstratify=yes\n"
         )
         out = tmp_path / "m.model"
         code = main(
             ["train", "--data", str(toy_csv), "--label-col", "3",
-             "--out", str(out), "--config", str(cfg_file), "--tau", "0.9"]
+             "--out", str(out), "--config", str(cfg_file), "--tau", "0.9",
+             "--pair-budget", "none"]
         )
         assert code == 0
         model = load_model(out)
         assert model.config.tau == 0.9
         assert model.config.trees_per_forest == 3
+        assert model.config.pair_budget is None
+        assert model.config.max_depth == 4
+        assert model.config.stratify is True
 
-    def test_bad_config_file_exit_3(self, toy_csv, tmp_path):
+    def test_bad_config_file_exit_3(self, toy_csv, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text("no_such_knob=1\n")
-        code = main(
-            ["train", "--data", str(toy_csv), "--label-col", "3",
-             "--out", str(tmp_path / "m.model"), "--config", str(cfg_file)]
-        )
-        assert code == 3
+        args = ["train", "--data", str(toy_csv), "--label-col", "3",
+                "--out", str(tmp_path / "m.model"), "--config", str(cfg_file)]
+        for text, line, named, override in [
+            ("no_such_knob=1\n", 1, "no_such_knob", None),
+            ("# defaults\ntau=0.7\nmax_depth=deep\n", 3, "max_depth", ["--max-depth", "2"]),
+            ("stratify=maybe\n", 1, "stratify", ["--stratify"]),
+        ]:
+            cfg_file.write_text(text)
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert f"{cfg_file}:{line}:" in err and named in err
+            if override:
+                # a flag for the same field replaces the bad text
+                assert main(args + override + TRAIN_FLAGS) == 0
 
 
 class TestPredict:
@@ -132,6 +166,24 @@ class TestPredict:
         )
         assert code == 0
         assert len(pred_path.read_text().split()) == 24
+
+    def test_single_label_query_with_label_col(self, toy_csv, tmp_path):
+        # a query file need not hold two classes; its labels are not read
+        model_path = self.train_model(toy_csv, tmp_path)
+        query = tmp_path / "query.csv"
+        query.write_text(toy_csv.read_text().replace(",b\n", ",a\n"))
+        feats = features_only(toy_csv, tmp_path / "feats.csv")
+        outputs = []
+        for data, label_args in ((query, ["--label-col", "3"]), (feats, [])):
+            out = tmp_path / f"preds_{data.stem}.csv"
+            code = main(
+                ["predict", "--model", str(model_path), "--data", str(data),
+                 *label_args, "--out", str(out)]
+            )
+            assert code == 0
+            outputs.append(out.read_text())
+        assert len(outputs[0].splitlines()) == 24
+        assert outputs[0] == outputs[1]
 
     def test_empty_input_empty_output(self, toy_csv, tmp_path):
         model_path = self.train_model(toy_csv, tmp_path)

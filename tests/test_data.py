@@ -104,6 +104,20 @@ class TestLoadFeatures:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         assert load_features(path).shape == (0, 0)
+        assert load_features(path, "target").shape == (0, 0)
+
+    @pytest.mark.parametrize("label_column", ["target", -1])
+    def test_label_column_dropped_as_load_csv_drops_it(self, tmp_path, label_column):
+        path = write(tmp_path, "f1,f2,target\n1.0,2.0,x\n3.0,4.5,y\n5.0,6.0,x\n")
+        np.testing.assert_array_equal(
+            load_features(path, label_column), load_csv(path, label_column).features
+        )
+
+    def test_single_label_accepted(self, tmp_path):
+        path = write(tmp_path, "1.0,a,2.0\n3.0,a,4.0\n")
+        np.testing.assert_array_equal(load_features(path, 1), [[1, 2], [3, 4]])
+        with pytest.raises(SingleClassError):
+            load_csv(path, 1)
 
 
 def toy_dataset(n=20, m=3, num_classes=2, seed=0):

@@ -157,7 +157,7 @@ class TestUniformEquivalence:
         X = rng.normal(size=(20, 4))
         dists = forest_tree_dists_batch(f, X)
         np.testing.assert_allclose(
-            class_vectors_batch(f, X, uniform_weights(11)),
+            class_vectors_batch(f.with_weights(uniform_weights(11)), X),
             dists.mean(axis=1),
             atol=1e-12,
         )
