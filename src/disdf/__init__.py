@@ -3,7 +3,6 @@
 from .cascade import (
     CascadeModel,
     LevelModel,
-    augment,
     augment_batch,
     predict,
     predict_batch,
@@ -25,8 +24,6 @@ from .evaluation import ExperimentGrid, GridResult, accuracy, repeated_holdout, 
 from .forest import (
     ForestModel,
     class_vectors_batch,
-    forest_class_vector,
-    forest_tree_dists,
     forest_tree_dists_batch,
     train_forest,
     uniform_weights,

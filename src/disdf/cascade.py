@@ -246,17 +246,8 @@ def train_cascade(
     )
 
 
-def augment(level: LevelModel, x_prev: np.ndarray) -> np.ndarray:
-    """Concatenate x_prev with each forest's class vector, in forest order."""
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    if x_prev.shape != (level.input_dim,):
-        raise DimensionError(
-            f"expected a length-{level.input_dim} vector, got shape {x_prev.shape}"
-        )
-    return augment_batch(level, x_prev[None, :])[0]
-
-
 def augment_batch(level: LevelModel, X: np.ndarray) -> np.ndarray:
+    """Concatenate X with each forest's class vectors, in forest order."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != level.input_dim:
         raise DimensionError(
@@ -284,10 +275,7 @@ def predict_batch(model: CascadeModel, X: np.ndarray) -> np.ndarray:
     # a NaN would silently go right at every split
     if not np.isfinite(X).all():
         raise BadCellError("features contain NaN or infinite values")
-    feats = X
-    for q, level in enumerate(model.levels):
-        class_vectors = [class_vectors_batch(f, feats) for f in level.forests]
-        if q + 1 == len(model.levels):
-            return np.argmax(np.sum(class_vectors, axis=0), axis=1)
-        feats = np.hstack([feats] + class_vectors)
-    raise AssertionError("cascade has no levels")
+    for level in model.levels[:-1]:
+        X = augment_batch(level, X)
+    class_vectors = [class_vectors_batch(f, X) for f in model.levels[-1].forests]
+    return np.argmax(np.sum(class_vectors, axis=0), axis=1)

@@ -6,7 +6,8 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error.  The DISDF_THREADS environment variable sets the default worker count;
---threads overrides it.
+--threads overrides it.  A worker count or ``bench --reps`` that is not an
+integer of at least 1 exits 3.
 """
 
 from __future__ import annotations
@@ -99,16 +100,21 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stratify", dest="stratify", action="store_const", const="true")
 
 
+def _positive_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"{what} must be at least 1, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return _positive_int(args.threads, "--threads")
     env = os.environ.get("DISDF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"DISDF_THREADS must be an integer, got {env!r}")
-    return 1
+    return _positive_int(env, "DISDF_THREADS") if env else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="disdf",
         description="Cascade forest classifier with metric-learned tree weights.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker process cap")
+    parser.add_argument("--threads", help="worker process cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write it to disk")
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--label-col", required=True, type=_parse_label_col)
     p_bench.add_argument("--N-list", dest="n_list", required=True)
     p_bench.add_argument("--T-list", dest="t_list", required=True)
-    p_bench.add_argument("--reps", type=int, default=100)
+    p_bench.add_argument("--reps", default="100")
     p_bench.add_argument("--out-dir", dest="out_dir", default="bench-results")
     p_bench.add_argument("--name", default=None, help="dataset name for reports")
     _add_config_flags(p_bench)
@@ -151,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
+    workers = _threads(args)
     ds = load_csv(args.data, args.label_col)
-    model = train_cascade(ds, cfg, workers=_threads(args))
+    model = train_cascade(ds, cfg, workers=workers)
     save_model(model, args.out)
     scores = ", ".join(f"{s:.4f}" for s in model.level_scores)
     print(
@@ -182,15 +189,17 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _build_config(args)
+    workers = _threads(args)
+    reps = _positive_int(args.reps, "--reps")
     ds = load_csv(args.data, args.label_col)
     grid = ExperimentGrid(
         train_sizes=_parse_int_list(args.n_list),
         tree_counts=_parse_int_list(args.t_list),
-        reps=args.reps,
+        reps=reps,
         base_config=cfg,
     )
     name = args.name or Path(args.data).stem
-    result = run_grid(ds, grid, workers=_threads(args), dataset_name=name)
+    result = run_grid(ds, grid, workers=workers, dataset_name=name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_rep = out_dir / f"{name}_accuracies.csv"

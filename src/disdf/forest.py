@@ -1,4 +1,4 @@
-"""Forests of decision trees in one flat node table, with simplex weights."""
+"""Forests of decision trees in one compact node table, with simplex weights."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, ModelFormatError
 from .tree import RANDOM_SPLIT, TreeParams, train_tree
 
 SIMPLEX_TOL = 1e-6
@@ -31,20 +31,23 @@ def check_weights(w, n_trees: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    """T trees of one kind in one flat node table, plus simplex weights.
+    """T trees of one kind in one compact node table, plus simplex weights.
 
-    Node ids are global: tree t owns nodes ``roots[t]`` up to the next root,
-    ``feature[i] < 0`` marks node i as a leaf, and children always have
-    larger ids than their parent, so routing ends once every position sits
-    on a leaf.  ``dist`` rows are the leaf class distributions.
+    Only internal nodes have rows in ``feature`` and ``threshold``.  Node ids
+    are global across the forest, and each tree's internal nodes are stored
+    in depth-first preorder, so a child id is always larger than its
+    parent's.  Internal node i sends an input x to
+    ``children[2*i + go_left]`` with ``go_left = x[feature[i]] <= threshold[i]``
+    (a tie goes left).  A reference ``>= 0`` is an internal node and ``~l``
+    is leaf l, whose class distribution is ``dist[l]``; ``roots[t]`` is tree
+    t's root reference, itself ``~l`` for a single-leaf tree.
     """
 
-    feature: np.ndarray  # (n_nodes,) int32, -1 at leaves
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int32 global node ids
-    right: np.ndarray  # (n_nodes,) int32 global node ids
-    dist: np.ndarray  # (n_nodes, C) float64, valid at leaf rows
-    roots: np.ndarray  # (T,) int32
+    feature: np.ndarray  # (n_internal,) int32 split features
+    threshold: np.ndarray  # (n_internal,) float64
+    children: np.ndarray  # (2 * n_internal,) int32 references, right then left
+    dist: np.ndarray  # (n_leaves, C) float64 leaf class distributions
+    roots: np.ndarray  # (T,) int32 references
     weights: np.ndarray  # (T,) float64 on the unit simplex
     kind: str
     num_classes: int
@@ -59,7 +62,8 @@ class ForestModel:
 
     @property
     def n_nodes(self) -> int:
-        return self.feature.shape[0]
+        """Internal nodes plus leaves."""
+        return self.feature.shape[0] + self.dist.shape[0]
 
     def with_weights(self, w) -> "ForestModel":
         return replace(self, weights=check_weights(w, self.n_trees))
@@ -76,7 +80,8 @@ def train_forest(
 
     Random-split-search trees each see a bootstrap resample; completely-random
     trees see the full data.  Each tree gets its own spawned rng stream, so
-    training is reproducible tree by tree.
+    training is reproducible tree by tree.  Tree t's internal ids and leaf
+    ids are offset by the internal nodes and leaves of trees 0..t-1.
     """
     if n_trees < 1:
         raise ValueError(f"need at least one tree, got {n_trees}")
@@ -89,20 +94,23 @@ def train_forest(
         else:
             view = ds
         trees.append(train_tree(view, kind, params, tree_rng))
-    feature, threshold, left, right, dist = map(np.concatenate, zip(*trees))
-    sizes = [tree[0].size for tree in trees]
-    roots = (np.cumsum(sizes) - sizes).astype(np.int32)
-    internal = feature >= 0
-    offset = np.repeat(roots, sizes)[internal]
-    left[internal] += offset
-    right[internal] += offset
+    feature, threshold, children, dist = map(np.concatenate, zip(*trees))
+    n_internal = np.array([tree[0].size for tree in trees])
+    n_leaves = np.array([tree[3].shape[0] for tree in trees])
+    node_start = np.cumsum(n_internal) - n_internal
+    leaf_start = np.cumsum(n_leaves) - n_leaves
+    # an internal reference moves up by node_start, a leaf ~l to ~(l + leaf_start)
+    children += np.where(
+        children >= 0,
+        np.repeat(node_start, 2 * n_internal),
+        -np.repeat(leaf_start, 2 * n_internal),
+    ).astype(np.int32)
     return ForestModel(
         feature=feature,
         threshold=threshold,
-        left=left,
-        right=right,
+        children=children,
         dist=dist,
-        roots=roots,
+        roots=np.where(n_internal > 0, node_start, ~leaf_start).astype(np.int32),
         weights=uniform_weights(n_trees),
         kind=kind,
         num_classes=ds.num_classes,
@@ -110,22 +118,15 @@ def train_forest(
     )
 
 
-def forest_tree_dists(forest: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Per-tree class distributions for one input, shape (T, C)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (forest.n_features,):
-        raise DimensionError(
-            f"expected a length-{forest.n_features} vector, got shape {x.shape}"
-        )
-    return forest_tree_dists_batch(forest, x[None, :])[0]
-
-
 def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Per-tree class distributions for each row of X, shape (n, T, C).
 
     Routes all n*T (row, tree) positions at once; position k is row k // T
-    in tree k % T.  Each step moves every position not yet on a leaf one
-    level down, and a tie at a threshold goes left.
+    in tree k % T.  Each step moves every position still on an internal node
+    one level down, reading its split value from ``X.ravel()`` at
+    ``row * m + feature``.  No root-to-leaf path visits more than n_internal
+    nodes, so a table that needs more steps has a cycle and raises
+    :class:`ModelFormatError` instead of looping forever.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
@@ -133,22 +134,24 @@ def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
             f"expected (n, {forest.n_features}) inputs, got {X.shape}"
         )
     n, T = X.shape[0], forest.n_trees
-    feature, threshold = forest.feature, forest.threshold
+    feature, threshold, children = forest.feature, forest.threshold, forest.children
+    flat = X.ravel()
     node = np.tile(forest.roots, n)
-    live = np.flatnonzero(feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        go_left = X[live // T, feature[at]] <= threshold[at]
-        at = np.where(go_left, forest.left[at], forest.right[at])
+    live = np.flatnonzero(node >= 0)
+    at = node.take(live)
+    row_start = live // T * X.shape[1]
+    for _ in range(feature.size + 1):
+        if not live.size:
+            return forest.dist.take(~node, axis=0).reshape(n, T, forest.num_classes)
+        go_left = flat.take(row_start + feature.take(at)) <= threshold.take(at)
+        at = children.take(2 * at + go_left)
         node[live] = at
-        live = live[feature[at] >= 0]
-    return forest.dist[node].reshape(n, T, forest.num_classes)
-
-
-def forest_class_vector(forest: ForestModel, x: np.ndarray, w) -> np.ndarray:
-    """Weighted class vector v_c = sum_t p_c^(t) w_t; a probability vector."""
-    w = check_weights(w, forest.n_trees)
-    return w @ forest_tree_dists(forest, x)
+        keep = np.flatnonzero(at >= 0)
+        if keep.size < at.size:
+            live, at, row_start = live.take(keep), at.take(keep), row_start.take(keep)
+    raise ModelFormatError(
+        f"routing took more than {feature.size} steps: the node table has a cycle"
+    )
 
 
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -3,17 +3,19 @@
 Layout: a small text header (magic, format version, payload sha256 and byte
 count) followed by the binary payload.  The payload is a length-prefixed JSON
 structure block (config, dims, and per level and forest its kind and tree
-count) followed by seven arrays per forest, level by level and forest by
-forest: ``weights``, ``feature``, ``threshold``, ``left``, ``right``,
-``dist`` and ``roots``, the forest's flat node table (see
+count) followed by six arrays per forest, level by level and forest by
+forest: ``weights``, ``feature``, ``threshold``, ``children``, ``dist`` and
+``roots``, the forest's compact node table (see
 :class:`~disdf.forest.ForestModel`).  Arrays are raw little-endian bytes, so
 a load/save round trip is bit-exact and predictions are bitwise identical.
 
-Version 1 files (every tree's arrays stored separately) are rejected.
-Loading checks the JSON block's keys, types and values and each table's
-structure, so a file with a valid checksum but a missing key, a cyclic or
-out-of-range child, feature or root fails with :class:`ModelFormatError`
-instead of a bare ``KeyError``, a hang or misrouting at prediction.
+Version 1 (every tree's arrays stored separately) and version 2 (``left``,
+``right`` and a ``dist`` row for every node) files are rejected.  Loading
+checks the JSON block's keys, types and values and each table's structure,
+so a file with a valid checksum but a missing key, a cyclic, shared,
+orphaned or out-of-range reference, or an out-of-range feature fails with
+:class:`ModelFormatError` instead of a bare ``KeyError``, a hang or
+misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from .forest import SIMPLEX_TOL, ForestModel, check_weights
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # per forest, in file order; all but weights are ForestModel's node table
 _FOREST_ARRAYS = (
     ("weights", "<f8"),
     ("feature", "<i4"),
     ("threshold", "<f8"),
-    ("left", "<i4"),
-    ("right", "<i4"),
+    ("children", "<i4"),
     ("dist", "<f8"),
     ("roots", "<i4"),
 )
@@ -235,32 +236,36 @@ def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes:
     for name, code in _FOREST_ARRAYS:
         if arrays[name].dtype.str != code:
             bad(f"{name} has dtype {arrays[name].dtype.str}, expected {code}")
-    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
-    roots, dist = arrays["roots"], arrays["dist"]
-    n_nodes = feature.size
+    feature, children, roots = arrays["feature"], arrays["children"], arrays["roots"]
+    dist = arrays["dist"]
+    n_internal = feature.size
     if n_trees < 1 or roots.shape != (n_trees,) or arrays["weights"].shape != (n_trees,):
         bad(f"roots and weights must have length n_trees = {n_trees}")
-    for name in ("feature", "threshold", "left", "right"):
-        if arrays[name].shape != (n_nodes,):
-            bad(f"{name} has shape {arrays[name].shape}, expected ({n_nodes},)")
-    if dist.shape != (n_nodes, num_classes):
-        bad(f"dist has shape {dist.shape}, expected ({n_nodes}, {num_classes})")
-    if roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n_nodes:
-        bad("roots must start at 0, increase strictly and stay below n_nodes")
-    # each internal node's children lie after it and before the next tree's root
-    ends = np.append(roots[1:], n_nodes)
-    tree_end = np.repeat(ends, ends - roots)
-    internal = np.flatnonzero(feature >= 0)
-    for child in (left[internal], right[internal]):
-        if np.any(child <= internal) or np.any(child >= tree_end[internal]):
-            bad("a child id does not lie after its parent within the same tree")
-    if np.any(feature[internal] >= input_dim):
+    for name, size in (("feature", n_internal), ("threshold", n_internal),
+                       ("children", 2 * n_internal)):
+        if arrays[name].shape != (size,):
+            bad(f"{name} has shape {arrays[name].shape}, expected ({size},)")
+    if dist.ndim != 2 or dist.shape[1] != num_classes:
+        bad(f"dist has shape {dist.shape}, expected (n_leaves, {num_classes})")
+    n_leaves = dist.shape[0]
+    refs = np.concatenate([roots, children])
+    if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
+        bad("a node or leaf id in roots or children is out of range")
+    parent = np.arange(children.size) // 2
+    if np.any((children >= 0) & (children <= parent)):
+        bad("an internal child id is not greater than its parent's id")
+    # with ids increasing down every path, one reference per node and leaf
+    # makes each tree a proper binary tree hanging from exactly one root
+    nodes = np.bincount(refs[refs >= 0], minlength=n_internal)
+    leaves = np.bincount(~refs[refs < 0], minlength=n_leaves)
+    if np.any(nodes != 1) or np.any(leaves != 1):
+        bad("a node or leaf is not referenced exactly once by roots and children")
+    if np.any(feature < 0) or np.any(feature >= input_dim):
         bad(f"a split feature is outside [0, {input_dim})")
-    leaf_dist = dist[feature < 0]
     if not (
-        np.isfinite(leaf_dist).all()
-        and np.all(leaf_dist >= -SIMPLEX_TOL)
-        and np.all(np.abs(leaf_dist.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+        np.isfinite(dist).all()
+        and np.all(dist >= -SIMPLEX_TOL)
+        and np.all(np.abs(dist.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
     ):
         bad("a leaf distribution is off the unit simplex")
     try:

@@ -29,36 +29,29 @@ class TreeParams:
 
 
 class _Builder:
-    def __init__(self, num_classes: int):
+    """Node arrays of one tree: internal nodes in creation order, leaf rows."""
+
+    def __init__(self):
         self.feature: list[int] = []
         self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
+        self.children: list[int] = []
         self.dist: list[np.ndarray] = []
-        self.num_classes = num_classes
 
     def add_leaf(self, counts: np.ndarray) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
         self.dist.append(counts / counts.sum())
-        return len(self.feature) - 1
+        return ~(len(self.dist) - 1)
 
     def add_internal(self, f: int, thr: float) -> int:
         self.feature.append(f)
         self.threshold.append(thr)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.dist.append(np.zeros(self.num_classes))
+        self.children += [0, 0]
         return len(self.feature) - 1
 
     def finish(self) -> tuple[np.ndarray, ...]:
         return (
             np.asarray(self.feature, dtype=np.int32),
             np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int32),
-            np.asarray(self.right, dtype=np.int32),
+            np.asarray(self.children, dtype=np.int32),
             np.vstack(self.dist),
         )
 
@@ -106,9 +99,13 @@ def train_tree(
 ) -> tuple[np.ndarray, ...]:
     """Grow one decision tree on ``samples``; return its node arrays.
 
-    The arrays are ``(feature, threshold, left, right, dist)``: node 0 is the
-    root, ``feature < 0`` marks a leaf, children have larger ids than their
-    parent, and ``dist`` rows are valid at leaves.  Growth stops when a node
+    The arrays are ``(feature, threshold, children, dist)``.  Internal nodes
+    are numbered in depth-first preorder, so node 0 is the root when the tree
+    has any split and every child id is larger than its parent's.  Internal
+    node i sends an input to ``children[2*i + go_left]``, where ``go_left``
+    is ``x[feature[i]] <= threshold[i]``; an entry ``>= 0`` is an internal
+    node and ``~l`` is leaf l, whose class distribution is ``dist[l]``.  A
+    tree without splits is the single leaf ``~0``.  Growth stops when a node
     is pure, has fewer than ``min_leaf`` samples, hits the depth cap, or no
     usable split exists among the candidate features.  Leaf distributions
     are class-frequency vectors.
@@ -122,18 +119,16 @@ def train_tree(
     if n == 0:
         raise DataError("cannot train a tree on an empty sample view")
 
-    builder = _Builder(C)
+    builder = _Builder()
     n_candidates = math.ceil(math.sqrt(m))
-    # (indices, depth, parent, is_left); parent -1 for the root
-    stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(n, dtype=np.intp), 0, -1, True)
-    ]
+    # (indices, depth, slot in children that receives the node; -1 for the root)
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n, dtype=np.intp), 0, -1)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, depth, slot = stack.pop()
         y_node = y[idx]
         counts = np.bincount(y_node, minlength=C).astype(np.float64)
 
-        node_id = None
+        split = None
         stop = (
             idx.size < params.min_leaf
             or (params.max_depth is not None and depth >= params.max_depth)
@@ -144,8 +139,7 @@ def train_tree(
                 cand = rng.choice(m, size=min(n_candidates, m), replace=False)
                 found = _best_gini_split(X, y, idx, counts, cand)
                 if found is not None:
-                    f, thr, _ = found
-                    node_id = builder.add_internal(f, thr)
+                    split = found[:2]
             else:
                 sub = X[idx]
                 lo = sub.min(axis=0)
@@ -157,27 +151,22 @@ def train_tree(
                     # uniform draw in [lo, hi) keeps both children non-empty
                     if thr >= hi[f]:
                         thr = float(np.nextafter(hi[f], lo[f]))
-                    node_id = builder.add_internal(f, thr)
-
-        if node_id is None:
-            node_id = builder.add_leaf(counts)
-        else:
-            go_left = X[idx, builder.feature[node_id]] <= builder.threshold[node_id]
+                    split = (f, thr)
+        if split is not None:
+            go_left = X[idx, split[0]] <= split[1]
             left_idx = idx[go_left]
             right_idx = idx[~go_left]
             if left_idx.size == 0 or right_idx.size == 0:
-                # degenerate split from floating-point edge cases
-                builder.feature[node_id] = -1
-                builder.dist[node_id] = counts / counts.sum()
-            else:
-                # push right first so the left child is built first
-                stack.append((right_idx, depth + 1, node_id, False))
-                stack.append((left_idx, depth + 1, node_id, True))
+                split = None  # degenerate split from floating-point edge cases
 
-        if parent >= 0:
-            if is_left:
-                builder.left[parent] = node_id
-            else:
-                builder.right[parent] = node_id
+        if split is None:
+            node = builder.add_leaf(counts)
+        else:
+            node = builder.add_internal(*split)
+            # push right first so the left child is built first
+            stack.append((right_idx, depth + 1, 2 * node))
+            stack.append((left_idx, depth + 1, 2 * node + 1))
+        if slot >= 0:
+            builder.children[slot] = node
 
     return builder.finish()

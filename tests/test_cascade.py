@@ -4,7 +4,6 @@ import pytest
 from disdf.cascade import (
     CascadeModel,
     LevelModel,
-    augment,
     augment_batch,
     predict,
     predict_batch,
@@ -131,7 +130,7 @@ class TestAugment:
         )
         level = LevelModel([forest], input_dim=5)
         x = np.arange(5.0)
-        out = augment(level, x)
+        out = augment_batch(level, x[None, :])[0]
         assert out.shape == (8,)
         np.testing.assert_array_equal(out[:5], x)
         np.testing.assert_allclose(out[5:], [0.4, 0.4, 0.2])
@@ -150,7 +149,7 @@ class TestAugment:
             [leaf_forest([[1.0, 0.0]], n_features=3)], input_dim=3
         )
         with pytest.raises(DimensionError):
-            augment(level, np.zeros(4))
+            augment_batch(level, np.zeros((1, 4)))
 
 
 class TestPredict:

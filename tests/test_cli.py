@@ -1,4 +1,5 @@
 import hashlib
+import io
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import pairstats
 from disdf.cli import main
 from disdf.errors import ModelFormatError
-from disdf.serialize import FORMAT_VERSION, load_model, save_model
+from disdf.serialize import FORMAT_VERSION, _pack_array, load_model, save_model
 from tests.test_cascade import blobs, fast_cfg, manual_cascade
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
@@ -290,6 +291,16 @@ class TestModelFile:
         assert code == 2
         assert "version 1" in capsys.readouterr().err
 
+    def test_version_2_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
+        # version 2 stored left, right and a dist row for every node
+        path = self.retag(tmp_path, 2)
+        code = main(
+            ["predict", "--model", str(path), "--data", str(toy_csv),
+             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "version 2" in capsys.readouterr().err
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.model"
         path.write_text("hello world\n")
@@ -327,6 +338,16 @@ def rewrite_payload(path, old: bytes, new: bytes) -> None:
     write_payload(path, payload.replace(old, new, 1))
 
 
+def rewrite_array(path, old: np.ndarray, new: np.ndarray) -> None:
+    """Replace the first stored block of ``old`` (header and bytes) by ``new``'s."""
+    blocks = []
+    for array in (old, new):
+        buf = io.BytesIO()
+        _pack_array(buf, array)
+        blocks.append(buf.getvalue())
+    rewrite_payload(path, *blocks)
+
+
 def patched(array, index, value):
     out = array.copy()
     out[index] = value
@@ -343,12 +364,9 @@ class TestStructuralChecks:
         save_model(model, path)
         return model, path
 
-    def test_self_loop_rejected_instead_of_hanging(self, saved, toy_csv, tmp_path):
-        model, path = saved
-        forest = model.levels[0].forests[0]
-        assert forest.feature[0] >= 0
-        rewrite_payload(path, forest.left.tobytes(), patched(forest.left, 0, 0).tobytes())
-        with pytest.raises(ModelFormatError, match="child"):
+    @staticmethod
+    def assert_rejected(path, message, toy_csv, tmp_path):
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         code = main(
             ["predict", "--model", str(path), "--data", str(toy_csv),
@@ -356,29 +374,72 @@ class TestStructuralChecks:
         )
         assert code == 2
 
+    def test_self_loop_rejected_instead_of_hanging(self, saved, toy_csv, tmp_path):
+        model, path = saved
+        forest = model.levels[0].forests[0]
+        assert forest.roots[0] == 0 and forest.feature.size > 0
+        # node 0's left child becomes node 0 itself
+        rewrite_array(path, forest.children, patched(forest.children, 1, 0))
+        self.assert_rejected(path, "child", toy_csv, tmp_path)
+
     @pytest.mark.parametrize(
         "name, index, value, message",
         [
-            ("right", 0, "n_nodes", "child"),
-            ("left", 0, "next_root", "child"),
+            ("children", 0, "n_internal", "child"),
+            ("children", 1, "next_root", "child"),
             ("feature", 0, "input_dim", "feature"),
             ("roots", 0, 1, "roots"),
             ("roots", 1, 0, "roots"),
             ("dist", "first_leaf", (2.0, -1.0), "simplex"),
             ("weights", 0, 5.0, "simplex"),
+            ("children", 0, "~n_leaves", "out of range"),
+            ("children", 3, 0, "not greater than its parent"),
+            # leaf 1 orphaned and leaf 0 shared, within one tree
+            ("children", 0, ~0, "exactly once"),
+            # tree 0 links to tree 1's leaf
+            ("children", 0, "next_tree_leaf", "exactly once"),
+            ("feature", 0, -1, "feature"),
+            ("roots", 0, "n_internal", "out of range"),
         ],
     )
-    def test_broken_table_rejected(self, saved, name, index, value, message):
+    def test_broken_table_rejected(
+        self, saved, toy_csv, tmp_path, name, index, value, message
+    ):
         model, path = saved
         forest = model.levels[0].forests[0]
-        positions = {"first_leaf": int(np.argmax(forest.feature < 0))}
-        values = {"n_nodes": forest.n_nodes, "next_root": forest.roots[1],
+        # forest 0 holds four stumps: tree t is node t with leaves 2t and 2t+1
+        assert np.array_equal(forest.roots, np.arange(4))
+        positions = {"first_leaf": 0}
+        values = {"n_internal": forest.feature.size, "next_root": forest.roots[1],
+                  "~n_leaves": ~forest.dist.shape[0], "next_tree_leaf": ~2,
                   "input_dim": model.base_dim}
         array = getattr(forest, name)
         bad = patched(array, positions.get(index, index), values.get(value, value))
-        rewrite_payload(path, array.tobytes(), bad.tobytes())
-        with pytest.raises(ModelFormatError, match=message):
-            load_model(path)
+        rewrite_array(path, array, bad)
+        self.assert_rejected(path, message, toy_csv, tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, change, message",
+        [
+            ("feature", "<f8", "feature has dtype <f8"),
+            ("threshold", "<i4", "threshold has dtype <i4"),
+            ("children", "drop_last", "children has shape"),
+            ("dist", "flatten", "dist has shape"),
+        ],
+    )
+    def test_bad_dtype_or_shape_rejected(
+        self, saved, toy_csv, tmp_path, name, change, message
+    ):
+        model, path = saved
+        array = getattr(model.levels[0].forests[0], name)
+        if change == "drop_last":
+            bad = array[:-1]
+        elif change == "flatten":
+            bad = array.ravel()
+        else:
+            bad = array.astype(change)
+        rewrite_array(path, array, bad)
+        self.assert_rejected(path, message, toy_csv, tmp_path)
 
     def test_tree_count_mismatch_rejected(self, saved):
         _, path = saved
@@ -537,6 +598,27 @@ class TestThreads:
              "--out", str(tmp_path / "m.model"), *TRAIN_FLAGS]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "threads, command, extra",
+        [
+            ("abc", "train", []),
+            ("0", "train", []),
+            ("1", "bench", ["--reps", "x"]),
+            ("1", "bench", ["--reps", "0"]),
+        ],
+    )
+    def test_bad_count_exit_3(self, toy_csv, tmp_path, capsys, threads, command, extra):
+        rest = {
+            "train": ["--out", str(tmp_path / "m.model"), *TRAIN_FLAGS],
+            "bench": ["--N-list", "9", "--T-list", "1", "--out-dir", str(tmp_path)],
+        }[command]
+        code = main(
+            ["--threads", threads, command, "--data", str(toy_csv), "--label-col", "3",
+             *rest, *extra]
+        )
+        assert code == 3
+        assert "must be" in capsys.readouterr().err
 
     def test_threads_flag_parallel_training(self, toy_csv, tmp_path):
         out_serial = tmp_path / "serial.model"

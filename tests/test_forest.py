@@ -5,8 +5,6 @@ from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError
 from disdf.forest import (
     class_vectors_batch,
-    forest_class_vector,
-    forest_tree_dists,
     forest_tree_dists_batch,
     train_forest,
     uniform_weights,
@@ -29,7 +27,13 @@ def example_forest():
     return leaf_forest(DISTS, n_features=2)
 
 
-TABLE = ("feature", "threshold", "left", "right", "dist", "roots", "weights")
+def class_vector(forest, x, w):
+    """Class vector of one input under weights ``w``, through the batch form."""
+    x = np.asarray(x, dtype=float)
+    return class_vectors_batch(forest.with_weights(w), x[None, :])[0]
+
+
+TABLE = ("feature", "threshold", "children", "dist", "roots", "weights")
 
 
 class TestTrainForest:
@@ -58,20 +62,23 @@ class TestTrainForest:
         rng = np.random.default_rng(8)
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
         f = train_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
-        ends = np.append(f.roots[1:], f.n_nodes)
-        assert f.roots[0] == 0 and np.all(f.roots < ends)
-        assert f.feature.dtype == f.left.dtype == f.roots.dtype == np.int32
+        assert f.feature.dtype == f.children.dtype == f.roots.dtype == np.int32
         tree_rngs = np.random.default_rng(9).spawn(4)
-        for t, (start, end) in enumerate(zip(f.roots, ends)):
-            feature, threshold, left, right, dist = train_tree(
+        node, leaf = 0, 0
+        for t in range(4):
+            feature, threshold, children, dist = train_tree(
                 ds, COMPLETELY_RANDOM, TreeParams(), tree_rngs[t]
             )
-            internal = feature >= 0
-            np.testing.assert_array_equal(f.feature[start:end], feature)
-            np.testing.assert_array_equal(f.threshold[start:end], threshold)
-            np.testing.assert_array_equal(f.dist[start:end], dist)
-            np.testing.assert_array_equal(f.left[start:end][internal], left[internal] + start)
-            np.testing.assert_array_equal(f.right[start:end][internal], right[internal] + start)
+            nodes = slice(node, node + feature.size)
+            np.testing.assert_array_equal(f.feature[nodes], feature)
+            np.testing.assert_array_equal(f.threshold[nodes], threshold)
+            np.testing.assert_array_equal(f.dist[leaf : leaf + dist.shape[0]], dist)
+            # internal ids move up by the nodes before, leaf ids by the leaves before
+            shifted = np.where(children >= 0, children + node, children - leaf)
+            np.testing.assert_array_equal(f.children[2 * node : 2 * nodes.stop], shifted)
+            assert f.roots[t] == (node if feature.size else ~leaf)
+            node, leaf = nodes.stop, leaf + dist.shape[0]
+        assert (node, leaf) == (f.feature.size, f.dist.shape[0])
 
     def test_empty_dataset_rejected(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=int), 2)
@@ -82,12 +89,12 @@ class TestTrainForest:
 class TestTreeDists:
     def test_example_rows(self):
         f = example_forest()
-        out = forest_tree_dists(f, np.zeros(2))
+        out = forest_tree_dists_batch(f, np.zeros((1, 2)))[0]
         np.testing.assert_allclose(out, DISTS)
 
     def test_single_tree_matrix(self):
         f = leaf_forest([0.3, 0.7], n_features=1)
-        out = forest_tree_dists(f, [5.0])
+        out = forest_tree_dists_batch(f, [[5.0]])[0]
         assert out.shape == (1, 2)
         np.testing.assert_allclose(out[0], [0.3, 0.7])
 
@@ -100,18 +107,18 @@ class TestTreeDists:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            forest_tree_dists(example_forest(), np.zeros(9))
+            forest_tree_dists_batch(example_forest(), np.zeros((1, 9)))
 
 
 class TestClassVector:
     def test_uniform_weights_match_mean(self):
         f = example_forest()
-        out = forest_class_vector(f, np.zeros(2), uniform_weights(3))
+        out = class_vector(f, np.zeros(2), uniform_weights(3))
         np.testing.assert_allclose(out, [0.5333333333333333, 0.3, 0.16666666666666666])
         np.testing.assert_allclose(out, DISTS.mean(axis=0), atol=1e-12)
 
     def test_weighted_sum_example(self):
-        out = forest_class_vector(example_forest(), np.zeros(2), [0.5, 0.3, 0.2])
+        out = class_vector(example_forest(), np.zeros(2), [0.5, 0.3, 0.2])
         np.testing.assert_allclose(out, [0.46, 0.35, 0.19], atol=1e-12)
 
     def test_one_hot_weight_selects_tree(self):
@@ -119,7 +126,7 @@ class TestClassVector:
         for t in range(3):
             w = np.zeros(3)
             w[t] = 1.0
-            np.testing.assert_allclose(forest_class_vector(f, np.zeros(2), w), DISTS[t])
+            np.testing.assert_allclose(class_vector(f, np.zeros(2), w), DISTS[t])
 
     def test_output_is_probability_vector(self):
         rng = np.random.default_rng(4)
@@ -127,20 +134,20 @@ class TestClassVector:
         f = train_forest(ds, COMPLETELY_RANDOM, 9, TreeParams(), rng)
         for _ in range(20):
             w = rng.dirichlet(np.ones(9))
-            v = forest_class_vector(f, rng.normal(size=3), w)
+            v = class_vector(f, rng.normal(size=3), w)
             assert v.min() >= 0.0
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_off_simplex_weights_rejected(self):
         f = example_forest()
         with pytest.raises(ValueError, match="simplex"):
-            forest_class_vector(f, np.zeros(2), [0.6, 0.6, 0.6])
+            class_vector(f, np.zeros(2), [0.6, 0.6, 0.6])
         with pytest.raises(ValueError, match="simplex"):
-            forest_class_vector(f, np.zeros(2), [1.1, -0.1, 0.0])
+            class_vector(f, np.zeros(2), [1.1, -0.1, 0.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            forest_class_vector(example_forest(), np.zeros(2), [0.5, 0.5])
+            class_vector(example_forest(), np.zeros(2), [0.5, 0.5])
 
     def test_batch_uses_trained_weights(self):
         f = example_forest().with_weights([0.5, 0.3, 0.2])

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
+from disdf.cascade import CascadeModel, LevelModel, predict_batch
+from disdf.config import TrainConfig
 from disdf.data import Dataset
-from disdf.errors import DataError, DimensionError
-from disdf.forest import (
-    ForestModel,
-    forest_tree_dists,
-    forest_tree_dists_batch,
-    train_forest,
-)
+from disdf.errors import DataError, DimensionError, ModelFormatError
+from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
 
 
@@ -18,14 +15,14 @@ def make_ds(X, y, C):
 
 def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
     """A one-tree forest over ``train_tree``-style node arrays."""
-    feature, threshold, left, right, dist = arrays
+    feature, threshold, children, dist = arrays
     return ForestModel(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
+        children=np.asarray(children, dtype=np.int32),
         dist=np.asarray(dist, dtype=float),
-        roots=np.zeros(1, dtype=np.int32),
+        # node 0 is the root of a tree with any split, else leaf 0 is
+        roots=np.array([0 if len(feature) else ~0], dtype=np.int32),
         weights=[1.0],
         kind=kind,
         num_classes=np.shape(dist)[1],
@@ -42,12 +39,11 @@ def leaf_forest(dists, n_features=1):
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
     T = dists.shape[0]
     return ForestModel(
-        feature=np.full(T, -1, dtype=np.int32),
-        threshold=np.zeros(T),
-        left=np.full(T, -1, dtype=np.int32),
-        right=np.full(T, -1, dtype=np.int32),
+        feature=np.zeros(0, dtype=np.int32),
+        threshold=np.zeros(0),
+        children=np.zeros(0, dtype=np.int32),
         dist=dists,
-        roots=np.arange(T, dtype=np.int32),
+        roots=~np.arange(T, dtype=np.int32),
         weights=np.full(T, 1.0 / T),
         kind=COMPLETELY_RANDOM,
         num_classes=dists.shape[1],
@@ -56,42 +52,34 @@ def leaf_forest(dists, n_features=1):
 
 
 def stump(feature, threshold, left_dist, right_dist, n_features):
-    left_dist = np.asarray(left_dist, dtype=float)
+    # children[0] is taken when x > threshold, children[1] on a tie or below
     return one_tree(
-        (
-            [feature, -1, -1],
-            [threshold, 0.0, 0.0],
-            [1, -1, -1],
-            [2, -1, -1],
-            np.vstack([np.zeros_like(left_dist), left_dist, right_dist]),
-        ),
+        ([feature], [threshold], [~1, ~0], np.vstack([left_dist, right_dist])),
         n_features,
     )
 
 
 def route(tree, x):
     """Leaf distribution a one-tree forest gives for one input."""
-    return forest_tree_dists(tree, x)[0]
+    return forest_tree_dists_batch(tree, np.asarray(x, dtype=float)[None, :])[0, 0]
 
 
 def walk(forest, x, t):
     """Reference walker: one input down tree t, one node at a time."""
     node = forest.roots[t]
-    while forest.feature[node] >= 0:
-        if x[forest.feature[node]] <= forest.threshold[node]:
-            node = forest.left[node]
-        else:
-            node = forest.right[node]
-    return forest.dist[node]
+    while node >= 0:
+        go_left = x[forest.feature[node]] <= forest.threshold[node]
+        node = forest.children[2 * node + int(go_left)]
+    return forest.dist[~node]
 
 
 def tree_depth(tree):
-    def rec(node):
-        if tree.feature[node] < 0:
+    def rec(ref):
+        if ref < 0:
             return 0
-        return 1 + max(rec(tree.left[node]), rec(tree.right[node]))
+        return 1 + max(rec(tree.children[2 * ref]), rec(tree.children[2 * ref + 1]))
 
-    return rec(0)
+    return rec(tree.roots[0])
 
 
 @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
@@ -155,10 +143,9 @@ class TestCompletelyRandom:
         X = rng.uniform(-5, 5, size=(80, 4))
         ds = make_ds(X, rng.integers(3, size=80), 3)
         tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), rng)
-        internal = tree.feature >= 0
-        f = tree.feature[internal]
-        assert np.all(tree.threshold[internal] >= X[:, f].min(axis=0))
-        assert np.all(tree.threshold[internal] < X[:, f].max(axis=0))
+        f = tree.feature
+        assert np.all(tree.threshold >= X[:, f].min(axis=0))
+        assert np.all(tree.threshold < X[:, f].max(axis=0))
 
     def test_constant_features_give_leaf(self):
         ds = make_ds([[7.0, 7.0], [7.0, 7.0]], [0, 1], 2)
@@ -178,15 +165,14 @@ class TestPrediction:
         np.testing.assert_allclose(route(tree, [1.0 + 1e-12]), [0.0, 1.0])
 
     def test_trees_route_independently_through_global_ids(self):
-        # a leaf and a stump in one table: the stump's child ids are global
+        # a leaf and a stump in one table: the stump's leaf ids are global
         stumpy = stump(1, 0.0, [1.0, 0.0], [0.0, 1.0], n_features=2)
         forest = ForestModel(
-            feature=np.append(-1, stumpy.feature).astype(np.int32),
-            threshold=np.append(0.0, stumpy.threshold),
-            left=np.array([-1, 2, -1, -1], dtype=np.int32),
-            right=np.array([-1, 3, -1, -1], dtype=np.int32),
+            feature=stumpy.feature,
+            threshold=stumpy.threshold,
+            children=np.array([~2, ~1], dtype=np.int32),
             dist=np.vstack([[0.5, 0.5], stumpy.dist]),
-            roots=np.array([0, 1], dtype=np.int32),
+            roots=np.array([~0, 0], dtype=np.int32),
             weights=[0.5, 0.5],
             kind=RANDOM_SPLIT,
             num_classes=2,
@@ -213,9 +199,55 @@ class TestPrediction:
             X = rng.normal(size=(25, 3))
             batch = forest_tree_dists_batch(forest, X)
             for row, expected in zip(X, batch):
-                np.testing.assert_array_equal(forest_tree_dists(forest, row), expected)
+                np.testing.assert_array_equal(
+                    forest_tree_dists_batch(forest, row[None, :])[0], expected
+                )
                 for t in range(forest.n_trees):
                     np.testing.assert_array_equal(walk(forest, row, t), expected[t])
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    def test_routing_matches_reference_walker(self, kind):
+        # six rows make pure bootstraps and depth-0 trees single leaves
+        rng = np.random.default_rng(13)
+        forests = []
+        for n, depth in ((6, None), (40, 0), (40, None), (40, 2)):
+            ds = make_ds(rng.normal(size=(n, 3)), rng.integers(3, size=n), 3)
+            forest = train_forest(ds, kind, 8, TreeParams(max_depth=depth), rng)
+            forests.append(forest.with_weights(rng.dirichlet(np.ones(8))))
+        assert any(np.any(f.roots < 0) for f in forests)
+        assert any(np.any(f.roots >= 0) for f in forests)
+        X = rng.normal(scale=1.5, size=(60, 3))
+        summed = np.zeros((60, 3))
+        for forest in forests:
+            expected = np.array(
+                [[walk(forest, x, t) for t in range(forest.n_trees)] for x in X]
+            )
+            np.testing.assert_array_equal(forest_tree_dists_batch(forest, X), expected)
+            summed += np.einsum("ntc,t->nc", expected, forest.weights)
+        model = CascadeModel(
+            levels=[LevelModel(forests, input_dim=3)],
+            base_dim=3,
+            num_classes=3,
+            mode="disdf",
+            config=TrainConfig(),
+        )
+        np.testing.assert_array_equal(predict_batch(model, X), np.argmax(summed, axis=1))
+
+    def test_cyclic_table_raises_instead_of_hanging(self):
+        # nodes 0 and 1 send every input to each other; no leaf is reachable
+        forest = ForestModel(
+            feature=np.zeros(2, dtype=np.int32),
+            threshold=np.zeros(2),
+            children=np.array([1, 1, 0, 0], dtype=np.int32),
+            dist=np.array([[1.0, 0.0]]),
+            roots=np.zeros(1, dtype=np.int32),
+            weights=[1.0],
+            kind=RANDOM_SPLIT,
+            num_classes=2,
+            n_features=1,
+        )
+        with pytest.raises(ModelFormatError, match="cycle"):
+            forest_tree_dists_batch(forest, np.zeros((3, 1)))
 
     def test_dimension_mismatch(self):
         tree = leaf_forest([1.0, 0.0], n_features=2)
@@ -241,15 +273,19 @@ class TestTreeShape:
         rng = np.random.default_rng(21)
         ds = make_ds(rng.normal(size=(70, 4)), rng.integers(3, size=70), 3)
         tree = grow(ds, RANDOM_SPLIT, TreeParams(), rng)
-        internal = np.nonzero(tree.feature >= 0)[0]
-        children = np.concatenate([tree.left[internal], tree.right[internal]])
-        # every non-root node appears exactly once as a child
-        assert sorted(children.tolist()) == list(range(1, tree.n_nodes))
+        n_internal, n_leaves = tree.feature.size, tree.dist.shape[0]
+        inner = tree.children[tree.children >= 0]
+        # every non-root internal node and every leaf is a child exactly once
+        assert sorted(inner.tolist()) == list(range(1, n_internal))
+        assert sorted((~tree.children[tree.children < 0]).tolist()) == list(range(n_leaves))
+        assert n_leaves == n_internal + 1
+        # preorder: a child's id exceeds its parent's
+        parents = np.arange(tree.children.size) // 2
+        assert np.all(inner > parents[tree.children >= 0])
 
     def test_leaf_distributions_valid(self):
         rng = np.random.default_rng(22)
         ds = make_ds(rng.normal(size=(30, 2)), rng.integers(2, size=30), 2)
         tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), rng)
-        leaves = tree.feature < 0
-        np.testing.assert_allclose(tree.dist[leaves].sum(axis=1), 1.0, atol=1e-9)
-        assert tree.dist[leaves].min() >= 0.0
+        np.testing.assert_allclose(tree.dist.sum(axis=1), 1.0, atol=1e-9)
+        assert tree.dist.min() >= 0.0
