@@ -30,7 +30,7 @@ from .forest import (
 )
 from .pairstats import PairStats, compute_pair_stats
 from .serialize import load_model, save_model
-from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
+from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from .weightopt import ObjectiveParams, frank_wolfe, gradient, objective
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError, ModelFormatError
-from .tree import RANDOM_SPLIT, TreeParams, train_tree
+from .tree import RANDOM_SPLIT, TreeParams, grow_trees
 
 SIMPLEX_TOL = 1e-6
 
@@ -33,14 +33,15 @@ def check_weights(w, n_trees: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
 class ForestModel:
     """T trees of one kind in one compact node table, plus simplex weights.
 
-    Only internal nodes have rows in ``feature`` and ``threshold``.  Node ids
-    are global across the forest, and each tree's internal nodes are stored
-    in depth-first preorder, so a child id is always larger than its
-    parent's.  Internal node i sends an input x to
-    ``children[2*i + go_left]`` with ``go_left = x[feature[i]] <= threshold[i]``
-    (a tie goes left).  A reference ``>= 0`` is an internal node and ``~l``
-    is leaf l, whose class distribution is ``dist[l]``; ``roots[t]`` is tree
-    t's root reference, itself ``~l`` for a single-leaf tree.
+    Only internal nodes have rows in ``feature`` and ``threshold``.  Node and
+    leaf ids are global across the forest and numbered breadth-first: all
+    nodes at depth d, tree by tree, come before any node at depth d + 1, so a
+    child id is always larger than its parent's.  Internal node i sends an
+    input x to ``children[2*i + go_left]`` with
+    ``go_left = x[feature[i]] <= threshold[i]`` (a tie goes left).  A
+    reference ``>= 0`` is an internal node and ``~l`` is leaf l, whose class
+    distribution is ``dist[l]``; ``roots[t]`` is tree t's root reference,
+    itself ``~l`` for a single-leaf tree.
     """
 
     feature: np.ndarray  # (n_internal,) int32 split features
@@ -79,38 +80,21 @@ def train_forest(
     """Train ``n_trees`` trees into one node table and weight them uniformly.
 
     Random-split-search trees each see a bootstrap resample; completely-random
-    trees see the full data.  Each tree gets its own spawned rng stream, so
-    training is reproducible tree by tree.  Tree t's internal ids and leaf
-    ids are offset by the internal nodes and leaves of trees 0..t-1.
+    trees see the full data.  ``rng`` is the forest's one generator: it first
+    draws all the bootstraps, an (n_trees, n) block, and then the split draws
+    of :func:`~disdf.tree.grow_trees`, one block per depth, so training is
+    reproducible forest by forest.
     """
     if n_trees < 1:
         raise ValueError(f"need at least one tree, got {n_trees}")
     if ds.n == 0:
         raise DataError("cannot train a forest on an empty dataset")
-    trees = []
-    for tree_rng in rng.spawn(n_trees):
-        if kind == RANDOM_SPLIT:
-            view = ds.subset(tree_rng.integers(0, ds.n, size=ds.n))
-        else:
-            view = ds
-        trees.append(train_tree(view, kind, params, tree_rng))
-    feature, threshold, children, dist = map(np.concatenate, zip(*trees))
-    n_internal = np.array([tree[0].size for tree in trees])
-    n_leaves = np.array([tree[3].shape[0] for tree in trees])
-    node_start = np.cumsum(n_internal) - n_internal
-    leaf_start = np.cumsum(n_leaves) - n_leaves
-    # an internal reference moves up by node_start, a leaf ~l to ~(l + leaf_start)
-    children += np.where(
-        children >= 0,
-        np.repeat(node_start, 2 * n_internal),
-        -np.repeat(leaf_start, 2 * n_internal),
-    ).astype(np.int32)
+    if kind == RANDOM_SPLIT:
+        rows = rng.integers(0, ds.n, size=(n_trees, ds.n))
+    else:
+        rows = np.broadcast_to(np.arange(ds.n), (n_trees, ds.n))
     return ForestModel(
-        feature=feature,
-        threshold=threshold,
-        children=children,
-        dist=dist,
-        roots=np.where(n_internal > 0, node_start, ~leaf_start).astype(np.int32),
+        *grow_trees(ds, kind, params, rows, rng),
         weights=uniform_weights(n_trees),
         kind=kind,
         num_classes=ds.num_classes,

@@ -13,9 +13,9 @@ Version 1 (every tree's arrays stored separately) and version 2 (``left``,
 ``right`` and a ``dist`` row for every node) files are rejected.  Loading
 checks the JSON block's keys, types and values and each table's structure,
 so a file with a valid checksum but a missing key, a cyclic, shared,
-orphaned or out-of-range reference, or an out-of-range feature fails with
-:class:`ModelFormatError` instead of a bare ``KeyError``, a hang or
-misrouting at prediction.
+orphaned or out-of-range reference, an out-of-range feature or a non-finite
+threshold fails with :class:`ModelFormatError` instead of a bare
+``KeyError``, a hang or misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes:
         bad("a node or leaf is not referenced exactly once by roots and children")
     if np.any(feature < 0) or np.any(feature >= input_dim):
         bad(f"a split feature is outside [0, {input_dim})")
+    # a NaN threshold would send every input right
+    if not np.isfinite(arrays["threshold"]).all():
+        bad("a split threshold is not finite")
     if not (
         np.isfinite(dist).all()
         and np.all(dist >= -SIMPLEX_TOL)

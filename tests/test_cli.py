@@ -9,7 +9,14 @@ from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import pairstats
 from disdf.cli import main
 from disdf.errors import ModelFormatError
-from disdf.serialize import FORMAT_VERSION, _pack_array, load_model, save_model
+from disdf.serialize import (
+    _FOREST_ARRAYS,
+    FORMAT_VERSION,
+    _pack_array,
+    _Reader,
+    load_model,
+    save_model,
+)
 from tests.test_cascade import blobs, fast_cfg, manual_cascade
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
@@ -338,14 +345,25 @@ def rewrite_payload(path, old: bytes, new: bytes) -> None:
     write_payload(path, payload.replace(old, new, 1))
 
 
-def rewrite_array(path, old: np.ndarray, new: np.ndarray) -> None:
-    """Replace the first stored block of ``old`` (header and bytes) by ``new``'s."""
-    blocks = []
-    for array in (old, new):
-        buf = io.BytesIO()
-        _pack_array(buf, array)
-        blocks.append(buf.getvalue())
-    rewrite_payload(path, *blocks)
+def rewrite_array(path, name: str, new: np.ndarray, forest: int = 0) -> None:
+    """Replace array ``name`` of the ``forest``-th stored forest by ``new``.
+
+    The block is found by its place in the file, not by its content: two
+    arrays of a table can hold equal bytes (``roots`` and ``feature`` can both
+    read ``[0 1 2 3]``).
+    """
+    payload = path.read_bytes().partition(b"---\n")[2]
+    reader = _Reader(payload)
+    (meta_len,) = struct.unpack("<Q", reader.take(8))
+    reader.take(meta_len)
+    names = [n for n, _ in _FOREST_ARRAYS]
+    for _ in range(forest * len(names) + names.index(name)):
+        reader.array()
+    start = reader.offset
+    reader.array()
+    buf = io.BytesIO()
+    _pack_array(buf, new)
+    write_payload(path, payload[:start] + buf.getvalue() + payload[reader.offset :])
 
 
 def patched(array, index, value):
@@ -379,7 +397,7 @@ class TestStructuralChecks:
         forest = model.levels[0].forests[0]
         assert forest.roots[0] == 0 and forest.feature.size > 0
         # node 0's left child becomes node 0 itself
-        rewrite_array(path, forest.children, patched(forest.children, 1, 0))
+        rewrite_array(path, "children", patched(forest.children, 1, 0))
         self.assert_rejected(path, "child", toy_csv, tmp_path)
 
     @pytest.mark.parametrize(
@@ -400,6 +418,8 @@ class TestStructuralChecks:
             ("children", 0, "next_tree_leaf", "exactly once"),
             ("feature", 0, -1, "feature"),
             ("roots", 0, "n_internal", "out of range"),
+            ("threshold", 0, np.nan, "threshold"),
+            ("threshold", 1, np.inf, "threshold"),
         ],
     )
     def test_broken_table_rejected(
@@ -415,7 +435,7 @@ class TestStructuralChecks:
                   "input_dim": model.base_dim}
         array = getattr(forest, name)
         bad = patched(array, positions.get(index, index), values.get(value, value))
-        rewrite_array(path, array, bad)
+        rewrite_array(path, name, bad)
         self.assert_rejected(path, message, toy_csv, tmp_path)
 
     @pytest.mark.parametrize(
@@ -438,7 +458,7 @@ class TestStructuralChecks:
             bad = array.ravel()
         else:
             bad = array.astype(change)
-        rewrite_array(path, array, bad)
+        rewrite_array(path, name, bad)
         self.assert_rejected(path, message, toy_csv, tmp_path)
 
     def test_tree_count_mismatch_rejected(self, saved):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from disdf.forest import (
     train_forest,
     uniform_weights,
 )
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from tests.test_tree import leaf_forest, make_ds
 
 # three-tree, three-class leaf distributions from the worked weighted-average
@@ -58,27 +60,40 @@ class TestTrainForest:
         for name in TABLE:
             np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
-    def test_table_concatenates_trees_with_global_child_ids(self):
+    def test_table_numbers_all_trees_breadth_first(self):
         rng = np.random.default_rng(8)
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
         f = train_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
         assert f.feature.dtype == f.children.dtype == f.roots.dtype == np.int32
-        tree_rngs = np.random.default_rng(9).spawn(4)
-        node, leaf = 0, 0
-        for t in range(4):
-            feature, threshold, children, dist = train_tree(
-                ds, COMPLETELY_RANDOM, TreeParams(), tree_rngs[t]
-            )
-            nodes = slice(node, node + feature.size)
-            np.testing.assert_array_equal(f.feature[nodes], feature)
-            np.testing.assert_array_equal(f.threshold[nodes], threshold)
-            np.testing.assert_array_equal(f.dist[leaf : leaf + dist.shape[0]], dist)
-            # internal ids move up by the nodes before, leaf ids by the leaves before
-            shifted = np.where(children >= 0, children + node, children - leaf)
-            np.testing.assert_array_equal(f.children[2 * node : 2 * nodes.stop], shifted)
-            assert f.roots[t] == (node if feature.size else ~leaf)
-            node, leaf = nodes.stop, leaf + dist.shape[0]
-        assert (node, leaf) == (f.feature.size, f.dist.shape[0])
+        # a breadth-first walk over all trees at once, depth by depth, tree by
+        # tree and left child first, meets the global ids in increasing order
+        nodes, leaves = [], []
+        frontier = list(f.roots)
+        while frontier:
+            nodes += [ref for ref in frontier if ref >= 0]
+            leaves += [~ref for ref in frontier if ref < 0]
+            frontier = [
+                f.children[2 * ref + go_left]
+                for ref in frontier
+                if ref >= 0
+                for go_left in (1, 0)
+            ]
+        assert nodes == list(range(f.feature.size))
+        assert leaves == list(range(f.dist.shape[0]))
+        assert f.feature.size > 4 and np.array_equal(f.roots, np.arange(4))
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    def test_growth_temporaries_bounded(self, kind):
+        # an ecoli-shaped forest: 224 rows x 7 features, 8 classes, 50 trees
+        rng = np.random.default_rng(0)
+        ds = make_ds(rng.normal(size=(224, 7)), rng.integers(8, size=224), 8)
+        tracemalloc.start()
+        try:
+            train_forest(ds, kind, 50, TreeParams(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000
 
     def test_empty_dataset_rejected(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=int), 2)

@@ -6,7 +6,9 @@ from disdf.config import TrainConfig
 from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, train_tree
+from disdf.serialize import _FOREST_ARRAYS, _check_forest
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees
+from tests.oracles import train_tree
 
 
 def make_ds(X, y, C):
@@ -14,7 +16,7 @@ def make_ds(X, y, C):
 
 
 def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
-    """A one-tree forest over ``train_tree``-style node arrays."""
+    """A one-tree forest over one tree's (feature, threshold, children, dist)."""
     feature, threshold, children, dist = arrays
     return ForestModel(
         feature=np.asarray(feature, dtype=np.int32),
@@ -31,7 +33,15 @@ def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
 
 
 def grow(ds, kind, params, rng):
-    return one_tree(train_tree(ds, kind, params, rng), ds.feature_dim, kind)
+    """One tree grown on every row of ``ds`` once (no bootstrap), as a forest."""
+    table = grow_trees(ds, kind, params, np.arange(ds.n)[None, :], rng)
+    return ForestModel(
+        *table,
+        weights=[1.0],
+        kind=kind,
+        num_classes=ds.num_classes,
+        n_features=ds.feature_dim,
+    )
 
 
 def leaf_forest(dists, n_features=1):
@@ -73,13 +83,13 @@ def walk(forest, x, t):
     return forest.dist[~node]
 
 
-def tree_depth(tree):
+def tree_depth(tree, t=0):
     def rec(ref):
         if ref < 0:
             return 0
         return 1 + max(rec(tree.children[2 * ref]), rec(tree.children[2 * ref + 1]))
 
-    return rec(tree.roots[0])
+    return rec(tree.roots[t])
 
 
 @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
@@ -98,7 +108,7 @@ class TestDegenerateInputs:
     def test_empty_view_rejected(self, kind):
         ds = make_ds(np.empty((0, 2)), np.empty(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_tree(ds, kind, TreeParams(), np.random.default_rng(0))
+            grow(ds, kind, TreeParams(), np.random.default_rng(0))
 
 
 class TestRandomSplitSearch:
@@ -262,8 +272,9 @@ class TestDeterminism:
     def test_same_seed_same_structure(self, kind):
         rng = np.random.default_rng(12)
         ds = make_ds(rng.normal(size=(50, 6)), rng.integers(3, size=50), 3)
-        t1 = train_tree(ds, kind, TreeParams(), np.random.default_rng(99))
-        t2 = train_tree(ds, kind, TreeParams(), np.random.default_rng(99))
+        rows = np.random.default_rng(5).integers(0, 50, size=(3, 50))
+        t1 = grow_trees(ds, kind, TreeParams(), rows, np.random.default_rng(99))
+        t2 = grow_trees(ds, kind, TreeParams(), rows, np.random.default_rng(99))
         for a1, a2 in zip(t1, t2, strict=True):
             np.testing.assert_array_equal(a1, a2)
 
@@ -279,7 +290,7 @@ class TestTreeShape:
         assert sorted(inner.tolist()) == list(range(1, n_internal))
         assert sorted((~tree.children[tree.children < 0]).tolist()) == list(range(n_leaves))
         assert n_leaves == n_internal + 1
-        # preorder: a child's id exceeds its parent's
+        # breadth-first ids: a child's id exceeds its parent's
         parents = np.arange(tree.children.size) // 2
         assert np.all(inner > parents[tree.children >= 0])
 
@@ -289,3 +300,97 @@ class TestTreeShape:
         tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), rng)
         np.testing.assert_allclose(tree.dist.sum(axis=1), 1.0, atol=1e-9)
         assert tree.dist.min() >= 0.0
+
+
+def tree_nodes(forest, t):
+    """Internal node ids of tree t, found by walking from its root."""
+    out, todo = [], [forest.roots[t]]
+    while todo:
+        ref = todo.pop()
+        if ref >= 0:
+            out.append(ref)
+            todo += [forest.children[2 * ref], forest.children[2 * ref + 1]]
+    return out
+
+
+def node_rows(forest, X, t):
+    """Rows of X that reach each node reference of tree t."""
+    rows = {}
+    for i, x in enumerate(X):
+        ref = forest.roots[t]
+        rows.setdefault(ref, []).append(i)
+        while ref >= 0:
+            ref = forest.children[2 * ref + int(x[forest.feature[ref]] <= forest.threshold[ref])]
+            rows.setdefault(ref, []).append(i)
+    return rows
+
+
+class TestLevelwiseGrower:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rss_trees_match_depth_first_oracle_on_one_feature(self, seed):
+        # with one feature the only candidate is feature 0, so a tree is
+        # fixed by its bootstrap rows, which train_forest draws first
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        ds = make_ds(rng.normal(size=(n, 1)).round(1), rng.integers(3, size=n), 3)
+        params = TreeParams(min_leaf=int(rng.integers(1, 4)),
+                            max_depth=[None, 2, 5][seed % 3])
+        T = 6
+        forest = train_forest(ds, RANDOM_SPLIT, T, params, np.random.default_rng(seed))
+        rows = np.random.default_rng(seed).integers(0, n, size=(T, n))
+        values = np.unique(ds.features)
+        grid = np.concatenate([
+            np.linspace(values[0] - 1, values[-1] + 1, 401),
+            values,
+            0.5 * (values[1:] + values[:-1]),
+        ])[:, None]
+        got = forest_tree_dists_batch(forest, grid)
+        for t in range(T):
+            oracle = one_tree(
+                train_tree(ds.subset(rows[t]), RANDOM_SPLIT, params, rng), 1
+            )
+            np.testing.assert_array_equal(got[:, t], forest_tree_dists_batch(oracle, grid)[:, 0])
+            assert sorted(forest.threshold[tree_nodes(forest, t)]) == sorted(oracle.threshold)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cr_thresholds_inside_node_range_and_leaves_pure_or_tied(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        X = rng.integers(0, 4, size=(n, 3)).astype(float)
+        X[:, 2] = 1.0  # a feature that never varies
+        ds = make_ds(X, rng.integers(3, size=n), 3)
+        forest = train_forest(ds, COMPLETELY_RANDOM, 5, TreeParams(), rng)
+        for t in range(forest.n_trees):
+            for ref, rows in node_rows(forest, X, t).items():
+                sub, labels = X[rows], ds.labels[rows]
+                if ref >= 0:
+                    f, thr = forest.feature[ref], forest.threshold[ref]
+                    assert sub[:, f].min() <= thr < sub[:, f].max()
+                else:
+                    assert np.unique(labels).size == 1 or np.all(sub == sub[0])
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    @pytest.mark.parametrize("n_trees", [1, 3, 50])
+    def test_every_table_passes_the_load_checks(self, kind, n_trees):
+        rng = np.random.default_rng(n_trees)
+        for n in (1, 2, 40):
+            X = rng.normal(size=(n, 3))
+            y = rng.integers(3, size=n)
+            cases = [
+                (X, y, TreeParams()),
+                (X, np.zeros(n, dtype=int), TreeParams()),  # pure labels
+                (np.ones((n, 3)), y, TreeParams()),  # all features constant
+                (np.ones((n, 0)), y, TreeParams()),  # no features at all
+                (X, y, TreeParams(min_leaf=4)),
+                (X, y, TreeParams(max_depth=0)),
+                (X, y, TreeParams(max_depth=1)),
+            ]
+            for features, labels, params in cases:
+                forest = train_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
+                arrays = {name: getattr(forest, name) for name, _ in _FOREST_ARRAYS}
+                _check_forest("grown", arrays, n_trees, features.shape[1], 3)
+                assert forest.dist.shape[0] == forest.feature.size + n_trees
+                if params.max_depth is not None:
+                    depths = [tree_depth(forest, t) for t in range(n_trees)]
+                    assert max(depths) <= params.max_depth
+
