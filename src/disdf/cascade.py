@@ -25,7 +25,7 @@ from .forest import (
     uniform_weights,
 )
 from .pairstats import compute_pair_stats
-from .weightopt import ObjectiveParams, frank_wolfe, objective
+from .weightopt import ObjectiveParams, frank_wolfe, hinge_total, objective
 
 IMPROVEMENT_TOL = 1e-4
 
@@ -79,11 +79,6 @@ def _best_level(scores) -> int:
     return best_idx
 
 
-def _hinge_total(obj: ObjectiveParams, w: np.ndarray) -> float:
-    hinge = np.maximum(0.0, obj.tau - obj.stats.q_diff @ w)
-    return float(hinge @ hinge)
-
-
 @dataclass(frozen=True)
 class _SlotTask:
     """Inputs of one forest slot of a level; pickled to pool workers."""
@@ -130,23 +125,24 @@ def _fit_forest_slot(task: _SlotTask):
         obj = ObjectiveParams(stats, cfg.tau, cfg.lam)
         w_fw, gap = frank_wolfe(obj, cfg.fw_iterations)
         uniform = uniform_weights(n_trees)
-        j_fw = objective(obj, w_fw)
-        j_uniform = objective(obj, uniform)
+        r_fw, r_uniform = stats.q_diff @ w_fw, stats.q_diff @ uniform
+        j_fw = objective(obj, w_fw, r_fw)
+        j_uniform = objective(obj, uniform, r_uniform)
         # never deploy weights worse than the uniform baseline point
-        weights = w_fw if j_fw <= j_uniform else uniform
+        weights, r_w = (w_fw, r_fw) if j_fw <= j_uniform else (uniform, r_uniform)
         info = {
             "duality_gap": gap,
             "objective_trained": min(j_fw, j_uniform),
             "objective_uniform": j_uniform,
             "same_class_distance_trained": float(stats.pi @ (weights * weights)),
             "same_class_distance_uniform": float(stats.pi @ (uniform * uniform)),
-            "hinge_trained": _hinge_total(obj, weights),
-            "hinge_uniform": _hinge_total(obj, uniform),
+            "hinge_trained": hinge_total(obj, r_w),
+            "hinge_uniform": hinge_total(obj, r_uniform),
             # mean out-of-fold Manhattan distances between class vectors
             "d1_same_trained": float(stats.q_same_mean @ weights),
             "d1_same_uniform": float(stats.q_same_mean @ uniform),
-            "d1_diff_trained": float((stats.q_diff @ weights).mean()),
-            "d1_diff_uniform": float((stats.q_diff @ uniform).mean()),
+            "d1_diff_trained": float(r_w.mean()),
+            "d1_diff_uniform": float(r_uniform.mean()),
         }
     else:
         weights = uniform_weights(n_trees)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -67,10 +68,10 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.fw_iterations < 1:
             raise ConfigError("fw_iterations must be >= 1")
         if self.pair_budget is not None and self.pair_budget < 1:

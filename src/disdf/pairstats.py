@@ -18,8 +18,12 @@ import numpy as np
 from .errors import ConfigError, DegeneratePairsError
 
 _CHUNK = 1024
-# bound on the pair index arrays plus q_diff; above it, sample pairs instead
+# bound on the pair index arrays plus q_diff and Frank-Wolfe's copy of some
+# of its rows; above it, sample pairs instead
 MAX_PAIR_BYTES = 1 << 30
+# Frank-Wolfe copies the rows of q_diff its screen keeps only while they are
+# at most this share of all rows
+FW_COPY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,13 @@ def compute_pair_stats(
 
 
 def _pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
-    """Bytes of the pair index arrays plus q_diff, over the pairs formed."""
+    """Bytes of the pair index arrays plus q_diff, over the pairs formed.
+
+    q_diff is charged for every pair, together with Frank-Wolfe's copy of
+    up to ``FW_COPY_SHARE`` of its rows.
+    """
     n_all = n * (n - 1) // 2
-    split_and_q = 2 * 8 + n_trees * 8
+    split_and_q = 2 * 8 + int(n_trees * 8 * (1 + FW_COPY_SHARE))
     if pair_budget is None or pair_budget >= n_all:
         # ii, jj, labels[ii], labels[jj] and the same-class mask over all
         # pairs, then the same/different split of ii and jj and q_diff

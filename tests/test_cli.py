@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from disdf.cascade import LevelModel, predict_batch, train_cascade
-from disdf import pairstats
+from disdf import cascade, pairstats
 from disdf.cli import main
 from disdf.errors import ModelFormatError
 from disdf.serialize import (
@@ -71,6 +71,34 @@ class TestTrain:
         code = main(
             ["train", "--data", str(toy_csv), "--label-col", "3",
              "--out", str(tmp_path / "m.model"), "--tau", "0"]
+        )
+        assert code == 3
+        assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--tau", "inf", "tau"), ("--lambda", "inf", "lambda"), ("--lambda", "nan", "lambda")],
+    )
+    def test_non_finite_tau_or_lambda_exit_3(
+        self, toy_csv, tmp_path, capsys, monkeypatch, flag, value, named
+    ):
+        # refused by validation, before any tree is grown
+        monkeypatch.setattr(cascade, "train_forest", None)
+        out = tmp_path / "m.model"
+        code = main(
+            ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+             flag, value]
+        )
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_tau_in_config_file_exit_3(self, toy_csv, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("tau=inf\n")
+        code = main(
+            ["train", "--data", str(toy_csv), "--label-col", "3",
+             "--out", str(tmp_path / "m.model"), "--config", str(cfg_file)]
         )
         assert code == 3
         assert "tau" in capsys.readouterr().err
@@ -496,6 +524,8 @@ class TestMetadataChecks:
             (b'"tau"', b'"tan"', "config.*unknown config keys"),
             (b'"fw_iterations": 80', b'"fw_iterations": 0', "config.*fw_iterations"),
             (b'"tau": 0.5', b'"tau": null', "config"),
+            (b'"tau": 0.5', b'"tau": Infinity', "config.*tau"),
+            (b'"lam": 0.01', b'"lam": NaN', "config.*lambda"),
             (b'"num_classes": 2', b'"num_classes": "2"', "'num_classes' .*type int"),
             (b'"n_trees": 4', b'"n_trees": true', "'n_trees' .*type int"),
             (b'"level_scores": [', b'"level_scores": {"a": 0}, "x": [', "level_scores"),
@@ -556,8 +586,7 @@ def test_mutation_fuzz(tmp_path):
 
 
 def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
-    # 24 rows, 3 trees: 9108 index bytes plus 40 per kept pair, 20148 for all
-    # 276 pairs and 9908 for a budget of 20
+    # 24 rows, 3 trees: 23460 bytes for all 276 pairs, 3492 for a budget of 20
     monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 12000)
     out = tmp_path / "m.model"
     args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 import uuid
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from disdf import cascade, pairstats
 from disdf.cascade import train_cascade
 from disdf.errors import ConfigError, DegeneratePairsError
-from disdf.pairstats import PairStats, compute_pair_stats
+from disdf.pairstats import FW_COPY_SHARE, PairStats, compute_pair_stats
+from disdf.weightopt import ObjectiveParams, frank_wolfe
 from tests.test_cascade import blobs, fast_cfg
+from tests.test_weightopt import record_screens
 
 
 def random_dists(rng, n, n_trees, num_classes):
@@ -227,13 +230,36 @@ class TestMemoryBound:
         rng = np.random.default_rng(14)
         dists = random_dists(rng, 12, 40, 2)
         labels = np.repeat([0, 1], 6)
-        # all 66 pairs: 2178 index bytes plus 336 per pair, 24354; a budget
-        # of 8 forms only the kept pairs: 3784
-        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 5000)
+        # all 66 pairs: 2178 index bytes plus 496 per pair, 34914; a budget
+        # of 8 forms only the kept pairs: 5064
+        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 6000)
         with pytest.raises(ConfigError, match="--pair-budget"):
             compute_pair_stats(dists, labels)
         stats = compute_pair_stats(dists, labels, pair_budget=8, rng=rng)
         assert stats.n_pairs == 8
+
+    @pytest.mark.parametrize("n_trees", [10, 100])
+    def test_frank_wolfe_stays_within_the_charge(self, n_trees, monkeypatch):
+        # eight classes: nearly every pair is a different-class row of q_diff;
+        # instances range from sure of their class to noisy, so residuals spread
+        rng = np.random.default_rng(15)
+        n = 120
+        labels = np.arange(n) % 8
+        noise = rng.uniform(0.0, 1.0, (n, 1, 1))
+        sure = np.eye(8)[labels][:, None, :]
+        dists = (1 - noise) * sure + noise * random_dists(rng, n, n_trees, 8)
+        stats = compute_pair_stats(dists, labels)
+        # late windows keep just under half the rows: the largest copy made
+        tau = float(np.quantile(stats.q_diff.mean(axis=1), 0.3))
+        shares = record_screens(monkeypatch)
+        tracemalloc.start()
+        try:
+            frank_wolfe(ObjectiveParams(stats, tau, 0.01), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.4 < max(s for s in shares if s < 1.0) <= FW_COPY_SHARE
+        assert stats.q_diff.nbytes + peak <= pairstats._pair_bytes(n, n_trees, None)
 
 
 def record_layout(directory):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from disdf import weightopt
 from disdf.pairstats import PairStats
 from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
 from tests.oracles import (
@@ -322,8 +323,23 @@ def assert_same_run(got, expected):
 ITERATION_COUNTS = [1, 99, 100, 101, 350]
 
 
+def record_screens(monkeypatch):
+    """Patch weightopt._screen to list the share of rows each window keeps."""
+    shares = []
+
+    def recording(q_diff, residual, tau, s0):
+        q, r = screen(q_diff, residual, tau, s0)
+        shares.append(q.shape[0] / q_diff.shape[0])
+        return q, r
+
+    screen = weightopt._screen
+    monkeypatch.setattr(weightopt, "_screen", recording)
+    return shares
+
+
 class TestCarriedResidual:
-    """frank_wolfe carries q_diff @ w; the plain solver recomputes the gradient."""
+    """frank_wolfe carries q_diff @ w and steps over the rows its screen keeps;
+    the plain solver recomputes the whole gradient."""
 
     @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -347,6 +363,62 @@ class TestCarriedResidual:
             run_recorded(frank_wolfe, params, n_iterations),
             run_recorded(plain_frank_wolfe, params, n_iterations),
         )
+
+    @pytest.mark.parametrize("n_iterations", [350, 2000])
+    @pytest.mark.parametrize("n_trees", [10, 100])
+    def test_screened_instances_match_plain_solver(
+        self, n_trees, n_iterations, monkeypatch
+    ):
+        rng = np.random.default_rng(21)
+        # each pair's own scale spreads the residuals, as pairs of near and of
+        # far instances do; about 5% of rows are hinge-active at uniform
+        n_diff = 3000
+        scale = rng.uniform(0.0, 2.0, (n_diff, 1))
+        q_diff = np.minimum(2.0, scale * rng.uniform(0.5, 1.5, (n_diff, n_trees)))
+        stats = PairStats(
+            pi=rng.uniform(0.5, 1.5, n_trees),
+            q_diff=np.asfortranarray(q_diff),
+            q_same_mean=np.zeros(n_trees),
+            n_same=20,
+        )
+        tau = float(np.quantile(q_diff.mean(axis=1), 0.05))
+        params = ObjectiveParams(stats, tau, 0.01)
+        shares = record_screens(monkeypatch)
+        got = run_recorded(frank_wolfe, params, n_iterations)
+        assert_same_run(got, run_recorded(plain_frank_wolfe, params, n_iterations))
+        assert shares[0] == 1.0
+        assert max(shares[1:]) < 0.2
+
+    def test_rows_within_a_hair_of_tau(self, monkeypatch):
+        """Screened rows whose residuals end the window just above tau, and
+        candidates that end it just below, where their hinge is 1e-6 tau."""
+        T, tau, eps = 4, 0.5, 1e-6
+        s0, last = 200, 299
+        rng = np.random.default_rng(22)
+        # rows always active on trees 1..3, and far rows the screen drops
+        main = np.column_stack([np.zeros(40), rng.uniform(0, 0.4, (40, T - 1))])
+        far = np.column_stack([np.zeros(400), np.full((400, T - 1), 2.0)])
+        # hair rows read tree 0 only: at step 1 they pull it in, then the main
+        # rows hold it off, so w_0(s) = 4 / (s (s + 1)) until they act again
+        c = tau * last * (last + 1) / 4
+        hair = np.zeros((6, T))
+        hair[:, 0] = c * (1 + eps * np.array([-1, -1, -1, 1, 1, 1]))
+        stats = PairStats(
+            pi=np.array([1.0, 1.0, 1.2, 0.8]),
+            q_diff=np.asfortranarray(np.vstack([main, far, hair])),
+            q_same_mean=np.zeros(T),
+            n_same=10,
+        )
+        params = ObjectiveParams(stats, tau, 0.01)
+        expected = run_recorded(plain_frank_wolfe, params, 350)
+        residual = np.array([w for _, w, _ in expected[2]]) @ hair.T
+        np.testing.assert_allclose(
+            residual[last] / tau - 1, hair[:, 0] / c - 1, rtol=0, atol=1e-9
+        )
+        assert residual[2:last].min() > tau
+        shares = record_screens(monkeypatch)
+        assert_same_run(run_recorded(frank_wolfe, params, 350), expected)
+        assert shares[s0 // weightopt.RENORM_PERIOD] < 0.5
 
 
 class TestProjectSimplex:
