@@ -11,6 +11,7 @@ position) is what the deployed model uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,6 @@ class CascadeModel:
     levels: list[LevelModel]
     base_dim: int
     num_classes: int
-    mode: str
     config: TrainConfig
     level_scores: tuple[float, ...] = ()
     class_labels: tuple[str, ...] | None = None
@@ -79,49 +79,33 @@ def _best_level(scores) -> int:
     return best_idx
 
 
-@dataclass(frozen=True)
-class _SlotTask:
-    """Inputs of one forest slot of a level; pickled to pool workers."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    kind: str
-    cfg: TrainConfig
-    folds: list
-    fold_rngs: list
-    deploy_rng: np.random.Generator
-    pair_rng: np.random.Generator
-
-
-def _fit_forest_slot(task: _SlotTask):
+def _fit_forest_slot(
+    ds: Dataset, cfg: TrainConfig, folds, kind: str, seed: np.random.SeedSequence
+):
     """Fit one forest slot of a level: fold forests, refit, weight training.
+
+    ``seed``, the slot's ``SeedSequence``, spawns ``cfg.folds + 2`` streams:
+    the k fold forests' in fold order, then the refit forest's, then the pair
+    sampler's.  It is a ``SeedSequence`` rather than a Generator because
+    numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
+    a pool worker, and spawning there would not be reproducible.
 
     Returns the deployable forest, the out-of-fold class vectors used for
     augmentation and level scoring, and optimizer diagnostics.
     """
-    features, labels, num_classes = task.features, task.labels, task.num_classes
-    cfg, kind = task.cfg, task.kind
+    streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
+    *fold_rngs, deploy_rng, pair_rng = streams
     n_trees, params = cfg.trees_per_forest, cfg.tree_params()
-    n = features.shape[0]
-    oof = np.empty((n, n_trees, num_classes))
-    for (train_idx, hold_idx), fold_rng in zip(task.folds, task.fold_rngs):
-        fold_forest = train_forest(
-            Dataset(features[train_idx], labels[train_idx], num_classes),
-            kind,
-            n_trees,
-            params,
-            fold_rng,
-        )
-        oof[hold_idx] = forest_tree_dists_batch(fold_forest, features[hold_idx])
+    oof = np.empty((ds.n, n_trees, ds.num_classes))
+    for (train_idx, hold_idx), fold_rng in zip(folds, fold_rngs):
+        fold_forest = train_forest(ds.subset(train_idx), kind, n_trees, params, fold_rng)
+        oof[hold_idx] = forest_tree_dists_batch(fold_forest, ds.features[hold_idx])
 
-    deploy = train_forest(
-        Dataset(features, labels, num_classes), kind, n_trees, params, task.deploy_rng
-    )
+    deploy = train_forest(ds, kind, n_trees, params, deploy_rng)
 
     info = {}
     if cfg.mode == MODE_DISDF:
-        stats = compute_pair_stats(oof, labels, cfg.pair_budget, task.pair_rng)
+        stats = compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng)
         obj = ObjectiveParams(stats, cfg.tau, cfg.lam)
         w_fw, gap = frank_wolfe(obj, cfg.fw_iterations)
         uniform = uniform_weights(n_trees)
@@ -152,45 +136,36 @@ def _fit_forest_slot(task: _SlotTask):
     return deploy, oof_class_vectors, info
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """``[fn(t) for t in tasks]`` in order, in a pool when workers and tasks > 1."""
-    if workers > 1 and len(tasks) > 1:
+def _map_tasks(fn, *arg_lists, workers: int) -> list:
+    """``list(map(fn, *arg_lists))``, in a pool when workers and calls are > 1."""
+    calls = len(arg_lists[0])
+    if workers > 1 and calls > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=min(workers, calls)) as pool:
+            return list(pool.map(fn, *arg_lists))
+    return list(map(fn, *arg_lists))
 
 
-def _train_level(features, labels, num_classes, cfg, rng, workers):
-    n = features.shape[0]
-    fold_rng = rng.spawn(1)[0]
-    folds = kfold_indices(n, cfg.folds, fold_rng)
-    tasks = []
-    for kind in cfg.forest_kinds():
-        children = rng.spawn(1)[0].spawn(cfg.folds + 2)
-        tasks.append(
-            _SlotTask(
-                features,
-                labels,
-                num_classes,
-                kind,
-                cfg,
-                folds,
-                children[: cfg.folds],
-                children[cfg.folds],
-                children[cfg.folds + 1],
-            )
-        )
-    results = _map_tasks(_fit_forest_slot, tasks, workers)
+def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
+    """One level's forests, the next level's Dataset, the level score and diagnostics.
 
-    forests = [r[0] for r in results]
-    oof_class_vectors = [r[1] for r in results]
+    The next level's features are ``ds.features`` followed by each forest's
+    out-of-fold class vectors, in forest order.
+    """
+    folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
+    kinds = cfg.forest_kinds()
+    slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
+    fit_slot = partial(_fit_forest_slot, ds, cfg, folds)
+    forests, oof_class_vectors, infos = zip(
+        *_map_tasks(fit_slot, kinds, slot_seeds, workers=workers)
+    )
     summed = np.sum(oof_class_vectors, axis=0)
-    score = float(np.mean(np.argmax(summed, axis=1) == labels))
-    augmented = np.hstack([features] + oof_class_vectors)
-    level = LevelModel(forests, input_dim=features.shape[1])
-    return level, augmented, score, [r[2] for r in results]
+    score = float(np.mean(np.argmax(summed, axis=1) == ds.labels))
+    features = np.hstack([ds.features, *oof_class_vectors])
+    augmented = Dataset(features, ds.labels, ds.num_classes, ds.label_names)
+    level = LevelModel(list(forests), input_dim=ds.feature_dim)
+    return level, augmented, score, infos
 
 
 def train_cascade(
@@ -213,32 +188,27 @@ def train_cascade(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    features = train.features
-    labels = train.labels
     levels: list[LevelModel] = []
     scores: list[float] = []
-    infos: list[list[dict]] = []
+    infos: list[tuple[dict, ...]] = []
+    ds = train
     for q in range(cfg.max_levels):
-        level, augmented, score, info = _train_level(
-            features, labels, train.num_classes, cfg, rng.spawn(1)[0], workers
-        )
+        level, ds, score, info = _train_level(ds, cfg, rng.spawn(1)[0], workers)
         levels.append(level)
         scores.append(score)
         infos.append(info)
         if q + 1 == cfg.max_levels or should_stop(scores, cfg.patience):
             break
-        features = augmented
 
     keep = _best_level(scores) + 1
     return CascadeModel(
         levels=levels[:keep],
         base_dim=train.feature_dim,
         num_classes=train.num_classes,
-        mode=cfg.mode,
         config=cfg,
         level_scores=tuple(scores),
         class_labels=train.label_names,
-        train_info=tuple(tuple(i) for i in infos[:keep]),
+        train_info=tuple(infos[:keep]),
     )
 
 

@@ -177,10 +177,6 @@ def cmd_predict(args) -> int:
         Path(args.out).write_text("")
         print(f"0 predictions written to {args.out}")
         return EXIT_OK
-    if X.shape[1] != model.base_dim:
-        raise DimensionError(
-            f"input has {X.shape[1]} feature columns, model expects {model.base_dim}"
-        )
     preds = predict_batch(model, X)
     Path(args.out).write_text("".join(f"{p}\n" for p in preds))
     print(f"{len(preds)} predictions written to {args.out}")

@@ -57,31 +57,31 @@ class TrainConfig:
     max_depth: int | None = None
     stratify: bool = False
 
-    def validate(self) -> "TrainConfig":
-        if self.forests_per_level < 1:
-            raise ConfigError("forests_per_level must be >= 1")
-        if self.trees_per_forest < 1:
-            raise ConfigError("trees_per_forest must be >= 1")
-        if self.max_levels < 1:
-            raise ConfigError("max_levels must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.fw_iterations < 1:
-            raise ConfigError("fw_iterations must be >= 1")
-        if self.pair_budget is not None and self.pair_budget < 1:
-            raise ConfigError("pair_budget must be >= 1 or unset")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.min_leaf < 1:
-            raise ConfigError("min_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1 or unset")
+    def validate(self, origin: dict | None = None) -> "TrainConfig":
+        """This config; an error about a key starts with its ``origin``, if any."""
+        rules = (
+            ("forests_per_level", self.forests_per_level >= 1,
+             "forests_per_level must be >= 1"),
+            ("trees_per_forest", self.trees_per_forest >= 1,
+             "trees_per_forest must be >= 1"),
+            ("max_levels", self.max_levels >= 1, "max_levels must be >= 1"),
+            ("patience", self.patience >= 1, "patience must be >= 1"),
+            ("folds", self.folds >= 2, "folds must be >= 2"),
+            ("tau", math.isfinite(self.tau) and self.tau > 0,
+             f"tau must be finite and > 0, got {self.tau}"),
+            ("lam", math.isfinite(self.lam) and self.lam >= 0,
+             f"lambda must be finite and >= 0, got {self.lam}"),
+            ("fw_iterations", self.fw_iterations >= 1, "fw_iterations must be >= 1"),
+            ("pair_budget", self.pair_budget is None or self.pair_budget >= 1,
+             "pair_budget must be >= 1 or unset"),
+            ("mode", self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
+            ("min_leaf", self.min_leaf >= 1, "min_leaf must be >= 1"),
+            ("max_depth", self.max_depth is None or self.max_depth >= 1,
+             "max_depth must be >= 1 or unset"),
+        )
+        for key, ok, message in rules:
+            if not ok:
+                raise ConfigError(f"{_where(origin, key)}{message}")
         return self
 
     def tree_params(self) -> TreeParams:
@@ -105,7 +105,7 @@ class TrainConfig:
             raise ConfigError(
                 f"{_where(origin, unknown[0])}unknown config keys: {unknown}"
             )
-        return cls(**data).validate()
+        return cls(**data).validate(origin)
 
     @classmethod
     def from_text(cls, text: dict, origin: dict | None = None) -> "TrainConfig":

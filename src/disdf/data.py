@@ -30,7 +30,12 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not (
+            np.isfinite(labels) & (labels == np.trunc(labels))
+        ).all():
+            raise DataError("labels must be whole numbers")
+        labels = labels.astype(np.int64, copy=False)
         if features.ndim != 2:
             raise DataError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -64,9 +69,6 @@ class Dataset:
             self.num_classes,
             self.label_names,
         )
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
 
 def _read_rows(path) -> list[list[str]]:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .cascade import _map_tasks, predict_batch, train_cascade
 from .config import MODE_BASELINE, MODE_DISDF, TrainConfig
 from .data import Dataset, split
-from .errors import DataError, DimensionError
+from .errors import DataError
 
 MODES = (MODE_BASELINE, MODE_DISDF)
 
@@ -26,10 +27,6 @@ def accuracy(model, test: Dataset) -> float:
     """Proportion of correctly classified test rows."""
     if test.n == 0:
         raise DataError("cannot score an empty test set")
-    if test.feature_dim != model.base_dim:
-        raise DimensionError(
-            f"test features have dim {test.feature_dim}, model expects {model.base_dim}"
-        )
     return float(np.mean(predict_batch(model, test.features) == test.labels))
 
 
@@ -69,8 +66,7 @@ class HoldoutResult:
         return {MODE_BASELINE: self.baseline, MODE_DISDF: self.disdf}[mode]
 
 
-def _run_repetition(task):
-    ds, n_train, n_test, cfg, seed, rep = task
+def _run_repetition(ds, n_train, n_test, cfg, seed, rep):
     rep_seq = np.random.SeedSequence(entropy=(seed, rep))
     split_seq, train_seq = rep_seq.spawn(2)
     train_ds, test_ds = split(ds, n_train, n_test, split_seq, stratify=cfg.stratify)
@@ -98,8 +94,8 @@ def repeated_holdout(
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
     n_train, n_test = holdout_sizes(ds.n, n_train)
-    tasks = [(ds, n_train, n_test, cfg, seed, rep) for rep in range(reps)]
-    results = _map_tasks(_run_repetition, tasks, workers)
+    run = partial(_run_repetition, ds, n_train, n_test, cfg, seed)
+    results = _map_tasks(run, range(reps), workers=workers)
     per_mode = {mode: tuple(acc[mode] for acc in results) for mode in MODES}
     return HoldoutResult(
         n_train=n_train,

@@ -11,11 +11,13 @@ a load/save round trip is bit-exact and predictions are bitwise identical.
 
 Version 1 (every tree's arrays stored separately) and version 2 (``left``,
 ``right`` and a ``dist`` row for every node) files are rejected.  Loading
-checks the JSON block's keys, types and values and each table's structure,
-so a file with a valid checksum but a missing key, a cyclic, shared,
-orphaned or out-of-range reference, an out-of-range feature or a non-finite
-threshold fails with :class:`ModelFormatError` instead of a bare
-``KeyError``, a hang or misrouting at prediction.
+checks the JSON block's keys, types and values, that the block agrees with
+itself (its ``mode`` with the config's, one class label per class, a score
+for every level) and each table's structure, so a file with a valid
+checksum but a missing or unknown key, a cyclic, shared, orphaned or
+out-of-range reference, an out-of-range feature or a non-finite threshold
+fails with :class:`ModelFormatError` instead of a bare ``KeyError``, a hang
+or misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ _FOREST_ARRAYS = (
 )
 
 _DTYPES = {"<i4": np.dtype("<i4"), "<f8": np.dtype("<f8")}
+_META_KEYS = ("config", "base_dim", "num_classes", "mode", "level_scores", "class_labels",
+              "levels")
 
 
 def _pack_array(buf: io.BytesIO, arr: np.ndarray) -> None:
@@ -90,7 +94,7 @@ def _model_meta(model: CascadeModel) -> dict:
         "config": model.config.to_dict(),
         "base_dim": model.base_dim,
         "num_classes": model.num_classes,
-        "mode": model.mode,
+        "mode": model.config.mode,
         "level_scores": list(model.level_scores),
         "class_labels": list(model.class_labels) if model.class_labels else None,
         "levels": [
@@ -168,7 +172,10 @@ def load_model(path) -> CascadeModel:
         raise ModelFormatError(f"{path}: bad config in metadata: {exc}") from None
     num_classes = _field(path, meta, "num_classes", int, range(2, 2**31))
     base_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
-    mode = _field(path, meta, "mode", str, MODES)
+    if _field(path, meta, "mode", str, MODES) != config.mode:
+        raise ModelFormatError(
+            f"{path}: mode {meta['mode']!r} differs from the config's {config.mode!r}"
+        )
     scores = _field(path, meta, "level_scores", list)
     labels = meta.get("class_labels")
     if not all(isinstance(x, (int, float)) for x in scores):
@@ -177,9 +184,21 @@ def load_model(path) -> CascadeModel:
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
     ):
         raise ModelFormatError(f"{path}: class labels are not a list of strings")
+    if labels is not None and len(labels) != num_classes:
+        raise ModelFormatError(
+            f"{path}: {len(labels)} class labels for {num_classes} classes"
+        )
+    level_metas = _field(path, meta, "levels", list)
+    if not level_metas:
+        raise ModelFormatError(f"{path}: model has no levels")
+    if len(scores) < len(level_metas):
+        raise ModelFormatError(
+            f"{path}: {len(scores)} level scores for {len(level_metas)} levels"
+        )
+    _check_keys(path, meta, _META_KEYS)
     levels = []
     input_dim = base_dim
-    for level_meta in _field(path, meta, "levels", list):
+    for level_meta in level_metas:
         if _field(path, level_meta, "input_dim", int) != input_dim:
             raise ModelFormatError(
                 f"{path}: level {len(levels)} has input dim "
@@ -187,10 +206,12 @@ def load_model(path) -> CascadeModel:
             )
         if not _field(path, level_meta, "forests", list):
             raise ModelFormatError(f"{path}: level {len(levels)} has no forests")
+        _check_keys(path, level_meta, ("input_dim", "forests"))
         forests = []
         for forest_meta in level_meta["forests"]:
             n_trees = _field(path, forest_meta, "n_trees", int)
             kind = _field(path, forest_meta, "kind", str, TREE_KINDS)
+            _check_keys(path, forest_meta, ("kind", "n_trees"))
             arrays = {name: reader.array() for name, _ in _FOREST_ARRAYS}
             _check_forest(path, arrays, n_trees, input_dim, num_classes)
             forests.append(
@@ -200,13 +221,10 @@ def load_model(path) -> CascadeModel:
             )
         levels.append(LevelModel(forests, input_dim=input_dim))
         input_dim = levels[-1].output_dim
-    if not levels:
-        raise ModelFormatError(f"{path}: model has no levels")
     return CascadeModel(
         levels=levels,
         base_dim=base_dim,
         num_classes=num_classes,
-        mode=mode,
         config=config,
         level_scores=tuple(scores),
         class_labels=tuple(labels) if labels else None,
@@ -225,6 +243,12 @@ def _field(path, block, key: str, kind: type, choices=None):
             f"{path}: metadata field {key!r} has bad value {value!r}"
         )
     return value
+
+
+def _check_keys(path, block: dict, keys) -> None:
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown metadata keys: {unknown}")
 
 
 def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes: int):

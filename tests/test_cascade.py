@@ -51,8 +51,8 @@ def manual_cascade(forest_dists, n_features, num_classes):
         levels=[level],
         base_dim=n_features,
         num_classes=num_classes,
-        mode="baseline",
-        config=TrainConfig(),
+        config=TrainConfig(mode="baseline"),
+        level_scores=(1.0,),
     )
 
 

@@ -90,7 +90,8 @@ class TestTrain:
              flag, value]
         )
         assert code == 3
-        assert named in capsys.readouterr().err
+        # a flag has no file and line to name
+        assert capsys.readouterr().err.startswith(f"disdf: error: {named} must be finite")
         assert not out.exists()
 
     def test_non_finite_tau_in_config_file_exit_3(self, toy_csv, tmp_path, capsys):
@@ -158,11 +159,14 @@ class TestTrain:
             ("no_such_knob=1\n", 1, "no_such_knob", None),
             ("# defaults\ntau=0.7\nmax_depth=deep\n", 3, "max_depth", ["--max-depth", "2"]),
             ("stratify=maybe\n", 1, "stratify", ["--stratify"]),
+            # values that parse but fail validation
+            ("trees_per_forest=3\ntau=inf\n", 2, "tau", ["--tau", "0.7"]),
+            ("trees_per_forest=3\nfolds=1\n", 2, "folds", ["--folds", "3"]),
         ]:
             cfg_file.write_text(text)
             assert main(args) == 3
             err = capsys.readouterr().err
-            assert f"{cfg_file}:{line}:" in err and named in err
+            assert err.startswith(f"disdf: error: {cfg_file}:{line}: ") and named in err
             if override:
                 # a flag for the same field replaces the bad text
                 assert main(args + override + TRAIN_FLAGS) == 0
@@ -505,6 +509,7 @@ class TestStructuralChecks:
         model = manual_cascade([[0.6, 0.4]], n_features=3, num_classes=2)
         second = LevelModel([leaf_forest([[0.1, 0.9]], n_features=5)], input_dim=5)
         model.levels.append(second)
+        model.level_scores = (1.0, 1.0)
         path = tmp_path / "m.model"
         save_model(model, path)
         assert load_model(path).n_levels == 2
@@ -535,6 +540,16 @@ class TestMetadataChecks:
             (b'"mode": "disdf", "num', b'"mode": "disdX", "num', "'mode'"),
             (b'"class_labels": null', b'"class_labels": 3', "class labels"),
             (b'{"base_dim"', b'[{"base_dim"', "'config' is missing"),
+            # a block that contradicts itself
+            (b'"mode": "disdf", "num', b'"mode": "baseline", "num',
+             "mode 'baseline' differs from the config's 'disdf'"),
+            (b'"class_labels": null', b'"class_labels": ["a", "b", "c"]',
+             "3 class labels for 2 classes"),
+            (b'"level_scores": [', b'"level_scores": [], "x": [', "0 level scores for"),
+            # unknown keys at the top, in a level and in a forest
+            (b'"levels": [', b'"x": 1, "levels": [', r"unknown metadata keys: \['x'\]"),
+            (b'"forests": [{', b'"x": 1, "forests": [{', r"unknown metadata keys: \['x'\]"),
+            (b'"n_trees": 4', b'"n_trees": 4, "x": 1', r"unknown metadata keys: \['x'\]"),
         ],
     )
     def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):
@@ -676,7 +691,8 @@ class TestThreads:
                 "--seed", "5", *TRAIN_FLAGS]
         assert main(base + ["--out", str(out_serial)]) == 0
         assert main(["--threads", "2"] + base + ["--out", str(out_parallel)]) == 0
-        # parallel dispatch must not change the trained model's predictions
+        # parallel dispatch must not change the trained model, byte for byte
+        assert out_serial.read_bytes() == out_parallel.read_bytes()
         m_serial = load_model(out_serial)
         m_parallel = load_model(out_parallel)
         X = np.random.default_rng(2).normal(size=(50, 3), scale=5.0)

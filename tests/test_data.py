@@ -223,3 +223,16 @@ class TestDatasetInvariants:
     def test_single_class_count(self):
         with pytest.raises(SingleClassError):
             Dataset(np.zeros((2, 1)), np.zeros(2, dtype=int), 1)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 0.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]]
+    )
+    def test_non_integral_labels_rejected(self, labels):
+        # casting would silently truncate 0.5, 1.7, 0.2 to 0, 1, 0
+        with pytest.raises(DataError, match="whole numbers"):
+            Dataset(np.zeros((3, 2)), labels, 2)
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], 2)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1, 1]

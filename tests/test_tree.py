@@ -238,7 +238,6 @@ class TestPrediction:
             levels=[LevelModel(forests, input_dim=3)],
             base_dim=3,
             num_classes=3,
-            mode="disdf",
             config=TrainConfig(),
         )
         np.testing.assert_array_equal(predict_batch(model, X), np.argmax(summed, axis=1))
