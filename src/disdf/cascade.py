@@ -113,9 +113,12 @@ def _fit_forest_slot(
         j_fw = objective(obj, w_fw, r_fw)
         j_uniform = objective(obj, uniform, r_uniform)
         # never deploy weights worse than the uniform baseline point
-        weights, r_w = (w_fw, r_fw) if j_fw <= j_uniform else (uniform, r_uniform)
+        fallback = j_fw > j_uniform
+        weights, r_w = (uniform, r_uniform) if fallback else (w_fw, r_fw)
         info = {
             "duality_gap": gap,
+            "objective_solver": j_fw,
+            "fallback": fallback,
             "objective_trained": min(j_fw, j_uniform),
             "objective_uniform": j_uniform,
             "same_class_distance_trained": float(stats.pi @ (weights * weights)),

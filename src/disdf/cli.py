@@ -5,9 +5,10 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 ``--pair-budget`` or ``--max-depth`` and a bad value exits 3 from either.
 
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
-error.  The DISDF_THREADS environment variable sets the default worker count;
---threads overrides it.  A worker count or ``bench --reps`` that is not an
-integer of at least 1 exits 3.
+error; a stdout closed by its reader after the output file is written is no
+error.  The DISDF_THREADS environment variable sets the default worker
+count; --threads overrides it.  A worker count or ``bench --reps`` that is
+not an integer of at least 1 exits 3.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(*lines: str) -> None:
+    """Print a finished command's summary; a reader that closed stdout is no error."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     workers = _threads(args)
@@ -162,11 +174,11 @@ def cmd_train(args) -> int:
     model = train_cascade(ds, cfg, workers=workers)
     save_model(model, args.out)
     scores = ", ".join(f"{s:.4f}" for s in model.level_scores)
-    print(
+    _report(
         f"trained {model.n_levels} level(s) on {ds.n} rows "
-        f"({ds.feature_dim} features, {ds.num_classes} classes)"
+        f"({ds.feature_dim} features, {ds.num_classes} classes)",
+        f"level scores: [{scores}]; model written to {args.out}",
     )
-    print(f"level scores: [{scores}]; model written to {args.out}")
     return EXIT_OK
 
 
@@ -175,11 +187,11 @@ def cmd_predict(args) -> int:
     X = load_features(args.data, args.label_col)
     if X.shape[0] == 0:
         Path(args.out).write_text("")
-        print(f"0 predictions written to {args.out}")
+        _report(f"0 predictions written to {args.out}")
         return EXIT_OK
     preds = predict_batch(model, X)
     Path(args.out).write_text("".join(f"{p}\n" for p in preds))
-    print(f"{len(preds)} predictions written to {args.out}")
+    _report(f"{len(preds)} predictions written to {args.out}")
     return EXIT_OK
 
 
@@ -202,9 +214,7 @@ def cmd_bench(args) -> int:
     summary = out_dir / f"{name}_summary.csv"
     result.write_csv(per_rep)
     result.write_summary_csv(summary)
-    print(result.format_table())
-    print(f"per-rep results: {per_rep}")
-    print(f"summary: {summary}")
+    _report(result.format_table(), f"per-rep results: {per_rep}", f"summary: {summary}")
     return EXIT_OK
 
 

@@ -1,23 +1,26 @@
 """Model persistence: a versioned, checksummed binary format.
 
-Layout: a small text header (magic, format version, payload sha256 and byte
-count) followed by the binary payload.  The payload is a length-prefixed JSON
-structure block (config, dims, and per level and forest its kind and tree
-count) followed by six arrays per forest, level by level and forest by
-forest: ``weights``, ``feature``, ``threshold``, ``children``, ``dist`` and
-``roots``, the forest's compact node table (see
-:class:`~disdf.forest.ForestModel`).  Arrays are raw little-endian bytes, so
-a load/save round trip is bit-exact and predictions are bitwise identical.
+Layout: a text header (magic, format version, payload sha256 and byte count)
+followed by the binary payload: a length-prefixed JSON block (``config``,
+``base_dim``, ``num_classes``, ``class_labels``, ``level_scores`` and
+``levels``, each level the list of its forests' kinds), then one block per
+forest, level by level and forest by forest.  A forest block is three
+little-endian u64 counts, T trees, I internal nodes and L leaves, then the
+raw little-endian bytes of ``weights`` (T f8), ``feature`` (I i4),
+``threshold`` (I f8), ``children`` (2I i4), ``dist`` (L x num_classes f8)
+and ``roots`` (T i4), the compact node table of
+:class:`~disdf.forest.ForestModel`.  Each fact is stored once: the counts fix
+every array's shape, and a level's input width follows from ``base_dim`` and
+the levels before it.  A round trip is bit-exact, so predictions are bitwise
+identical.
 
-Version 1 (every tree's arrays stored separately) and version 2 (``left``,
-``right`` and a ``dist`` row for every node) files are rejected.  Loading
-checks the JSON block's keys, types and values, that the block agrees with
-itself (its ``mode`` with the config's, one class label per class, a score
-for every level) and each table's structure, so a file with a valid
-checksum but a missing or unknown key, a cyclic, shared, orphaned or
-out-of-range reference, an out-of-range feature or a non-finite threshold
-fails with :class:`ModelFormatError` instead of a bare ``KeyError``, a hang
-or misrouting at prediction.
+Files of versions 1 to 3 are rejected.  Loading checks the JSON block's
+keys, types and values, one class label per class and a score per level,
+that no bytes follow the last forest, and each table's structure, so a file
+with a valid checksum but a missing or unknown key, a forest without trees,
+a cyclic, shared, orphaned or out-of-range reference, an out-of-range
+feature or a non-finite threshold fails with :class:`ModelFormatError`
+instead of a bare ``KeyError``, a hang or misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ import struct
 import numpy as np
 
 from .cascade import CascadeModel, LevelModel
-from .config import MODES, TrainConfig
+from .config import TrainConfig
 from .errors import ConfigError, ModelFormatError
 from .forest import SIMPLEX_TOL, ForestModel, check_weights
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
-FORMAT_VERSION = 3
-# per forest, in file order; all but weights are ForestModel's node table
+FORMAT_VERSION = 4
+# per forest, in file order after its three counts; all but weights are
+# ForestModel's node table
 _FOREST_ARRAYS = (
     ("weights", "<f8"),
     ("feature", "<i4"),
@@ -46,21 +50,7 @@ _FOREST_ARRAYS = (
     ("dist", "<f8"),
     ("roots", "<i4"),
 )
-
-_DTYPES = {"<i4": np.dtype("<i4"), "<f8": np.dtype("<f8")}
-_META_KEYS = ("config", "base_dim", "num_classes", "mode", "level_scores", "class_labels",
-              "levels")
-
-
-def _pack_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    code = arr.dtype.str
-    if code not in _DTYPES:
-        raise ModelFormatError(f"unsupported array dtype {code}")
-    raw = np.ascontiguousarray(arr).tobytes()
-    buf.write(struct.pack("<3sB", code.encode(), arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    buf.write(struct.pack("<Q", len(raw)))
-    buf.write(raw)
+_META_KEYS = ("config", "base_dim", "num_classes", "level_scores", "class_labels", "levels")
 
 
 class _Reader:
@@ -75,18 +65,16 @@ class _Reader:
         self.offset += n
         return out
 
-    def array(self) -> np.ndarray:
-        code, ndim = struct.unpack("<3sB", self.take(4))
-        dtype = _DTYPES.get(code.decode(errors="replace"))
-        if dtype is None:
-            raise ModelFormatError(f"unknown array dtype tag {code!r}")
-        shape = struct.unpack(f"<{ndim}Q", self.take(8 * ndim))
-        (nbytes,) = struct.unpack("<Q", self.take(8))
-        raw = self.take(nbytes)
-        try:
-            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:
-            raise ModelFormatError(f"inconsistent array block: {exc}") from None
+    def forest(self, num_classes: int) -> dict:
+        """One forest block's arrays, each sized by the block's three counts."""
+        t, i, l = struct.unpack("<3Q", self.take(24))
+        sizes = (t, i, i, 2 * i, l * num_classes, t)  # in _FOREST_ARRAYS order
+        arrays = {
+            name: np.frombuffer(self.take(n * np.dtype(code).itemsize), dtype=code).copy()
+            for (name, code), n in zip(_FOREST_ARRAYS, sizes)
+        }
+        arrays["dist"] = arrays["dist"].reshape(l, num_classes)
+        return arrays
 
 
 def _model_meta(model: CascadeModel) -> dict:
@@ -94,18 +82,9 @@ def _model_meta(model: CascadeModel) -> dict:
         "config": model.config.to_dict(),
         "base_dim": model.base_dim,
         "num_classes": model.num_classes,
-        "mode": model.config.mode,
         "level_scores": list(model.level_scores),
         "class_labels": list(model.class_labels) if model.class_labels else None,
-        "levels": [
-            {
-                "input_dim": level.input_dim,
-                "forests": [
-                    {"kind": f.kind, "n_trees": f.n_trees} for f in level.forests
-                ],
-            }
-            for level in model.levels
-        ],
+        "levels": [[f.kind for f in level.forests] for level in model.levels],
     }
 
 
@@ -116,8 +95,10 @@ def save_model(model: CascadeModel, path) -> None:
     buf.write(meta)
     for level in model.levels:
         for forest in level.forests:
-            for name, _ in _FOREST_ARRAYS:
-                _pack_array(buf, getattr(forest, name))
+            buf.write(struct.pack("<3Q", forest.n_trees, forest.feature.size,
+                                  forest.dist.shape[0]))
+            for name, code in _FOREST_ARRAYS:
+                buf.write(np.ascontiguousarray(getattr(forest, name), dtype=code).tobytes())
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).hexdigest()
     header = f"{MAGIC} {FORMAT_VERSION}\nsha256 {digest}\nbytes {len(payload)}\n---\n"
@@ -172,10 +153,6 @@ def load_model(path) -> CascadeModel:
         raise ModelFormatError(f"{path}: bad config in metadata: {exc}") from None
     num_classes = _field(path, meta, "num_classes", int, range(2, 2**31))
     base_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
-    if _field(path, meta, "mode", str, MODES) != config.mode:
-        raise ModelFormatError(
-            f"{path}: mode {meta['mode']!r} differs from the config's {config.mode!r}"
-        )
     scores = _field(path, meta, "level_scores", list)
     labels = meta.get("class_labels")
     if not all(isinstance(x, (int, float)) for x in scores):
@@ -188,32 +165,28 @@ def load_model(path) -> CascadeModel:
         raise ModelFormatError(
             f"{path}: {len(labels)} class labels for {num_classes} classes"
         )
-    level_metas = _field(path, meta, "levels", list)
-    if not level_metas:
+    level_kinds = _field(path, meta, "levels", list)
+    if not level_kinds:
         raise ModelFormatError(f"{path}: model has no levels")
-    if len(scores) < len(level_metas):
+    if len(scores) < len(level_kinds):
         raise ModelFormatError(
-            f"{path}: {len(scores)} level scores for {len(level_metas)} levels"
+            f"{path}: {len(scores)} level scores for {len(level_kinds)} levels"
         )
-    _check_keys(path, meta, _META_KEYS)
+    unknown = sorted(set(meta) - set(_META_KEYS))
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown metadata keys: {unknown}")
     levels = []
     input_dim = base_dim
-    for level_meta in level_metas:
-        if _field(path, level_meta, "input_dim", int) != input_dim:
+    for kinds in level_kinds:
+        if not (isinstance(kinds, list) and kinds and all(k in TREE_KINDS for k in kinds)):
             raise ModelFormatError(
-                f"{path}: level {len(levels)} has input dim "
-                f"{level_meta['input_dim']}, expected {input_dim}"
+                f"{path}: level {len(levels)} is not a non-empty list of forest "
+                f"kinds from {TREE_KINDS}: {kinds!r}"
             )
-        if not _field(path, level_meta, "forests", list):
-            raise ModelFormatError(f"{path}: level {len(levels)} has no forests")
-        _check_keys(path, level_meta, ("input_dim", "forests"))
         forests = []
-        for forest_meta in level_meta["forests"]:
-            n_trees = _field(path, forest_meta, "n_trees", int)
-            kind = _field(path, forest_meta, "kind", str, TREE_KINDS)
-            _check_keys(path, forest_meta, ("kind", "n_trees"))
-            arrays = {name: reader.array() for name, _ in _FOREST_ARRAYS}
-            _check_forest(path, arrays, n_trees, input_dim, num_classes)
+        for kind in kinds:
+            arrays = reader.forest(num_classes)
+            _check_forest(path, arrays, input_dim)
             forests.append(
                 ForestModel(
                     **arrays, kind=kind, num_classes=num_classes, n_features=input_dim
@@ -221,6 +194,10 @@ def load_model(path) -> CascadeModel:
             )
         levels.append(LevelModel(forests, input_dim=input_dim))
         input_dim = levels[-1].output_dim
+    if reader.offset != len(payload):
+        raise ModelFormatError(
+            f"{path}: {len(payload) - reader.offset} bytes after the last forest"
+        )
     return CascadeModel(
         levels=levels,
         base_dim=base_dim,
@@ -245,33 +222,20 @@ def _field(path, block, key: str, kind: type, choices=None):
     return value
 
 
-def _check_keys(path, block: dict, keys) -> None:
-    unknown = sorted(set(block) - set(keys))
-    if unknown:
-        raise ModelFormatError(f"{path}: unknown metadata keys: {unknown}")
+def _check_forest(path, arrays: dict, input_dim: int):
+    """Reject a node table that could hang, misroute or index out of bounds.
 
-
-def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes: int):
-    """Reject a node table that could hang, misroute or index out of bounds."""
+    The arrays' dtypes and shapes are those :meth:`_Reader.forest` gives them.
+    """
 
     def bad(what: str):
         raise ModelFormatError(f"{path}: malformed forest table: {what}")
 
-    for name, code in _FOREST_ARRAYS:
-        if arrays[name].dtype.str != code:
-            bad(f"{name} has dtype {arrays[name].dtype.str}, expected {code}")
     feature, children, roots = arrays["feature"], arrays["children"], arrays["roots"]
     dist = arrays["dist"]
-    n_internal = feature.size
-    if n_trees < 1 or roots.shape != (n_trees,) or arrays["weights"].shape != (n_trees,):
-        bad(f"roots and weights must have length n_trees = {n_trees}")
-    for name, size in (("feature", n_internal), ("threshold", n_internal),
-                       ("children", 2 * n_internal)):
-        if arrays[name].shape != (size,):
-            bad(f"{name} has shape {arrays[name].shape}, expected ({size},)")
-    if dist.ndim != 2 or dist.shape[1] != num_classes:
-        bad(f"dist has shape {dist.shape}, expected (n_leaves, {num_classes})")
-    n_leaves = dist.shape[0]
+    n_internal, n_leaves = feature.size, dist.shape[0]
+    if roots.size == 0:
+        bad("a forest needs at least one tree")
     refs = np.concatenate([roots, children])
     if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
         bad("a node or leaf id in roots or children is out of range")
@@ -296,6 +260,6 @@ def _check_forest(path, arrays: dict, n_trees: int, input_dim: int, num_classes:
     ):
         bad("a leaf distribution is off the unit simplex")
     try:
-        check_weights(arrays["weights"], n_trees)
+        check_weights(arrays["weights"], roots.size)
     except ValueError as exc:
         bad(str(exc))

@@ -254,21 +254,28 @@ class TestCriterion3Discriminative:
         )
         ratios_trained = []
         ratios_uniform = []
-        nondegradation = True
+        fallbacks = 0
+        solver_gain = np.inf
         for seed in range(10):
             ds = blobs(n=200, m=5, gap=1.6, seed=seed)
             model = train_cascade(
                 ds, cfg, rng=np.random.default_rng(seed)
             )
             for info in model.train_info[0]:
-                if info["objective_trained"] > info["objective_uniform"]:
-                    nondegradation = False
+                fallbacks += info["fallback"]
+                solver_gain = min(
+                    solver_gain, 1 - info["objective_solver"] / info["objective_uniform"]
+                )
             ratios_trained.append(level_d1_ratio(model.train_info[0], "trained"))
             ratios_uniform.append(level_d1_ratio(model.train_info[0], "uniform"))
         elapsed = time.perf_counter() - start
+        # the solver's own iterate must beat uniform weights: a fallback to
+        # uniform would hide a solver that made the objective worse
         check(
-            "3 objective non-degradation (every forest, 10 seeds)",
-            nondegradation,
+            "3 objective improvement without fallback (every forest, 10 seeds)",
+            fallbacks == 0,
+            f"{fallbacks} of {10 * cfg.forests_per_level} forests fell back; "
+            f"least solver gain over uniform {solver_gain:.2%}",
         )
         mean_trained = float(np.mean(ratios_trained))
         mean_uniform = float(np.mean(ratios_uniform))

@@ -1,6 +1,9 @@
 import hashlib
 import io
+import json
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +12,7 @@ from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import cascade, pairstats
 from disdf.cli import main
 from disdf.errors import ModelFormatError
-from disdf.serialize import (
-    _FOREST_ARRAYS,
-    FORMAT_VERSION,
-    _pack_array,
-    _Reader,
-    load_model,
-    save_model,
-)
+from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
 from tests.test_cascade import blobs, fast_cfg, manual_cascade
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
@@ -58,6 +54,27 @@ class TestTrain:
         assert "level(s)" in capsys.readouterr().out
         config = load_model(out).config
         assert config.pair_budget is None and config.max_depth is None
+
+    def test_closed_stdout_after_writing_exit_0(self, toy_csv, tmp_path, monkeypatch, capsys):
+        # `disdf train ... | head -c 0`: the model is written before stdout fails
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        out = tmp_path / "m.model"
+        try:
+            code = main(["train", "--data", str(toy_csv), "--label-col", "3",
+                         "--out", str(out), *TRAIN_FLAGS])
+        finally:
+            os.close(fd)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert load_model(out).n_levels == 1
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         code = main(
@@ -340,6 +357,16 @@ class TestModelFile:
         assert code == 2
         assert "version 2" in capsys.readouterr().err
 
+    def test_version_3_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
+        # version 3 stored tree counts, level widths and array shapes twice
+        path = self.retag(tmp_path, 3)
+        code = main(
+            ["predict", "--model", str(path), "--data", str(toy_csv),
+             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "version 3" in capsys.readouterr().err
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.model"
         path.write_text("hello world\n")
@@ -370,32 +397,35 @@ def rewrite_meta(path, edit) -> None:
     write_payload(path, struct.pack("<Q", len(meta)) + meta + payload[end:])
 
 
-def rewrite_payload(path, old: bytes, new: bytes) -> None:
-    """Replace the first ``old`` in a model file's payload; keep the checksum valid."""
-    payload = path.read_bytes().partition(b"---\n")[2]
-    assert old in payload
-    write_payload(path, payload.replace(old, new, 1))
+def forest_blocks(path):
+    """A model file's payload and each stored forest's byte spans in it.
 
-
-def rewrite_array(path, name: str, new: np.ndarray, forest: int = 0) -> None:
-    """Replace array ``name`` of the ``forest``-th stored forest by ``new``.
-
-    The block is found by its place in the file, not by its content: two
-    arrays of a table can hold equal bytes (``roots`` and ``feature`` can both
-    read ``[0 1 2 3]``).
+    A forest's spans map ``"counts"`` and each array name to ``(start, end)``.
+    Blocks are found by walking the file, not by content: two arrays of a
+    table can hold equal bytes (``roots`` and ``feature`` can both read
+    ``[0 1 2 3]``).
     """
     payload = path.read_bytes().partition(b"---\n")[2]
     reader = _Reader(payload)
     (meta_len,) = struct.unpack("<Q", reader.take(8))
-    reader.take(meta_len)
-    names = [n for n, _ in _FOREST_ARRAYS]
-    for _ in range(forest * len(names) + names.index(name)):
-        reader.array()
-    start = reader.offset
-    reader.array()
-    buf = io.BytesIO()
-    _pack_array(buf, new)
-    write_payload(path, payload[:start] + buf.getvalue() + payload[reader.offset :])
+    num_classes = json.loads(reader.take(meta_len))["num_classes"]
+    blocks = []
+    while reader.offset < len(payload):
+        spans = {"counts": (reader.offset, reader.offset + 24)}
+        pos = reader.offset + 24
+        for name, array in reader.forest(num_classes).items():
+            spans[name] = (pos, pos + array.nbytes)
+            pos += array.nbytes
+        blocks.append(spans)
+    return payload, blocks
+
+
+def rewrite_array(path, name: str, new: np.ndarray) -> None:
+    """Replace array ``name`` of the first stored forest by ``new``."""
+    payload, blocks = forest_blocks(path)
+    start, end = blocks[0][name]
+    assert new.nbytes == end - start
+    write_payload(path, payload[:start] + new.tobytes() + payload[end:])
 
 
 def patched(array, index, value):
@@ -470,40 +500,34 @@ class TestStructuralChecks:
         rewrite_array(path, name, bad)
         self.assert_rejected(path, message, toy_csv, tmp_path)
 
-    @pytest.mark.parametrize(
-        "name, change, message",
-        [
-            ("feature", "<f8", "feature has dtype <f8"),
-            ("threshold", "<i4", "threshold has dtype <i4"),
-            ("children", "drop_last", "children has shape"),
-            ("dist", "flatten", "dist has shape"),
-        ],
-    )
-    def test_bad_dtype_or_shape_rejected(
-        self, saved, toy_csv, tmp_path, name, change, message
-    ):
-        model, path = saved
-        array = getattr(model.levels[0].forests[0], name)
-        if change == "drop_last":
-            bad = array[:-1]
-        elif change == "flatten":
-            bad = array.ravel()
-        else:
-            bad = array.astype(change)
-        rewrite_array(path, name, bad)
-        self.assert_rejected(path, message, toy_csv, tmp_path)
-
-    def test_tree_count_mismatch_rejected(self, saved):
+    @pytest.mark.parametrize("forest", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("count", range(3), ids=["n_trees", "n_internal", "n_leaves"])
+    def test_tampered_count_rejected(self, saved, toy_csv, tmp_path, count, delta, forest):
         _, path = saved
-        rewrite_payload(path, b'"n_trees": 4', b'"n_trees": 3')
-        with pytest.raises(ModelFormatError, match="n_trees"):
-            load_model(path)
+        payload, blocks = forest_blocks(path)
+        at = blocks[forest]["counts"][0] + 8 * count
+        (value,) = struct.unpack("<Q", payload[at : at + 8])
+        bad = struct.pack("<Q", value + delta)
+        write_payload(path, payload[:at] + bad + payload[at + 8 :])
+        self.assert_rejected(path, "truncated|malformed forest table", toy_csv, tmp_path)
 
-    def test_first_level_dim_must_equal_base_dim(self, saved):
+    def test_zero_tree_forest_rejected(self, saved, toy_csv, tmp_path):
         _, path = saved
-        rewrite_payload(path, b'"input_dim": 4', b'"input_dim": 5')
-        with pytest.raises(ModelFormatError, match="input dim"):
-            load_model(path)
+        payload, blocks = forest_blocks(path)
+        spans = blocks[0]
+        (_, n_internal, n_leaves) = struct.unpack("<3Q", payload[slice(*spans["counts"])])
+        # the block stays self-consistent: no weights, no roots
+        block = struct.pack("<3Q", 0, n_internal, n_leaves) + b"".join(
+            payload[slice(*spans[name])] for name in ("feature", "threshold", "children", "dist")
+        )
+        write_payload(path, payload[: spans["counts"][0]] + block + payload[spans["roots"][1] :])
+        self.assert_rejected(path, "at least one tree", toy_csv, tmp_path)
+
+    def test_trailing_payload_bytes_rejected(self, saved, toy_csv, tmp_path):
+        _, path = saved
+        write_payload(path, path.read_bytes().partition(b"---\n")[2] + b"\0")
+        self.assert_rejected(path, "1 bytes after the last forest", toy_csv, tmp_path)
 
     def test_level_dims_follow_recurrence(self, tmp_path):
         model = manual_cascade([[0.6, 0.4]], n_features=3, num_classes=2)
@@ -512,10 +536,8 @@ class TestStructuralChecks:
         model.level_scores = (1.0, 1.0)
         path = tmp_path / "m.model"
         save_model(model, path)
-        assert load_model(path).n_levels == 2
-        rewrite_payload(path, b'"input_dim": 5', b'"input_dim": 6')
-        with pytest.raises(ModelFormatError, match="input dim 6, expected 5"):
-            load_model(path)
+        loaded = load_model(path)
+        assert [level.input_dim for level in loaded.levels] == [3, 5]
 
 
 class TestMetadataChecks:
@@ -532,24 +554,18 @@ class TestMetadataChecks:
             (b'"tau": 0.5', b'"tau": Infinity', "config.*tau"),
             (b'"lam": 0.01', b'"lam": NaN', "config.*lambda"),
             (b'"num_classes": 2', b'"num_classes": "2"', "'num_classes' .*type int"),
-            (b'"n_trees": 4', b'"n_trees": true', "'n_trees' .*type int"),
             (b'"level_scores": [', b'"level_scores": {"a": 0}, "x": [', "level_scores"),
             (b'"levels": [', b'"levels": {"a": 0}, "x": [', "'levels'"),
-            (b'"forests": [{', b'"forests": [7, {', "'n_trees'"),
-            (b'"kind": "completely-random"', b'"kind": "completely-rondom"', "'kind'"),
-            (b'"mode": "disdf", "num', b'"mode": "disdX", "num', "'mode'"),
+            (b'"completely-random"', b'"completely-rondom"', "level 0 .*forest kinds"),
+            (b'"levels": [[', b'"levels": [7, [', "level 0 .*forest kinds"),
+            (b'"levels": [[', b'"levels": [[], [', "level 0 .*forest kinds"),
             (b'"class_labels": null', b'"class_labels": 3', "class labels"),
             (b'{"base_dim"', b'[{"base_dim"', "'config' is missing"),
             # a block that contradicts itself
-            (b'"mode": "disdf", "num', b'"mode": "baseline", "num',
-             "mode 'baseline' differs from the config's 'disdf'"),
             (b'"class_labels": null', b'"class_labels": ["a", "b", "c"]',
              "3 class labels for 2 classes"),
             (b'"level_scores": [', b'"level_scores": [], "x": [', "0 level scores for"),
-            # unknown keys at the top, in a level and in a forest
             (b'"levels": [', b'"x": 1, "levels": [', r"unknown metadata keys: \['x'\]"),
-            (b'"forests": [{', b'"x": 1, "forests": [{', r"unknown metadata keys: \['x'\]"),
-            (b'"n_trees": 4', b'"n_trees": 4, "x": 1', r"unknown metadata keys: \['x'\]"),
         ],
     )
     def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):

@@ -387,7 +387,7 @@ class TestLevelwiseGrower:
             for features, labels, params in cases:
                 forest = train_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
                 arrays = {name: getattr(forest, name) for name, _ in _FOREST_ARRAYS}
-                _check_forest("grown", arrays, n_trees, features.shape[1], 3)
+                _check_forest("grown", arrays, features.shape[1])
                 assert forest.dist.shape[0] == forest.feature.size + n_trees
                 if params.max_depth is not None:
                     depths = [tree_depth(forest, t) for t in range(n_trees)]
