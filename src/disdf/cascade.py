@@ -26,7 +26,7 @@ from .forest import (
     uniform_weights,
 )
 from .pairstats import compute_pair_stats
-from .weightopt import ObjectiveParams, frank_wolfe, hinge_total, objective
+from .weightopt import ObjectiveParams, frank_wolfe, objective
 
 IMPROVEMENT_TOL = 1e-4
 
@@ -90,8 +90,11 @@ def _fit_forest_slot(
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
     a pool worker, and spawning there would not be reproducible.
 
-    Returns the deployable forest, the out-of-fold class vectors used for
-    augmentation and level scoring, and optimizer diagnostics.
+    In disdf mode the weights are Frank-Wolfe's unless uniform weights score
+    lower on the objective.  Returns the deployable forest, the out-of-fold
+    class vectors used for augmentation and level scoring, and the training
+    facts ``duality_gap``, ``objective_solver`` and ``objective_uniform`` (J
+    at the solver's and at uniform weights) and ``fallback`` (none in baseline).
     """
     streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
     *fold_rngs, deploy_rng, pair_rng = streams
@@ -103,36 +106,22 @@ def _fit_forest_slot(
 
     deploy = train_forest(ds, kind, n_trees, params, deploy_rng)
 
-    info = {}
+    weights, info = uniform_weights(n_trees), {}
     if cfg.mode == MODE_DISDF:
         stats = compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng)
         obj = ObjectiveParams(stats, cfg.tau, cfg.lam)
         w_fw, gap = frank_wolfe(obj, cfg.fw_iterations)
-        uniform = uniform_weights(n_trees)
-        r_fw, r_uniform = stats.q_diff @ w_fw, stats.q_diff @ uniform
-        j_fw = objective(obj, w_fw, r_fw)
-        j_uniform = objective(obj, uniform, r_uniform)
+        j_fw, j_uniform = objective(obj, w_fw), objective(obj, weights)
         # never deploy weights worse than the uniform baseline point
         fallback = j_fw > j_uniform
-        weights, r_w = (uniform, r_uniform) if fallback else (w_fw, r_fw)
+        if not fallback:
+            weights = w_fw
         info = {
             "duality_gap": gap,
             "objective_solver": j_fw,
-            "fallback": fallback,
-            "objective_trained": min(j_fw, j_uniform),
             "objective_uniform": j_uniform,
-            "same_class_distance_trained": float(stats.pi @ (weights * weights)),
-            "same_class_distance_uniform": float(stats.pi @ (uniform * uniform)),
-            "hinge_trained": hinge_total(obj, r_w),
-            "hinge_uniform": hinge_total(obj, r_uniform),
-            # mean out-of-fold Manhattan distances between class vectors
-            "d1_same_trained": float(stats.q_same_mean @ weights),
-            "d1_same_uniform": float(stats.q_same_mean @ uniform),
-            "d1_diff_trained": float(r_w.mean()),
-            "d1_diff_uniform": float(r_uniform.mean()),
+            "fallback": fallback,
         }
-    else:
-        weights = uniform_weights(n_trees)
 
     deploy = deploy.with_weights(weights)
     oof_class_vectors = np.einsum("ntc,t->nc", oof, weights)

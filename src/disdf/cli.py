@@ -58,7 +58,7 @@ def _read_config_file(path) -> tuple[dict, dict]:
     text, origin = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, 1):
         stripped = line.strip()

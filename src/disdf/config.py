@@ -10,7 +10,7 @@ from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 
 MODE_DISDF = "disdf"
 MODE_BASELINE = "baseline"
-MODES = (MODE_DISDF, MODE_BASELINE)
+MODES = (MODE_BASELINE, MODE_DISDF)
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}

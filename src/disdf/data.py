@@ -75,7 +75,7 @@ def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return rows
 

@@ -16,11 +16,9 @@ from functools import partial
 import numpy as np
 
 from .cascade import _map_tasks, predict_batch, train_cascade
-from .config import MODE_BASELINE, MODE_DISDF, TrainConfig
+from .config import MODE_BASELINE, MODE_DISDF, MODES, TrainConfig
 from .data import Dataset, split
 from .errors import DataError
-
-MODES = (MODE_BASELINE, MODE_DISDF)
 
 
 def accuracy(model, test: Dataset) -> float:

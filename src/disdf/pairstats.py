@@ -5,8 +5,7 @@ Euclidean and ``q`` the Manhattan difference between the tree's class
 distributions for i and j.  A pair is flagged z = 0 when i and j share a
 class and z = 1 otherwise.  The objective reads ``p`` only through its sum
 over z = 0 pairs (``pi``) and ``q`` only on z = 1 pairs (``q_diff``, one row
-per pair); the mean ``q`` row over z = 0 pairs (``q_same_mean``) feeds the
-training diagnostics.
+per pair), so those two and the z = 0 pair count are all that is kept.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ FW_COPY_SHARE = 0.5
 class PairStats:
     pi: np.ndarray  # (T,) squared differences summed over same-class pairs
     q_diff: np.ndarray  # (n_diff, T) Manhattan differences, in [0, 2]
-    q_same_mean: np.ndarray  # (T,) mean Manhattan difference of same-class pairs
     n_same: int
 
     @property
@@ -40,16 +38,6 @@ class PairStats:
     @property
     def n_trees(self) -> int:
         return self.pi.shape[0]
-
-    @classmethod
-    def empty(cls, n_trees: int) -> "PairStats":
-        """Stats with no pairs at all (objective reduces to the regularizer)."""
-        return cls(
-            pi=np.zeros(n_trees),
-            q_diff=np.empty((0, n_trees)),
-            q_same_mean=np.zeros(n_trees),
-            n_same=0,
-        )
 
 
 def compute_pair_stats(
@@ -106,20 +94,15 @@ def compute_pair_stats(
 
     same = labels[ii] == labels[jj]
     pi = np.zeros(T)
-    q_same_sum = np.zeros(T)
     for _, d in _pair_differences(tree_dists, ii[same], jj[same]):
         pi += np.einsum("ptc,ptc->t", d, d)
-        q_same_sum += np.abs(d).sum(axis=2).sum(axis=0)
     diff_i, diff_j = ii[~same], jj[~same]
     # column-major: Frank-Wolfe reads the column q_diff[:, t] and q_diff.T @ h
     q_diff = np.empty((diff_i.size, T), order="F")
     for start, d in _pair_differences(tree_dists, diff_i, diff_j):
         q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
 
-    n_same = int(same.sum())
-    return PairStats(
-        pi=pi, q_diff=q_diff, q_same_mean=q_same_sum / n_same, n_same=n_same
-    )
+    return PairStats(pi=pi, q_diff=q_diff, n_same=int(same.sum()))
 
 
 def _pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:

@@ -54,13 +54,14 @@ _META_KEYS = ("config", "base_dim", "num_classes", "level_scores", "class_labels
 
 
 class _Reader:
-    def __init__(self, payload: bytes):
+    def __init__(self, payload: bytes, path):
         self.payload = payload
+        self.path = path
         self.offset = 0
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.payload):
-            raise ModelFormatError("model payload is truncated")
+            raise ModelFormatError(f"{self.path}: model payload is truncated")
         out = self.payload[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -139,11 +140,11 @@ def load_model(path) -> CascadeModel:
     if digest != expect_digest:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
 
-    reader = _Reader(payload)
+    reader = _Reader(payload, path)
     (meta_len,) = struct.unpack("<Q", reader.take(8))
     try:
         meta = json.loads(reader.take(meta_len))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: bad metadata block: {exc}") from None
 
     # the file, not the caller's configuration, is at fault when its config is bad

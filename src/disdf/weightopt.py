@@ -61,22 +61,11 @@ def _check_len(params: ObjectiveParams, w) -> np.ndarray:
     return w
 
 
-def objective(params: ObjectiveParams, w, residual=None) -> float:
-    """J(w); ``residual``, when given, must be ``q_diff @ w``."""
+def objective(params: ObjectiveParams, w) -> float:
+    """J(w) as defined in the module docstring."""
     w = _check_len(params, w)
-    if residual is None:
-        residual = params.stats.q_diff @ w
-    return float(
-        params.stats.pi @ (w * w)
-        + hinge_total(params, residual)
-        + params.lam * (w @ w)
-    )
-
-
-def hinge_total(params: ObjectiveParams, residual) -> float:
-    """The hinge term of J at the weights whose residual ``q_diff @ w`` is given."""
-    hinge = np.maximum(0.0, params.tau - residual)
-    return float(hinge @ hinge)
+    hinge = np.maximum(0.0, params.tau - params.stats.q_diff @ w)
+    return float(params.stats.pi @ (w * w) + hinge @ hinge + params.lam * (w @ w))
 
 
 def gradient(params: ObjectiveParams, w) -> np.ndarray:

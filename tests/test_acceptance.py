@@ -17,12 +17,11 @@ from disdf.config import TrainConfig
 from disdf.data import Dataset, load_csv
 from disdf.errors import DegeneratePairsError
 from disdf.evaluation import repeated_holdout
-from disdf.forest import forest_tree_dists_batch
-from disdf.pairstats import PairStats
+from disdf.forest import forest_tree_dists_batch, uniform_weights
 from disdf.serialize import load_model, save_model
 from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
 from tests.oracles import reference_solve
-from tests.test_cascade import blobs
+from tests.test_cascade import blobs, train_recording_pairs
 from tests.test_weightopt import (
     away_from_kinks,
     finite_difference_gradient,
@@ -232,17 +231,24 @@ class TestCriterion2Structure:
 # --------------------------------------------------------------------------
 
 
-def level_d1_ratio(level_info, which):
+def level_d1_ratio(records, trained):
     """Mean different-class over mean same-class out-of-fold Manhattan
-    distance between level-1 class vectors; forests share one pair set, so
-    per-pair distances sum across forests and the means add."""
-    diff = sum(info[f"d1_diff_{which}"] for info in level_info)
-    same = sum(info[f"d1_same_{which}"] for info in level_info)
+    distance, per tree and weighted by the forest's (or uniform) weights,
+    summed over a level's forests; forests share one pair set, so per-pair
+    distances sum across forests and the means add."""
+    diff = same = 0.0
+    for forest, tree_dists, labels, stats in records:
+        w = forest.weights if trained else uniform_weights(forest.n_trees)
+        diff += float((stats.q_diff @ w).mean())
+        ii, jj = np.triu_indices(labels.size, k=1)
+        pair = labels[ii] == labels[jj]
+        q_same = np.abs(tree_dists[ii[pair]] - tree_dists[jj[pair]]).sum(axis=2)
+        same += float(q_same.mean(axis=0) @ w)
     return diff / same
 
 
 class TestCriterion3Discriminative:
-    def test_weight_training_effect(self):
+    def test_weight_training_effect(self, monkeypatch):
         start = time.perf_counter()
         cfg = TrainConfig(
             trees_per_forest=20,
@@ -258,16 +264,16 @@ class TestCriterion3Discriminative:
         solver_gain = np.inf
         for seed in range(10):
             ds = blobs(n=200, m=5, gap=1.6, seed=seed)
-            model = train_cascade(
-                ds, cfg, rng=np.random.default_rng(seed)
+            model, records = train_recording_pairs(
+                monkeypatch, ds, cfg, rng=np.random.default_rng(seed)
             )
             for info in model.train_info[0]:
                 fallbacks += info["fallback"]
                 solver_gain = min(
                     solver_gain, 1 - info["objective_solver"] / info["objective_uniform"]
                 )
-            ratios_trained.append(level_d1_ratio(model.train_info[0], "trained"))
-            ratios_uniform.append(level_d1_ratio(model.train_info[0], "uniform"))
+            ratios_trained.append(level_d1_ratio(records, trained=True))
+            ratios_uniform.append(level_d1_ratio(records, trained=False))
         elapsed = time.perf_counter() - start
         # the solver's own iterate must beat uniform weights: a fallback to
         # uniform would hide a solver that made the objective worse

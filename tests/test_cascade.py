@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from disdf import cascade
 from disdf.cascade import (
     CascadeModel,
     LevelModel,
@@ -19,6 +20,7 @@ from disdf.forest import (
     train_forest,
     uniform_weights,
 )
+from disdf.pairstats import compute_pair_stats
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
@@ -46,6 +48,25 @@ def fast_cfg(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def train_recording_pairs(monkeypatch, ds, cfg, **kw):
+    """Train in this process, recording what each forest's pair statistics saw.
+
+    Returns the model and, for each forest of its first level in slot order,
+    the forest, the out-of-fold ``(n, T, C)`` tensor and labels that
+    ``compute_pair_stats`` received, and the ``PairStats`` it returned.
+    """
+    calls = []
+
+    def recording(tree_dists, labels, *args):
+        stats = compute_pair_stats(tree_dists, labels, *args)
+        calls.append((tree_dists, labels, stats))
+        return stats
+
+    monkeypatch.setattr(cascade, "compute_pair_stats", recording)
+    model = train_cascade(ds, cfg, **kw)
+    return model, [(f, *call) for f, call in zip(model.levels[0].forests, calls)]
 
 
 def manual_cascade(forest_dists, n_features, num_classes):
@@ -253,9 +274,11 @@ class TestTrainCascade:
         fallbacks = 0
         for level, level_info in zip(model.levels, model.train_info):
             for forest, info in zip(level.forests, level_info):
+                assert set(info) == {
+                    "duality_gap", "objective_solver", "objective_uniform", "fallback"
+                }
                 solver, uniform = info["objective_solver"], info["objective_uniform"]
                 assert info["fallback"] == (solver > uniform)
-                assert info["objective_trained"] == min(solver, uniform)
                 if info["fallback"]:
                     fallbacks += 1
                     assert np.array_equal(forest.weights, uniform_weights(forest.n_trees))
@@ -263,19 +286,18 @@ class TestTrainCascade:
         # instance it ends above uniform's objective, so the fallback is exercised
         assert fallbacks > 0
 
-    def test_same_class_distance_not_increased_on_separable_toy(self):
+    def test_same_class_distance_not_increased_on_separable_toy(self, monkeypatch):
         # with a small margin the hinge is inactive on separated clusters, so
         # the trained weights cannot enlarge the same-class distance term
         ds = blobs(n=48, m=4, gap=10.0, seed=10)
         cfg = fast_cfg(tau=0.1, lam=0.01, fw_iterations=500)
-        model = train_cascade(ds, cfg)
-        for info in model.train_info[0]:
-            assert info["hinge_trained"] == 0.0
-            assert info["hinge_uniform"] == 0.0
-            assert (
-                info["same_class_distance_trained"]
-                <= info["same_class_distance_uniform"] + 1e-12
-            )
+        _, records = train_recording_pairs(monkeypatch, ds, cfg)
+        assert len(records) == cfg.forests_per_level
+        for forest, _, _, stats in records:
+            w, uniform = forest.weights, uniform_weights(forest.n_trees)
+            assert (stats.q_diff @ w).min() >= cfg.tau
+            assert (stats.q_diff @ uniform).min() >= cfg.tau
+            assert stats.pi @ (w * w) <= stats.pi @ (uniform * uniform) + 1e-12
 
     def test_single_class_training_fails_in_disdf_mode(self):
         features = np.random.default_rng(0).normal(size=(12, 3))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import sys
 
@@ -406,7 +407,7 @@ def forest_blocks(path):
     ``[0 1 2 3]``).
     """
     payload = path.read_bytes().partition(b"---\n")[2]
-    reader = _Reader(payload)
+    reader = _Reader(payload, path)
     (meta_len,) = struct.unpack("<Q", reader.take(8))
     num_classes = json.loads(reader.take(meta_len))["num_classes"]
     blocks = []
@@ -510,7 +511,8 @@ class TestStructuralChecks:
         (value,) = struct.unpack("<Q", payload[at : at + 8])
         bad = struct.pack("<Q", value + delta)
         write_payload(path, payload[:at] + bad + payload[at + 8 :])
-        self.assert_rejected(path, "truncated|malformed forest table", toy_csv, tmp_path)
+        message = f"^{re.escape(str(path))}: (model payload is truncated|malformed forest table)"
+        self.assert_rejected(path, message, toy_csv, tmp_path)
 
     def test_zero_tree_forest_rejected(self, saved, toy_csv, tmp_path):
         _, path = saved
@@ -626,6 +628,34 @@ def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     assert "--pair-budget" in capsys.readouterr().err
     assert not out.exists()
     assert main(args + ["--pair-budget", "20"]) == 0
+
+
+# flag the hostile file is passed with, and its bytes (None: a model file)
+HOSTILE_FILES = {
+    "data-not-utf8": ("--data", b"1.0,a\n2.0,\xff\n"),
+    "config-not-utf8": ("--config", b"# \xe9t\xe9\ntau=0.5\n"),
+    "csv-field-over-limit": ("--data", b"1.0," + b"a" * 200_000 + b"\n"),
+    "metadata-nested-100k-deep": ("--model", None),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_FILES))
+def test_hostile_file_exit_2(case, toy_csv, tmp_path, capsys):
+    flag, content = HOSTILE_FILES[case]
+    path = tmp_path / "hostile"
+    if content is None:
+        # the checksum is valid, so only the JSON parser meets the nesting
+        meta = b"[" * 100_000 + b"]" * 100_000
+        write_payload(path, struct.pack("<Q", len(meta)) + meta)
+        args = ["predict", "--model", str(path), "--data", str(toy_csv)]
+    else:
+        path.write_bytes(content)
+        data = path if flag == "--data" else toy_csv
+        args = ["train", "--data", str(data)]
+        if flag == "--config":
+            args += ["--config", str(path)]
+    assert main(args + ["--label-col", "3", "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 class TestBench:

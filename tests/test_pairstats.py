@@ -9,7 +9,7 @@ import pytest
 from disdf import cascade, pairstats
 from disdf.cascade import train_cascade
 from disdf.errors import ConfigError, DegeneratePairsError
-from disdf.pairstats import FW_COPY_SHARE, PairStats, compute_pair_stats
+from disdf.pairstats import FW_COPY_SHARE, compute_pair_stats
 from disdf.weightopt import ObjectiveParams, frank_wolfe
 from tests.test_cascade import blobs, fast_cfg
 from tests.test_weightopt import record_screens
@@ -21,14 +21,15 @@ def random_dists(rng, n, n_trees, num_classes):
 
 
 def brute_force_stats(dists, labels, keep=None):
-    """Literal double loop over pairs; the oracle for pi, q_diff and q_same_mean.
+    """Literal double loop over pairs; the oracle for pi, q_diff and n_same.
 
     ``keep`` lists the retained pairs by their position in the i < j loop
     order; all pairs are used when it is None.
     """
     n, n_trees, num_classes = dists.shape
     pi = np.zeros(n_trees)
-    q_same, q_diff = [], []
+    q_diff = []
+    n_same = 0
     position = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -44,17 +45,16 @@ def brute_force_stats(dists, labels, keep=None):
                     q_row[t] += abs(d)
             if labels[i] == labels[j]:
                 pi += p_row
-                q_same.append(q_row)
+                n_same += 1
             else:
                 q_diff.append(q_row)
-    return pi, np.array(q_diff), np.mean(q_same, axis=0), len(q_same)
+    return pi, np.array(q_diff), n_same
 
 
-def assert_matches_oracle(stats, pi, q_diff, q_same_mean, n_same):
+def assert_matches_oracle(stats, pi, q_diff, n_same):
     assert stats.n_same == n_same
     np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
     np.testing.assert_allclose(stats.q_diff, q_diff, atol=1e-12)
-    np.testing.assert_allclose(stats.q_same_mean, q_same_mean, atol=1e-12)
 
 
 class TestPairValues:
@@ -66,7 +66,6 @@ class TestPairValues:
         # the same-class pair (0, 1) is identical; (0, 2) and (1, 2) disagree fully
         assert stats.n_same == 1
         np.testing.assert_allclose(stats.pi, [0.0])
-        np.testing.assert_allclose(stats.q_same_mean, [0.0])
         np.testing.assert_allclose(stats.q_diff, [[2.0], [2.0]])
 
     def test_matches_brute_force(self):
@@ -81,7 +80,7 @@ class TestPairValues:
         dists = random_dists(rng, 4, 1, 3)
         labels = np.array([0, 0, 1, 1])
         stats = compute_pair_stats(dists, labels)
-        pi, _, _, n_same = brute_force_stats(dists, labels)
+        pi, _, n_same = brute_force_stats(dists, labels)
         assert stats.n_same == n_same == 2
         np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
 
@@ -94,11 +93,9 @@ class TestInvariants:
         stats = compute_pair_stats(dists, labels)
         assert stats.q_diff.min() >= 0.0
         assert stats.q_diff.max() <= 2.0 + 1e-12
-        assert stats.q_same_mean.min() >= 0.0
-        assert stats.q_same_mean.max() <= 2.0 + 1e-12
         assert stats.pi.min() >= 0.0
-        # per pair P <= Q * max_c|p_i - p_j| <= Q for probability vectors
-        assert np.all(stats.pi <= stats.n_same * stats.q_same_mean + 1e-12)
+        # per pair P <= Q * max_c|p_i - p_j| <= Q <= 2 for probability vectors
+        assert np.all(stats.pi <= 2.0 * stats.n_same + 1e-12)
 
     def test_symmetry_under_sample_reversal(self):
         rng = np.random.default_rng(3)
@@ -108,9 +105,6 @@ class TestInvariants:
         forward = compute_pair_stats(dists, labels)
         backward = compute_pair_stats(dists[::-1], labels[::-1])
         np.testing.assert_allclose(forward.pi, backward.pi, atol=1e-12)
-        np.testing.assert_allclose(
-            forward.q_same_mean, backward.q_same_mean, atol=1e-12
-        )
         # pair (i, j) maps to (n-1-j, n-1-i): the rows are reordered, not changed
         def by_rows(q):
             return q[np.lexsort(q.T[::-1])]
@@ -302,11 +296,3 @@ class TestLayout:
         assert len(records) == sum(len(level.forests) for level in model.levels)
         assert all(r.name.split("-")[0] != str(os.getpid()) for r in records)
         assert all(r.read_text() == "F" for r in records)
-
-
-class TestEmptyStats:
-    def test_empty_constructor(self):
-        stats = PairStats.empty(5)
-        assert stats.n_pairs == 0
-        assert stats.n_trees == 5
-        np.testing.assert_array_equal(stats.pi, np.zeros(5))

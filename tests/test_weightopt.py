@@ -32,13 +32,12 @@ def pair_rows(rng, n_trees, n_same, n_diff, num_classes=3):
 def stats_from_rows(z, P, Q):
     """The PairStats that per-pair rows reduce to."""
     same = z == 0
-    n_same = int(same.sum())
-    return PairStats(
-        pi=P[same].sum(axis=0),
-        q_diff=Q[~same],
-        q_same_mean=Q[same].mean(axis=0) if n_same else np.zeros(Q.shape[1]),
-        n_same=n_same,
-    )
+    return PairStats(pi=P[same].sum(axis=0), q_diff=Q[~same], n_same=int(same.sum()))
+
+
+def no_pairs(n_trees):
+    """Stats with no pairs at all: the objective is the regularizer alone."""
+    return PairStats(pi=np.zeros(n_trees), q_diff=np.empty((0, n_trees)), n_same=0)
 
 
 def pair_instance(rng, n_trees, n_same, n_diff, num_classes=3):
@@ -120,7 +119,7 @@ class TestObjective:
         assert objective(params, [0.5, 0.5]) == 0.0
 
     def test_pure_regularizer_value(self):
-        params = ObjectiveParams(PairStats.empty(4), tau=0.5, lam=1.0)
+        params = ObjectiveParams(no_pairs(4), tau=0.5, lam=1.0)
         assert objective(params, np.full(4, 0.25)) == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_independent_loop_implementation(self):
@@ -146,15 +145,15 @@ class TestObjective:
         )
 
     def test_length_mismatch(self):
-        params = ObjectiveParams(PairStats.empty(3), 0.5, 0.0)
+        params = ObjectiveParams(no_pairs(3), 0.5, 0.0)
         with pytest.raises(ValueError, match="shape"):
             objective(params, [0.5, 0.5])
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError, match="tau"):
-            ObjectiveParams(PairStats.empty(2), tau=0.0, lam=0.0)
+            ObjectiveParams(no_pairs(2), tau=0.0, lam=0.0)
         with pytest.raises(ValueError, match="lambda"):
-            ObjectiveParams(PairStats.empty(2), tau=0.5, lam=-1.0)
+            ObjectiveParams(no_pairs(2), tau=0.5, lam=-1.0)
 
     def test_convexity_sampling(self):
         rng = np.random.default_rng(1)
@@ -219,7 +218,7 @@ class TestGradient:
             checked += 1
 
     def test_length_mismatch(self):
-        params = ObjectiveParams(PairStats.empty(3), 0.5, 0.0)
+        params = ObjectiveParams(no_pairs(3), 0.5, 0.0)
         with pytest.raises(ValueError, match="shape"):
             gradient(params, [1.0])
 
@@ -244,14 +243,14 @@ class TestLmoVertex:
 
     def test_full_tie(self):
         # no pairs: the gradient at uniform is a full tie, so ties go to e_0
-        params = ObjectiveParams(PairStats.empty(3), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
         w, _ = frank_wolfe(params, 1)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
 
 
 class TestFrankWolfe:
     def test_singleton_simplex(self):
-        params = ObjectiveParams(PairStats.empty(1), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(1), 0.5, 1.0)
         for n_iterations in (1, 10, 500):
             w, gap = frank_wolfe(params, n_iterations)
             np.testing.assert_allclose(w, [1.0])
@@ -260,11 +259,11 @@ class TestFrankWolfe:
     def test_pure_regularizer_reaches_uniform(self):
         # the per-component error of the final iterate scales with the last
         # step size, so the 1e-3 box needs S = 500 at T = 2 and S = 2000 above
-        params = ObjectiveParams(PairStats.empty(2), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
         w, _ = frank_wolfe(params, 500)
         np.testing.assert_allclose(w, 0.5, atol=1e-3)
         for n_trees in (4, 7):
-            params = ObjectiveParams(PairStats.empty(n_trees), 0.5, 1.0)
+            params = ObjectiveParams(no_pairs(n_trees), 0.5, 1.0)
             w, _ = frank_wolfe(params, 2000)
             np.testing.assert_allclose(w, 1.0 / n_trees, atol=1e-3)
 
@@ -297,7 +296,7 @@ class TestFrankWolfe:
             assert 0.0 <= gap_long <= gap_short
 
     def test_bad_iteration_count(self):
-        params = ObjectiveParams(PairStats.empty(2), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
         with pytest.raises(ValueError):
             frank_wolfe(params, 0)
 
@@ -358,7 +357,7 @@ class TestCarriedResidual:
 
     @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
     def test_empty_stats_match_plain_solver(self, n_iterations):
-        params = ObjectiveParams(PairStats.empty(4), 0.5, 0.1)
+        params = ObjectiveParams(no_pairs(4), 0.5, 0.1)
         assert_same_run(
             run_recorded(frank_wolfe, params, n_iterations),
             run_recorded(plain_frank_wolfe, params, n_iterations),
@@ -378,7 +377,6 @@ class TestCarriedResidual:
         stats = PairStats(
             pi=rng.uniform(0.5, 1.5, n_trees),
             q_diff=np.asfortranarray(q_diff),
-            q_same_mean=np.zeros(n_trees),
             n_same=20,
         )
         tau = float(np.quantile(q_diff.mean(axis=1), 0.05))
@@ -406,7 +404,6 @@ class TestCarriedResidual:
         stats = PairStats(
             pi=np.array([1.0, 1.0, 1.2, 0.8]),
             q_diff=np.asfortranarray(np.vstack([main, far, hair])),
-            q_same_mean=np.zeros(T),
             n_same=10,
         )
         params = ObjectiveParams(stats, tau, 0.01)
@@ -441,7 +438,7 @@ class TestProjectSimplex:
 
 class TestReferenceSolve:
     def test_pure_regularizer_gives_uniform(self):
-        params = ObjectiveParams(PairStats.empty(6), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(6), 0.5, 1.0)
         np.testing.assert_allclose(reference_solve(params, tol=1e-12), 1 / 6)
 
     def test_matches_grid_search_t2(self):
@@ -490,6 +487,6 @@ class TestReferenceSolve:
             reference_solve(params, tol=1e-18, max_iter=3)
 
     def test_size_cap(self):
-        params = ObjectiveParams(PairStats.empty(65), 0.5, 1.0)
+        params = ObjectiveParams(no_pairs(65), 0.5, 1.0)
         with pytest.raises(ValueError, match="64"):
             reference_solve(params)
