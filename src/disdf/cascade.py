@@ -5,7 +5,9 @@ produced out-of-fold: trees fit on folds that exclude the instance.  Those
 out-of-fold per-tree distributions feed both the pairwise statistics for
 weight training and the augmented features handed to the next level, while a
 refit-on-all-data forest (with the trained weights attached, trees matched by
-position) is what the deployed model uses.
+position) is what the deployed model uses.  The forests of a level are
+fitted in groups, one process-pool task each, and the weights of a group are
+trained in one lockstep Frank-Wolfe solve; no result depends on the grouping.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from . import pairstats
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, kfold_indices
 from .errors import BadCellError, DataError, DimensionError
@@ -79,53 +82,63 @@ def _best_level(scores) -> int:
     return best_idx
 
 
-def _fit_forest_slot(
-    ds: Dataset, cfg: TrainConfig, folds, kind: str, seed: np.random.SeedSequence
-):
-    """Fit one forest slot of a level: fold forests, refit, weight training.
+def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
+    """Fit a group of a level's forest slots: fold forests, refit, weight training.
 
-    ``seed``, the slot's ``SeedSequence``, spawns ``cfg.folds + 2`` streams:
-    the k fold forests' in fold order, then the refit forest's, then the pair
+    Each slot's ``SeedSequence`` spawns ``cfg.folds + 2`` streams: the k fold
+    forests' in fold order, then the refit forest's, then the pair
     sampler's.  It is a ``SeedSequence`` rather than a Generator because
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
-    a pool worker, and spawning there would not be reproducible.
+    a pool worker, and spawning there would not be reproducible.  So a
+    slot's forests and pairs do not depend on the group it is fitted in.
 
-    In disdf mode the weights are Frank-Wolfe's unless uniform weights score
-    lower on the objective.  Returns the deployable forest, the out-of-fold
-    class vectors used for augmentation and level scoring, and the training
-    facts ``duality_gap``, ``objective_solver`` and ``objective_uniform`` (J
-    at the solver's and at uniform weights) and ``fallback`` (none in baseline).
+    In disdf mode the group's weights are trained by one lockstep
+    Frank-Wolfe solve, which gives each slot the weights it would get alone;
+    a slot keeps them unless uniform weights score lower on the objective.
+    Returns, per slot, the deployable forest, the out-of-fold class vectors
+    used for augmentation and level scoring, and the training facts
+    ``duality_gap``, ``objective_solver`` and ``objective_uniform`` (J at the
+    solver's and at uniform weights) and ``fallback`` (none in baseline).
     """
-    streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
-    *fold_rngs, deploy_rng, pair_rng = streams
     n_trees, params = cfg.trees_per_forest, cfg.tree_params()
-    oof = np.empty((ds.n, n_trees, ds.num_classes))
-    for (train_idx, hold_idx), fold_rng in zip(folds, fold_rngs):
-        fold_forest = train_forest(ds.subset(train_idx), kind, n_trees, params, fold_rng)
-        oof[hold_idx] = forest_tree_dists_batch(fold_forest, ds.features[hold_idx])
+    slots = []
+    for kind, seed in zip(kinds, seeds):
+        streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
+        *fold_rngs, deploy_rng, pair_rng = streams
+        oof = np.empty((ds.n, n_trees, ds.num_classes))
+        for (train_idx, hold_idx), fold_rng in zip(folds, fold_rngs):
+            fold_forest = train_forest(ds.subset(train_idx), kind, n_trees, params, fold_rng)
+            oof[hold_idx] = forest_tree_dists_batch(fold_forest, ds.features[hold_idx])
+        slots.append((train_forest(ds, kind, n_trees, params, deploy_rng), oof, pair_rng))
 
-    deploy = train_forest(ds, kind, n_trees, params, deploy_rng)
-
-    weights, info = uniform_weights(n_trees), {}
+    uniform = uniform_weights(n_trees)
+    trained = [(uniform, {}) for _ in slots]
     if cfg.mode == MODE_DISDF:
-        stats = compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng)
-        obj = ObjectiveParams(stats, cfg.tau, cfg.lam)
-        w_fw, gap = frank_wolfe(obj, cfg.fw_iterations)
-        j_fw, j_uniform = objective(obj, w_fw), objective(obj, weights)
-        # never deploy weights worse than the uniform baseline point
-        fallback = j_fw > j_uniform
-        if not fallback:
-            weights = w_fw
-        info = {
-            "duality_gap": gap,
-            "objective_solver": j_fw,
-            "objective_uniform": j_uniform,
-            "fallback": fallback,
-        }
+        objs = [
+            ObjectiveParams(
+                compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng),
+                cfg.tau,
+                cfg.lam,
+            )
+            for _, oof, pair_rng in slots
+        ]
+        trained = []
+        for obj, (w_fw, gap, j_fw) in zip(objs, frank_wolfe(objs, cfg.fw_iterations)):
+            j_uniform = objective(obj, uniform)
+            # never deploy weights worse than the uniform baseline point
+            fallback = j_fw > j_uniform
+            info = {
+                "duality_gap": gap,
+                "objective_solver": j_fw,
+                "objective_uniform": j_uniform,
+                "fallback": fallback,
+            }
+            trained.append((uniform if fallback else w_fw, info))
 
-    deploy = deploy.with_weights(weights)
-    oof_class_vectors = np.einsum("ntc,t->nc", oof, weights)
-    return deploy, oof_class_vectors, info
+    return [
+        (deploy.with_weights(w), np.einsum("ntc,t->nc", oof, w), info)
+        for (deploy, oof, _), (w, info) in zip(slots, trained)
+    ]
 
 
 def _map_tasks(fn, *arg_lists, workers: int) -> list:
@@ -142,16 +155,28 @@ def _map_tasks(fn, *arg_lists, workers: int) -> list:
 def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     """One level's forests, the next level's Dataset, the level score and diagnostics.
 
-    The next level's features are ``ds.features`` followed by each forest's
-    out-of-fold class vectors, in forest order.
+    The forest slots are cut into contiguous groups, one pool task each,
+    whose weights are trained in lockstep: as many groups as workers (at
+    most one per slot), or more when a group's pair statistics, charged at
+    ``pairstats.pair_bytes`` per slot, would exceed ``MAX_PAIR_BYTES``.  A
+    slot's results do not depend on its group.  The next level's features
+    are ``ds.features`` followed by each forest's out-of-fold class vectors,
+    in forest order.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
     slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
-    fit_slot = partial(_fit_forest_slot, ds, cfg, folds)
-    forests, oof_class_vectors, infos = zip(
-        *_map_tasks(fit_slot, kinds, slot_seeds, workers=workers)
+    charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+    fit_in_memory = max(1, pairstats.MAX_PAIR_BYTES // charge)
+    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit_in_memory))
+    groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
+    fitted = _map_tasks(
+        partial(_fit_slots, ds, cfg, folds),
+        [kinds[g] for g in groups],
+        [slot_seeds[g] for g in groups],
+        workers=workers,
     )
+    forests, oof_class_vectors, infos = zip(*(slot for group in fitted for slot in group))
     summed = np.sum(oof_class_vectors, axis=0)
     score = float(np.mean(np.argmax(summed, axis=1) == ds.labels))
     features = np.hstack([ds.features, *oof_class_vectors])

@@ -18,7 +18,7 @@ from .errors import ConfigError, DegeneratePairsError
 
 _CHUNK = 1024
 # bound on the pair index arrays plus q_diff and Frank-Wolfe's copy of some
-# of its rows; above it, sample pairs instead
+# of its rows, for all forests solved together; above it, sample pairs instead
 MAX_PAIR_BYTES = 1 << 30
 # Frank-Wolfe copies the rows of q_diff its screen keeps only while they are
 # at most this share of all rows
@@ -65,7 +65,7 @@ def compute_pair_stats(
     if n < 2:
         raise DegeneratePairsError("need at least two samples to form pairs")
     T = tree_dists.shape[1]
-    need = _pair_bytes(n, T, pair_budget)
+    need = pair_bytes(n, T, pair_budget)
     if need > MAX_PAIR_BYTES:
         raise ConfigError(
             f"pair statistics for {n} rows and {T} trees need about "
@@ -105,11 +105,14 @@ def compute_pair_stats(
     return PairStats(pi=pi, q_diff=q_diff, n_same=int(same.sum()))
 
 
-def _pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
-    """Bytes of the pair index arrays plus q_diff, over the pairs formed.
+def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
+    """The memory charge of one forest's pair statistics and weight training.
 
+    Bytes of the pair index arrays plus q_diff, over the pairs formed.
     q_diff is charged for every pair, together with Frank-Wolfe's copy of
-    up to ``FW_COPY_SHARE`` of its rows.
+    up to ``FW_COPY_SHARE`` of its rows.  Forests whose weights are trained
+    together hold all of theirs at once, so their group is charged this
+    times its size.
     """
     n_all = n * (n - 1) // 2
     split_and_q = 2 * 8 + int(n_trees * 8 * (1 + FW_COPY_SHARE))

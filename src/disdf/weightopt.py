@@ -17,12 +17,19 @@ scales the iterate by, so a safe screen (Ndiaye et al. 2017, *Gap Safe
 screening rules*) rules rows out for a whole window of steps from one exact
 residual, and the steps run over the remaining rows only.  The duality gap
 Frank-Wolfe reports (Jaggi 2013) is a loose upper bound on J(w) - min J.
+
+A step of a forest with few rows costs mostly numpy call overhead, so
+:func:`frank_wolfe` steps several forests (a cascade level's, which share T
+and tau) in lockstep: one call per elementwise operation over all of them,
+and one ``q.T @ hinge`` and one column copy per forest.  Each forest's
+arithmetic is the same as when it is solved alone, so its weights are too,
+bit for bit.  The per-step duality gap is computed only for a callback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,15 +71,23 @@ def _check_len(params: ObjectiveParams, w) -> np.ndarray:
 def objective(params: ObjectiveParams, w) -> float:
     """J(w) as defined in the module docstring."""
     w = _check_len(params, w)
-    hinge = np.maximum(0.0, params.tau - params.stats.q_diff @ w)
-    return float(params.stats.pi @ (w * w) + hinge @ hinge + params.lam * (w @ w))
+    return _objective_at(params, w, _hinge(params, w))
 
 
 def gradient(params: ObjectiveParams, w) -> np.ndarray:
     """Exact gradient of :func:`objective` (validated by finite differences)."""
     w = _check_len(params, w)
-    hinge = np.maximum(0.0, params.tau - params.stats.q_diff @ w)
-    return _gradient_at(params, w, params.stats.q_diff, hinge)
+    return _gradient_at(params, w, params.stats.q_diff, _hinge(params, w))
+
+
+def _hinge(params: ObjectiveParams, w) -> np.ndarray:
+    """``max(0, tau - q_diff @ w)`` over every different-class pair row."""
+    return np.maximum(0.0, params.tau - params.stats.q_diff @ w)
+
+
+def _objective_at(params: ObjectiveParams, w, hinge) -> float:
+    """J(w) given the hinges of all rows of ``q_diff`` at w."""
+    return float(params.stats.pi @ (w * w) + hinge @ hinge + params.lam * (w @ w))
 
 
 def _gradient_at(params: ObjectiveParams, w, q, hinge) -> np.ndarray:
@@ -110,12 +125,36 @@ def _screen(q_diff, residual, tau, s0):
     return q, residual[keep]
 
 
+def _window(q_diffs, W, tau, s0, push):
+    """Buffers for the window of steps from s0, over the rows the screen keeps.
+
+    Returns the kept rows' residuals of all forests, concatenated, two
+    buffers of that length for the hinge and the step, and per forest
+    ``(q.T, its slice of the hinge, its row of push)`` and ``(the columns of
+    q, its slice of the step)``, q being its kept rows.
+    """
+    screened = [_screen(q, q @ w, tau, s0) for q, w in zip(q_diffs, W)]
+    r = np.concatenate([r_f for _, r_f in screened])
+    hinge, step = np.empty_like(r), np.empty_like(r)
+    cuts = np.cumsum([r_f.size for _, r_f in screened])[:-1]
+    q_ts = [q.T for q, _ in screened]
+    matvecs = list(zip(q_ts, np.split(hinge, cuts), push))
+    columns = list(zip(map(list, q_ts), np.split(step, cuts)))
+    return r, hinge, step, matvecs, columns
+
+
 def frank_wolfe(
-    params: ObjectiveParams,
+    params: Sequence[ObjectiveParams],
     n_iterations: int,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-) -> tuple[np.ndarray, float]:
+    callback: Callable[[int, np.ndarray, list[float]], None] | None = None,
+) -> list[tuple[np.ndarray, float, float]]:
     """Run Frank-Wolfe with step sizes 2/(s+2) from the uniform weights.
+
+    The forests of ``params``, which must share T and tau, are solved in
+    lockstep: their iterates are the rows of one (F, T) array and each step
+    updates all of them with one numpy call per operation where it can.
+    Every forest's arithmetic is element for element that of a solve on its
+    own, so its result does not depend on the other forests in the call.
 
     Every iterate is a convex combination of simplex points, so feasibility
     is preserved; as a guard against floating-point drift the iterate is
@@ -128,43 +167,65 @@ def frank_wolfe(
     hinge until the next recompute, so they add nothing to the gradient, and
     their residuals are not needed before the recompute overwrites them.  The
     iterates are those of the plain method up to floating-point summation
-    order.  Late in a run only a few percent of the rows are candidates.
+    order.  Late in a run only a few percent of the rows are candidates.  The
+    steps track half the gradient, ``w (lambda + pi) - q.T @ hinge``, which
+    has the same argmin; the duality gap is computed per step only for
+    ``callback(s, W, gaps)``, which gets a copy of the (F, T) iterates and
+    each forest's gap.
 
-    Returns the final iterate and its duality gap <w - g, grad J(w)> where g
-    is the LMO vertex at w.  The gap bounds J(w) - min J from above, loosely:
-    after the default 2000 steps it is about 100 times the true distance.
-    ``callback(s, w, gap)`` is invoked with a copy of each iterate.
+    Returns, per forest, the final iterate, its duality gap <w - g, grad J(w)>
+    where g is the LMO vertex at w, and J(w), all from one pass over its
+    ``q_diff``.  The gap bounds J(w) - min J from above, loosely: after the
+    default 2000 steps it is about 100 times the true distance.
     """
+    params = list(params)
     if n_iterations < 1:
         raise ValueError(f"need at least one iteration, got {n_iterations}")
-    q_diff = params.stats.q_diff
-    w = np.full(params.n_trees, 1.0 / params.n_trees)
-    residual = q_diff @ w
+    if not params:
+        raise ValueError("need at least one forest")
+    n_trees, tau = params[0].n_trees, params[0].tau
+    if any(p.n_trees != n_trees or p.tau != tau for p in params):
+        raise ValueError("forests solved in lockstep must share T and tau")
+    q_diffs = [p.stats.q_diff for p in params]
+    W = np.full((len(params), n_trees), 1.0 / n_trees)
+    pull = np.array([p.lam + p.stats.pi for p in params])
+    half, push = np.empty_like(W), np.empty_like(W)
+    rows = list(W)
 
     for s in range(n_iterations):
         if s % RENORM_PERIOD == 0:
-            q = r = None  # free the last window's copy before the next one
-            q, r = _screen(q_diff, residual, params.tau, s)
-            hinge, step = np.empty_like(r), np.empty_like(r)
-        np.subtract(params.tau, r, out=hinge)
+            # drop the last window's copies, also held by the loop names,
+            # before the screen makes the next ones
+            r = hinge = step = matvecs = columns = q_t = hinge_f = cols = step_f = None
+            r, hinge, step, matvecs, columns = _window(q_diffs, W, tau, s, push)
+        np.subtract(tau, r, out=hinge)
         np.maximum(hinge, 0.0, out=hinge)
-        grad = _gradient_at(params, w, q, hinge)
-        t0 = int(np.argmin(grad))
-        gap = float(w @ grad - grad[t0])
+        np.multiply(W, pull, out=half)
+        for q_t, hinge_f, push_f in matvecs:
+            np.dot(q_t, hinge_f, out=push_f)
+        half -= push
+        t0 = half.argmin(axis=1).tolist()
         if callback is not None:
-            callback(s, w.copy(), gap)
+            grad = 2.0 * half
+            callback(s, W.copy(), [float(w @ g - g[t]) for w, g, t in zip(W, grad, t0)])
         gamma = 2.0 / (s + 2.0)
-        w *= 1.0 - gamma
-        w[t0] += gamma
+        W *= 1.0 - gamma
+        for w, t in zip(rows, t0):
+            w[t] += gamma
         if (s + 1) % RENORM_PERIOD == 0:
-            np.maximum(w, 0.0, out=w)
-            w /= w.sum()
-            residual = q_diff @ w
+            for w in rows:
+                np.maximum(w, 0.0, out=w)
+                w /= w.sum()
         else:
             r *= 1.0 - gamma
-            np.multiply(q[:, t0], gamma, out=step)
+            for (cols, step_f), t in zip(columns, t0):
+                np.multiply(cols[t], gamma, out=step_f)
             r += step
 
-    grad = gradient(params, w)
-    gap = float(w @ grad - grad.min())
-    return w, gap
+    results = []
+    for p, w in zip(params, W):
+        w = w.copy()
+        hinge = _hinge(p, w)
+        grad = _gradient_at(p, w, p.stats.q_diff, hinge)
+        results.append((w, float(w @ grad - grad.min()), _objective_at(p, w, hinge)))
+    return results

@@ -82,7 +82,7 @@ class TestCriterion1Correctness:
             params = ObjectiveParams(
                 stats, float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.005, 0.05))
             )
-            w_fw, _ = frank_wolfe(params, 2000)
+            [(w_fw, _, _)] = frank_wolfe([params], 2000)
             w_ref = reference_solve(params, tol=1e-9)
             worst = max(worst, objective(params, w_fw) - objective(params, w_ref))
         check(
@@ -131,15 +131,16 @@ class TestCriterion1Correctness:
         worst_sum = 0.0
         worst_neg = 0.0
 
-        def record(s, w, gap):
+        def record(s, W, gaps):
             nonlocal worst_sum, worst_neg
+            w = W[0]
             worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
             worst_neg = min(worst_neg, float(w.min()))
 
         for _ in range(5):
             stats = pair_instance(rng, int(rng.integers(2, 9)), 6, 6)
             params = ObjectiveParams(stats, 0.5, 0.01)
-            frank_wolfe(params, 2000, callback=record)
+            frank_wolfe([params], 2000, callback=record)
         check(
             "1e simplex preservation across all FW iterates",
             worst_sum <= 1e-12 and worst_neg >= -1e-12,

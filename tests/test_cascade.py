@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disdf import cascade
+from disdf import cascade, pairstats
 from disdf.cascade import (
     CascadeModel,
     LevelModel,
@@ -13,7 +13,13 @@ from disdf.cascade import (
 )
 from disdf.config import TrainConfig
 from disdf.data import Dataset
-from disdf.errors import BadCellError, DataError, DegeneratePairsError, DimensionError
+from disdf.errors import (
+    BadCellError,
+    ConfigError,
+    DataError,
+    DegeneratePairsError,
+    DimensionError,
+)
 from disdf.forest import (
     class_vectors_batch,
     forest_tree_dists_batch,
@@ -67,6 +73,16 @@ def train_recording_pairs(monkeypatch, ds, cfg, **kw):
     monkeypatch.setattr(cascade, "compute_pair_stats", recording)
     model = train_cascade(ds, cfg, **kw)
     return model, [(f, *call) for f, call in zip(model.levels[0].forests, calls)]
+
+
+def assert_same_models(m1, m2):
+    """Equal level scores and, forest by forest, equal node tables and weights."""
+    assert m1.level_scores == m2.level_scores
+    assert m1.n_levels == m2.n_levels
+    for l1, l2 in zip(m1.levels, m2.levels):
+        for f1, f2 in zip(l1.forests, l2.forests, strict=True):
+            for name in TABLE:
+                np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
 
 def manual_cascade(forest_dists, n_features, num_classes):
@@ -231,13 +247,9 @@ class TestWorkerIndependence:
         ds = blobs(n=36, m=4, seed=15)
         cfg = fast_cfg(max_levels=2, patience=2)
         serial = train_cascade(ds, cfg, workers=1)
-        pooled = train_cascade(ds, cfg, workers=2)
-        assert serial.level_scores == pooled.level_scores
-        assert serial.n_levels == pooled.n_levels
-        for l1, l2 in zip(serial.levels, pooled.levels):
-            for f1, f2 in zip(l1.forests, l2.forests, strict=True):
-                for name in TABLE:
-                    np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
+        # 2 workers fit groups of 2 slots each; 3 fit uneven groups of 2, 1, 1
+        for workers in (2, 3):
+            assert_same_models(serial, train_cascade(ds, cfg, workers=workers))
 
     def test_worker_error_reaches_caller_unchanged(self):
         features = np.random.default_rng(0).normal(size=(12, 3))
@@ -249,6 +261,45 @@ class TestWorkerIndependence:
             errors.append(caught.value)
         assert type(errors[0]) is type(errors[1])
         assert str(errors[0]) == str(errors[1])
+
+
+class TestSlotGroups:
+    """A level's slots are fitted in groups whose pair statistics fit in memory."""
+
+    @staticmethod
+    def record_groups(monkeypatch):
+        """Patch cascade.frank_wolfe to list the size of each lockstep solve."""
+        sizes = []
+
+        def recording(params, *args):
+            sizes.append(len(params))
+            return solve(params, *args)
+
+        solve = cascade.frank_wolfe
+        monkeypatch.setattr(cascade, "frank_wolfe", recording)
+        return sizes
+
+    def test_memory_limit_splits_groups_with_identical_results(self, monkeypatch):
+        ds = blobs(n=36, m=4, seed=16)
+        cfg = fast_cfg(max_levels=2, patience=2)
+        sizes = self.record_groups(monkeypatch)
+        together = train_cascade(ds, cfg)
+        assert sizes == [4] * len(together.level_scores)
+        charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+        for limit, groups in ((3 * charge, [2, 2]), (charge, [1, 1, 1, 1])):
+            monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", limit)
+            sizes.clear()
+            apart = train_cascade(ds, cfg)
+            assert sizes == groups * len(apart.level_scores)
+            assert_same_models(together, apart)
+
+    def test_limit_below_one_slot_rejected(self, monkeypatch):
+        ds = blobs(n=36, m=4, seed=16)
+        cfg = fast_cfg()
+        charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge - 1)
+        with pytest.raises(ConfigError, match="--pair-budget"):
+            train_cascade(ds, cfg)
 
 
 class TestTrainCascade:

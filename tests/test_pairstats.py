@@ -248,12 +248,12 @@ class TestMemoryBound:
         shares = record_screens(monkeypatch)
         tracemalloc.start()
         try:
-            frank_wolfe(ObjectiveParams(stats, tau, 0.01), 2000)
+            frank_wolfe([ObjectiveParams(stats, tau, 0.01)], 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 0.4 < max(s for s in shares if s < 1.0) <= FW_COPY_SHARE
-        assert stats.q_diff.nbytes + peak <= pairstats._pair_bytes(n, n_trees, None)
+        assert stats.q_diff.nbytes + peak <= pairstats.pair_bytes(n, n_trees, None)
 
 
 def record_layout(directory):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disdf import weightopt
-from disdf.pairstats import PairStats
+from disdf.pairstats import PairStats, compute_pair_stats
 from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
 from tests.oracles import (
     ConvergenceError,
@@ -230,7 +230,7 @@ def first_vertex(pi):
     is 2 pi / T, so the vertex is the one-hot at the smallest entry of pi.
     """
     params = ObjectiveParams(same_class_only_stats([pi]), 0.5, 0.0)
-    w, _ = frank_wolfe(params, 1)
+    [(w, _, _)] = frank_wolfe([params], 1)
     return w
 
 
@@ -244,7 +244,7 @@ class TestLmoVertex:
     def test_full_tie(self):
         # no pairs: the gradient at uniform is a full tie, so ties go to e_0
         params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
-        w, _ = frank_wolfe(params, 1)
+        [(w, _, _)] = frank_wolfe([params], 1)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
 
 
@@ -252,7 +252,7 @@ class TestFrankWolfe:
     def test_singleton_simplex(self):
         params = ObjectiveParams(no_pairs(1), 0.5, 1.0)
         for n_iterations in (1, 10, 500):
-            w, gap = frank_wolfe(params, n_iterations)
+            [(w, gap, _)] = frank_wolfe([params], n_iterations)
             np.testing.assert_allclose(w, [1.0])
             assert gap == pytest.approx(0.0, abs=1e-12)
 
@@ -260,18 +260,18 @@ class TestFrankWolfe:
         # the per-component error of the final iterate scales with the last
         # step size, so the 1e-3 box needs S = 500 at T = 2 and S = 2000 above
         params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
-        w, _ = frank_wolfe(params, 500)
+        [(w, _, _)] = frank_wolfe([params], 500)
         np.testing.assert_allclose(w, 0.5, atol=1e-3)
         for n_trees in (4, 7):
             params = ObjectiveParams(no_pairs(n_trees), 0.5, 1.0)
-            w, _ = frank_wolfe(params, 2000)
+            [(w, _, _)] = frank_wolfe([params], 2000)
             np.testing.assert_allclose(w, 1.0 / n_trees, atol=1e-3)
 
     def test_matches_reference_on_small_instance(self):
         rng = np.random.default_rng(3)
         stats = pair_instance(rng, 3, 2, 2)
         params = ObjectiveParams(stats, 0.5, 0.01)
-        w_fw, _ = frank_wolfe(params, 2000)
+        [(w_fw, _, _)] = frank_wolfe([params], 2000)
         w_ref = reference_solve(params, tol=1e-9)
         assert objective(params, w_fw) - objective(params, w_ref) <= 1e-3
 
@@ -280,7 +280,7 @@ class TestFrankWolfe:
         stats = pair_instance(rng, 5, 5, 5)
         params = ObjectiveParams(stats, 0.5, 0.01)
         iterates = []
-        frank_wolfe(params, 500, callback=lambda s, w, gap: iterates.append(w))
+        frank_wolfe([params], 500, callback=lambda s, W, gaps: iterates.append(W[0]))
         assert len(iterates) == 500
         for w in iterates:
             assert abs(w.sum() - 1.0) <= 1e-12
@@ -291,21 +291,74 @@ class TestFrankWolfe:
         for _ in range(5):
             stats = pair_instance(rng, int(rng.integers(2, 8)), 5, 5)
             params = ObjectiveParams(stats, 0.5, 0.01)
-            _, gap_short = frank_wolfe(params, 20)
-            _, gap_long = frank_wolfe(params, 2000)
+            [(_, gap_short, _)] = frank_wolfe([params], 20)
+            [(_, gap_long, _)] = frank_wolfe([params], 2000)
             assert 0.0 <= gap_long <= gap_short
 
     def test_bad_iteration_count(self):
         params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
         with pytest.raises(ValueError):
-            frank_wolfe(params, 0)
+            frank_wolfe([params], 0)
+
+    def test_returned_objective_is_objective_at_the_result(self):
+        rng = np.random.default_rng(6)
+        params = [
+            ObjectiveParams(pair_instance(rng, 5, 6, n_diff), 0.5, lam)
+            for n_diff, lam in ((6, 0.01), (40, 0.0))
+        ] + [ObjectiveParams(no_pairs(5), 0.5, 0.3)]
+        for n_iterations in (1, 150):
+            for p, (w, _, j) in zip(params, frank_wolfe(params, n_iterations)):
+                assert j == objective(p, w)
+
+    def test_forests_must_share_trees_and_tau(self):
+        params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
+        with pytest.raises(ValueError, match="share"):
+            frank_wolfe([params, ObjectiveParams(no_pairs(4), 0.5, 1.0)], 10)
+        with pytest.raises(ValueError, match="share"):
+            frank_wolfe([params, ObjectiveParams(no_pairs(3), 0.6, 1.0)], 10)
+        with pytest.raises(ValueError, match="forest"):
+            frank_wolfe([], 10)
 
 
-def run_recorded(solver, params, n_iterations):
-    """A solver's result plus every (step, iterate, gap) its callback saw."""
+def run_recorded(params, n_iterations):
+    """One lockstep frank_wolfe over params: per forest, its weights, gap and
+    every (step, iterate, gap) of its own that the callback saw."""
     seen = []
-    w, gap = solver(params, n_iterations, callback=lambda *step: seen.append(step))
+    results = frank_wolfe(params, n_iterations, callback=lambda *step: seen.append(step))
+    return [
+        (w, gap, [(s, W[f], gaps[f]) for s, W, gaps in seen])
+        for f, (w, gap, _) in enumerate(results)
+    ]
+
+
+def run_plain(params, n_iterations):
+    """The plain solver's result plus every (step, iterate, gap) it saw."""
+    seen = []
+    w, gap = plain_frank_wolfe(params, n_iterations, callback=lambda *step: seen.append(step))
     return w, gap, seen
+
+
+def spread_instance(rng, n_trees, n_diff=3000):
+    """Pair statistics and a tau at which about 5% of rows are hinge-active at
+    uniform weights: each pair's own scale spreads the residuals, as pairs of
+    near and of far instances do."""
+    scale = rng.uniform(0.0, 2.0, (n_diff, 1))
+    q_diff = np.minimum(2.0, scale * rng.uniform(0.5, 1.5, (n_diff, n_trees)))
+    stats = PairStats(
+        pi=rng.uniform(0.5, 1.5, n_trees),
+        q_diff=np.asfortranarray(q_diff),
+        n_same=20,
+    )
+    return stats, float(np.quantile(q_diff.mean(axis=1), 0.05))
+
+
+def assert_identical(got, expected):
+    """Two recorded runs agree bit for bit."""
+    (w, gap, seen), (w_ref, gap_ref, seen_ref) = got, expected
+    assert np.array_equal(w, w_ref) and gap == gap_ref
+    assert len(seen) == len(seen_ref)
+    for (s, w_s, gap_s), (s_ref, w_ref_s, gap_ref_s) in zip(seen, seen_ref):
+        assert s == s_ref and np.array_equal(w_s, w_ref_s) and gap_s == gap_ref_s
 
 
 def assert_same_run(got, expected):
@@ -350,40 +403,25 @@ class TestCarriedResidual:
             assert stats.q_diff.flags.c_contiguous
             params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.2)), 0.01)
             laid_out = replace(stats, q_diff=np.asarray(stats.q_diff, order=order))
-            got = run_recorded(
-                frank_wolfe, replace(params, stats=laid_out), n_iterations
-            )
-            assert_same_run(got, run_recorded(plain_frank_wolfe, params, n_iterations))
+            [got] = run_recorded([replace(params, stats=laid_out)], n_iterations)
+            assert_same_run(got, run_plain(params, n_iterations))
 
     @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
     def test_empty_stats_match_plain_solver(self, n_iterations):
         params = ObjectiveParams(no_pairs(4), 0.5, 0.1)
-        assert_same_run(
-            run_recorded(frank_wolfe, params, n_iterations),
-            run_recorded(plain_frank_wolfe, params, n_iterations),
-        )
+        [got] = run_recorded([params], n_iterations)
+        assert_same_run(got, run_plain(params, n_iterations))
 
     @pytest.mark.parametrize("n_iterations", [350, 2000])
     @pytest.mark.parametrize("n_trees", [10, 100])
     def test_screened_instances_match_plain_solver(
         self, n_trees, n_iterations, monkeypatch
     ):
-        rng = np.random.default_rng(21)
-        # each pair's own scale spreads the residuals, as pairs of near and of
-        # far instances do; about 5% of rows are hinge-active at uniform
-        n_diff = 3000
-        scale = rng.uniform(0.0, 2.0, (n_diff, 1))
-        q_diff = np.minimum(2.0, scale * rng.uniform(0.5, 1.5, (n_diff, n_trees)))
-        stats = PairStats(
-            pi=rng.uniform(0.5, 1.5, n_trees),
-            q_diff=np.asfortranarray(q_diff),
-            n_same=20,
-        )
-        tau = float(np.quantile(q_diff.mean(axis=1), 0.05))
+        stats, tau = spread_instance(np.random.default_rng(21), n_trees)
         params = ObjectiveParams(stats, tau, 0.01)
         shares = record_screens(monkeypatch)
-        got = run_recorded(frank_wolfe, params, n_iterations)
-        assert_same_run(got, run_recorded(plain_frank_wolfe, params, n_iterations))
+        [got] = run_recorded([params], n_iterations)
+        assert_same_run(got, run_plain(params, n_iterations))
         assert shares[0] == 1.0
         assert max(shares[1:]) < 0.2
 
@@ -407,15 +445,50 @@ class TestCarriedResidual:
             n_same=10,
         )
         params = ObjectiveParams(stats, tau, 0.01)
-        expected = run_recorded(plain_frank_wolfe, params, 350)
+        expected = run_plain(params, 350)
         residual = np.array([w for _, w, _ in expected[2]]) @ hair.T
         np.testing.assert_allclose(
             residual[last] / tau - 1, hair[:, 0] / c - 1, rtol=0, atol=1e-9
         )
         assert residual[2:last].min() > tau
         shares = record_screens(monkeypatch)
-        assert_same_run(run_recorded(frank_wolfe, params, 350), expected)
+        [got] = run_recorded([params], 350)
+        assert_same_run(got, expected)
         assert shares[s0 // weightopt.RENORM_PERIOD] < 0.5
+
+
+class TestLockstep:
+    """Forests solved together get, bit for bit, what each gets alone."""
+
+    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
+    def test_matches_single_forest_solves(self, n_iterations):
+        rng = np.random.default_rng(24)
+        n_trees = 6
+        spread, tau = spread_instance(rng, n_trees)
+        dists = rng.dirichlet(np.ones(3), size=(40, n_trees))
+        labels = rng.integers(3, size=40)
+        forests = [
+            spread,
+            compute_pair_stats(dists, labels),
+            compute_pair_stats(dists, labels, pair_budget=150, rng=rng),
+            no_pairs(n_trees),
+            compute_pair_stats(dists, labels, pair_budget=400, rng=rng),
+        ]
+        params = [
+            ObjectiveParams(stats, tau, lam)
+            for stats, lam in zip(forests, (0.01, 0.01, 0.0, 0.2, 0.05))
+        ]
+        assert len({p.stats.q_diff.shape[0] for p in params}) == len(params)
+        results = frank_wolfe(params, n_iterations)
+        together = run_recorded(params, n_iterations)
+        for p, (w, gap, j), got in zip(params, results, together):
+            [(w_alone, gap_alone, j_alone)] = frank_wolfe([p], n_iterations)
+            assert np.array_equal(w, w_alone)
+            assert (gap, j) == (gap_alone, j_alone)
+            # a callback does not change the path
+            assert np.array_equal(got[0], w)
+            [alone] = run_recorded([p], n_iterations)
+            assert_identical(got, alone)
 
 
 class TestProjectSimplex:
