@@ -26,6 +26,7 @@ from .forest import (
     class_vectors_batch,
     forest_tree_dists_batch,
     train_forest,
+    train_forests,
     uniform_weights,
 )
 from .pairstats import PairStats, compute_pair_stats

@@ -5,9 +5,14 @@ produced out-of-fold: trees fit on folds that exclude the instance.  Those
 out-of-fold per-tree distributions feed both the pairwise statistics for
 weight training and the augmented features handed to the next level, while a
 refit-on-all-data forest (with the trained weights attached, trees matched by
-position) is what the deployed model uses.  The forests of a level are
-fitted in groups, one process-pool task each, and the weights of a group are
-trained in one lockstep Frank-Wolfe solve; no result depends on the grouping.
+position) is what the deployed model uses.  A slot's k fold forests and its
+refit forest are grown in one call, in one frontier over rows of the level's
+Dataset; each forest has its own generator, which draws the forest's
+bootstraps first and then one block per depth for the forest's own open
+nodes, so every forest is the one it would be grown alone.  The forests of a
+level are fitted in groups, one process-pool task each, and the weights of a
+group are trained in one lockstep Frank-Wolfe solve; no result depends on
+the grouping.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .forest import (
     ForestModel,
     class_vectors_batch,
     forest_tree_dists_batch,
-    train_forest,
+    train_forests,
     uniform_weights,
 )
 from .pairstats import compute_pair_stats
@@ -91,6 +96,8 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
     a pool worker, and spawning there would not be reproducible.  So a
     slot's forests and pairs do not depend on the group it is fitted in.
+    The k + 1 forests are grown by one ``train_forests`` call, on the folds'
+    training rows of ``ds`` and then on all its rows.
 
     In disdf mode the group's weights are trained by one lockstep
     Frank-Wolfe solve, which gives each slot the weights it would get alone;
@@ -104,12 +111,13 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     slots = []
     for kind, seed in zip(kinds, seeds):
         streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
-        *fold_rngs, deploy_rng, pair_rng = streams
+        *forest_rngs, pair_rng = streams
+        row_sets = [train_idx for train_idx, _ in folds] + [np.arange(ds.n)]
+        *fold_forests, deploy = train_forests(ds, kind, n_trees, params, row_sets, forest_rngs)
         oof = np.empty((ds.n, n_trees, ds.num_classes))
-        for (train_idx, hold_idx), fold_rng in zip(folds, fold_rngs):
-            fold_forest = train_forest(ds.subset(train_idx), kind, n_trees, params, fold_rng)
+        for (_, hold_idx), fold_forest in zip(folds, fold_forests):
             oof[hold_idx] = forest_tree_dists_batch(fold_forest, ds.features[hold_idx])
-        slots.append((train_forest(ds, kind, n_trees, params, deploy_rng), oof, pair_rng))
+        slots.append((deploy, oof, pair_rng))
 
     uniform = uniform_weights(n_trees)
     trained = [(uniform, {}) for _ in slots]

@@ -70,6 +70,47 @@ class ForestModel:
         return replace(self, weights=check_weights(w, self.n_trees))
 
 
+def train_forests(
+    ds: Dataset,
+    kind: str,
+    n_trees: int,
+    params: TreeParams,
+    row_sets: list[np.ndarray],
+    rngs: list[np.random.Generator],
+) -> list[ForestModel]:
+    """Train one forest of ``n_trees`` trees per row set in one grower call.
+
+    Forest f trains on the rows ``row_sets[f]`` of ``ds`` with its own
+    generator ``rngs[f]`` and is weighted uniformly.  Random-split-search
+    trees each see a bootstrap resample of their forest's rows;
+    completely-random trees see the rows themselves.  A generator first
+    draws its forest's bootstraps, an (n_trees, len(rows)) block of indices
+    into the rows, and then, one block per depth, the split draws for its
+    forest's own open nodes (:func:`~disdf.tree.grow_trees`), so a forest
+    is the same whether it is grown alone or with others.
+    """
+    if n_trees < 1:
+        raise ValueError(f"need at least one tree, got {n_trees}")
+    rows = []
+    for idx, rng in zip(row_sets, rngs, strict=True):
+        if len(idx) == 0:
+            raise DataError("cannot train a forest on no rows")
+        if kind == RANDOM_SPLIT:
+            rows.append(idx[rng.integers(0, len(idx), size=(n_trees, len(idx)))])
+        else:
+            rows.append(np.broadcast_to(idx, (n_trees, len(idx))))
+    return [
+        ForestModel(
+            *table,
+            weights=uniform_weights(n_trees),
+            kind=kind,
+            num_classes=ds.num_classes,
+            n_features=ds.feature_dim,
+        )
+        for table in grow_trees(ds, kind, params, rows, rngs)
+    ]
+
+
 def train_forest(
     ds: Dataset,
     kind: str,
@@ -77,29 +118,8 @@ def train_forest(
     params: TreeParams,
     rng: np.random.Generator,
 ) -> ForestModel:
-    """Train ``n_trees`` trees into one node table and weight them uniformly.
-
-    Random-split-search trees each see a bootstrap resample; completely-random
-    trees see the full data.  ``rng`` is the forest's one generator: it first
-    draws all the bootstraps, an (n_trees, n) block, and then the split draws
-    of :func:`~disdf.tree.grow_trees`, one block per depth, so training is
-    reproducible forest by forest.
-    """
-    if n_trees < 1:
-        raise ValueError(f"need at least one tree, got {n_trees}")
-    if ds.n == 0:
-        raise DataError("cannot train a forest on an empty dataset")
-    if kind == RANDOM_SPLIT:
-        rows = rng.integers(0, ds.n, size=(n_trees, ds.n))
-    else:
-        rows = np.broadcast_to(np.arange(ds.n), (n_trees, ds.n))
-    return ForestModel(
-        *grow_trees(ds, kind, params, rows, rng),
-        weights=uniform_weights(n_trees),
-        kind=kind,
-        num_classes=ds.num_classes,
-        n_features=ds.feature_dim,
-    )
+    """Train ``n_trees`` trees on all of ``ds``: :func:`train_forests` for one forest."""
+    return train_forests(ds, kind, n_trees, params, [np.arange(ds.n)], [rng])[0]
 
 
 def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -101,7 +101,7 @@ class TestTrain:
         self, toy_csv, tmp_path, capsys, monkeypatch, flag, value, named
     ):
         # refused by validation, before any tree is grown
-        monkeypatch.setattr(cascade, "train_forest", None)
+        monkeypatch.setattr(cascade, "train_forests", None)
         out = tmp_path / "m.model"
         code = main(
             ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),

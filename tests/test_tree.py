@@ -1,11 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
 from disdf.cascade import CascadeModel, LevelModel, predict_batch
 from disdf.config import TrainConfig
-from disdf.data import Dataset
+from disdf.data import Dataset, kfold_indices
 from disdf.errors import DataError, DimensionError, ModelFormatError
-from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest
+from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest, train_forests
 from disdf.serialize import _FOREST_ARRAYS, _check_forest
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees
 from tests.oracles import train_tree
@@ -34,7 +36,7 @@ def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
 
 def grow(ds, kind, params, rng):
     """One tree grown on every row of ``ds`` once (no bootstrap), as a forest."""
-    table = grow_trees(ds, kind, params, np.arange(ds.n)[None, :], rng)
+    (table,) = grow_trees(ds, kind, params, [np.arange(ds.n)[None, :]], [rng])
     return ForestModel(
         *table,
         weights=[1.0],
@@ -163,6 +165,32 @@ class TestCompletelyRandom:
         assert tree.n_nodes == 1
 
 
+class TestSplitTies:
+    def test_first_candidate_drawn_then_lowest_threshold_wins(self):
+        # columns 0 and 1 are equal, and on each the cuts at 0.5 and 2.5 have
+        # the same Gini score (1/3), below the cut at 1.5 (1/2)
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        ds = make_ds(np.column_stack([x, x]), [0, 1, 0, 1], 2)
+        winners = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            # the root's candidates come in the argsort order of its first draw
+            first = int(np.argsort(copy.deepcopy(rng).random(2))[0])
+            tree = grow(ds, RANDOM_SPLIT, TreeParams(max_depth=1), rng)
+            assert tree.feature[0] == first
+            assert tree.threshold[0] == 0.5
+            winners.add(first)
+        assert winners == {0, 1}
+
+    def test_a_lower_score_beats_the_first_candidate(self):
+        # column 1 separates the classes; column 0 only ties with itself
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        ds = make_ds(np.column_stack([x, [0.0, 5.0, 0.0, 5.0]]), [0, 1, 0, 1], 2)
+        for seed in range(8):
+            tree = grow(ds, RANDOM_SPLIT, TreeParams(max_depth=1), np.random.default_rng(seed))
+            assert (tree.feature[0], tree.threshold[0]) == (1, 2.5)
+
+
 class TestPrediction:
     def test_single_leaf_returns_distribution_for_any_input(self):
         tree = leaf_forest([0.4, 0.4, 0.2])
@@ -272,8 +300,8 @@ class TestDeterminism:
         rng = np.random.default_rng(12)
         ds = make_ds(rng.normal(size=(50, 6)), rng.integers(3, size=50), 3)
         rows = np.random.default_rng(5).integers(0, 50, size=(3, 50))
-        t1 = grow_trees(ds, kind, TreeParams(), rows, np.random.default_rng(99))
-        t2 = grow_trees(ds, kind, TreeParams(), rows, np.random.default_rng(99))
+        (t1,) = grow_trees(ds, kind, TreeParams(), [rows], [np.random.default_rng(99)])
+        (t2,) = grow_trees(ds, kind, TreeParams(), [rows], [np.random.default_rng(99)])
         for a1, a2 in zip(t1, t2, strict=True):
             np.testing.assert_array_equal(a1, a2)
 
@@ -393,3 +421,52 @@ class TestLevelwiseGrower:
                     depths = [tree_depth(forest, t) for t in range(n_trees)]
                     assert max(depths) <= params.max_depth
 
+
+def forest_depth(forest):
+    return max(tree_depth(forest, t) for t in range(forest.n_trees))
+
+
+class TestOneFrontierPerSlot:
+    """A slot's forests grown in one frontier are each the forest grown alone."""
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    @pytest.mark.parametrize(
+        "params", [TreeParams(), TreeParams(min_leaf=3), TreeParams(max_depth=2)]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forest_by_forest_equal_to_growing_alone(self, kind, params, seed):
+        rng = np.random.default_rng(seed)
+        n = 31
+        X = rng.normal(size=(n, 5))
+        X[:, 1] = X[:, 1].round()  # tied values
+        X[:, 2] = 4.0  # a constant column
+        y = rng.integers(2, size=n)
+        y[25:] = 2
+        ds = make_ds(X, y, 3)
+        # the fold forests, a fold whose labels are pure, and the refit forest
+        row_sets = [train for train, _ in kfold_indices(n, 3, seed)]
+        row_sets += [np.arange(25, n), np.arange(n)]
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
+        alone_rngs = copy.deepcopy(rngs)
+        together = train_forests(ds, kind, 4, params, row_sets, rngs)
+        assert len(together) == len(row_sets)
+        for rows, forest, alone_rng in zip(row_sets, together, alone_rngs):
+            alone = train_forest(ds.subset(rows), kind, 4, params, alone_rng)
+            for name in ("feature", "threshold", "children", "dist", "roots"):
+                got, expected = getattr(forest, name), getattr(alone, name)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+        # the pure fold is all single leaves, while the others keep growing
+        assert forest_depth(together[3]) == 0
+        assert len({forest_depth(f) for f in together}) > 1
+        # and every forest drew exactly what it draws alone
+        for g, alone_rng in zip(rngs, alone_rngs):
+            assert g.random() == alone_rng.random()
+
+    def test_row_sets_and_generators_pair_up(self):
+        ds = make_ds(np.arange(6.0)[:, None], [0, 1] * 3, 2)
+        rngs = [np.random.default_rng(0)]
+        with pytest.raises(ValueError):
+            train_forests(ds, RANDOM_SPLIT, 2, TreeParams(), [np.arange(3), np.arange(6)], rngs)
+        with pytest.raises(DataError):
+            train_forests(ds, RANDOM_SPLIT, 2, TreeParams(), [np.arange(0)], rngs)
