@@ -22,10 +22,10 @@ from functools import partial
 
 import numpy as np
 
-from . import pairstats
+from . import pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, kfold_indices
-from .errors import BadCellError, DataError, DimensionError
+from .errors import BadCellError, ConfigError, DataError, DimensionError
 from .forest import (
     ForestModel,
     class_vectors_batch,
@@ -170,9 +170,24 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     slot's results do not depend on its group.  The next level's features
     are ``ds.features`` followed by each forest's out-of-fold class vectors,
     in forest order.
+
+    Before any slot is grown, one slot's grower temporaries are estimated
+    (``tree.grow_bytes``, over the T bootstrap rows of each of its k + 1
+    forests) and refused above ``tree.MAX_GROW_BYTES``.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
+    n_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
+    grow = max(
+        tree.grow_bytes(kind, n_positions, ds.feature_dim, ds.num_classes) for kind in kinds
+    )
+    if grow > tree.MAX_GROW_BYTES:
+        raise ConfigError(
+            f"growing a slot's {cfg.folds + 1} forests of {cfg.trees_per_forest} trees "
+            f"on {ds.n} rows x {ds.feature_dim} features needs about "
+            f"{grow / 2**20:.0f} MiB, over the {tree.MAX_GROW_BYTES / 2**20:.0f} MiB "
+            "limit; set --trees to grow fewer trees"
+        )
     slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
     charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
     fit_in_memory = max(1, pairstats.MAX_PAIR_BYTES // charge)

@@ -15,7 +15,12 @@ in practice) add to the gradient.  Since ``Q_ij >= 0``, a step can shrink a
 row's residual ``<Q_ij, w>`` by no more than the factor ``1 - gamma`` it
 scales the iterate by, so a safe screen (Ndiaye et al. 2017, *Gap Safe
 screening rules*) rules rows out for a whole window of steps from one exact
-residual, and the steps run over the remaining rows only.  The duality gap
+residual, and the steps run over the remaining rows only.  The first window
+covers steps 0 to 99; from step 100 on, a window that starts at step s0 runs
+for ``max(MIN_WINDOW, s0 // WINDOW_DIVISOR)`` steps and never past the next
+renormalization, so that its bound is tight enough to drop rows.  Every
+window starts from residuals recomputed exactly, and the iterates are those
+of the plain method up to floating-point rounding.  The duality gap
 Frank-Wolfe reports (Jaggi 2013) is a loose upper bound on J(w) - min J.
 
 A step of a forest with few rows costs mostly numpy call overhead, so
@@ -36,6 +41,9 @@ import numpy as np
 from .pairstats import FW_COPY_SHARE, PairStats
 
 RENORM_PERIOD = 100
+# the screening windows' lengths from step RENORM_PERIOD on; see _window_last
+MIN_WINDOW = 10
+WINDOW_DIVISOR = 5
 
 
 @dataclass
@@ -102,19 +110,34 @@ def _gradient_at(params: ObjectiveParams, w, q, hinge) -> np.ndarray:
     return grad
 
 
-def _screen(q_diff, residual, tau, s0):
-    """The rows of ``q_diff`` that can be hinge-active in the window from step s0.
+def _window_last(s0):
+    """The last step of the screening window that starts at step s0.
 
-    Returns them and their residuals.  A step keeps ``1 - gamma_k`` of every
-    residual and adds ``gamma_k q_diff[:, t] >= 0``, so up to the window's
-    last step ``s0 + RENORM_PERIOD - 1`` each residual stays at or above
-    ``residual * prod_{k=s0}^{last-1} (1 - gamma_k)``, which telescopes to
-    ``s0 (s0 + 1) / (last (last + 1))``.  A row whose bound is still at or
-    above tau has a zero hinge throughout the window.  The candidate rows are
-    copied, column-major, only while they are at most ``FW_COPY_SHARE`` of
-    all rows; otherwise ``q_diff`` and ``residual`` themselves are returned.
+    Windows end where the iterate is renormalized, every ``RENORM_PERIOD``
+    steps, and from step ``RENORM_PERIOD`` on also after ``max(MIN_WINDOW,
+    s0 // WINDOW_DIVISOR)`` steps: 100-119, 120-143, 144-171, 172-199,
+    200-239, ..., 480-499, then 100 steps each.
     """
-    last = s0 + RENORM_PERIOD - 1
+    renorm = (s0 // RENORM_PERIOD + 1) * RENORM_PERIOD
+    if s0 < RENORM_PERIOD:
+        return renorm - 1
+    return min(s0 + max(MIN_WINDOW, s0 // WINDOW_DIVISOR), renorm) - 1
+
+
+def _screen(q_diff, residual, tau, s0, last):
+    """The rows of ``q_diff`` that can be hinge-active in steps s0 to last.
+
+    ``residual`` is ``q_diff @ w``, recomputed exactly at the window's first
+    step s0, and ``last`` is the window's last step (:func:`_window_last`).
+    Returns the rows and their residuals.  A step keeps ``1 - gamma_k`` of every
+    residual and adds ``gamma_k q_diff[:, t] >= 0``, so up to step ``last``
+    each residual stays at or above ``residual * prod_{k=s0}^{last-1} (1 -
+    gamma_k)``, which telescopes to ``s0 (s0 + 1) / (last (last + 1))``.  A
+    row whose bound is still at or above tau has a zero hinge throughout the
+    window.  The candidate rows are copied, column-major, only while they
+    are at most ``FW_COPY_SHARE`` of all rows; otherwise ``q_diff`` and
+    ``residual`` themselves are returned.
+    """
     shrink = s0 * (s0 + 1) / (last * (last + 1))
     keep = np.flatnonzero(residual * shrink < tau)
     if keep.size > FW_COPY_SHARE * residual.size:
@@ -125,15 +148,15 @@ def _screen(q_diff, residual, tau, s0):
     return q, residual[keep]
 
 
-def _window(q_diffs, W, tau, s0, push):
-    """Buffers for the window of steps from s0, over the rows the screen keeps.
+def _window(q_diffs, W, tau, s0, last, push):
+    """Buffers for steps s0 to last, over the rows the screen keeps.
 
     Returns the kept rows' residuals of all forests, concatenated, two
     buffers of that length for the hinge and the step, and per forest
     ``(q.T, its slice of the hinge, its row of push)`` and ``(the columns of
     q, its slice of the step)``, q being its kept rows.
     """
-    screened = [_screen(q, q @ w, tau, s0) for q, w in zip(q_diffs, W)]
+    screened = [_screen(q, q @ w, tau, s0, last) for q, w in zip(q_diffs, W)]
     r = np.concatenate([r_f for _, r_f in screened])
     hinge, step = np.empty_like(r), np.empty_like(r)
     cuts = np.cumsum([r_f.size for _, r_f in screened])[:-1]
@@ -158,16 +181,20 @@ def frank_wolfe(
 
     Every iterate is a convex combination of simplex points, so feasibility
     is preserved; as a guard against floating-point drift the iterate is
-    renormalized every ``RENORM_PERIOD`` steps.  The residual ``q_diff @ w``
-    moves with the iterate, ``r <- (1 - gamma) r + gamma q_diff[:, t]``, and
-    is recomputed exactly whenever the iterate is renormalized.
+    renormalized every ``RENORM_PERIOD`` steps.  The steps fall into
+    screening windows (:func:`_window_last`): steps 0 to 99, then from step
+    s0 >= 100 windows of ``max(MIN_WINDOW, s0 // WINDOW_DIVISOR)`` steps that
+    also end at every renormalization.  At every window start the residual
+    ``q_diff @ w`` is recomputed exactly; inside a window it moves with the
+    iterate, ``r <- (1 - gamma) r + gamma q_diff[:, t]``.
 
-    Each such window of steps runs over only the rows of ``q_diff`` that a
-    safe screen (:func:`_screen`) cannot rule out: the other rows have a zero
-    hinge until the next recompute, so they add nothing to the gradient, and
-    their residuals are not needed before the recompute overwrites them.  The
-    iterates are those of the plain method up to floating-point summation
-    order.  Late in a run only a few percent of the rows are candidates.  The
+    Each window runs over only the rows of ``q_diff`` that a safe screen
+    (:func:`_screen`) cannot rule out: the other rows have a zero hinge until
+    the window ends, so they add nothing to the gradient, and their
+    residuals are not needed before the next recompute overwrites them.  The
+    iterates are those of the plain method up to floating-point rounding.
+    After step 100 a window keeps about a seventh of the rows on a
+    train-pairs-sized instance, and late in a run a few percent.  The
     steps track half the gradient, ``w (lambda + pi) - q.T @ hinge``, which
     has the same argmin; the duality gap is computed per step only for
     ``callback(s, W, gaps)``, which gets a copy of the (F, T) iterates and
@@ -192,12 +219,14 @@ def frank_wolfe(
     half, push = np.empty_like(W), np.empty_like(W)
     rows = list(W)
 
+    last = -1
     for s in range(n_iterations):
-        if s % RENORM_PERIOD == 0:
+        if s > last:
             # drop the last window's copies, also held by the loop names,
             # before the screen makes the next ones
             r = hinge = step = matvecs = columns = q_t = hinge_f = cols = step_f = None
-            r, hinge, step, matvecs, columns = _window(q_diffs, W, tau, s, push)
+            last = _window_last(s)
+            r, hinge, step, matvecs, columns = _window(q_diffs, W, tau, s, last, push)
         np.subtract(tau, r, out=hinge)
         np.maximum(hinge, 0.0, out=hinge)
         np.multiply(W, pull, out=half)
@@ -216,7 +245,7 @@ def frank_wolfe(
             for w in rows:
                 np.maximum(w, 0.0, out=w)
                 w /= w.sum()
-        else:
+        elif s < last:
             r *= 1.0 - gamma
             for (cols, step_f), t in zip(columns, t0):
                 np.multiply(cols[t], gamma, out=step_f)

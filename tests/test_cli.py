@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from disdf.cascade import LevelModel, predict_batch, train_cascade
-from disdf import cascade, pairstats
+from disdf import cascade, pairstats, tree
 from disdf.cli import main
 from disdf.errors import ModelFormatError
 from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
@@ -628,6 +628,18 @@ def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     assert "--pair-budget" in capsys.readouterr().err
     assert not out.exists()
     assert main(args + ["--pair-budget", "20"]) == 0
+
+
+def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
+    # refused before any tree is grown
+    monkeypatch.setattr(cascade, "train_forests", None)
+    monkeypatch.setattr(tree, "MAX_GROW_BYTES", 1000)
+    out = tmp_path / "m.model"
+    args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+            *TRAIN_FLAGS]
+    assert main(args) == 3
+    assert "--trees" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # flag the hostile file is passed with, and its bytes (None: a model file)

@@ -3,15 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from disdf.data import Dataset
+from disdf.data import Dataset, kfold_indices
 from disdf.errors import DataError, DimensionError
 from disdf.forest import (
     class_vectors_batch,
     forest_tree_dists_batch,
     train_forest,
+    train_forests,
     uniform_weights,
 )
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_bytes
 from tests.test_tree import leaf_forest, make_ds
 
 # three-tree, three-class leaf distributions from the worked weighted-average
@@ -94,6 +95,24 @@ class TestTrainForest:
         finally:
             tracemalloc.stop()
         assert peak <= 6_000_000
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    @pytest.mark.parametrize("m, C", [(2, 8), (30, 2)])
+    def test_grow_bytes_estimates_a_slot_peak(self, kind, m, C):
+        # a cascade slot: 3 fold forests and the refit forest in one frontier
+        rng = np.random.default_rng(1)
+        ds = make_ds(rng.normal(size=(300, m)), rng.integers(C, size=300), C)
+        row_sets = [train for train, _ in kfold_indices(ds.n, 3, 2)] + [np.arange(ds.n)]
+        rngs = [np.random.default_rng(s) for s in range(len(row_sets))]
+        n_positions = 12 * sum(len(rows) for rows in row_sets)
+        tracemalloc.start()
+        try:
+            train_forests(ds, kind, 12, TreeParams(), row_sets, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = grow_bytes(kind, n_positions, m, C)
+        assert 0.5 * estimate <= peak <= estimate
 
     def test_empty_dataset_rejected(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=int), 2)

@@ -252,7 +252,7 @@ class TestMemoryBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.4 < max(s for s in shares if s < 1.0) <= FW_COPY_SHARE
+        assert 0.4 < max(s for s in shares.values() if s < 1.0) <= FW_COPY_SHARE
         assert stats.q_diff.nbytes + peak <= pairstats.pair_bytes(n, n_trees, None)
 
 

@@ -371,17 +371,19 @@ def assert_same_run(got, expected):
         assert gap_s == pytest.approx(gap_ref_s, rel=1e-9, abs=1e-12)
 
 
-# 100 is RENORM_PERIOD: these cross the step that recomputes q_diff @ w
-ITERATION_COUNTS = [1, 99, 100, 101, 350]
+# 100 is RENORM_PERIOD and 120 and 144 start screening windows: these cross
+# the steps that recompute q_diff @ w
+ITERATION_COUNTS = [1, 99, 100, 101, 119, 120, 121, 144, 350]
 
 
 def record_screens(monkeypatch):
-    """Patch weightopt._screen to list the share of rows each window keeps."""
-    shares = []
+    """Patch weightopt._screen to map each window's first step to the share
+    of rows it keeps."""
+    shares = {}
 
-    def recording(q_diff, residual, tau, s0):
-        q, r = screen(q_diff, residual, tau, s0)
-        shares.append(q.shape[0] / q_diff.shape[0])
+    def recording(q_diff, residual, tau, s0, last):
+        q, r = screen(q_diff, residual, tau, s0, last)
+        shares[s0] = q.shape[0] / q_diff.shape[0]
         return q, r
 
     screen = weightopt._screen
@@ -423,13 +425,38 @@ class TestCarriedResidual:
         [got] = run_recorded([params], n_iterations)
         assert_same_run(got, run_plain(params, n_iterations))
         assert shares[0] == 1.0
-        assert max(shares[1:]) < 0.2
+        assert max(share for s0, share in shares.items() if s0) < 0.2
+
+    def test_windows_from_step_100_keep_under_half_of_train_pairs(self, monkeypatch):
+        """On rows shaped like a training set's different-class pairs, which
+        fully grown trees tell apart (Manhattan difference 2) or not (0), every
+        window from step 100 on screens out most rows.  A screen over a fixed
+        100-step window keeps them all from step 100 to 199."""
+        rng = np.random.default_rng(25)
+        n_diff, T = 3000, 10
+        # per pair, the share of trees that tell its two classes apart
+        told_apart = rng.beta(5.0, 2.0, (n_diff, 1))
+        stats = PairStats(
+            pi=rng.uniform(50.0, 150.0, T),
+            q_diff=np.asfortranarray(2.0 * (rng.random((n_diff, T)) < told_apart)),
+            n_same=2000,
+        )
+        params = ObjectiveParams(stats, 0.5, 0.01)
+        shares = record_screens(monkeypatch)
+        [got] = run_recorded([params], 600)
+        assert_same_run(got, run_plain(params, 600))
+        assert shares[0] == 1.0
+        late = {s0: share for s0, share in shares.items() if s0 >= 100}
+        assert sorted(late) == [100, 120, 144, 172, 200, 240, 288, 300, 360, 400, 480, 500]
+        assert max(late.values()) < 0.5
 
     def test_rows_within_a_hair_of_tau(self, monkeypatch):
         """Screened rows whose residuals end the window just above tau, and
         candidates that end it just below, where their hinge is 1e-6 tau."""
         T, tau, eps = 4, 0.5, 1e-6
-        s0, last = 200, 299
+        s0 = 200
+        last = weightopt._window_last(s0)
+        assert last == 239
         rng = np.random.default_rng(22)
         # rows always active on trees 1..3, and far rows the screen drops
         main = np.column_stack([np.zeros(40), rng.uniform(0, 0.4, (40, T - 1))])
@@ -454,7 +481,7 @@ class TestCarriedResidual:
         shares = record_screens(monkeypatch)
         [got] = run_recorded([params], 350)
         assert_same_run(got, expected)
-        assert shares[s0 // weightopt.RENORM_PERIOD] < 0.5
+        assert shares[s0] < 0.5
 
 
 class TestLockstep:
