@@ -178,8 +178,10 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
     n_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
+    n_tied = tree.tied_columns(ds.features).size
     grow = max(
-        tree.grow_bytes(kind, n_positions, ds.feature_dim, ds.num_classes) for kind in kinds
+        tree.grow_bytes(kind, n_positions, ds.feature_dim, ds.num_classes, n_tied)
+        for kind in kinds
     )
     if grow > tree.MAX_GROW_BYTES:
         raise ConfigError(

@@ -11,6 +11,8 @@ from .errors import DataError, DimensionError, ModelFormatError
 from .tree import RANDOM_SPLIT, TreeParams, grow_trees
 
 SIMPLEX_TOL = 1e-6
+# rows that class_vectors_batch routes and weighs at a time
+_BLOCK = 512
 
 
 def uniform_weights(n_trees: int) -> np.ndarray:
@@ -122,8 +124,18 @@ def train_forest(
     return train_forests(ds, kind, n_trees, params, [np.arange(ds.n)], [rng])[0]
 
 
-def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Per-tree class distributions for each row of X, shape (n, T, C).
+def _inputs(forest: ForestModel, X) -> np.ndarray:
+    """X as a float64 (n, m) matrix for the forest's m features."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != forest.n_features:
+        raise DimensionError(
+            f"expected (n, {forest.n_features}) inputs, got {X.shape}"
+        )
+    return X
+
+
+def _route_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches in each tree, shape (n, T).
 
     Routes all n*T (row, tree) positions at once; position k is row k // T
     in tree k % T.  Each step moves every position still on an internal node
@@ -132,11 +144,7 @@ def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     nodes, so a table that needs more steps has a cycle and raises
     :class:`ModelFormatError` instead of looping forever.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise DimensionError(
-            f"expected (n, {forest.n_features}) inputs, got {X.shape}"
-        )
+    X = _inputs(forest, X)
     n, T = X.shape[0], forest.n_trees
     feature, threshold, children = forest.feature, forest.threshold, forest.children
     flat = X.ravel()
@@ -146,7 +154,7 @@ def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     row_start = live // T * X.shape[1]
     for _ in range(feature.size + 1):
         if not live.size:
-            return forest.dist.take(~node, axis=0).reshape(n, T, forest.num_classes)
+            return (~node).reshape(n, T)
         go_left = flat.take(row_start + feature.take(at)) <= threshold.take(at)
         at = children.take(2 * at + go_left)
         node[live] = at
@@ -158,6 +166,25 @@ def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     )
 
 
+def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Per-tree class distributions for each row of X, shape (n, T, C)."""
+    return forest.dist.take(_route_leaves(forest, X), axis=0)
+
+
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Class vectors for each row of X under the forest's weights, shape (n, C)."""
-    return np.einsum("ntc,t->nc", forest_tree_dists_batch(forest, X), forest.weights)
+    """Class vectors for each row of X under the forest's weights, shape (n, C).
+
+    Rows are routed and weighted ``_BLOCK`` at a time, so the routing
+    temporaries and the (rows, T, C) leaf distributions stay one block's size.
+    Blocks of routing matter too: at 4096 rows x 50 trees, routing all rows at
+    once and only weighting in blocks had the allocator map and fault in the
+    routing temporaries afresh on every call (about 20,000 minor page faults
+    per predict job, against 26).
+    """
+    X = _inputs(forest, X)
+    out = np.empty((X.shape[0], forest.num_classes))
+    for start in range(0, X.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        leaves = _route_leaves(forest, X[rows])
+        out[rows] = np.einsum("ntc,t->nc", forest.dist.take(leaves, axis=0), forest.weights)
+    return out

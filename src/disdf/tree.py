@@ -5,6 +5,9 @@ node and takes the best Gini split over midpoints between consecutive
 distinct values; the first candidate drawn, then the lowest threshold, wins a
 tie.  ``completely-random`` draws the split feature uniformly among features
 that vary at the node and the threshold uniformly in [min, max) of its values.
+Only a tied column, one in which some value repeats, can be constant at an
+open node: the node holds two classes, so two distinct rows, and these differ
+in every other column.  So only the tied columns are checked per node.
 
 The frontier is one array of (node, row) positions grouped by node, over the
 open nodes of every tree of every forest at the current depth, forest by
@@ -70,7 +73,11 @@ def grow_trees(
     X, y, C = ds.features, ds.labels, ds.num_classes
     m = X.shape[1]
     values = X.ravel()
-    rank = _dense_ranks(X) if kind == RANDOM_SPLIT else None
+    if kind == RANDOM_SPLIT:
+        rank = _dense_ranks(X)
+    else:
+        tied = tied_columns(X)
+        X_tied = X[:, tied]
     width = m if kind == RANDOM_SPLIT else 2  # uniforms per open node and depth
     n_trees = [r.shape[0] for r in rows]
     F = len(rows)
@@ -112,7 +119,9 @@ def grow_trees(
                     values, m, y, rank, counts[open_], s_sample, s_node, s_start, u
                 )
             else:
-                f, thr, found = _cr_splits(X, s_sample, s_start, u)
+                f, thr, found = _cr_splits(
+                    values, m, tied, X_tied, s_sample, s_node, s_start, u
+                )
         go_left = values.take(s_sample * m + f[s_node]) <= thr[s_node]
         n_left = np.bincount(s_node[go_left], minlength=s_size.size)
         # a split whose rows all fall on one side (floating-point edge cases) is a leaf
@@ -169,24 +178,35 @@ def grow_trees(
     ))
 
 
-def grow_bytes(kind: str, n_positions: int, n_features: int, num_classes: int) -> int:
+def grow_bytes(
+    kind: str, n_positions: int, n_features: int, num_classes: int, n_tied: int
+) -> int:
     """About the peak bytes :func:`grow_trees` allocates for ``n_positions``
-    (tree, row) positions over all its forests, at m features and C classes.
+    (tree, row) positions over all its forests, at m features, C classes and
+    ``n_tied`` columns that repeat a value (:func:`tied_columns`).
 
     Per position, ``80 + 82 * ceil(sqrt(m))`` bytes for random-split-search,
-    which scores every candidate of every node at once, and ``80 + max(9 m,
-    16 C)`` for completely-random, whose peak is either the gather of the
-    frontier's feature rows or the leaf distributions.  Fitted, with a
-    margin, to tracemalloc peaks of one cascade slot's k = 3 fold forests and
-    refit forest (800 rows, 16 trees, m from 1 to 100, C = 2 and 8): the
-    random-split-search peak read 143 to 875 bytes per position, the
-    completely-random one 91 to 939.
+    which scores every candidate of every node at once, and ``80 + 16 C + 2 m
+    + 8 n_tied`` for completely-random: the leaf distributions, the per-node
+    feature choice over all m columns and the gather of the frontier's tied
+    columns.  Fitted, with a margin, to tracemalloc peaks of one cascade
+    slot's k = 3 fold forests and refit forest: for random-split-search at
+    800 rows, 16 trees, m from 1 to 100 and C = 2 and 8 the peak read 143 to
+    875 bytes per position; for completely-random at 60 to 2000 rows, 4 to
+    50 trees, m from 1 to 300, C = 2 and 8, and no, half or all columns
+    tied, it read 0.36 to 0.96 of the estimate.
     """
     if kind == RANDOM_SPLIT:
         per_position = 80 + 82 * math.ceil(math.sqrt(n_features))
     else:
-        per_position = 80 + max(9 * n_features, 16 * num_classes)
+        per_position = 80 + 16 * num_classes + 2 * n_features + 8 * n_tied
     return n_positions * per_position
+
+
+def tied_columns(X: np.ndarray) -> np.ndarray:
+    """Indices of the columns of X in which some value repeats (``-0.0 == 0.0``)."""
+    ordered = np.sort(X, axis=0)
+    return np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -275,20 +295,26 @@ def _rss_splits(values, m, y, rank, counts, sample, node, start, u):
     return feature, threshold, found
 
 
-def _cr_splits(X, sample, start, u):
+def _cr_splits(values, m, tied, X_tied, sample, node, start, u):
     """A completely-random split per open node: (feature, threshold, found).
 
-    Row s of the uniforms ``u`` picks node s's feature and threshold.
+    ``values`` is the row-major feature matrix flattened, ``X_tied`` its
+    columns ``tied`` (:func:`tied_columns`), ``sample``/``node`` the open
+    nodes' positions grouped by node and ``start`` each node's first
+    position; row s of the uniforms ``u`` picks node s's feature and
+    threshold.  Only tied columns are checked for a constant value at a
+    node: an open node holds two classes, hence two distinct rows, which
+    differ in every column where no value repeats.
     """
-    values = X[sample]
-    lo = np.minimum.reduceat(values, start, axis=0)
-    hi = np.maximum.reduceat(values, start, axis=0)
-    varying = hi > lo
+    varying = np.ones((start.size, m), dtype=bool)
+    at_node = X_tied[sample]
+    lo = np.minimum.reduceat(at_node, start, axis=0)
+    varying[:, tied] = np.maximum.reduceat(at_node, start, axis=0) > lo
     n_varying = varying.sum(axis=1)
     pick = np.minimum((u[:, 0] * n_varying).astype(np.intp), n_varying - 1)
     feature = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
-    nodes = np.arange(start.size)
-    a, b = lo[nodes, feature], hi[nodes, feature]
+    picked = values.take(sample * m + feature.take(node))
+    a, b = np.minimum.reduceat(picked, start), np.maximum.reduceat(picked, start)
     threshold = a + (b - a) * u[:, 1]
     # a uniform draw in [lo, hi) keeps both children non-empty
     threshold = np.where(threshold >= b, np.nextafter(b, a), threshold)

@@ -12,7 +12,13 @@ from disdf.forest import (
     train_forests,
     uniform_weights,
 )
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_bytes
+from disdf.tree import (
+    COMPLETELY_RANDOM,
+    RANDOM_SPLIT,
+    TreeParams,
+    grow_bytes,
+    tied_columns,
+)
 from tests.test_tree import leaf_forest, make_ds
 
 # three-tree, three-class leaf distributions from the worked weighted-average
@@ -97,11 +103,20 @@ class TestTrainForest:
         assert peak <= 6_000_000
 
     @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
-    @pytest.mark.parametrize("m, C", [(2, 8), (30, 2)])
-    def test_grow_bytes_estimates_a_slot_peak(self, kind, m, C):
-        # a cascade slot: 3 fold forests and the refit forest in one frontier
+    @pytest.mark.parametrize("m, C, decimals", [
+        pytest.param(2, 8, None, id="2-8"),
+        pytest.param(30, 2, None, id="30-2"),
+        pytest.param(2, 8, 1, id="2-8-rounded"),
+        pytest.param(30, 2, 1, id="30-2-rounded"),
+    ])
+    def test_grow_bytes_estimates_a_slot_peak(self, kind, m, C, decimals):
+        # a cascade slot: 3 fold forests and the refit forest in one frontier,
+        # on tie-free columns or on rounded ones, where every column is tied
         rng = np.random.default_rng(1)
-        ds = make_ds(rng.normal(size=(300, m)), rng.integers(C, size=300), C)
+        X = rng.normal(size=(300, m))
+        if decimals is not None:
+            X = X.round(decimals)
+        ds = make_ds(X, rng.integers(C, size=300), C)
         row_sets = [train for train, _ in kfold_indices(ds.n, 3, 2)] + [np.arange(ds.n)]
         rngs = [np.random.default_rng(s) for s in range(len(row_sets))]
         n_positions = 12 * sum(len(rows) for rows in row_sets)
@@ -111,7 +126,7 @@ class TestTrainForest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = grow_bytes(kind, n_positions, m, C)
+        estimate = grow_bytes(kind, n_positions, m, C, tied_columns(X).size)
         assert 0.5 * estimate <= peak <= estimate
 
     def test_empty_dataset_rejected(self):
@@ -187,6 +202,18 @@ class TestClassVector:
         f = example_forest().with_weights([0.5, 0.3, 0.2])
         out = class_vectors_batch(f, np.zeros((4, 2)))
         np.testing.assert_allclose(out, np.tile([0.46, 0.35, 0.19], (4, 1)))
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 4096])
+    def test_batch_in_row_blocks_equals_the_whole_contraction(self, n):
+        rng = np.random.default_rng(n)
+        ds = make_ds(rng.normal(size=(224, 7)), rng.integers(8, size=224), 8)
+        f = train_forest(ds, COMPLETELY_RANDOM, 50, TreeParams(), rng)
+        f = f.with_weights(rng.dirichlet(np.ones(50)))
+        X = rng.normal(size=(n, 7))
+        whole = np.einsum("ntc,t->nc", forest_tree_dists_batch(f, X), f.weights)
+        got = class_vectors_batch(f, X)
+        assert got.dtype == whole.dtype
+        np.testing.assert_array_equal(got, whole)
 
 
 class TestUniformEquivalence:

@@ -9,7 +9,8 @@ from disdf.data import Dataset, kfold_indices
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest, train_forests
 from disdf.serialize import _FOREST_ARRAYS, _check_forest
-from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees
+from disdf import tree as tree_module
+from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees, tied_columns
 from tests.oracles import train_tree
 
 
@@ -163,6 +164,54 @@ class TestCompletelyRandom:
         ds = make_ds([[7.0, 7.0], [7.0, 7.0]], [0, 1], 2)
         tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
+
+    def test_tied_columns_are_those_that_repeat_a_value(self):
+        X = np.array([
+            [0.5, 1.0, 7.0, -0.0, 3.0],
+            [1.5, 1.0, 7.0, 0.0, 2.0],
+            [2.5, 2.0, 7.0, 1.0, 1.0],
+        ])
+        np.testing.assert_array_equal(tied_columns(X), [1, 2, 3])
+        assert tied_columns(X[:1]).size == 0
+        assert tied_columns(np.ones((4, 0))).size == 0
+
+    @pytest.mark.parametrize("duplicate_rows", [False, True])
+    @pytest.mark.parametrize("params", [
+        TreeParams(), TreeParams(min_leaf=2), TreeParams(min_leaf=3), TreeParams(max_depth=2),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checking_only_tied_columns_changes_no_tree(
+        self, monkeypatch, duplicate_rows, params, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = 37
+        X = rng.normal(size=(n, 6))
+        X[:, 1] = X[:, 1].round()
+        X[:, 2] = 4.0
+        X[:, 3] = rng.choice([-0.0, 0.0, 1.0], size=n)
+        X[:, 4] = (2 * X[:, 4]).round(1)
+        y = rng.integers(3, size=n)
+        if duplicate_rows:
+            # a node that holds both rows of a pair and nothing else cannot
+            # split; a repeated row ties every column
+            X[-5:] = X[:5]
+            y[-5:] = (y[:5] + 1) % 3
+        assert tied_columns(X).size == (6 if duplicate_rows else 4)
+        ds = make_ds(X, y, 3)
+        row_sets = [train for train, _ in kfold_indices(n, 3, seed)] + [np.arange(n)]
+        seeds = np.random.SeedSequence(seed).spawn(len(row_sets))
+
+        def grow_slot():
+            rngs = [np.random.default_rng(s) for s in seeds]
+            return train_forests(ds, COMPLETELY_RANDOM, 5, params, row_sets, rngs)
+
+        default = grow_slot()
+        # every column checked for a constant value at every node
+        monkeypatch.setattr(tree_module, "tied_columns", lambda X: np.arange(X.shape[1]))
+        for got, expected in zip(default, grow_slot(), strict=True):
+            for name in ("feature", "threshold", "children", "dist", "roots"):
+                assert getattr(got, name).dtype == getattr(expected, name).dtype
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
 
 class TestSplitTies:
