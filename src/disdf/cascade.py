@@ -5,14 +5,15 @@ produced out-of-fold: trees fit on folds that exclude the instance.  Those
 out-of-fold per-tree distributions feed both the pairwise statistics for
 weight training and the augmented features handed to the next level, while a
 refit-on-all-data forest (with the trained weights attached, trees matched by
-position) is what the deployed model uses.  A slot's k fold forests and its
-refit forest are grown in one call, in one frontier over rows of the level's
-Dataset; each forest has its own generator, which draws the forest's
-bootstraps first and then one block per depth for the forest's own open
-nodes, so every forest is the one it would be grown alone.  The forests of a
-level are fitted in groups, one process-pool task each, and the weights of a
-group are trained in one lockstep Frank-Wolfe solve; no result depends on
-the grouping.
+position) is what the deployed model uses.  The forests of a level are
+fitted in groups of slots, one process-pool task each.  A group's forests,
+each slot's k fold forests and refit forest, of both kinds, are grown in one
+call, in one frontier over rows of the level's Dataset; each forest has its
+own generator, which draws the forest's bootstraps first and then one block
+per depth for the forest's own open nodes, so every forest is the one it
+would be grown alone.  The group's out-of-fold rows are routed in one pass
+and its weights are trained in one lockstep Frank-Wolfe solve; no result
+depends on the grouping.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import BadCellError, ConfigError, DataError, DimensionError
 from .forest import (
     ForestModel,
     class_vectors_batch,
-    forest_tree_dists_batch,
+    routed_tree_dists,
     train_forests,
     uniform_weights,
 )
@@ -96,8 +97,11 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
     a pool worker, and spawning there would not be reproducible.  So a
     slot's forests and pairs do not depend on the group it is fitted in.
-    The k + 1 forests are grown by one ``train_forests`` call, on the folds'
-    training rows of ``ds`` and then on all its rows.
+    The group's forests, k + 1 per slot on the folds' training rows of
+    ``ds`` and then on all its rows, are grown by one ``train_forests``
+    call, kind-major inside the grower, with split scoring in chunks of at
+    most one slot's positions.  Every row of every slot is then routed
+    through the slot's fold forest that held it out, all in one pass.
 
     In disdf mode the group's weights are trained by one lockstep
     Frank-Wolfe solve, which gives each slot the weights it would get alone;
@@ -107,17 +111,31 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     ``duality_gap``, ``objective_solver`` and ``objective_uniform`` (J at the
     solver's and at uniform weights) and ``fallback`` (none in baseline).
     """
-    n_trees, params = cfg.trees_per_forest, cfg.tree_params()
-    slots = []
-    for kind, seed in zip(kinds, seeds):
-        streams = [np.random.default_rng(s) for s in seed.spawn(cfg.folds + 2)]
-        *forest_rngs, pair_rng = streams
-        row_sets = [train_idx for train_idx, _ in folds] + [np.arange(ds.n)]
-        *fold_forests, deploy = train_forests(ds, kind, n_trees, params, row_sets, forest_rngs)
-        oof = np.empty((ds.n, n_trees, ds.num_classes))
-        for (_, hold_idx), fold_forest in zip(folds, fold_forests):
-            oof[hold_idx] = forest_tree_dists_batch(fold_forest, ds.features[hold_idx])
-        slots.append((deploy, oof, pair_rng))
+    n_trees, k, n = cfg.trees_per_forest, cfg.folds, ds.n
+    forest_rngs, pair_rngs = [], []
+    for seed in seeds:
+        *rngs, pair_rng = (np.random.default_rng(s) for s in seed.spawn(k + 2))
+        forest_rngs += rngs
+        pair_rngs.append(pair_rng)
+    row_sets = [train_idx for train_idx, _ in folds] + [np.arange(n)]
+    forests = train_forests(
+        ds,
+        [kind for kind in kinds for _ in row_sets],
+        n_trees,
+        cfg.tree_params(),
+        row_sets * len(kinds),
+        forest_rngs,
+        score_positions=n_trees * sum(map(len, row_sets)),
+    )
+    # every row of every slot through the slot's fold forest that held it out
+    fold_of = np.empty(n, dtype=np.intp)
+    for fold, (_, hold_idx) in enumerate(folds):
+        fold_of[hold_idx] = fold
+    fold_forests = [f for i, f in enumerate(forests) if i % (k + 1) < k]
+    which = (np.arange(len(kinds))[:, None] * k + fold_of).ravel()
+    oofs = routed_tree_dists(fold_forests, ds.features, np.tile(np.arange(n), len(kinds)), which)
+    oofs = oofs.reshape(len(kinds), n, n_trees, ds.num_classes)
+    slots = list(zip(forests[k::k + 1], oofs, pair_rngs))
 
     uniform = uniform_weights(n_trees)
     trained = [(uniform, {}) for _ in slots]
@@ -164,25 +182,29 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     """One level's forests, the next level's Dataset, the level score and diagnostics.
 
     The forest slots are cut into contiguous groups, one pool task each,
-    whose weights are trained in lockstep: as many groups as workers (at
-    most one per slot), or more when a group's pair statistics, charged at
-    ``pairstats.pair_bytes`` per slot, would exceed ``MAX_PAIR_BYTES``.  A
-    slot's results do not depend on its group.  The next level's features
-    are ``ds.features`` followed by each forest's out-of-fold class vectors,
-    in forest order.
+    whose forests are grown in one call and whose weights are trained in
+    lockstep: as many groups as workers (at most one per slot), or more when
+    a group's pair statistics, charged at ``pairstats.pair_bytes`` per slot,
+    would exceed ``MAX_PAIR_BYTES``, or its grower temporaries
+    (``tree.grow_bytes``) would exceed ``tree.MAX_GROW_BYTES``.  A slot's
+    results do not depend on its group.  The next level's features are
+    ``ds.features`` followed by each forest's out-of-fold class vectors, in
+    forest order.
 
-    Before any slot is grown, one slot's grower temporaries are estimated
-    (``tree.grow_bytes``, over the T bootstrap rows of each of its k + 1
-    forests) and refused above ``tree.MAX_GROW_BYTES``.
+    Before any slot is grown, a level whose single slot (T trees on each of
+    its k + 1 forests' rows) would exceed ``tree.MAX_GROW_BYTES`` is refused.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
-    n_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
+    slot_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
     n_tied = tree.tied_columns(ds.features).size
-    grow = max(
-        tree.grow_bytes(kind, n_positions, ds.feature_dim, ds.num_classes, n_tied)
-        for kind in kinds
-    )
+
+    def grow_bytes(group_kinds):
+        return tree.grow_bytes(
+            group_kinds, slot_positions, ds.feature_dim, ds.num_classes, n_tied
+        )
+
+    grow = max(grow_bytes([kind]) for kind in kinds)
     if grow > tree.MAX_GROW_BYTES:
         raise ConfigError(
             f"growing a slot's {cfg.folds + 1} forests of {cfg.trees_per_forest} trees "
@@ -194,7 +216,11 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
     fit_in_memory = max(1, pairstats.MAX_PAIR_BYTES // charge)
     n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit_in_memory))
-    groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
+    while True:  # ends by one slot per group, which fits
+        groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
+        if all(grow_bytes(kinds[g]) <= tree.MAX_GROW_BYTES for g in groups):
+            break
+        n_groups += 1
     fitted = _map_tasks(
         partial(_fit_slots, ds, cfg, folds),
         [kinds[g] for g in groups],

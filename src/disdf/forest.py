@@ -74,27 +74,29 @@ class ForestModel:
 
 def train_forests(
     ds: Dataset,
-    kind: str,
+    kinds: list[str],
     n_trees: int,
     params: TreeParams,
     row_sets: list[np.ndarray],
     rngs: list[np.random.Generator],
+    score_positions: int | None = None,
 ) -> list[ForestModel]:
     """Train one forest of ``n_trees`` trees per row set in one grower call.
 
-    Forest f trains on the rows ``row_sets[f]`` of ``ds`` with its own
-    generator ``rngs[f]`` and is weighted uniformly.  Random-split-search
-    trees each see a bootstrap resample of their forest's rows;
-    completely-random trees see the rows themselves.  A generator first
-    draws its forest's bootstraps, an (n_trees, len(rows)) block of indices
-    into the rows, and then, one block per depth, the split draws for its
-    forest's own open nodes (:func:`~disdf.tree.grow_trees`), so a forest
-    is the same whether it is grown alone or with others.
+    Forest f is of kind ``kinds[f]``, trains on the rows ``row_sets[f]`` of
+    ``ds`` with its own generator ``rngs[f]`` and is weighted uniformly.
+    Random-split-search trees each see a bootstrap resample of their
+    forest's rows; completely-random trees see the rows themselves.  A
+    generator first draws its forest's bootstraps, an (n_trees, len(rows))
+    block of indices into the rows, and then, one block per depth, the split
+    draws for its forest's own open nodes (:func:`~disdf.tree.grow_trees`,
+    which also takes ``score_positions``), so a forest is the same whether
+    it is grown alone or with others.
     """
     if n_trees < 1:
         raise ValueError(f"need at least one tree, got {n_trees}")
     rows = []
-    for idx, rng in zip(row_sets, rngs, strict=True):
+    for kind, idx, rng in zip(kinds, row_sets, rngs, strict=True):
         if len(idx) == 0:
             raise DataError("cannot train a forest on no rows")
         if kind == RANDOM_SPLIT:
@@ -109,7 +111,7 @@ def train_forests(
             num_classes=ds.num_classes,
             n_features=ds.feature_dim,
         )
-        for table in grow_trees(ds, kind, params, rows, rngs)
+        for kind, table in zip(kinds, grow_trees(ds, kinds, params, rows, rngs, score_positions))
     ]
 
 
@@ -121,7 +123,7 @@ def train_forest(
     rng: np.random.Generator,
 ) -> ForestModel:
     """Train ``n_trees`` trees on all of ``ds``: :func:`train_forests` for one forest."""
-    return train_forests(ds, kind, n_trees, params, [np.arange(ds.n)], [rng])[0]
+    return train_forests(ds, [kind], n_trees, params, [np.arange(ds.n)], [rng])[0]
 
 
 def _inputs(forest: ForestModel, X) -> np.ndarray:
@@ -134,27 +136,25 @@ def _inputs(forest: ForestModel, X) -> np.ndarray:
     return X
 
 
-def _route_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """The leaf each row of X reaches in each tree, shape (n, T).
+def _route_leaves(feature, threshold, children, X, rows, refs) -> np.ndarray:
+    """The leaf that row ``rows[p]`` of X reaches from reference ``refs[p]``, per position p.
 
-    Routes all n*T (row, tree) positions at once; position k is row k // T
-    in tree k % T.  Each step moves every position still on an internal node
-    one level down, reading its split value from ``X.ravel()`` at
-    ``row * m + feature``.  No root-to-leaf path visits more than n_internal
-    nodes, so a table that needs more steps has a cycle and raises
-    :class:`ModelFormatError` instead of looping forever.
+    ``feature``, ``threshold`` and ``children`` are a node table as in
+    :class:`ForestModel`, one forest's or several forests' concatenated with
+    their ids shifted.  Each step moves every position still on an internal
+    node one level down, reading its split value from ``X.ravel()`` at
+    ``row * m + feature``.  No root-to-leaf path visits more than
+    n_internal nodes, so a table that needs more steps has a cycle and
+    raises :class:`ModelFormatError` instead of looping forever.
     """
-    X = _inputs(forest, X)
-    n, T = X.shape[0], forest.n_trees
-    feature, threshold, children = forest.feature, forest.threshold, forest.children
     flat = X.ravel()
-    node = np.tile(forest.roots, n)
+    node = np.array(refs)
     live = np.flatnonzero(node >= 0)
     at = node.take(live)
-    row_start = live // T * X.shape[1]
+    row_start = rows.take(live) * X.shape[1]
     for _ in range(feature.size + 1):
         if not live.size:
-            return (~node).reshape(n, T)
+            return ~node
         go_left = flat.take(row_start + feature.take(at)) <= threshold.take(at)
         at = children.take(2 * at + go_left)
         node[live] = at
@@ -166,9 +166,52 @@ def _route_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     )
 
 
+def _forest_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches in each tree, shape (n, T)."""
+    n, T = X.shape[0], forest.n_trees
+    rows, refs = np.repeat(np.arange(n), T), np.tile(forest.roots, n)
+    leaves = _route_leaves(forest.feature, forest.threshold, forest.children, X, rows, refs)
+    return leaves.reshape(n, T)
+
+
 def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Per-tree class distributions for each row of X, shape (n, T, C)."""
-    return forest.dist.take(_route_leaves(forest, X), axis=0)
+    return forest.dist.take(_forest_leaves(forest, _inputs(forest, X)), axis=0)
+
+
+def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
+    """Per-tree class distributions of row ``rows[i]`` of X under forest
+    ``forests[which[i]]``, shape (len(rows), T, C).
+
+    The forests share T, C and their feature count.  All positions are
+    routed in one pass over the forests' node tables concatenated, each
+    forest's node and leaf ids shifted past those of the forests before it.
+    """
+    first = forests[0]
+    X = _inputs(first, X)
+    T, C = first.n_trees, first.num_classes
+    if any((f.n_trees, f.num_classes, f.n_features) != (T, C, first.n_features) for f in forests):
+        raise DimensionError("forests routed together need equal trees, classes and features")
+    n_internal = np.cumsum([0] + [f.feature.size for f in forests])
+    n_leaves = np.cumsum([0] + [f.dist.shape[0] for f in forests])
+
+    def shifted(refs, f):
+        refs = refs.astype(np.intp)
+        refs += np.where(refs >= 0, n_internal[f], -n_leaves[f])
+        return refs
+
+    children = np.concatenate([shifted(forest.children, f) for f, forest in enumerate(forests)])
+    roots = np.stack([shifted(forest.roots, f) for f, forest in enumerate(forests)])
+    leaves = _route_leaves(
+        np.concatenate([f.feature for f in forests]),
+        np.concatenate([f.threshold for f in forests]),
+        children,
+        X,
+        np.repeat(rows, T),
+        roots.take(which, axis=0).ravel(),
+    )
+    dist = np.concatenate([f.dist for f in forests])
+    return dist.take(leaves, axis=0).reshape(len(rows), T, C)
 
 
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -185,6 +228,6 @@ def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     out = np.empty((X.shape[0], forest.num_classes))
     for start in range(0, X.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        leaves = _route_leaves(forest, X[rows])
+        leaves = _forest_leaves(forest, X[rows])
         out[rows] = np.einsum("ntc,t->nc", forest.dist.take(leaves, axis=0), forest.weights)
     return out

@@ -7,16 +7,21 @@ tie.  ``completely-random`` draws the split feature uniformly among features
 that vary at the node and the threshold uniformly in [min, max) of its values.
 Only a tied column, one in which some value repeats, can be constant at an
 open node: the node holds two classes, so two distinct rows, and these differ
-in every other column.  So only the tied columns are checked per node.
+in every other column.  So only the tied columns are checked per node, and
+the drawn feature is found from the constant ones alone.
 
 The frontier is one array of (node, row) positions grouped by node, over the
 open nodes of every tree of every forest at the current depth, forest by
 forest, so each depth costs a handful of array operations for all of them.
-Rows are indices into one :class:`~disdf.data.Dataset`, so forests grown on
-different rows of it (a cascade slot's fold forests and its refit forest)
-share one frontier.  Each forest gets its own node table, with node and leaf
-ids numbered breadth-first across that forest (every node at depth d, tree
-by tree, before any at depth d + 1), so a child's id exceeds its parent's.
+Each forest has a kind, and the forests are laid out kind-major, every
+random-split-search forest before every completely-random one, so a depth's
+open nodes of one kind are one contiguous run; each run is scored in chunks
+of whole nodes, at most ``score_positions`` positions each.  Rows are
+indices into one :class:`~disdf.data.Dataset`, so forests grown on different
+rows of it (a cascade group's fold forests and refit forests) share one
+frontier.  Each forest gets its own node table, with node and leaf ids
+numbered breadth-first across that forest (every node at depth d, tree by
+tree, before any at depth d + 1), so a child's id exceeds its parent's.
 Each forest has its own generator: per depth, it draws one block for its own
 open nodes in frontier order, (nodes, m) uniforms whose argsort orders each
 random-split-search node's candidates, or (nodes, 2) uniforms that pick each
@@ -50,37 +55,48 @@ class TreeParams:
 
 def grow_trees(
     ds: Dataset,
-    kind: str,
+    kinds: list[str],
     params: TreeParams,
     rows: list[np.ndarray],
     rngs: list[np.random.Generator],
+    score_positions: int | None = None,
 ) -> list[tuple[np.ndarray, ...]]:
-    """Grow tree t of forest f on rows ``rows[f][t]`` of ``ds``; one table per forest.
+    """Grow tree t of forest f, of kind ``kinds[f]``, on rows ``rows[f][t]`` of ``ds``.
 
     ``rows[f]`` is a (T_f, n_f) index array, repeats allowed (a bootstrap),
-    and ``rngs[f]`` forest f's generator.  Each result is ``(feature,
-    threshold, children, dist, roots)``, the node table of
-    :class:`~disdf.forest.ForestModel`, and is the same whether the forest
-    is grown alone or with others.  A node becomes a leaf when it is pure,
-    has fewer than ``min_leaf`` rows, is at depth ``max_depth``, or no
+    and ``rngs[f]`` forest f's generator.  Returns one table per forest,
+    ``(feature, threshold, children, dist, roots)``, the node table of
+    :class:`~disdf.forest.ForestModel`; a forest's table is the same whether
+    it is grown alone or with others.  A node becomes a leaf when it is
+    pure, has fewer than ``min_leaf`` rows, is at depth ``max_depth``, or no
     candidate feature gives a split with rows on both sides.  Leaf
-    distributions are class-frequency vectors.
+    distributions are class-frequency vectors.  One split search scores the
+    positions of whole nodes, at most ``score_positions`` of them unless a
+    single node holds more (default: every open node of a kind at once);
+    this bounds the scoring temporaries.
     """
-    if kind not in TREE_KINDS:
-        raise ValueError(f"unknown tree kind {kind!r}")
+    if not len(kinds) == len(rows) == len(rngs):
+        raise ValueError("need one kind, one row set and one generator per forest")
+    if any(kind not in TREE_KINDS for kind in kinds):
+        raise ValueError(f"unknown tree kind in {list(kinds)!r}")
     if any(r.shape[1] == 0 for r in rows):
         raise DataError("cannot train a tree on an empty sample view")
     X, y, C = ds.features, ds.labels, ds.num_classes
     m = X.shape[1]
     values = X.ravel()
-    if kind == RANDOM_SPLIT:
+    # kind-major: the random-split-search forests come first, so each depth's
+    # open nodes of one kind are a contiguous run of the frontier
+    cr = np.array([kind == COMPLETELY_RANDOM for kind in kinds], dtype=bool)
+    forest_order = np.argsort(cr, kind="stable")
+    rows = [rows[f] for f in forest_order]
+    rngs = [rngs[f] for f in forest_order]
+    F, n_rss = len(rows), int(np.count_nonzero(~cr))
+    if n_rss:
         rank = _dense_ranks(X)
-    else:
+    if n_rss < F:
         tied = tied_columns(X)
         X_tied = X[:, tied]
-    width = m if kind == RANDOM_SPLIT else 2  # uniforms per open node and depth
     n_trees = [r.shape[0] for r in rows]
-    F = len(rows)
 
     # the frontier: position i is training row sample[i] in frontier node
     # node[i]; frontier node k belongs to forest owner[k], forest by forest
@@ -108,22 +124,36 @@ def grow_trees(
         s_node = (np.cumsum(open_) - 1)[node[at]]
         s_size = size[open_]
         s_start = np.cumsum(s_size) - s_size
-        if not s_size.size:
-            f, thr, found = np.zeros(0, np.intp), np.zeros(0), np.zeros(0, bool)
-        else:
-            # each forest draws one block for its own open nodes, in order
-            n_open = np.bincount(owner[open_], minlength=F)
-            u = np.concatenate([g.random((k, width)) for g, k in zip(rngs, n_open) if k])
-            if kind == RANDOM_SPLIT:
-                f, thr, found = _rss_splits(
-                    values, m, y, rank, counts[open_], s_sample, s_node, s_start, u
-                )
-            else:
-                f, thr, found = _cr_splits(
-                    values, m, tied, X_tied, s_sample, s_node, s_start, u
-                )
+        S = s_size.size
+        s_counts = counts[open_]
+        f = np.zeros(S, dtype=np.intp)
+        thr = np.zeros(S)
+        found = np.zeros(S, dtype=bool)
+        # each forest draws one block for its own open nodes, in order:
+        # (nodes, m) uniforms for random-split-search, (nodes, 2) for
+        # completely-random; the random-split-search nodes are 0..S_rss-1
+        n_open = np.bincount(owner[open_], minlength=F)
+        S_rss = int(n_open[:n_rss].sum())
+        for kind, lo, hi, forests in (
+            (RANDOM_SPLIT, 0, S_rss, range(n_rss)),
+            (COMPLETELY_RANDOM, S_rss, S, range(n_rss, F)),
+        ):
+            if lo == hi:
+                continue
+            width = m if kind == RANDOM_SPLIT else 2
+            u = np.concatenate([rngs[g].random((n_open[g], width)) for g in forests if n_open[g]])
+            for a, b in _node_chunks(s_start, s_size, lo, hi, score_positions):
+                p, q = s_start[a], s_start[b - 1] + s_size[b - 1]
+                chunk_node = s_node[p:q] - a if a else s_node[p:q]
+                args = (s_sample[p:q], chunk_node, s_start[a:b] - p, u[a - lo:b - lo])
+                if kind == RANDOM_SPLIT:
+                    f[a:b], thr[a:b], found[a:b] = _rss_splits(
+                        values, m, y, rank, s_counts[a:b], *args
+                    )
+                else:
+                    f[a:b], thr[a:b], found[a:b] = _cr_splits(values, m, tied, X_tied, *args)
         go_left = values.take(s_sample * m + f[s_node]) <= thr[s_node]
-        n_left = np.bincount(s_node[go_left], minlength=s_size.size)
+        n_left = np.bincount(s_node[go_left], minlength=S)
         # a split whose rows all fall on one side (floating-point edge cases) is a leaf
         found &= (n_left > 0) & (n_left < s_size)
 
@@ -169,38 +199,59 @@ def grow_trees(
         return np.split(flat.take(order, axis=0), np.cumsum(np.bincount(of, minlength=F))[:-1])
 
     empty = [np.zeros(0, np.intp)]
-    return list(zip(
+    tables = list(zip(
         by_forest(features, split_of, np.int32),
         by_forest(thresholds, split_of),
         by_forest(children or empty, child_of or empty, np.int32),
         by_forest(dists, leaf_of),
         roots,
     ))
+    # back from kind-major to the callers' forest order
+    return [tables[i] for i in np.argsort(forest_order)]
+
+
+def _node_chunks(start, size, lo, hi, cap):
+    """Runs [a, b) of nodes lo..hi-1 holding at most ``cap`` positions (or one node)."""
+    if cap is None:
+        yield lo, hi
+        return
+    end = start + size
+    a = lo
+    while a < hi:
+        b = min(hi, max(a + 1, int(np.searchsorted(end, start[a] + cap, side="right"))))
+        yield a, b
+        a = b
 
 
 def grow_bytes(
-    kind: str, n_positions: int, n_features: int, num_classes: int, n_tied: int
+    kinds: list[str], slot_positions: int, n_features: int, num_classes: int, n_tied: int
 ) -> int:
-    """About the peak bytes :func:`grow_trees` allocates for ``n_positions``
-    (tree, row) positions over all its forests, at m features, C classes and
-    ``n_tied`` columns that repeat a value (:func:`tied_columns`).
+    """About the peak bytes :func:`grow_trees` allocates for a group of slots
+    of the given ``kinds``, grown in one call with ``score_positions`` equal
+    to ``slot_positions``, each slot's (tree, row) positions over its
+    forests, at m features, C classes and ``n_tied`` columns that repeat a
+    value (:func:`tied_columns`).
 
-    Per position, ``80 + 82 * ceil(sqrt(m))`` bytes for random-split-search,
-    which scores every candidate of every node at once, and ``80 + 16 C + 2 m
-    + 8 n_tied`` for completely-random: the leaf distributions, the per-node
-    feature choice over all m columns and the gather of the frontier's tied
-    columns.  Fitted, with a margin, to tracemalloc peaks of one cascade
-    slot's k = 3 fold forests and refit forest: for random-split-search at
-    800 rows, 16 trees, m from 1 to 100 and C = 2 and 8 the peak read 143 to
-    875 bytes per position; for completely-random at 60 to 2000 rows, 4 to
-    50 trees, m from 1 to 300, C = 2 and 8, and no, half or all columns
-    tied, it read 0.36 to 0.96 of the estimate.
+    One slot grown alone takes, per position, ``80 + 82 * ceil(sqrt(m))``
+    bytes for random-split-search, which scores every candidate of every
+    node at once, and ``80 + 16 C + 10 n_tied`` for completely-random: the
+    leaf distributions and the tied columns gathered and reduced per node.
+    A group is charged its costlier kind's slot alone plus ``80 + 16 C + 2
+    n_tied`` per position of every further slot: the frontier and node
+    tables it adds, and its deeper nodes' share of a scoring chunk that
+    spans several slots.  Fitted, with a margin, to tracemalloc peaks of
+    groups of one to four slots of k = 3 fold forests and a refit forest at
+    60 to 2000 rows, 4 to 16 trees, m from 1 to 100, C = 2 and 8, and no,
+    half or all columns tied: from 120 rows the peak read 0.36 to 0.95 of
+    the estimate (``BENCH_groups.json``).
     """
-    if kind == RANDOM_SPLIT:
-        per_position = 80 + 82 * math.ceil(math.sqrt(n_features))
-    else:
-        per_position = 80 + 16 * num_classes + 2 * n_features + 8 * n_tied
-    return n_positions * per_position
+    alone = {
+        RANDOM_SPLIT: 80 + 82 * math.ceil(math.sqrt(n_features)),
+        COMPLETELY_RANDOM: 80 + 16 * num_classes + 10 * n_tied,
+    }
+    further = 80 + 16 * num_classes + 2 * n_tied
+    per_position = max(alone[kind] for kind in kinds) + (len(kinds) - 1) * further
+    return slot_positions * per_position
 
 
 def tied_columns(X: np.ndarray) -> np.ndarray:
@@ -266,13 +317,29 @@ def _rss_splits(values, m, y, rank, counts, sample, node, start, u):
         right = counts[:, c].take(cut_node) - left
         left_sq += left * left
         right_sq += right * right
-    del ranked, cum
+    del ranked, cum, left, right
     n = counts.sum(axis=1).take(cut_node)
     n_left = (end - first).astype(np.float64)
+    del first
     n_right = n - n_left
-    gini_left = 1.0 - left_sq / n_left**2
-    gini_right = 1.0 - right_sq / n_right**2
-    score = (n_left * gini_left + n_right * gini_right) / n
+    # score = (n_left * gini_left + n_right * gini_right) / n with
+    # gini = 1 - sq / n_side**2, in place, one side at a time
+    score = n_left * n_left
+    np.divide(left_sq, score, out=score)
+    del left_sq
+    np.subtract(1.0, score, out=score)
+    score *= n_left
+    del n_left
+    right = n_right * n_right
+    np.divide(right_sq, right, out=right)
+    del right_sq
+    np.subtract(1.0, right, out=right)
+    right *= n_right
+    del n_right
+    score += right
+    del right
+    score /= n
+    del n
 
     # per node the lowest score, then the first cut that reaches it: cuts run
     # candidate by candidate, each by threshold, so the first candidate
@@ -306,13 +373,22 @@ def _cr_splits(values, m, tied, X_tied, sample, node, start, u):
     node: an open node holds two classes, hence two distinct rows, which
     differ in every column where no value repeats.
     """
-    varying = np.ones((start.size, m), dtype=bool)
     at_node = X_tied[sample]
     lo = np.minimum.reduceat(at_node, start, axis=0)
-    varying[:, tied] = np.maximum.reduceat(at_node, start, axis=0) > lo
-    n_varying = varying.sum(axis=1)
+    constant = ~(np.maximum.reduceat(at_node, start, axis=0) > lo)
+    del at_node, lo
+    n_varying = m - constant.sum(axis=1)
     pick = np.minimum((u[:, 0] * n_varying).astype(np.intp), n_varying - 1)
-    feature = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
+    # the pick-th varying column is pick plus the constant columns before it,
+    # those with at most pick varying columns before them; constant tied
+    # column j has tied[j] + 1 - (constant columns up to and including j)
+    before = np.cumsum(constant, axis=1, dtype=np.int32)
+    np.subtract(tied.astype(np.int32) + 1, before, out=before)
+    passed = before <= pick[:, None]
+    del before
+    passed &= constant
+    feature = np.maximum(pick, 0) + passed.sum(axis=1)
+    del constant, passed
     picked = values.take(sample * m + feature.take(node))
     a, b = np.minimum.reduceat(picked, start), np.maximum.reduceat(picked, start)
     threshold = a + (b - a) * u[:, 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disdf import cascade, pairstats
+from disdf import cascade, pairstats, tree
 from disdf.cascade import (
     CascadeModel,
     LevelModel,
@@ -27,6 +27,7 @@ from disdf.forest import (
     uniform_weights,
 )
 from disdf.pairstats import compute_pair_stats
+from disdf.serialize import save_model
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
@@ -292,6 +293,29 @@ class TestSlotGroups:
             apart = train_cascade(ds, cfg)
             assert sizes == groups * len(apart.level_scores)
             assert_same_models(together, apart)
+
+    def test_grower_limit_splits_groups_with_identical_files(self, monkeypatch, tmp_path):
+        ds = blobs(n=36, m=4, seed=17)
+        cfg = fast_cfg(max_levels=2, patience=2)
+        charges = []
+
+        def recording(kinds, *args):
+            charges.append((len(kinds), estimate(kinds, *args)))
+            return charges[-1][1]
+
+        estimate = tree.grow_bytes
+        monkeypatch.setattr(tree, "grow_bytes", recording)
+        sizes = self.record_groups(monkeypatch)
+        save_model(train_cascade(ds, cfg), tmp_path / "together.bin")
+        assert sizes == [4, 4]
+        # a bound every slot fits but the merged group of four does not
+        limit = max(charge for n_slots, charge in charges if n_slots == 1)
+        assert limit < min(charge for n_slots, charge in charges if n_slots == 4)
+        monkeypatch.setattr(tree, "MAX_GROW_BYTES", limit)
+        sizes.clear()
+        save_model(train_cascade(ds, cfg), tmp_path / "apart.bin")
+        assert max(sizes) < 4
+        assert (tmp_path / "together.bin").read_bytes() == (tmp_path / "apart.bin").read_bytes()
 
     def test_limit_below_one_slot_rejected(self, monkeypatch):
         ds = blobs(n=36, m=4, seed=16)

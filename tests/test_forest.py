@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from disdf.data import Dataset, kfold_indices
-from disdf.errors import DataError, DimensionError
+from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import (
+    ForestModel,
     class_vectors_batch,
     forest_tree_dists_batch,
+    routed_tree_dists,
     train_forest,
     train_forests,
     uniform_weights,
@@ -122,11 +124,39 @@ class TestTrainForest:
         n_positions = 12 * sum(len(rows) for rows in row_sets)
         tracemalloc.start()
         try:
-            train_forests(ds, kind, 12, TreeParams(), row_sets, rngs)
+            train_forests(ds, [kind] * len(row_sets), 12, TreeParams(), row_sets, rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = grow_bytes(kind, n_positions, m, C, tied_columns(X).size)
+        estimate = grow_bytes([kind], n_positions, m, C, tied_columns(X).size)
+        assert 0.5 * estimate <= peak <= estimate
+
+    @pytest.mark.parametrize("m, C, decimals", [
+        pytest.param(2, 8, None, id="2-8"),
+        pytest.param(30, 2, None, id="30-2"),
+        pytest.param(2, 8, 1, id="2-8-rounded"),
+        pytest.param(30, 2, 1, id="30-2-rounded"),
+    ])
+    def test_grow_bytes_estimates_a_mixed_group_peak(self, m, C, decimals):
+        # a pool task at one worker: four slots of both kinds in one frontier,
+        # split scoring chunked to one slot's positions
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(300, m))
+        if decimals is not None:
+            X = X.round(decimals)
+        ds = make_ds(X, rng.integers(C, size=300), C)
+        slot = [train for train, _ in kfold_indices(ds.n, 3, 2)] + [np.arange(ds.n)]
+        group = [RANDOM_SPLIT, COMPLETELY_RANDOM] * 2
+        kinds = [kind for kind in group for _ in slot]
+        rngs = [np.random.default_rng(s) for s in range(len(kinds))]
+        slot_positions = 12 * sum(len(rows) for rows in slot)
+        tracemalloc.start()
+        try:
+            train_forests(ds, kinds, 12, TreeParams(), slot * len(group), rngs, slot_positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = grow_bytes(group, slot_positions, m, C, tied_columns(X).size)
         assert 0.5 * estimate <= peak <= estimate
 
     def test_empty_dataset_rejected(self):
@@ -157,6 +187,69 @@ class TestTreeDists:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             forest_tree_dists_batch(example_forest(), np.zeros((1, 9)))
+
+
+class TestRoutedTreeDists:
+    """One routing pass over several forests' node tables concatenated."""
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    def test_equals_routing_each_forest_alone(self, kind):
+        rng = np.random.default_rng(5)
+        n = 47
+        X = rng.normal(size=(n, 4))
+        X[:, 1] = X[:, 1].round()
+        ds = make_ds(X, rng.integers(3, size=n), 3)
+        folds = kfold_indices(n, 3, 4)
+        # two slots' fold forests; a depth-0 forest makes single-leaf trees
+        forests = []
+        for params in (TreeParams(), TreeParams(max_depth=0)):
+            rngs = [np.random.default_rng(s) for s in range(len(folds))]
+            row_sets = [train for train, _ in folds]
+            forests += train_forests(ds, [kind] * len(folds), 6, params, row_sets, rngs)
+        fold_of = np.empty(n, dtype=np.intp)
+        for f, (_, hold) in enumerate(folds):
+            fold_of[hold] = f
+        which = np.concatenate([fold_of, fold_of + len(folds)])
+        rows = np.tile(np.arange(n), 2)
+        got = routed_tree_dists(forests, X, rows, which)
+        expected = np.empty_like(got)
+        for f, forest in enumerate(forests):
+            at = np.flatnonzero(which == f)
+            expected[at] = forest_tree_dists_batch(forest, X[rows[at]])
+        assert got.shape == (2 * n, 6, 3)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_cyclic_table_raises_through_the_shared_walker(self):
+        # nodes 0 and 1 send every input to each other; no leaf is reachable
+        cyclic = ForestModel(
+            feature=np.zeros(2, dtype=np.int32),
+            threshold=np.zeros(2),
+            children=np.array([1, 1, 0, 0], dtype=np.int32),
+            dist=np.array([[1.0, 0.0]]),
+            roots=np.zeros(1, dtype=np.int32),
+            weights=[1.0],
+            kind=RANDOM_SPLIT,
+            num_classes=2,
+            n_features=1,
+        )
+        fine = leaf_forest([[0.0, 1.0]])
+        X = np.zeros((3, 1))
+        with pytest.raises(ModelFormatError, match="cycle"):
+            routed_tree_dists([fine, cyclic], X, np.arange(3), np.array([0, 1, 0]))
+        with pytest.raises(ModelFormatError, match="cycle"):
+            class_vectors_batch(cyclic, X)
+        np.testing.assert_array_equal(
+            routed_tree_dists([fine, cyclic], X, np.arange(3), np.zeros(3, dtype=int)),
+            np.tile([[[0.0, 1.0]]], (3, 1, 1)),
+        )
+
+    def test_forests_must_share_trees_classes_and_features(self):
+        X = np.zeros((2, 1))
+        for other in (leaf_forest([[1.0, 0.0]] * 2), leaf_forest([[1.0, 0.0, 0.0]]),
+                      leaf_forest([[1.0, 0.0]], n_features=2)):
+            with pytest.raises(DimensionError):
+                routed_tree_dists([leaf_forest([[1.0, 0.0]]), other], X, np.arange(2),
+                                  np.array([0, 1]))
 
 
 class TestClassVector:

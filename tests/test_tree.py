@@ -37,7 +37,7 @@ def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
 
 def grow(ds, kind, params, rng):
     """One tree grown on every row of ``ds`` once (no bootstrap), as a forest."""
-    (table,) = grow_trees(ds, kind, params, [np.arange(ds.n)[None, :]], [rng])
+    (table,) = grow_trees(ds, [kind], params, [np.arange(ds.n)[None, :]], [rng])
     return ForestModel(
         *table,
         weights=[1.0],
@@ -165,6 +165,32 @@ class TestCompletelyRandom:
         tree = grow(ds, COMPLETELY_RANDOM, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drawn_feature_is_the_picked_varying_column(self, seed):
+        # reference: the pick-th True of a (nodes, m) mask of varying columns
+        rng = np.random.default_rng(seed)
+        m, nodes = 9, 40
+        X = rng.normal(size=(2 * nodes, m))
+        X[:, ::2] = rng.integers(2, size=(2 * nodes, (m + 1) // 2))  # tied columns
+        if seed == 0:
+            X[:, :] = X[0]  # every column constant: no varying feature
+        tied = tied_columns(X)
+        sample = rng.permutation(2 * nodes)
+        node = np.repeat(np.arange(nodes), 2)
+        start = np.arange(0, 2 * nodes, 2)
+        u = rng.random((nodes, 2))
+        feature, _, found = tree_module._cr_splits(
+            X.ravel(), m, tied, X[:, tied], sample, node, start, u
+        )
+        pairs = X[sample].reshape(nodes, 2, m)
+        varying = pairs[:, 0] != pairs[:, 1]
+        n_varying = varying.sum(axis=1)
+        pick = np.minimum((u[:, 0] * n_varying).astype(np.intp), n_varying - 1)
+        expected = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
+        np.testing.assert_array_equal(found, n_varying > 0)
+        np.testing.assert_array_equal(feature, expected)
+        assert feature.dtype == expected.dtype
+
     def test_tied_columns_are_those_that_repeat_a_value(self):
         X = np.array([
             [0.5, 1.0, 7.0, -0.0, 3.0],
@@ -203,7 +229,8 @@ class TestCompletelyRandom:
 
         def grow_slot():
             rngs = [np.random.default_rng(s) for s in seeds]
-            return train_forests(ds, COMPLETELY_RANDOM, 5, params, row_sets, rngs)
+            kinds = [COMPLETELY_RANDOM] * len(row_sets)
+            return train_forests(ds, kinds, 5, params, row_sets, rngs)
 
         default = grow_slot()
         # every column checked for a constant value at every node
@@ -349,8 +376,8 @@ class TestDeterminism:
         rng = np.random.default_rng(12)
         ds = make_ds(rng.normal(size=(50, 6)), rng.integers(3, size=50), 3)
         rows = np.random.default_rng(5).integers(0, 50, size=(3, 50))
-        (t1,) = grow_trees(ds, kind, TreeParams(), [rows], [np.random.default_rng(99)])
-        (t2,) = grow_trees(ds, kind, TreeParams(), [rows], [np.random.default_rng(99)])
+        (t1,) = grow_trees(ds, [kind], TreeParams(), [rows], [np.random.default_rng(99)])
+        (t2,) = grow_trees(ds, [kind], TreeParams(), [rows], [np.random.default_rng(99)])
         for a1, a2 in zip(t1, t2, strict=True):
             np.testing.assert_array_equal(a1, a2)
 
@@ -497,7 +524,7 @@ class TestOneFrontierPerSlot:
         row_sets += [np.arange(25, n), np.arange(n)]
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
         alone_rngs = copy.deepcopy(rngs)
-        together = train_forests(ds, kind, 4, params, row_sets, rngs)
+        together = train_forests(ds, [kind] * len(row_sets), 4, params, row_sets, rngs)
         assert len(together) == len(row_sets)
         for rows, forest, alone_rng in zip(row_sets, together, alone_rngs):
             alone = train_forest(ds.subset(rows), kind, 4, params, alone_rng)
@@ -512,10 +539,55 @@ class TestOneFrontierPerSlot:
         for g, alone_rng in zip(rngs, alone_rngs):
             assert g.random() == alone_rng.random()
 
+    @pytest.mark.parametrize("slot_kinds", [
+        pytest.param([RANDOM_SPLIT, COMPLETELY_RANDOM] * 2, id="rss-cr-rss-cr"),
+        # kind-major order is then not its own inverse
+        pytest.param([COMPLETELY_RANDOM, RANDOM_SPLIT, RANDOM_SPLIT, COMPLETELY_RANDOM],
+                     id="cr-rss-rss-cr"),
+    ])
+    @pytest.mark.parametrize(
+        "params", [TreeParams(), TreeParams(min_leaf=3), TreeParams(max_depth=2)]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slots_of_both_kinds_in_one_call_equal_growing_alone(
+        self, slot_kinds, params, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = 31
+        X = rng.normal(size=(n, 5))
+        X[:, 1] = X[:, 1].round()  # tied values
+        X[:, 2] = 4.0  # a constant column
+        y = rng.integers(2, size=n)
+        y[25:] = 2
+        ds = make_ds(X, y, 3)
+        # per slot: the fold forests, a fold whose labels are pure, the refit forest
+        slot = [train for train, _ in kfold_indices(n, 3, seed)]
+        slot += [np.arange(25, n), np.arange(n)]
+        kinds = [kind for kind in slot_kinds for _ in slot]
+        row_sets = slot * len(slot_kinds)
+        seeds = np.random.SeedSequence(seed).spawn(len(row_sets))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        alone_rngs = copy.deepcopy(rngs)
+        # split scoring in chunks of at most one slot's positions, as a cascade does
+        slot_positions = 4 * sum(len(rows) for rows in slot)
+        together = train_forests(ds, kinds, 4, params, row_sets, rngs, slot_positions)
+        assert [forest.kind for forest in together] == kinds
+        for kind, rows, forest, alone_rng in zip(kinds, row_sets, together, alone_rngs):
+            alone = train_forest(ds.subset(rows), kind, 4, params, alone_rng)
+            for name in ("feature", "threshold", "children", "dist", "roots"):
+                got, expected = getattr(forest, name), getattr(alone, name)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+        assert all(forest_depth(together[i]) == 0 for i in range(3, len(kinds), len(slot)))
+        for g, alone_rng in zip(rngs, alone_rngs):
+            assert g.bit_generator.state == alone_rng.bit_generator.state
+
     def test_row_sets_and_generators_pair_up(self):
         ds = make_ds(np.arange(6.0)[:, None], [0, 1] * 3, 2)
         rngs = [np.random.default_rng(0)]
         with pytest.raises(ValueError):
-            train_forests(ds, RANDOM_SPLIT, 2, TreeParams(), [np.arange(3), np.arange(6)], rngs)
+            train_forests(
+                ds, [RANDOM_SPLIT] * 2, 2, TreeParams(), [np.arange(3), np.arange(6)], rngs
+            )
         with pytest.raises(DataError):
-            train_forests(ds, RANDOM_SPLIT, 2, TreeParams(), [np.arange(0)], rngs)
+            train_forests(ds, [RANDOM_SPLIT], 2, TreeParams(), [np.arange(0)], rngs)
