@@ -25,7 +25,6 @@ from .forest import (
     ForestModel,
     class_vectors_batch,
     forest_tree_dists_batch,
-    train_forest,
     train_forests,
     uniform_weights,
 )

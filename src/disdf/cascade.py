@@ -100,7 +100,8 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     The group's forests, k + 1 per slot on the folds' training rows of
     ``ds`` and then on all its rows, are grown by one ``train_forests``
     call, kind-major inside the grower, with split scoring in chunks of at
-    most one slot's positions.  Every row of every slot is then routed
+    most ``tree.SCORE_POSITIONS`` positions, so the group's size bounds only
+    its frontier and node tables.  Every row of every slot is then routed
     through the slot's fold forest that held it out, all in one pass.
 
     In disdf mode the group's weights are trained by one lockstep
@@ -125,7 +126,6 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
         cfg.tree_params(),
         row_sets * len(kinds),
         forest_rngs,
-        score_positions=n_trees * sum(map(len, row_sets)),
     )
     # every row of every slot through the slot's fold forest that held it out
     fold_of = np.empty(n, dtype=np.intp)
@@ -185,42 +185,33 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     whose forests are grown in one call and whose weights are trained in
     lockstep: as many groups as workers (at most one per slot), or more when
     a group's pair statistics, charged at ``pairstats.pair_bytes`` per slot,
-    would exceed ``MAX_PAIR_BYTES``, or its grower temporaries
-    (``tree.grow_bytes``) would exceed ``tree.MAX_GROW_BYTES``.  A slot's
-    results do not depend on its group.  The next level's features are
-    ``ds.features`` followed by each forest's out-of-fold class vectors, in
-    forest order.
-
-    Before any slot is grown, a level whose single slot (T trees on each of
-    its k + 1 forests' rows) would exceed ``tree.MAX_GROW_BYTES`` is refused.
+    would exceed ``MAX_PAIR_BYTES``, or its grower temporaries, charged by
+    ``tree.grow_bytes`` per slot plus a fixed part, would exceed
+    ``tree.MAX_GROW_BYTES``.  A level in which not even one slot fits the
+    grower limit is refused before any tree is grown.  A slot's results do
+    not depend on its group.  The next level's features are ``ds.features``
+    followed by each forest's out-of-fold class vectors, in forest order.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
     slot_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
-    n_tied = tree.tied_columns(ds.features).size
-
-    def grow_bytes(group_kinds):
-        return tree.grow_bytes(
-            group_kinds, slot_positions, ds.feature_dim, ds.num_classes, n_tied
-        )
-
-    grow = max(grow_bytes([kind]) for kind in kinds)
-    if grow > tree.MAX_GROW_BYTES:
+    slot_grow, fixed_grow = tree.grow_bytes(
+        kinds, slot_positions, ds.n, ds.feature_dim, ds.num_classes,
+        tree.tied_columns(ds.features).size,
+    )
+    grow_fit = (tree.MAX_GROW_BYTES - fixed_grow) // slot_grow
+    if grow_fit < 1:
         raise ConfigError(
             f"growing a slot's {cfg.folds + 1} forests of {cfg.trees_per_forest} trees "
             f"on {ds.n} rows x {ds.feature_dim} features needs about "
-            f"{grow / 2**20:.0f} MiB, over the {tree.MAX_GROW_BYTES / 2**20:.0f} MiB "
-            "limit; set --trees to grow fewer trees"
+            f"{(slot_grow + fixed_grow) / 2**20:.0f} MiB, over the "
+            f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --trees to grow fewer trees"
         )
     slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
     charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-    fit_in_memory = max(1, pairstats.MAX_PAIR_BYTES // charge)
-    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit_in_memory))
-    while True:  # ends by one slot per group, which fits
-        groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
-        if all(grow_bytes(kinds[g]) <= tree.MAX_GROW_BYTES for g in groups):
-            break
-        n_groups += 1
+    pair_fit = max(1, pairstats.MAX_PAIR_BYTES // charge)
+    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // min(pair_fit, grow_fit)))
+    groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
     fitted = _map_tasks(
         partial(_fit_slots, ds, cfg, folds),
         [kinds[g] for g in groups],

@@ -20,11 +20,11 @@ def uniform_weights(n_trees: int) -> np.ndarray:
 
 
 def check_weights(w, n_trees: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate a weight vector: right length, non-negative, sums to one."""
+    """Validate a weight vector: right length, finite, non-negative, sums to one."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n_trees,):
         raise DimensionError(f"expected {n_trees} weights, got shape {w.shape}")
-    if w.min() < -tol or abs(w.sum() - 1.0) > tol:
+    if not np.isfinite(w).all() or w.min() < -tol or abs(w.sum() - 1.0) > tol:
         raise ValueError(
             f"weights are off the unit simplex: min {w.min():.3g}, sum {w.sum():.6g}"
         )
@@ -79,7 +79,6 @@ def train_forests(
     params: TreeParams,
     row_sets: list[np.ndarray],
     rngs: list[np.random.Generator],
-    score_positions: int | None = None,
 ) -> list[ForestModel]:
     """Train one forest of ``n_trees`` trees per row set in one grower call.
 
@@ -89,9 +88,10 @@ def train_forests(
     forest's rows; completely-random trees see the rows themselves.  A
     generator first draws its forest's bootstraps, an (n_trees, len(rows))
     block of indices into the rows, and then, one block per depth, the split
-    draws for its forest's own open nodes (:func:`~disdf.tree.grow_trees`,
-    which also takes ``score_positions``), so a forest is the same whether
-    it is grown alone or with others.
+    draws for its forest's own open nodes (:func:`~disdf.tree.grow_trees`),
+    so a forest is the same whether it is grown alone or with others, and
+    split scoring is bounded to ``tree.SCORE_POSITIONS`` positions at a time
+    however many forests are grown.
     """
     if n_trees < 1:
         raise ValueError(f"need at least one tree, got {n_trees}")
@@ -111,19 +111,8 @@ def train_forests(
             num_classes=ds.num_classes,
             n_features=ds.feature_dim,
         )
-        for kind, table in zip(kinds, grow_trees(ds, kinds, params, rows, rngs, score_positions))
+        for kind, table in zip(kinds, grow_trees(ds, kinds, params, rows, rngs))
     ]
-
-
-def train_forest(
-    ds: Dataset,
-    kind: str,
-    n_trees: int,
-    params: TreeParams,
-    rng: np.random.Generator,
-) -> ForestModel:
-    """Train ``n_trees`` trees on all of ``ds``: :func:`train_forests` for one forest."""
-    return train_forests(ds, [kind], n_trees, params, [np.arange(ds.n)], [rng])[0]
 
 
 def _inputs(forest: ForestModel, X) -> np.ndarray:

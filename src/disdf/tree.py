@@ -16,7 +16,7 @@ forest, so each depth costs a handful of array operations for all of them.
 Each forest has a kind, and the forests are laid out kind-major, every
 random-split-search forest before every completely-random one, so a depth's
 open nodes of one kind are one contiguous run; each run is scored in chunks
-of whole nodes, at most ``score_positions`` positions each.  Rows are
+of whole nodes, at most ``SCORE_POSITIONS`` positions each.  Rows are
 indices into one :class:`~disdf.data.Dataset`, so forests grown on different
 rows of it (a cascade group's fold forests and refit forests) share one
 frontier.  Each forest gets its own node table, with node and leaf ids
@@ -45,6 +45,8 @@ COMPLETELY_RANDOM = "completely-random"
 TREE_KINDS = (RANDOM_SPLIT, COMPLETELY_RANDOM)
 # bound on one grow_trees call's temporaries, as estimated by grow_bytes
 MAX_GROW_BYTES = 1 << 30
+# positions one split search scores at a time; a larger node is scored alone
+SCORE_POSITIONS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ def grow_trees(
     params: TreeParams,
     rows: list[np.ndarray],
     rngs: list[np.random.Generator],
-    score_positions: int | None = None,
 ) -> list[tuple[np.ndarray, ...]]:
     """Grow tree t of forest f, of kind ``kinds[f]``, on rows ``rows[f][t]`` of ``ds``.
 
@@ -71,9 +72,9 @@ def grow_trees(
     pure, has fewer than ``min_leaf`` rows, is at depth ``max_depth``, or no
     candidate feature gives a split with rows on both sides.  Leaf
     distributions are class-frequency vectors.  One split search scores the
-    positions of whole nodes, at most ``score_positions`` of them unless a
-    single node holds more (default: every open node of a kind at once);
-    this bounds the scoring temporaries.
+    positions of whole nodes, at most ``SCORE_POSITIONS`` of them unless a
+    single node holds more; this bounds the scoring temporaries whatever
+    the number of forests.
     """
     if not len(kinds) == len(rows) == len(rngs):
         raise ValueError("need one kind, one row set and one generator per forest")
@@ -142,7 +143,7 @@ def grow_trees(
                 continue
             width = m if kind == RANDOM_SPLIT else 2
             u = np.concatenate([rngs[g].random((n_open[g], width)) for g in forests if n_open[g]])
-            for a, b in _node_chunks(s_start, s_size, lo, hi, score_positions):
+            for a, b in _node_chunks(s_start, s_size, lo, hi):
                 p, q = s_start[a], s_start[b - 1] + s_size[b - 1]
                 chunk_node = s_node[p:q] - a if a else s_node[p:q]
                 args = (s_sample[p:q], chunk_node, s_start[a:b] - p, u[a - lo:b - lo])
@@ -210,48 +211,58 @@ def grow_trees(
     return [tables[i] for i in np.argsort(forest_order)]
 
 
-def _node_chunks(start, size, lo, hi, cap):
-    """Runs [a, b) of nodes lo..hi-1 holding at most ``cap`` positions (or one node)."""
-    if cap is None:
-        yield lo, hi
-        return
+def _node_chunks(start, size, lo, hi):
+    """Runs [a, b) of nodes lo..hi-1 holding at most ``SCORE_POSITIONS`` positions, or one node."""
     end = start + size
     a = lo
     while a < hi:
-        b = min(hi, max(a + 1, int(np.searchsorted(end, start[a] + cap, side="right"))))
+        cap = start[a] + SCORE_POSITIONS
+        b = min(hi, max(a + 1, int(np.searchsorted(end, cap, side="right"))))
         yield a, b
         a = b
 
 
 def grow_bytes(
-    kinds: list[str], slot_positions: int, n_features: int, num_classes: int, n_tied: int
-) -> int:
-    """About the peak bytes :func:`grow_trees` allocates for a group of slots
-    of the given ``kinds``, grown in one call with ``score_positions`` equal
-    to ``slot_positions``, each slot's (tree, row) positions over its
-    forests, at m features, C classes and ``n_tied`` columns that repeat a
-    value (:func:`tied_columns`).
+    kinds: list[str],
+    slot_positions: int,
+    n_rows: int,
+    n_features: int,
+    num_classes: int,
+    n_tied: int,
+) -> tuple[int, int]:
+    """About the peak bytes :func:`grow_trees` allocates, as ``(slot, fixed)``:
+    s slots of the given ``kinds`` grown in one call take ``s * slot +
+    fixed``.  A slot has ``slot_positions`` (tree, row) positions over its
+    forests, on ``n_rows`` rows of m features and C classes, ``n_tied`` of
+    them columns that repeat a value (:func:`tied_columns`).
 
-    One slot grown alone takes, per position, ``80 + 82 * ceil(sqrt(m))``
-    bytes for random-split-search, which scores every candidate of every
-    node at once, and ``80 + 16 C + 10 n_tied`` for completely-random: the
-    leaf distributions and the tied columns gathered and reduced per node.
-    A group is charged its costlier kind's slot alone plus ``80 + 16 C + 2
-    n_tied`` per position of every further slot: the frontier and node
-    tables it adds, and its deeper nodes' share of a scoring chunk that
-    spans several slots.  Fitted, with a margin, to tracemalloc peaks of
+    Each slot position is charged its frontier and node tables: ``80 + 8 C``
+    bytes for random-split-search, ``80 + 16 C`` for completely-random,
+    whose trees see every row and so grow more leaves.  The fixed charge is
+    ``16`` bytes per feature cell, for the column ranks or the tied-column
+    scan, plus one scoring chunk of ``max(SCORE_POSITIONS, n_rows)``
+    positions (a chunk holds whole nodes, and a root up to ``n_rows``),
+    ``90 ceil(sqrt(m))`` bytes each for random-split-search, which scores
+    every candidate of a node at once, and ``16 + 11 n_tied`` for
+    completely-random, which gathers and reduces the tied columns per node.
+    Both charges take the costlier kind.  Fitted to tracemalloc peaks of
     groups of one to four slots of k = 3 fold forests and a refit forest at
     60 to 2000 rows, 4 to 16 trees, m from 1 to 100, C = 2 and 8, and no,
-    half or all columns tied: from 120 rows the peak read 0.36 to 0.95 of
-    the estimate (``BENCH_groups.json``).
+    half or all columns tied: the peak read 0.35 to 0.90 of the estimate.
     """
-    alone = {
-        RANDOM_SPLIT: 80 + 82 * math.ceil(math.sqrt(n_features)),
-        COMPLETELY_RANDOM: 80 + 16 * num_classes + 10 * n_tied,
+    per_slot = {
+        RANDOM_SPLIT: 80 + 8 * num_classes,
+        COMPLETELY_RANDOM: 80 + 16 * num_classes,
     }
-    further = 80 + 16 * num_classes + 2 * n_tied
-    per_position = max(alone[kind] for kind in kinds) + (len(kinds) - 1) * further
-    return slot_positions * per_position
+    per_chunk = {
+        RANDOM_SPLIT: 90 * math.ceil(math.sqrt(n_features)),
+        COMPLETELY_RANDOM: 16 + 11 * n_tied,
+    }
+    chunk = max(SCORE_POSITIONS, n_rows) * max(per_chunk[kind] for kind in kinds)
+    return (
+        slot_positions * max(per_slot[kind] for kind in kinds),
+        16 * n_rows * n_features + chunk,
+    )
 
 
 def tied_columns(X: np.ndarray) -> np.ndarray:
@@ -266,8 +277,10 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     ordered = np.take_along_axis(X, order, axis=0)
     steps = np.zeros(X.shape, dtype=np.int64)
     steps[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    np.cumsum(steps, axis=0, out=steps)
     rank = np.empty_like(steps)
-    np.put_along_axis(rank, order, np.cumsum(steps, axis=0), axis=0)
+    np.put_along_axis(rank, order, steps, axis=0)
     return rank
 
 

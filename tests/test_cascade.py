@@ -23,14 +23,13 @@ from disdf.errors import (
 from disdf.forest import (
     class_vectors_batch,
     forest_tree_dists_batch,
-    train_forest,
     uniform_weights,
 )
 from disdf.pairstats import compute_pair_stats
 from disdf.serialize import save_model
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from tests.test_forest import TABLE
-from tests.test_tree import leaf_forest
+from tests.test_tree import leaf_forest, one_forest
 
 
 def blobs(n=60, m=4, gap=8.0, seed=0, num_classes=2):
@@ -130,7 +129,7 @@ class TestDimensions:
         cfg = fast_cfg(mode="baseline")
         rng = np.random.default_rng(0)
         level1_forests = [
-            train_forest(ds, kind, 3, TreeParams(), rng.spawn(1)[0])
+            one_forest(ds, kind, 3, TreeParams(), rng.spawn(1)[0])
             for kind in cfg.forest_kinds()
         ]
         level1 = LevelModel(level1_forests, input_dim=10)
@@ -139,7 +138,7 @@ class TestDimensions:
         assert augmented.shape == (30, 22)
         ds2 = Dataset(augmented, ds.labels, ds.num_classes)
         level2_forests = [
-            train_forest(ds2, kind, 3, TreeParams(), rng.spawn(1)[0])
+            one_forest(ds2, kind, 3, TreeParams(), rng.spawn(1)[0])
             for kind in cfg.forest_kinds()
         ]
         level2 = LevelModel(level2_forests, input_dim=22)
@@ -299,18 +298,21 @@ class TestSlotGroups:
         cfg = fast_cfg(max_levels=2, patience=2)
         charges = []
 
-        def recording(kinds, *args):
-            charges.append((len(kinds), estimate(kinds, *args)))
-            return charges[-1][1]
+        def recording(*args):
+            charges.append(estimate(*args))
+            return charges[-1]
 
         estimate = tree.grow_bytes
         monkeypatch.setattr(tree, "grow_bytes", recording)
+        # chunks of one root's positions, so the slots, not the fixed part,
+        # make up most of a level's charge
+        monkeypatch.setattr(tree, "SCORE_POSITIONS", ds.n)
         sizes = self.record_groups(monkeypatch)
         save_model(train_cascade(ds, cfg), tmp_path / "together.bin")
         assert sizes == [4, 4]
         # a bound every slot fits but the merged group of four does not
-        limit = max(charge for n_slots, charge in charges if n_slots == 1)
-        assert limit < min(charge for n_slots, charge in charges if n_slots == 4)
+        limit = max(slot + fixed for slot, fixed in charges)
+        assert limit < min(4 * slot + fixed for slot, fixed in charges)
         monkeypatch.setattr(tree, "MAX_GROW_BYTES", limit)
         sizes.clear()
         save_model(train_cascade(ds, cfg), tmp_path / "apart.bin")

@@ -473,6 +473,7 @@ class TestStructuralChecks:
             ("roots", 1, 0, "roots"),
             ("dist", "first_leaf", (2.0, -1.0), "simplex"),
             ("weights", 0, 5.0, "simplex"),
+            ("weights", 0, np.nan, "simplex"),
             ("children", 0, "~n_leaves", "out of range"),
             ("children", 3, 0, "not greater than its parent"),
             # leaf 1 orphaned and leaf 0 shared, within one tree

@@ -10,7 +10,6 @@ from disdf.forest import (
     class_vectors_batch,
     forest_tree_dists_batch,
     routed_tree_dists,
-    train_forest,
     train_forests,
     uniform_weights,
 )
@@ -21,7 +20,7 @@ from disdf.tree import (
     grow_bytes,
     tied_columns,
 )
-from tests.test_tree import leaf_forest, make_ds
+from tests.test_tree import leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average
 # example; tree 3 is a one-hot leaf
@@ -50,13 +49,13 @@ TABLE = ("feature", "threshold", "children", "dist", "roots", "weights")
 class TestTrainForest:
     def test_singleton_weights(self):
         ds = make_ds([[0.0], [1.0]], [0, 1], 2)
-        f = train_forest(ds, RANDOM_SPLIT, 1, TreeParams(), np.random.default_rng(0))
+        f = one_forest(ds, RANDOM_SPLIT, 1, TreeParams(), np.random.default_rng(0))
         np.testing.assert_array_equal(f.weights, [1.0])
 
     def test_hundred_trees_uniform_weights(self):
         rng = np.random.default_rng(1)
         ds = make_ds(rng.normal(size=(30, 4)), rng.integers(2, size=30), 2)
-        f = train_forest(ds, RANDOM_SPLIT, 100, TreeParams(), rng)
+        f = one_forest(ds, RANDOM_SPLIT, 100, TreeParams(), rng)
         assert f.n_trees == 100
         np.testing.assert_allclose(f.weights, 0.01)
 
@@ -64,15 +63,15 @@ class TestTrainForest:
     def test_same_seed_identical_forest(self, kind):
         rng = np.random.default_rng(2)
         ds = make_ds(rng.normal(size=(25, 3)), rng.integers(2, size=25), 2)
-        f1 = train_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
-        f2 = train_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
+        f1 = one_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
+        f2 = one_forest(ds, kind, 7, TreeParams(), np.random.default_rng(5))
         for name in TABLE:
             np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
     def test_table_numbers_all_trees_breadth_first(self):
         rng = np.random.default_rng(8)
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
-        f = train_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
+        f = one_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
         assert f.feature.dtype == f.children.dtype == f.roots.dtype == np.int32
         # a breadth-first walk over all trees at once, depth by depth, tree by
         # tree and left child first, meets the global ids in increasing order
@@ -98,11 +97,25 @@ class TestTrainForest:
         ds = make_ds(rng.normal(size=(224, 7)), rng.integers(8, size=224), 8)
         tracemalloc.start()
         try:
-            train_forest(ds, kind, 50, TreeParams(), rng)
+            one_forest(ds, kind, 50, TreeParams(), rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 6_000_000
+
+    @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+    def test_one_large_forest_scored_in_bounded_chunks(self, kind):
+        # one forest of 20 trees on 1000 rounded rows: 20,000 positions at
+        # the root, scored SCORE_POSITIONS at a time
+        rng = np.random.default_rng(3)
+        ds = make_ds(rng.normal(size=(1000, 30)).round(1), rng.integers(2, size=1000), 2)
+        tracemalloc.start()
+        try:
+            one_forest(ds, kind, 20, TreeParams(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
     @pytest.mark.parametrize("m, C, decimals", [
@@ -128,7 +141,8 @@ class TestTrainForest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = grow_bytes([kind], n_positions, m, C, tied_columns(X).size)
+        slot, fixed = grow_bytes([kind], n_positions, ds.n, m, C, tied_columns(X).size)
+        estimate = slot + fixed
         assert 0.5 * estimate <= peak <= estimate
 
     @pytest.mark.parametrize("m, C, decimals", [
@@ -138,8 +152,7 @@ class TestTrainForest:
         pytest.param(30, 2, 1, id="30-2-rounded"),
     ])
     def test_grow_bytes_estimates_a_mixed_group_peak(self, m, C, decimals):
-        # a pool task at one worker: four slots of both kinds in one frontier,
-        # split scoring chunked to one slot's positions
+        # a pool task at one worker: four slots of both kinds in one frontier
         rng = np.random.default_rng(1)
         X = rng.normal(size=(300, m))
         if decimals is not None:
@@ -152,17 +165,18 @@ class TestTrainForest:
         slot_positions = 12 * sum(len(rows) for rows in slot)
         tracemalloc.start()
         try:
-            train_forests(ds, kinds, 12, TreeParams(), slot * len(group), rngs, slot_positions)
+            train_forests(ds, kinds, 12, TreeParams(), slot * len(group), rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = grow_bytes(group, slot_positions, m, C, tied_columns(X).size)
+        per_slot, fixed = grow_bytes(group, slot_positions, ds.n, m, C, tied_columns(X).size)
+        estimate = len(group) * per_slot + fixed
         assert 0.5 * estimate <= peak <= estimate
 
     def test_empty_dataset_rejected(self):
         ds = make_ds(np.empty((0, 1)), np.empty(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_forest(ds, RANDOM_SPLIT, 3, TreeParams(), np.random.default_rng(0))
+            one_forest(ds, RANDOM_SPLIT, 3, TreeParams(), np.random.default_rng(0))
 
 
 class TestTreeDists:
@@ -180,7 +194,7 @@ class TestTreeDists:
     def test_rows_sum_to_one_property(self):
         rng = np.random.default_rng(3)
         ds = make_ds(rng.normal(size=(40, 5)), rng.integers(3, size=40), 3)
-        f = train_forest(ds, RANDOM_SPLIT, 12, TreeParams(), rng)
+        f = one_forest(ds, RANDOM_SPLIT, 12, TreeParams(), rng)
         dists = forest_tree_dists_batch(f, rng.normal(size=(50, 5)))
         np.testing.assert_allclose(dists.sum(axis=2), 1.0, atol=1e-9)
 
@@ -273,7 +287,7 @@ class TestClassVector:
     def test_output_is_probability_vector(self):
         rng = np.random.default_rng(4)
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
-        f = train_forest(ds, COMPLETELY_RANDOM, 9, TreeParams(), rng)
+        f = one_forest(ds, COMPLETELY_RANDOM, 9, TreeParams(), rng)
         for _ in range(20):
             w = rng.dirichlet(np.ones(9))
             v = class_vector(f, rng.normal(size=3), w)
@@ -300,7 +314,7 @@ class TestClassVector:
     def test_batch_in_row_blocks_equals_the_whole_contraction(self, n):
         rng = np.random.default_rng(n)
         ds = make_ds(rng.normal(size=(224, 7)), rng.integers(8, size=224), 8)
-        f = train_forest(ds, COMPLETELY_RANDOM, 50, TreeParams(), rng)
+        f = one_forest(ds, COMPLETELY_RANDOM, 50, TreeParams(), rng)
         f = f.with_weights(rng.dirichlet(np.ones(50)))
         X = rng.normal(size=(n, 7))
         whole = np.einsum("ntc,t->nc", forest_tree_dists_batch(f, X), f.weights)
@@ -314,7 +328,7 @@ class TestUniformEquivalence:
         # the frozen-uniform mode must reproduce plain tree averaging exactly
         rng = np.random.default_rng(6)
         ds = make_ds(rng.normal(size=(35, 4)), rng.integers(2, size=35), 2)
-        f = train_forest(ds, RANDOM_SPLIT, 11, TreeParams(), rng)
+        f = one_forest(ds, RANDOM_SPLIT, 11, TreeParams(), rng)
         X = rng.normal(size=(20, 4))
         dists = forest_tree_dists_batch(f, X)
         np.testing.assert_allclose(

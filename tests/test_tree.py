@@ -7,7 +7,7 @@ from disdf.cascade import CascadeModel, LevelModel, predict_batch
 from disdf.config import TrainConfig
 from disdf.data import Dataset, kfold_indices
 from disdf.errors import DataError, DimensionError, ModelFormatError
-from disdf.forest import ForestModel, forest_tree_dists_batch, train_forest, train_forests
+from disdf.forest import ForestModel, forest_tree_dists_batch, train_forests
 from disdf.serialize import _FOREST_ARRAYS, _check_forest
 from disdf import tree as tree_module
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees, tied_columns
@@ -33,6 +33,11 @@ def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
         num_classes=np.shape(dist)[1],
         n_features=n_features,
     )
+
+
+def one_forest(ds, kind, n_trees, params, rng):
+    """``n_trees`` trees of one kind on all of ``ds``: :func:`train_forests` for one forest."""
+    return train_forests(ds, [kind], n_trees, params, [np.arange(ds.n)], [rng])[0]
 
 
 def grow(ds, kind, params, rng):
@@ -309,7 +314,7 @@ class TestPrediction:
         for kind in (RANDOM_SPLIT, COMPLETELY_RANDOM):
             rng = np.random.default_rng(11)
             ds = make_ds(rng.normal(size=(40, 3)), rng.integers(2, size=40), 2)
-            forest = train_forest(ds, kind, 6, TreeParams(), rng)
+            forest = one_forest(ds, kind, 6, TreeParams(), rng)
             X = rng.normal(size=(25, 3))
             batch = forest_tree_dists_batch(forest, X)
             for row, expected in zip(X, batch):
@@ -326,7 +331,7 @@ class TestPrediction:
         forests = []
         for n, depth in ((6, None), (40, 0), (40, None), (40, 2)):
             ds = make_ds(rng.normal(size=(n, 3)), rng.integers(3, size=n), 3)
-            forest = train_forest(ds, kind, 8, TreeParams(max_depth=depth), rng)
+            forest = one_forest(ds, kind, 8, TreeParams(max_depth=depth), rng)
             forests.append(forest.with_weights(rng.dirichlet(np.ones(8))))
         assert any(np.any(f.roots < 0) for f in forests)
         assert any(np.any(f.roots >= 0) for f in forests)
@@ -432,14 +437,14 @@ class TestLevelwiseGrower:
     @pytest.mark.parametrize("seed", range(20))
     def test_rss_trees_match_depth_first_oracle_on_one_feature(self, seed):
         # with one feature the only candidate is feature 0, so a tree is
-        # fixed by its bootstrap rows, which train_forest draws first
+        # fixed by its bootstrap rows, which train_forests draws first
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         ds = make_ds(rng.normal(size=(n, 1)).round(1), rng.integers(3, size=n), 3)
         params = TreeParams(min_leaf=int(rng.integers(1, 4)),
                             max_depth=[None, 2, 5][seed % 3])
         T = 6
-        forest = train_forest(ds, RANDOM_SPLIT, T, params, np.random.default_rng(seed))
+        forest = one_forest(ds, RANDOM_SPLIT, T, params, np.random.default_rng(seed))
         rows = np.random.default_rng(seed).integers(0, n, size=(T, n))
         values = np.unique(ds.features)
         grid = np.concatenate([
@@ -462,7 +467,7 @@ class TestLevelwiseGrower:
         X = rng.integers(0, 4, size=(n, 3)).astype(float)
         X[:, 2] = 1.0  # a feature that never varies
         ds = make_ds(X, rng.integers(3, size=n), 3)
-        forest = train_forest(ds, COMPLETELY_RANDOM, 5, TreeParams(), rng)
+        forest = one_forest(ds, COMPLETELY_RANDOM, 5, TreeParams(), rng)
         for t in range(forest.n_trees):
             for ref, rows in node_rows(forest, X, t).items():
                 sub, labels = X[rows], ds.labels[rows]
@@ -489,7 +494,7 @@ class TestLevelwiseGrower:
                 (X, y, TreeParams(max_depth=1)),
             ]
             for features, labels, params in cases:
-                forest = train_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
+                forest = one_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
                 arrays = {name: getattr(forest, name) for name, _ in _FOREST_ARRAYS}
                 _check_forest("grown", arrays, features.shape[1])
                 assert forest.dist.shape[0] == forest.feature.size + n_trees
@@ -527,7 +532,7 @@ class TestOneFrontierPerSlot:
         together = train_forests(ds, [kind] * len(row_sets), 4, params, row_sets, rngs)
         assert len(together) == len(row_sets)
         for rows, forest, alone_rng in zip(row_sets, together, alone_rngs):
-            alone = train_forest(ds.subset(rows), kind, 4, params, alone_rng)
+            alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
             for name in ("feature", "threshold", "children", "dist", "roots"):
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
@@ -550,7 +555,7 @@ class TestOneFrontierPerSlot:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_slots_of_both_kinds_in_one_call_equal_growing_alone(
-        self, slot_kinds, params, seed
+        self, slot_kinds, params, seed, monkeypatch
     ):
         rng = np.random.default_rng(seed)
         n = 31
@@ -568,12 +573,14 @@ class TestOneFrontierPerSlot:
         seeds = np.random.SeedSequence(seed).spawn(len(row_sets))
         rngs = [np.random.default_rng(s) for s in seeds]
         alone_rngs = copy.deepcopy(rngs)
-        # split scoring in chunks of at most one slot's positions, as a cascade does
-        slot_positions = 4 * sum(len(rows) for rows in slot)
-        together = train_forests(ds, kinds, 4, params, row_sets, rngs, slot_positions)
+        # chunks smaller than a 20- or 31-row root but larger than the pure
+        # fold's 6-row root: some nodes are scored alone, others several at once
+        monkeypatch.setattr(tree_module, "SCORE_POSITIONS", 16)
+        together = train_forests(ds, kinds, 4, params, row_sets, rngs)
+        monkeypatch.undo()  # each forest alone is scored in one chunk per depth
         assert [forest.kind for forest in together] == kinds
         for kind, rows, forest, alone_rng in zip(kinds, row_sets, together, alone_rngs):
-            alone = train_forest(ds.subset(rows), kind, 4, params, alone_rng)
+            alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
             for name in ("feature", "threshold", "children", "dist", "roots"):
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
