@@ -20,7 +20,7 @@ from .errors import (
     ModelFormatError,
     SingleClassError,
 )
-from .evaluation import ExperimentGrid, GridResult, accuracy, repeated_holdout, run_grid
+from .evaluation import GridResult, accuracy, repeated_holdout, run_grid
 from .forest import (
     ForestModel,
     class_vectors_batch,

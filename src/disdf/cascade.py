@@ -188,9 +188,10 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     would exceed ``MAX_PAIR_BYTES``, or its grower temporaries, charged by
     ``tree.grow_bytes`` per slot plus a fixed part, would exceed
     ``tree.MAX_GROW_BYTES``.  A level in which not even one slot fits the
-    grower limit is refused before any tree is grown.  A slot's results do
-    not depend on its group.  The next level's features are ``ds.features``
-    followed by each forest's out-of-fold class vectors, in forest order.
+    grower limit, or in disdf mode the pair limit, is refused before any
+    tree is grown.  A slot's results do not depend on its group.  The next
+    level's features are ``ds.features`` followed by each forest's
+    out-of-fold class vectors, in forest order.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
@@ -207,6 +208,8 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
             f"{(slot_grow + fixed_grow) / 2**20:.0f} MiB, over the "
             f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --trees to grow fewer trees"
         )
+    if cfg.mode == MODE_DISDF:
+        pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
     slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
     charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
     pair_fit = max(1, pairstats.MAX_PAIR_BYTES // charge)

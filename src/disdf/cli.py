@@ -7,8 +7,9 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error; a stdout closed by its reader after the output file is written is no
 error.  The DISDF_THREADS environment variable sets the default worker
-count; --threads overrides it.  A worker count or ``bench --reps`` that is
-not an integer of at least 1 exits 3.
+count; --threads overrides it.  A worker count, ``bench --reps`` or an
+entry of ``bench --N-list``/``--T-list`` that is not an integer of at least
+1 exits 3, and so does a list with no entries.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     DisdfError,
     ModelFormatError,
 )
-from .evaluation import ExperimentGrid, run_grid
+from .evaluation import run_grid
 from .serialize import load_model, save_model
 
 EXIT_OK = 0
@@ -46,11 +47,11 @@ def _parse_label_col(text: str):
     return stripped
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(tok, f"{what} entry") for tok in text.split(",") if tok.strip())
+    if not values:
+        raise ConfigError(f"{what} needs at least one integer, got {text!r}")
+    return values
 
 
 def _read_config_file(path) -> tuple[dict, dict]:
@@ -199,15 +200,13 @@ def cmd_bench(args) -> int:
     cfg = _build_config(args)
     workers = _threads(args)
     reps = _positive_int(args.reps, "--reps")
+    train_sizes = _parse_int_list(args.n_list, "--N-list")
+    tree_counts = _parse_int_list(args.t_list, "--T-list")
     ds = load_csv(args.data, args.label_col)
-    grid = ExperimentGrid(
-        train_sizes=_parse_int_list(args.n_list),
-        tree_counts=_parse_int_list(args.t_list),
-        reps=reps,
-        base_config=cfg,
-    )
     name = args.name or Path(args.data).stem
-    result = run_grid(ds, grid, workers=workers, dataset_name=name)
+    result = run_grid(
+        ds, train_sizes, tree_counts, reps, cfg, workers=workers, dataset_name=name
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_rep = out_dir / f"{name}_accuracies.csv"

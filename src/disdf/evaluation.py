@@ -1,9 +1,13 @@
 """Benchmark protocol: accuracy, repeated random holdout, and comparison grids.
 
-Each repetition draws a fresh train/test split from a seed derived from
-(seed, repetition) and trains the discriminative and baseline modes on
-byte-identical splits with identical tree rng streams, so reported
-differences isolate the effect of the trained weights.
+Each repetition draws a fresh train/test split from a stream derived from
+(seed, repetition) and trains the baseline and discriminative modes on
+byte-identical splits, each from a training stream built afresh from the
+same pair, so both grow the same trees and reported differences isolate
+the effect of the trained weights.  Results are plain data:
+``repeated_holdout`` returns ``{mode: per-repetition accuracies}``, and
+``run_grid`` a :class:`GridResult` whose ``cells`` map ``(N, T)`` to such a
+dict.
 """
 
 from __future__ import annotations
@@ -38,43 +42,17 @@ def holdout_sizes(n: int, n_train: int) -> tuple[int, int]:
     return n_train, n_test
 
 
-@dataclass(frozen=True)
-class ModeSummary:
-    mode: str
-    accuracies: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.accuracies))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.accuracies))
-
-
-@dataclass(frozen=True)
-class HoldoutResult:
-    n_train: int
-    n_test: int
-    reps: int
-    baseline: ModeSummary
-    disdf: ModeSummary
-
-    def summary(self, mode: str) -> ModeSummary:
-        return {MODE_BASELINE: self.baseline, MODE_DISDF: self.disdf}[mode]
-
-
 def _run_repetition(ds, n_train, n_test, cfg, seed, rep):
-    rep_seq = np.random.SeedSequence(entropy=(seed, rep))
-    split_seq, train_seq = rep_seq.spawn(2)
+    # the children SeedSequence((seed, rep)).spawn(2) would give, built afresh
+    # for each use: a mode's training draws cannot advance the next mode's
+    # stream, so both modes grow the same trees
+    split_seq = np.random.SeedSequence((seed, rep), spawn_key=(0,))
     train_ds, test_ds = split(ds, n_train, n_test, split_seq, stratify=cfg.stratify)
     out = {}
     for mode in MODES:
-        # Generator.spawn advances the SeedSequence it was built from, so each
-        # mode gets a fresh copy of train_seq and both grow the same trees
-        fresh_seq = np.random.SeedSequence(train_seq.entropy, spawn_key=train_seq.spawn_key)
+        train_seq = np.random.SeedSequence((seed, rep), spawn_key=(1,))
         model = train_cascade(
-            train_ds, replace(cfg, mode=mode), rng=np.random.default_rng(fresh_seq)
+            train_ds, replace(cfg, mode=mode), rng=np.random.default_rng(train_seq)
         )
         out[mode] = accuracy(model, test_ds)
     return out
@@ -87,54 +65,31 @@ def repeated_holdout(
     cfg: TrainConfig,
     seed: int,
     workers: int = 1,
-) -> HoldoutResult:
-    """Paired repeated-random-subsampling comparison of both modes."""
+) -> dict[str, tuple[float, ...]]:
+    """Paired repeated-random-subsampling comparison of both modes.
+
+    Returns each mode's test accuracies, one per repetition, by mode name.
+    """
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
     n_train, n_test = holdout_sizes(ds.n, n_train)
     run = partial(_run_repetition, ds, n_train, n_test, cfg, seed)
     results = _map_tasks(run, range(reps), workers=workers)
-    per_mode = {mode: tuple(acc[mode] for acc in results) for mode in MODES}
-    return HoldoutResult(
-        n_train=n_train,
-        n_test=n_test,
-        reps=reps,
-        baseline=ModeSummary(MODE_BASELINE, per_mode[MODE_BASELINE]),
-        disdf=ModeSummary(MODE_DISDF, per_mode[MODE_DISDF]),
-    )
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    train_sizes: tuple[int, ...]
-    tree_counts: tuple[int, ...]
-    reps: int
-    base_config: TrainConfig
-
-    def validate(self, n_rows: int) -> "ExperimentGrid":
-        if self.reps < 1:
-            raise DataError("reps must be >= 1")
-        if not self.train_sizes or not self.tree_counts:
-            raise DataError("grid needs at least one N and one T")
-        for n_train in self.train_sizes:
-            holdout_sizes(n_rows, n_train)
-        for t in self.tree_counts:
-            if t < 1:
-                raise DataError(f"tree counts must be >= 1, got {t}")
-        return self
+    return {mode: tuple(acc[mode] for acc in results) for mode in MODES}
 
 
 @dataclass(frozen=True)
 class GridResult:
     dataset: str
-    grid: ExperimentGrid
-    cells: dict  # (N, T) -> HoldoutResult
+    train_sizes: tuple[int, ...]
+    tree_counts: tuple[int, ...]
+    cells: dict  # (N, T) -> {mode: per-repetition accuracies}
 
     def rows(self):
         """Per-repetition records: dataset, N, T, mode, rep, accuracy."""
-        for (n_train, t), res in sorted(self.cells.items()):
+        for (n_train, t), accs in sorted(self.cells.items()):
             for mode in MODES:
-                for rep, acc in enumerate(res.summary(mode).accuracies):
+                for rep, acc in enumerate(accs[mode]):
                     yield {
                         "dataset": self.dataset,
                         "N": n_train,
@@ -145,17 +100,16 @@ class GridResult:
                     }
 
     def summary_rows(self):
-        for (n_train, t), res in sorted(self.cells.items()):
+        for (n_train, t), accs in sorted(self.cells.items()):
             for mode in MODES:
-                s = res.summary(mode)
                 yield {
                     "dataset": self.dataset,
                     "N": n_train,
                     "T": t,
                     "mode": mode,
-                    "reps": res.reps,
-                    "mean": s.mean,
-                    "std": s.std,
+                    "reps": len(accs[mode]),
+                    "mean": float(np.mean(accs[mode])),
+                    "std": float(np.std(accs[mode])),
                 }
 
     def write_csv(self, path) -> None:
@@ -168,15 +122,14 @@ class GridResult:
 
     def format_table(self) -> str:
         """Aligned text table: one row per N, a baseline/disdf pair per T."""
-        ts = list(self.grid.tree_counts)
-        header = ["N"] + [f"T={t} {m}" for t in ts for m in ("gcF", "DisDF")]
+        header = ["N"] + [f"T={t} {m}" for t in self.tree_counts for m in ("gcF", "DisDF")]
         lines = ["  ".join(f"{h:>12}" for h in header)]
-        for n_train in self.grid.train_sizes:
+        for n_train in self.train_sizes:
             cells = [f"{n_train:>12}"]
-            for t in ts:
-                res = self.cells[(n_train, t)]
-                cells.append(f"{res.baseline.mean:>12.3f}")
-                cells.append(f"{res.disdf.mean:>12.3f}")
+            for t in self.tree_counts:
+                accs = self.cells[(n_train, t)]
+                cells.append(f"{np.mean(accs[MODE_BASELINE]):>12.3f}")
+                cells.append(f"{np.mean(accs[MODE_DISDF]):>12.3f}")
             lines.append("  ".join(cells))
         return "\n".join(lines)
 
@@ -191,19 +144,35 @@ def _write_records(path, records, fields) -> None:
 
 def run_grid(
     ds: Dataset,
-    grid: ExperimentGrid,
+    train_sizes: tuple[int, ...],
+    tree_counts: tuple[int, ...],
+    reps: int,
+    cfg: TrainConfig,
     seed: int | None = None,
     workers: int = 1,
     dataset_name: str = "data",
 ) -> GridResult:
-    """Run the full N-by-T comparison grid on one dataset."""
-    grid.validate(ds.n)
-    seed = grid.base_config.seed if seed is None else seed
+    """Run the full N-by-T comparison grid on one dataset.
+
+    Every N, T and ``reps`` is checked before any cell is trained.  ``cfg``
+    gives each cell's training settings but its tree count, and its seed
+    unless ``seed`` is given.
+    """
+    if reps < 1:
+        raise DataError("reps must be >= 1")
+    if not train_sizes or not tree_counts:
+        raise DataError("grid needs at least one N and one T")
+    for n_train in train_sizes:
+        holdout_sizes(ds.n, n_train)
+    for t in tree_counts:
+        if t < 1:
+            raise DataError(f"tree counts must be >= 1, got {t}")
+    seed = cfg.seed if seed is None else seed
     cells = {}
-    for n_train in grid.train_sizes:
-        for t in grid.tree_counts:
-            cfg = replace(grid.base_config, trees_per_forest=t)
+    for n_train in train_sizes:
+        for t in tree_counts:
+            cell_cfg = replace(cfg, trees_per_forest=t)
             cells[(n_train, t)] = repeated_holdout(
-                ds, n_train, grid.reps, cfg, seed=seed, workers=workers
+                ds, n_train, reps, cell_cfg, seed=seed, workers=workers
             )
-    return GridResult(dataset=dataset_name, grid=grid, cells=cells)
+    return GridResult(dataset_name, tuple(train_sizes), tuple(tree_counts), cells)

@@ -65,13 +65,7 @@ def compute_pair_stats(
     if n < 2:
         raise DegeneratePairsError("need at least two samples to form pairs")
     T = tree_dists.shape[1]
-    need = pair_bytes(n, T, pair_budget)
-    if need > MAX_PAIR_BYTES:
-        raise ConfigError(
-            f"pair statistics for {n} rows and {T} trees need about "
-            f"{need / 2**20:.0f} MiB, over the {MAX_PAIR_BYTES / 2**20:.0f} MiB "
-            "limit; set --pair-budget to sample fewer pairs"
-        )
+    check_pair_bytes(n, T, pair_budget)
 
     n_all = n * (n - 1) // 2
     n_same_all = int(_same_class_after(labels).sum())
@@ -103,6 +97,17 @@ def compute_pair_stats(
         q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
 
     return PairStats(pi=pi, q_diff=q_diff, n_same=int(same.sum()))
+
+
+def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> None:
+    """Raise :class:`ConfigError` when one forest's ``pair_bytes`` exceed ``MAX_PAIR_BYTES``."""
+    need = pair_bytes(n, n_trees, pair_budget)
+    if need > MAX_PAIR_BYTES:
+        raise ConfigError(
+            f"pair statistics for {n} rows and {n_trees} trees need about "
+            f"{need / 2**20:.0f} MiB, over the {MAX_PAIR_BYTES / 2**20:.0f} MiB "
+            "limit; set --pair-budget to sample fewer pairs"
+        )
 
 
 def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:

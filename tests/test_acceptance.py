@@ -322,10 +322,10 @@ class TestCriterion4Benchmarks:
         cfg = TrainConfig(trees_per_forest=trees, seed=11)
         workers = max(1, os.cpu_count() or 1)
         res = repeated_holdout(ds, n_train, reps=30, cfg=cfg, seed=11, workers=workers)
-        base = res.baseline.mean
-        disdf = res.disdf.mean
+        base = np.mean(res["baseline"])
+        disdf = np.mean(res["disdf"])
         paired = float(
-            np.mean(np.array(res.disdf.accuracies) - np.array(res.baseline.accuracies))
+            np.mean(np.array(res["disdf"]) - np.array(res["baseline"]))
         )
         ok = (
             abs(base - ref_base) <= tol

@@ -324,8 +324,16 @@ class TestSlotGroups:
         cfg = fast_cfg()
         charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
         monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge - 1)
+        grows = []
+        grow = cascade.train_forests
+        monkeypatch.setattr(cascade, "train_forests", lambda *a: grows.append(a) or grow(*a))
         with pytest.raises(ConfigError, match="--pair-budget"):
             train_cascade(ds, cfg)
+        # refused before any forest is grown
+        assert grows == []
+        # baseline mode forms no pairs, so the limit does not apply to it
+        train_cascade(ds, fast_cfg(mode="baseline"))
+        assert grows
 
 
 class TestTrainCascade:

@@ -695,10 +695,14 @@ class TestBench:
         assert code == 2
         assert "N" in capsys.readouterr().err
 
-    def test_bad_list_exit_3(self, toy_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "n_list, t_list",
+        [("9;12", "1"), ("9", "0"), ("0", "1"), (",", "1")],
+    )
+    def test_bad_list_exit_3(self, toy_csv, tmp_path, n_list, t_list):
         code = main(
             ["bench", "--data", str(toy_csv), "--label-col", "3",
-             "--N-list", "9;12", "--T-list", "1", "--reps", "1",
+             "--N-list", n_list, "--T-list", t_list, "--reps", "1",
              "--out-dir", str(tmp_path)]
         )
         assert code == 3

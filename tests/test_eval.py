@@ -9,8 +9,7 @@ from disdf.config import TrainConfig
 from disdf.data import Dataset
 from disdf.errors import DataError, DimensionError
 from disdf.evaluation import (
-    ExperimentGrid,
-    ModeSummary,
+    GridResult,
     accuracy,
     holdout_sizes,
     repeated_holdout,
@@ -83,33 +82,24 @@ class TestRepeatedHoldout:
         cfg = fast_cfg(trees_per_forest=3, fw_iterations=60)
         r1 = repeated_holdout(ds, 24, reps=2, cfg=cfg, seed=5)
         r2 = repeated_holdout(ds, 24, reps=2, cfg=cfg, seed=5)
-        assert r1.baseline.accuracies == r2.baseline.accuracies
-        assert r1.disdf.accuracies == r2.disdf.accuracies
+        assert r1["baseline"] == r2["baseline"]
+        assert r1["disdf"] == r2["disdf"]
 
     def test_summary_mean_is_arithmetic_mean(self):
         ds = blobs(n=60, m=3, seed=4)
         cfg = fast_cfg(trees_per_forest=3, fw_iterations=60)
         res = repeated_holdout(ds, 21, reps=3, cfg=cfg, seed=1)
-        for summary in (res.baseline, res.disdf):
-            assert summary.mean == pytest.approx(
-                sum(summary.accuracies) / len(summary.accuracies), abs=1e-12
-            )
-            assert len(summary.accuracies) == 3
+        result = GridResult("toy", (21,), (3,), {(21, 3): res})
+        for row in result.summary_rows():
+            accs = res[row["mode"]]
+            assert row["mean"] == pytest.approx(sum(accs) / len(accs), abs=1e-12)
+            assert len(accs) == 3
 
     def test_separable_toy_baseline_accuracy(self):
         ds = blobs(n=150, m=2, gap=10.0, seed=5)
         cfg = fast_cfg(trees_per_forest=5, fw_iterations=60)
         res = repeated_holdout(ds, 60, reps=10, cfg=cfg, seed=2)
-        assert res.baseline.mean >= 0.95
-        assert res.n_test == 40
-
-    def test_reported_sizes(self):
-        ds = blobs(n=60, m=2, seed=6)
-        res = repeated_holdout(
-            ds, 24, reps=1, cfg=fast_cfg(trees_per_forest=2, fw_iterations=40), seed=0
-        )
-        assert res.n_train == 24
-        assert res.n_test == 16
+        assert np.mean(res["baseline"]) >= 0.95
 
     def test_bad_reps(self):
         ds = blobs(n=30, m=2, seed=7)
@@ -137,41 +127,37 @@ class TestRepeatedHoldout:
         cfg = fast_cfg(trees_per_forest=2, fw_iterations=40)
         serial = repeated_holdout(ds, 18, reps=2, cfg=cfg, seed=4, workers=1)
         parallel = repeated_holdout(ds, 18, reps=2, cfg=cfg, seed=4, workers=2)
-        assert serial.baseline.accuracies == parallel.baseline.accuracies
-        assert serial.disdf.accuracies == parallel.disdf.accuracies
+        assert serial["baseline"] == parallel["baseline"]
+        assert serial["disdf"] == parallel["disdf"]
 
 
 class TestGrid:
-    def make_grid(self, reps=1, **cfg_kw):
-        cfg = fast_cfg(trees_per_forest=2, fw_iterations=40, **cfg_kw)
-        return ExperimentGrid(
-            train_sizes=(9, 12), tree_counts=(1, 3), reps=reps, base_config=cfg
-        )
+    def run_toy_grid(self, ds, reps=1):
+        cfg = fast_cfg(trees_per_forest=2, fw_iterations=40)
+        return run_grid(ds, (9, 12), (1, 3), reps, cfg, dataset_name="toy")
 
     def test_all_cells_in_range(self):
         ds = blobs(n=24, m=2, seed=8)
-        result = run_grid(ds, self.make_grid(), dataset_name="toy")
+        result = self.run_toy_grid(ds)
         assert len(result.cells) == 4
         for res in result.cells.values():
-            for acc in res.baseline.accuracies + res.disdf.accuracies:
+            for acc in res["baseline"] + res["disdf"]:
                 assert 0.0 <= acc <= 1.0
 
     def test_degenerate_single_tree_column(self):
         ds = blobs(n=24, m=2, seed=9)
-        grid = ExperimentGrid((9,), (1,), 1, fast_cfg(fw_iterations=40))
-        result = run_grid(ds, grid)
+        result = run_grid(ds, (9,), (1,), 1, fast_cfg(fw_iterations=40))
         res = result.cells[(9, 1)]
-        assert res.baseline.accuracies and res.disdf.accuracies
+        assert res["baseline"] and res["disdf"]
 
     def test_tree_count_overrides_config(self):
         ds = blobs(n=24, m=2, seed=10)
-        grid = ExperimentGrid((9,), (2,), 1, fast_cfg(trees_per_forest=50))
-        result = run_grid(ds, grid)
+        result = run_grid(ds, (9,), (2,), 1, fast_cfg(trees_per_forest=50))
         assert (9, 2) in result.cells
 
     def test_rows_and_csv_output(self, tmp_path):
         ds = blobs(n=24, m=2, seed=11)
-        result = run_grid(ds, self.make_grid(reps=2), dataset_name="toy")
+        result = self.run_toy_grid(ds, reps=2)
         rows = list(result.rows())
         assert len(rows) == 4 * 2 * 2  # cells x modes x reps
         per_rep = tmp_path / "acc.csv"
@@ -190,9 +176,16 @@ class TestGrid:
         }
         assert all(0.0 <= m <= 1.0 for m in means.values())
 
+    def test_summary_of_constant_accuracies(self):
+        result = GridResult(
+            "toy", (9,), (1,), {(9, 1): {"baseline": (0.5, 0.5, 0.5), "disdf": (0.75,) * 3}}
+        )
+        rows = [(r["mode"], r["reps"], r["mean"], r["std"]) for r in result.summary_rows()]
+        assert rows == [("baseline", 3, 0.5, 0.0), ("disdf", 3, 0.75, 0.0)]
+
     def test_format_table_layout(self):
         ds = blobs(n=24, m=2, seed=12)
-        result = run_grid(ds, self.make_grid(), dataset_name="toy")
+        result = self.run_toy_grid(ds)
         table = result.format_table()
         lines = table.splitlines()
         assert len(lines) == 3  # header + one row per N
@@ -200,13 +193,24 @@ class TestGrid:
 
     def test_oversized_train_size_rejected(self):
         ds = blobs(n=24, m=2, seed=13)
-        grid = ExperimentGrid((24,), (2,), 1, fast_cfg())
         with pytest.raises(DataError):
-            run_grid(ds, grid)
+            run_grid(ds, (24,), (2,), 1, fast_cfg())
 
-
-class TestModeSummary:
-    def test_std_of_constant_is_zero(self):
-        s = ModeSummary("baseline", (0.5, 0.5, 0.5))
-        assert s.std == 0.0
-        assert s.mean == 0.5
+    @pytest.mark.parametrize(
+        "train_sizes, tree_counts, reps, message",
+        [
+            ((9,), (2,), 0, "reps"),
+            ((), (2,), 1, "at least one N"),
+            ((9,), (), 1, "at least one N"),
+            ((9,), (0,), 1, "tree counts"),
+        ],
+    )
+    def test_bad_grid_rejected_before_training(
+        self, monkeypatch, train_sizes, tree_counts, reps, message
+    ):
+        calls = []
+        monkeypatch.setattr(evaluation, "train_cascade", lambda *a, **k: calls.append(a))
+        ds = blobs(n=24, m=2, seed=14)
+        with pytest.raises(DataError, match=message):
+            run_grid(ds, train_sizes, tree_counts, reps, fast_cfg())
+        assert calls == []
