@@ -43,7 +43,10 @@ IMPROVEMENT_TOL = 1e-4
 @dataclass
 class LevelModel:
     forests: list[ForestModel]
-    input_dim: int
+
+    @property
+    def input_dim(self) -> int:
+        return self.forests[0].n_features
 
     @property
     def num_classes(self) -> int:
@@ -57,8 +60,6 @@ class LevelModel:
 @dataclass
 class CascadeModel:
     levels: list[LevelModel]
-    base_dim: int
-    num_classes: int
     config: TrainConfig
     level_scores: tuple[float, ...] = ()
     class_labels: tuple[str, ...] | None = None
@@ -68,6 +69,14 @@ class CascadeModel:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    @property
+    def base_dim(self) -> int:
+        return self.levels[0].input_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.levels[0].num_classes
 
 
 def should_stop(level_scores, patience: int) -> bool:
@@ -184,24 +193,23 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     The forest slots are cut into contiguous groups, one pool task each,
     whose forests are grown in one call and whose weights are trained in
     lockstep: as many groups as workers (at most one per slot), or more when
-    a group's pair statistics, charged at ``pairstats.pair_bytes`` per slot,
-    would exceed ``MAX_PAIR_BYTES``, or its grower temporaries, charged by
-    ``tree.grow_bytes`` per slot plus a fixed part, would exceed
-    ``tree.MAX_GROW_BYTES``.  A level in which not even one slot fits the
-    grower limit, or in disdf mode the pair limit, is refused before any
-    tree is grown.  A slot's results do not depend on its group.  The next
-    level's features are ``ds.features`` followed by each forest's
-    out-of-fold class vectors, in forest order.
+    a group's grower temporaries, charged by ``tree.grow_bytes`` per slot
+    plus a fixed part, would exceed ``tree.MAX_GROW_BYTES``, or in disdf
+    mode its pair statistics, charged at ``pairstats.pair_bytes`` per slot,
+    would exceed ``MAX_PAIR_BYTES``; a baseline level forms no pairs and is
+    charged none.  A slot's k fold forests train on (k - 1) n rows, as the
+    held-out sets partition the rows, and its refit forest on n, so a slot
+    grows ``T k n`` (tree, row) positions.  A level in which not even one
+    slot fits a limit is refused before any tree is grown.  A slot's results
+    do not depend on its group.  The next level's features are
+    ``ds.features`` followed by each forest's out-of-fold class vectors, in
+    forest order.
     """
     folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
-    slot_positions = cfg.trees_per_forest * (sum(len(train) for train, _ in folds) + ds.n)
-    slot_grow, fixed_grow = tree.grow_bytes(
-        kinds, slot_positions, ds.n, ds.feature_dim, ds.num_classes,
-        tree.tied_columns(ds.features).size,
-    )
-    grow_fit = (tree.MAX_GROW_BYTES - fixed_grow) // slot_grow
-    if grow_fit < 1:
+    slot_grow, fixed_grow = tree.grow_bytes(ds, kinds, cfg.trees_per_forest * cfg.folds * ds.n)
+    fit = (tree.MAX_GROW_BYTES - fixed_grow) // slot_grow
+    if fit < 1:
         raise ConfigError(
             f"growing a slot's {cfg.folds + 1} forests of {cfg.trees_per_forest} trees "
             f"on {ds.n} rows x {ds.feature_dim} features needs about "
@@ -210,10 +218,10 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
         )
     if cfg.mode == MODE_DISDF:
         pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+        charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+        fit = min(fit, pairstats.MAX_PAIR_BYTES // charge)
     slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
-    charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-    pair_fit = max(1, pairstats.MAX_PAIR_BYTES // charge)
-    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // min(pair_fit, grow_fit)))
+    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit))
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
     fitted = _map_tasks(
         partial(_fit_slots, ds, cfg, folds),
@@ -226,7 +234,7 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     score = float(np.mean(np.argmax(summed, axis=1) == ds.labels))
     features = np.hstack([ds.features, *oof_class_vectors])
     augmented = Dataset(features, ds.labels, ds.num_classes, ds.label_names)
-    level = LevelModel(list(forests), input_dim=ds.feature_dim)
+    level = LevelModel(list(forests))
     return level, augmented, score, infos
 
 
@@ -265,8 +273,6 @@ def train_cascade(
     keep = _best_level(scores) + 1
     return CascadeModel(
         levels=levels[:keep],
-        base_dim=train.feature_dim,
-        num_classes=train.num_classes,
         config=cfg,
         level_scores=tuple(scores),
         class_labels=train.label_names,
@@ -277,10 +283,6 @@ def train_cascade(
 def augment_batch(level: LevelModel, X: np.ndarray) -> np.ndarray:
     """Concatenate X with each forest's class vectors, in forest order."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != level.input_dim:
-        raise DimensionError(
-            f"expected (n, {level.input_dim}) inputs, got {X.shape}"
-        )
     return np.hstack([X] + [class_vectors_batch(f, X) for f in level.forests])
 
 

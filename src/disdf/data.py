@@ -235,16 +235,12 @@ def _stratified_indices(labels, num_classes, n_train, rng) -> np.ndarray:
         if alloc[c] < counts[c]:
             alloc[c] += 1
             short -= 1
+    # remainders in [0, 1) sum to short, so more than short classes can take one: no fill needed
     picked = []
     for c in range(num_classes):
         members = np.nonzero(labels == c)[0]
-        take = min(alloc[c], members.size)
-        picked.append(rng.permutation(members)[:take])
-    out = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    if out.size < n_train:  # classes exhausted; fill from the remainder
-        rest = np.setdiff1d(np.arange(labels.size), out, assume_unique=True)
-        out = np.concatenate([out, rng.permutation(rest)[: n_train - out.size]])
-    return out
+        picked.append(rng.permutation(members)[: alloc[c]])
+    return np.concatenate(picked)
 
 
 def kfold_indices(n: int, folds: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:

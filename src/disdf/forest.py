@@ -53,7 +53,6 @@ class ForestModel:
     roots: np.ndarray  # (T,) int32 references
     weights: np.ndarray  # (T,) float64 on the unit simplex
     kind: str
-    num_classes: int
     n_features: int
 
     def __post_init__(self):
@@ -62,6 +61,10 @@ class ForestModel:
     @property
     def n_trees(self) -> int:
         return self.roots.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.dist.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -108,7 +111,6 @@ def train_forests(
             *table,
             weights=uniform_weights(n_trees),
             kind=kind,
-            num_classes=ds.num_classes,
             n_features=ds.feature_dim,
         )
         for kind, table in zip(kinds, grow_trees(ds, kinds, params, rows, rngs))

@@ -153,7 +153,7 @@ def load_model(path) -> CascadeModel:
     except (ConfigError, TypeError) as exc:
         raise ModelFormatError(f"{path}: bad config in metadata: {exc}") from None
     num_classes = _field(path, meta, "num_classes", int, range(2, 2**31))
-    base_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
+    input_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
     scores = _field(path, meta, "level_scores", list)
     labels = meta.get("class_labels")
     if not all(isinstance(x, (int, float)) for x in scores):
@@ -177,7 +177,6 @@ def load_model(path) -> CascadeModel:
     if unknown:
         raise ModelFormatError(f"{path}: unknown metadata keys: {unknown}")
     levels = []
-    input_dim = base_dim
     for kinds in level_kinds:
         if not (isinstance(kinds, list) and kinds and all(k in TREE_KINDS for k in kinds)):
             raise ModelFormatError(
@@ -188,12 +187,8 @@ def load_model(path) -> CascadeModel:
         for kind in kinds:
             arrays = reader.forest(num_classes)
             _check_forest(path, arrays, input_dim)
-            forests.append(
-                ForestModel(
-                    **arrays, kind=kind, num_classes=num_classes, n_features=input_dim
-                )
-            )
-        levels.append(LevelModel(forests, input_dim=input_dim))
+            forests.append(ForestModel(**arrays, kind=kind, n_features=input_dim))
+        levels.append(LevelModel(forests))
         input_dim = levels[-1].output_dim
     if reader.offset != len(payload):
         raise ModelFormatError(
@@ -201,8 +196,6 @@ def load_model(path) -> CascadeModel:
         )
     return CascadeModel(
         levels=levels,
-        base_dim=base_dim,
-        num_classes=num_classes,
         config=config,
         level_scores=tuple(scores),
         class_labels=tuple(labels) if labels else None,

@@ -222,46 +222,39 @@ def _node_chunks(start, size, lo, hi):
         a = b
 
 
-def grow_bytes(
-    kinds: list[str],
-    slot_positions: int,
-    n_rows: int,
-    n_features: int,
-    num_classes: int,
-    n_tied: int,
-) -> tuple[int, int]:
+def grow_bytes(ds: Dataset, kinds: list[str], slot_positions: int) -> tuple[int, int]:
     """About the peak bytes :func:`grow_trees` allocates, as ``(slot, fixed)``:
-    s slots of the given ``kinds`` grown in one call take ``s * slot +
-    fixed``.  A slot has ``slot_positions`` (tree, row) positions over its
-    forests, on ``n_rows`` rows of m features and C classes, ``n_tied`` of
-    them columns that repeat a value (:func:`tied_columns`).
+    s slots of the given ``kinds`` grown in one call on the rows of ``ds``
+    take ``s * slot + fixed``.  A slot has ``slot_positions`` (tree, row)
+    positions over its forests; ``ds`` has n rows of m features, C classes
+    and ``n_tied`` columns that repeat a value (:func:`tied_columns`).
 
     Each slot position is charged its frontier and node tables: ``80 + 8 C``
     bytes for random-split-search, ``80 + 16 C`` for completely-random,
     whose trees see every row and so grow more leaves.  The fixed charge is
     ``16`` bytes per feature cell, for the column ranks or the tied-column
-    scan, plus one scoring chunk of ``max(SCORE_POSITIONS, n_rows)``
-    positions (a chunk holds whole nodes, and a root up to ``n_rows``),
-    ``90 ceil(sqrt(m))`` bytes each for random-split-search, which scores
-    every candidate of a node at once, and ``16 + 11 n_tied`` for
-    completely-random, which gathers and reduces the tied columns per node.
+    scan, plus one scoring chunk of ``max(SCORE_POSITIONS, n)`` positions
+    (a chunk holds whole nodes, and a root up to n), ``90 ceil(sqrt(m))``
+    bytes each for random-split-search, which scores every candidate of a
+    node at once, and ``16 + 11 n_tied`` for completely-random, which
+    gathers and reduces the tied columns per node.
     Both charges take the costlier kind.  Fitted to tracemalloc peaks of
     groups of one to four slots of k = 3 fold forests and a refit forest at
     60 to 2000 rows, 4 to 16 trees, m from 1 to 100, C = 2 and 8, and no,
     half or all columns tied: the peak read 0.35 to 0.90 of the estimate.
     """
     per_slot = {
-        RANDOM_SPLIT: 80 + 8 * num_classes,
-        COMPLETELY_RANDOM: 80 + 16 * num_classes,
+        RANDOM_SPLIT: 80 + 8 * ds.num_classes,
+        COMPLETELY_RANDOM: 80 + 16 * ds.num_classes,
     }
     per_chunk = {
-        RANDOM_SPLIT: 90 * math.ceil(math.sqrt(n_features)),
-        COMPLETELY_RANDOM: 16 + 11 * n_tied,
+        RANDOM_SPLIT: 90 * math.ceil(math.sqrt(ds.feature_dim)),
+        COMPLETELY_RANDOM: 16 + 11 * tied_columns(ds.features).size,
     }
-    chunk = max(SCORE_POSITIONS, n_rows) * max(per_chunk[kind] for kind in kinds)
+    chunk = max(SCORE_POSITIONS, ds.n) * max(per_chunk[kind] for kind in kinds)
     return (
         slot_positions * max(per_slot[kind] for kind in kinds),
-        16 * n_rows * n_features + chunk,
+        16 * ds.n * ds.feature_dim + chunk,
     )
 
 

@@ -26,7 +26,7 @@ from disdf.forest import (
     uniform_weights,
 )
 from disdf.pairstats import compute_pair_stats
-from disdf.serialize import save_model
+from disdf.serialize import load_model, save_model
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest, one_forest
@@ -85,14 +85,11 @@ def assert_same_models(m1, m2):
                 np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
 
-def manual_cascade(forest_dists, n_features, num_classes):
+def manual_cascade(forest_dists, n_features):
     """Single-level cascade of single-leaf forests with the given outputs."""
     forests = [leaf_forest([d], n_features) for d in forest_dists]
-    level = LevelModel(forests, input_dim=n_features)
     return CascadeModel(
-        levels=[level],
-        base_dim=n_features,
-        num_classes=num_classes,
+        levels=[LevelModel(forests)],
         config=TrainConfig(mode="baseline"),
         level_scores=(1.0,),
     )
@@ -132,7 +129,7 @@ class TestDimensions:
             one_forest(ds, kind, 3, TreeParams(), rng.spawn(1)[0])
             for kind in cfg.forest_kinds()
         ]
-        level1 = LevelModel(level1_forests, input_dim=10)
+        level1 = LevelModel(level1_forests)
         assert level1.output_dim == 22
         augmented = augment_batch(level1, ds.features)
         assert augmented.shape == (30, 22)
@@ -141,7 +138,7 @@ class TestDimensions:
             one_forest(ds2, kind, 3, TreeParams(), rng.spawn(1)[0])
             for kind in cfg.forest_kinds()
         ]
-        level2 = LevelModel(level2_forests, input_dim=22)
+        level2 = LevelModel(level2_forests)
         assert level2.output_dim == 34
         assert augment_batch(level2, augmented).shape == (30, 34)
 
@@ -170,7 +167,7 @@ class TestAugment:
         forest = leaf_forest([[0.4, 0.4, 0.2]], n_features=5).with_weights(
             [1.0]
         )
-        level = LevelModel([forest], input_dim=5)
+        level = LevelModel([forest])
         x = np.arange(5.0)
         out = augment_batch(level, x[None, :])[0]
         assert out.shape == (8,)
@@ -187,28 +184,22 @@ class TestAugment:
             np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        level = LevelModel(
-            [leaf_forest([[1.0, 0.0]], n_features=3)], input_dim=3
-        )
+        level = LevelModel([leaf_forest([[1.0, 0.0]], n_features=3)])
         with pytest.raises(DimensionError):
             augment_batch(level, np.zeros((1, 4)))
 
 
 class TestPredict:
     def test_argmax_of_summed_class_vectors(self):
-        model = manual_cascade(
-            [[0.7, 0.3], [0.4, 0.6]], n_features=2, num_classes=2
-        )
+        model = manual_cascade([[0.7, 0.3], [0.4, 0.6]], n_features=2)
         assert predict(model, np.zeros(2)) == 0
 
     def test_exact_tie_goes_to_lowest_class(self):
-        model = manual_cascade(
-            [[0.5, 0.5], [0.5, 0.5]], n_features=2, num_classes=2
-        )
+        model = manual_cascade([[0.5, 0.5], [0.5, 0.5]], n_features=2)
         assert predict(model, np.zeros(2)) == 0
 
     def test_degenerate_single_tree_cascade(self):
-        model = manual_cascade([[0.0, 0.0, 1.0]], n_features=1, num_classes=3)
+        model = manual_cascade([[0.0, 0.0, 1.0]], n_features=1)
         assert predict(model, np.zeros(1)) == 2
 
     def test_repeated_calls_agree(self):
@@ -224,8 +215,29 @@ class TestPredict:
         for row, expected in zip(ds.features, batch):
             assert predict(model, row) == expected
 
+    def test_prediction_through_kept_levels(self, tmp_path):
+        ds = blobs(n=36, m=4, gap=1.0, seed=1, num_classes=3)
+        model = train_cascade(ds, fast_cfg(max_levels=3, patience=2))
+        # a model of one level would never augment its inputs
+        assert model.n_levels >= 2
+        X = np.random.default_rng(2).normal(scale=2.0, size=(50, ds.feature_dim))
+        expected_in, features = ds.feature_dim, X
+        for level in model.levels:
+            assert level.input_dim == expected_in == features.shape[1]
+            expected_in += len(level.forests) * ds.num_classes
+            if level is not model.levels[-1]:
+                features = augment_batch(level, features)
+        summed = np.sum([class_vectors_batch(f, features) for f in model.levels[-1].forests], axis=0)
+        np.testing.assert_array_equal(predict_batch(model, X), np.argmax(summed, axis=1))
+        save_model(model, tmp_path / "m.model")
+        loaded = load_model(tmp_path / "m.model")
+        assert [level.input_dim for level in loaded.levels] == [
+            level.input_dim for level in model.levels
+        ]
+        np.testing.assert_array_equal(predict_batch(loaded, X), predict_batch(model, X))
+
     def test_dimension_mismatch(self):
-        model = manual_cascade([[1.0, 0.0]], n_features=2, num_classes=2)
+        model = manual_cascade([[1.0, 0.0]], n_features=2)
         with pytest.raises(DimensionError):
             predict(model, np.zeros(3))
 
@@ -245,11 +257,12 @@ class TestPredict:
 class TestWorkerIndependence:
     def test_two_workers_give_identical_tables_and_weights(self):
         ds = blobs(n=36, m=4, seed=15)
-        cfg = fast_cfg(max_levels=2, patience=2)
-        serial = train_cascade(ds, cfg, workers=1)
-        # 2 workers fit groups of 2 slots each; 3 fit uneven groups of 2, 1, 1
-        for workers in (2, 3):
-            assert_same_models(serial, train_cascade(ds, cfg, workers=workers))
+        for mode in ("disdf", "baseline"):
+            cfg = fast_cfg(max_levels=2, patience=2, mode=mode)
+            serial = train_cascade(ds, cfg, workers=1)
+            # 2 workers fit groups of 2 slots each; 3 fit uneven groups of 2, 1, 1
+            for workers in (2, 3):
+                assert_same_models(serial, train_cascade(ds, cfg, workers=workers))
 
     def test_worker_error_reaches_caller_unchanged(self):
         features = np.random.default_rng(0).normal(size=(12, 3))
@@ -321,7 +334,8 @@ class TestSlotGroups:
 
     def test_limit_below_one_slot_rejected(self, monkeypatch):
         ds = blobs(n=36, m=4, seed=16)
-        cfg = fast_cfg()
+        cfg, baseline = fast_cfg(), fast_cfg(mode="baseline")
+        unlimited = train_cascade(ds, baseline)
         charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
         monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge - 1)
         grows = []
@@ -331,9 +345,11 @@ class TestSlotGroups:
             train_cascade(ds, cfg)
         # refused before any forest is grown
         assert grows == []
-        # baseline mode forms no pairs, so the limit does not apply to it
-        train_cascade(ds, fast_cfg(mode="baseline"))
-        assert grows
+        # baseline mode forms no pairs, so the limit neither refuses nor splits
+        # its levels: at 1 worker each level grows its 4 slots' 16 forests at once
+        limited = train_cascade(ds, baseline)
+        assert [len(kinds) for _, kinds, *_ in grows] == [16] * len(limited.level_scores)
+        assert_same_models(unlimited, limited)
 
 
 class TestTrainCascade:

@@ -368,11 +368,16 @@ class TestModelFile:
         assert code == 2
         assert "version 3" in capsys.readouterr().err
 
-    def test_not_a_model_file(self, tmp_path):
+    def test_not_a_model_file(self, tmp_path, toy_csv):
         path = tmp_path / "junk.model"
-        path.write_text("hello world\n")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        for head, message in (
+            (b"hello world\n", "missing header"),
+            (b"NOT-A-MODEL 4\nsha256 0\nbytes 0\n---\n", "bad magic"),
+            (b"DISDF-MODEL four\nsha256 0\nbytes 0\n---\n", "malformed version tag"),
+            (f"DISDF-MODEL {FORMAT_VERSION}\nsha256 0\nsize 0\n---\n".encode(), "malformed header"),
+        ):
+            path.write_bytes(head)
+            TestStructuralChecks.assert_rejected(path, message, toy_csv, tmp_path)
 
     def test_class_labels_round_trip(self, tmp_path, toy_csv):
         out = tmp_path / "m.model"
@@ -533,8 +538,8 @@ class TestStructuralChecks:
         self.assert_rejected(path, "1 bytes after the last forest", toy_csv, tmp_path)
 
     def test_level_dims_follow_recurrence(self, tmp_path):
-        model = manual_cascade([[0.6, 0.4]], n_features=3, num_classes=2)
-        second = LevelModel([leaf_forest([[0.1, 0.9]], n_features=5)], input_dim=5)
+        model = manual_cascade([[0.6, 0.4]], n_features=3)
+        second = LevelModel([leaf_forest([[0.1, 0.9]], n_features=5)])
         model.levels.append(second)
         model.level_scores = (1.0, 1.0)
         path = tmp_path / "m.model"
@@ -569,6 +574,9 @@ class TestMetadataChecks:
              "3 class labels for 2 classes"),
             (b'"level_scores": [', b'"level_scores": [], "x": [', "0 level scores for"),
             (b'"levels": [', b'"x": 1, "levels": [', r"unknown metadata keys: \['x'\]"),
+            (b'"level_scores": [', b'"level_scores": ["best", ', "level scores are not all numbers"),
+            (b'"levels": [', b'"levels": [], "x": [', "model has no levels"),
+            (b'"num_classes": 2', b'"num_classes": 1', "'num_classes' has bad value 1"),
         ],
     )
     def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):

@@ -168,6 +168,15 @@ class TestSplit:
         counts = np.bincount(train.labels, minlength=2)
         assert counts.tolist() == [40, 10]
 
+    def test_stratified_split_rounds_by_largest_remainder(self):
+        # 8 of 15 rows: exact shares 3.73, 2.67 and 1.6 floor to 3, 2 and 1,
+        # and the two largest remainders get the two rows left over
+        labels = np.repeat([0, 1, 2], [7, 5, 3])
+        ds = Dataset(np.arange(15.0).reshape(15, 1), labels, 3)
+        train, test = split(ds, 8, 7, seed=0, stratify=True)
+        assert np.bincount(train.labels, minlength=3).tolist() == [4, 3, 1]
+        assert sorted(np.concatenate([train.features, test.features]).ravel()) == list(range(15))
+
 
 class TestKfold:
     def test_exact_division(self):

@@ -18,7 +18,6 @@ from disdf.tree import (
     RANDOM_SPLIT,
     TreeParams,
     grow_bytes,
-    tied_columns,
 )
 from tests.test_tree import leaf_forest, make_ds, one_forest
 
@@ -141,7 +140,7 @@ class TestTrainForest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        slot, fixed = grow_bytes([kind], n_positions, ds.n, m, C, tied_columns(X).size)
+        slot, fixed = grow_bytes(ds, [kind], n_positions)
         estimate = slot + fixed
         assert 0.5 * estimate <= peak <= estimate
 
@@ -169,7 +168,7 @@ class TestTrainForest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_slot, fixed = grow_bytes(group, slot_positions, ds.n, m, C, tied_columns(X).size)
+        per_slot, fixed = grow_bytes(ds, group, slot_positions)
         estimate = len(group) * per_slot + fixed
         assert 0.5 * estimate <= peak <= estimate
 
@@ -243,7 +242,6 @@ class TestRoutedTreeDists:
             roots=np.zeros(1, dtype=np.int32),
             weights=[1.0],
             kind=RANDOM_SPLIT,
-            num_classes=2,
             n_features=1,
         )
         fine = leaf_forest([[0.0, 1.0]])

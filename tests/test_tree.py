@@ -30,7 +30,6 @@ def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
         roots=np.array([0 if len(feature) else ~0], dtype=np.int32),
         weights=[1.0],
         kind=kind,
-        num_classes=np.shape(dist)[1],
         n_features=n_features,
     )
 
@@ -47,7 +46,6 @@ def grow(ds, kind, params, rng):
         *table,
         weights=[1.0],
         kind=kind,
-        num_classes=ds.num_classes,
         n_features=ds.feature_dim,
     )
 
@@ -64,7 +62,6 @@ def leaf_forest(dists, n_features=1):
         roots=~np.arange(T, dtype=np.int32),
         weights=np.full(T, 1.0 / T),
         kind=COMPLETELY_RANDOM,
-        num_classes=dists.shape[1],
         n_features=n_features,
     )
 
@@ -294,7 +291,6 @@ class TestPrediction:
             roots=np.array([~0, 0], dtype=np.int32),
             weights=[0.5, 0.5],
             kind=RANDOM_SPLIT,
-            num_classes=2,
             n_features=2,
         )
         out = forest_tree_dists_batch(forest, [[9.0, -1.0], [9.0, 1.0]])
@@ -344,9 +340,7 @@ class TestPrediction:
             np.testing.assert_array_equal(forest_tree_dists_batch(forest, X), expected)
             summed += np.einsum("ntc,t->nc", expected, forest.weights)
         model = CascadeModel(
-            levels=[LevelModel(forests, input_dim=3)],
-            base_dim=3,
-            num_classes=3,
+            levels=[LevelModel(forests)],
             config=TrainConfig(),
         )
         np.testing.assert_array_equal(predict_batch(model, X), np.argmax(summed, axis=1))
@@ -361,7 +355,6 @@ class TestPrediction:
             roots=np.zeros(1, dtype=np.int32),
             weights=[1.0],
             kind=RANDOM_SPLIT,
-            num_classes=2,
             n_features=1,
         )
         with pytest.raises(ModelFormatError, match="cycle"):
