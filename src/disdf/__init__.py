@@ -10,7 +10,7 @@ from .cascade import (
     train_cascade,
 )
 from .config import MODE_BASELINE, MODE_DISDF, TrainConfig
-from .data import Dataset, kfold_indices, load_csv, load_features, split
+from .data import Dataset, fold_ids, load_csv, load_features, split
 from .errors import (
     ConfigError,
     DataError,

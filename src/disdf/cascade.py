@@ -1,7 +1,8 @@
 """Level-by-level cascade training, feature augmentation, and prediction.
 
 Each level holds several forests.  Every training instance's class vector is
-produced out-of-fold: trees fit on folds that exclude the instance.  Those
+produced out-of-fold: trees fit on folds that exclude the instance, by one
+array of fold ids per level shared by all its forests.  Those
 out-of-fold per-tree distributions feed both the pairwise statistics for
 weight training and the augmented features handed to the next level, while a
 refit-on-all-data forest (with the trained weights attached, trees matched by
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import pairstats, tree
 from .config import MODE_DISDF, TrainConfig
-from .data import Dataset, kfold_indices
+from .data import Dataset, fold_ids
 from .errors import BadCellError, ConfigError, DataError, DimensionError
 from .forest import (
     ForestModel,
@@ -97,7 +98,7 @@ def _best_level(scores) -> int:
     return best_idx
 
 
-def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
+def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     """Fit a group of a level's forest slots: fold forests, refit, weight training.
 
     Each slot's ``SeedSequence`` spawns ``cfg.folds + 2`` streams: the k fold
@@ -106,11 +107,11 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
     a pool worker, and spawning there would not be reproducible.  So a
     slot's forests and pairs do not depend on the group it is fitted in.
-    The group's forests, k + 1 per slot on the folds' training rows of
-    ``ds`` and then on all its rows, are grown by one ``train_forests``
-    call, kind-major inside the grower, with split scoring in chunks of at
-    most ``tree.SCORE_POSITIONS`` positions, so the group's size bounds only
-    its frontier and node tables.  Every row of every slot is then routed
+    ``fold_of`` gives the fold that holds out each row of ``ds``.  The
+    group's forests, k + 1 per slot on the folds' training rows and then on
+    all rows, are grown by one ``train_forests`` call, kind-major inside the
+    grower, with split scoring in chunks of at most ``tree.SCORE_POSITIONS``
+    positions, so the group's size bounds only its frontier and node tables.  Every row of every slot is then routed
     through the slot's fold forest that held it out, all in one pass.
 
     In disdf mode the group's weights are trained by one lockstep
@@ -127,7 +128,7 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
         *rngs, pair_rng = (np.random.default_rng(s) for s in seed.spawn(k + 2))
         forest_rngs += rngs
         pair_rngs.append(pair_rng)
-    row_sets = [train_idx for train_idx, _ in folds] + [np.arange(n)]
+    row_sets = [np.flatnonzero(fold_of != j) for j in range(k)] + [np.arange(n)]
     forests = train_forests(
         ds,
         [kind for kind in kinds for _ in row_sets],
@@ -137,9 +138,6 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, folds, kinds, seeds):
         forest_rngs,
     )
     # every row of every slot through the slot's fold forest that held it out
-    fold_of = np.empty(n, dtype=np.intp)
-    for fold, (_, hold_idx) in enumerate(folds):
-        fold_of[hold_idx] = fold
     fold_forests = [f for i, f in enumerate(forests) if i % (k + 1) < k]
     which = (np.arange(len(kinds))[:, None] * k + fold_of).ravel()
     oofs = routed_tree_dists(fold_forests, ds.features, np.tile(np.arange(n), len(kinds)), which)
@@ -187,10 +185,12 @@ def _map_tasks(fn, *arg_lists, workers: int) -> list:
     return list(map(fn, *arg_lists))
 
 
-def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
+def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     """One level's forests, the next level's Dataset, the level score and diagnostics.
 
-    The forest slots are cut into contiguous groups, one pool task each,
+    ``seq`` spawns the level's streams in one call: the fold partition's,
+    drawn by ``data.fold_ids``, and then one ``SeedSequence`` per slot.  The
+    forest slots are cut into contiguous groups, one pool task each,
     whose forests are grown in one call and whose weights are trained in
     lockstep: as many groups as workers (at most one per slot), or more when
     a group's grower temporaries, charged by ``tree.grow_bytes`` per slot
@@ -205,8 +205,9 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
     ``ds.features`` followed by each forest's out-of-fold class vectors, in
     forest order.
     """
-    folds = kfold_indices(ds.n, cfg.folds, rng.spawn(1)[0])
     kinds = cfg.forest_kinds()
+    fold_seq, *slot_seeds = seq.spawn(1 + len(kinds))
+    fold_of = fold_ids(ds.n, cfg.folds, fold_seq)
     slot_grow, fixed_grow = tree.grow_bytes(ds, kinds, cfg.trees_per_forest * cfg.folds * ds.n)
     fit = (tree.MAX_GROW_BYTES - fixed_grow) // slot_grow
     if fit < 1:
@@ -220,11 +221,10 @@ def _train_level(ds: Dataset, cfg: TrainConfig, rng, workers):
         pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
         charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
         fit = min(fit, pairstats.MAX_PAIR_BYTES // charge)
-    slot_seeds = rng.bit_generator.seed_seq.spawn(len(kinds))
     n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit))
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
     fitted = _map_tasks(
-        partial(_fit_slots, ds, cfg, folds),
+        partial(_fit_slots, ds, cfg, fold_of),
         [kinds[g] for g in groups],
         [slot_seeds[g] for g in groups],
         workers=workers,
@@ -248,22 +248,22 @@ def train_cascade(
 
     Level score is the training-set accuracy of the level's summed
     out-of-fold class vectors.  The returned model is truncated at the
-    best-scoring level.
+    best-scoring level.  Each level's ``SeedSequence`` is spawned in turn
+    from ``rng``'s, or from ``SeedSequence(cfg.seed)`` when ``rng`` is None.
     """
     cfg.validate()
     if train.n < cfg.folds:
         raise DataError(
             f"need at least folds = {cfg.folds} training rows, got {train.n}"
         )
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    seq = np.random.SeedSequence(cfg.seed) if rng is None else rng.bit_generator.seed_seq
 
     levels: list[LevelModel] = []
     scores: list[float] = []
     infos: list[tuple[dict, ...]] = []
     ds = train
     for q in range(cfg.max_levels):
-        level, ds, score, info = _train_level(ds, cfg, rng.spawn(1)[0], workers)
+        level, ds, score, info = _train_level(ds, cfg, seq.spawn(1)[0], workers)
         levels.append(level)
         scores.append(score)
         infos.append(info)

@@ -58,7 +58,7 @@ def _read_config_file(path) -> tuple[dict, dict]:
     """A config file's ``key=value`` texts, and the ``file:line`` of each key."""
     text, origin = {}, {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, 1):

@@ -2,6 +2,7 @@
 
 ``load_csv`` (training files) and ``load_features`` (query files) share one
 CSV reader, ``_read_table``; only ``load_csv`` encodes and checks labels.
+Files are read as UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Dataset:
 
 def _read_rows(path) -> list[list[str]]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -243,26 +244,19 @@ def _stratified_indices(labels, num_classes, n_train, rng) -> np.ndarray:
     return np.concatenate(picked)
 
 
-def kfold_indices(n: int, folds: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition {0..n-1} into ``folds`` holdouts of near-equal size.
+def fold_ids(n: int, folds: int, seed) -> np.ndarray:
+    """The fold that holds out each of rows {0..n-1}, as an (n,) array.
 
-    Returns a list of (train_indices, holdout_indices) pairs; holdouts are
-    pairwise disjoint, cover all indices, and differ in size by at most one.
+    The ``folds`` holdouts are pairwise disjoint, cover all rows, and differ in
+    size by at most one, the larger ones first; fold ``j`` trains on the rows
+    whose id is not ``j``.
     """
     if folds < 2:
         raise DataError(f"folds must be at least 2, got {folds}")
     if folds > n:
         raise DataError(f"folds = {folds} exceeds sample count {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base = n // folds
-    extra = n % folds
-    out = []
-    start = 0
-    for f in range(folds):
-        size = base + (1 if f < extra else 0)
-        holdout = perm[start : start + size]
-        train = np.concatenate([perm[:start], perm[start + size :]])
-        out.append((np.sort(train), np.sort(holdout)))
-        start += size
-    return out
+    sizes = np.full(folds, n // folds)
+    sizes[: n % folds] += 1
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[np.random.default_rng(seed).permutation(n)] = np.repeat(np.arange(folds), sizes)
+    return fold_of

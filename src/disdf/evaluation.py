@@ -1,7 +1,7 @@
 """Benchmark protocol: accuracy, repeated random holdout, and comparison grids.
 
 Each repetition draws a fresh train/test split from a stream derived from
-(seed, repetition) and trains the baseline and discriminative modes on
+(``cfg.seed``, repetition) and trains the baseline and discriminative modes on
 byte-identical splits, each from a training stream built afresh from the
 same pair, so both grow the same trees and reported differences isolate
 the effect of the trained weights.  Results are plain data:
@@ -42,15 +42,15 @@ def holdout_sizes(n: int, n_train: int) -> tuple[int, int]:
     return n_train, n_test
 
 
-def _run_repetition(ds, n_train, n_test, cfg, seed, rep):
-    # the children SeedSequence((seed, rep)).spawn(2) would give, built afresh
+def _run_repetition(ds, n_train, n_test, cfg, rep):
+    # the children SeedSequence((cfg.seed, rep)).spawn(2) would give, built afresh
     # for each use: a mode's training draws cannot advance the next mode's
     # stream, so both modes grow the same trees
-    split_seq = np.random.SeedSequence((seed, rep), spawn_key=(0,))
+    split_seq = np.random.SeedSequence((cfg.seed, rep), spawn_key=(0,))
     train_ds, test_ds = split(ds, n_train, n_test, split_seq, stratify=cfg.stratify)
     out = {}
     for mode in MODES:
-        train_seq = np.random.SeedSequence((seed, rep), spawn_key=(1,))
+        train_seq = np.random.SeedSequence((cfg.seed, rep), spawn_key=(1,))
         model = train_cascade(
             train_ds, replace(cfg, mode=mode), rng=np.random.default_rng(train_seq)
         )
@@ -63,17 +63,18 @@ def repeated_holdout(
     n_train: int,
     reps: int,
     cfg: TrainConfig,
-    seed: int,
     workers: int = 1,
 ) -> dict[str, tuple[float, ...]]:
     """Paired repeated-random-subsampling comparison of both modes.
 
     Returns each mode's test accuracies, one per repetition, by mode name.
+    Repetition ``r`` draws its split and training streams from
+    ``(cfg.seed, r)``, whatever the worker count.
     """
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
     n_train, n_test = holdout_sizes(ds.n, n_train)
-    run = partial(_run_repetition, ds, n_train, n_test, cfg, seed)
+    run = partial(_run_repetition, ds, n_train, n_test, cfg)
     results = _map_tasks(run, range(reps), workers=workers)
     return {mode: tuple(acc[mode] for acc in results) for mode in MODES}
 
@@ -148,15 +149,14 @@ def run_grid(
     tree_counts: tuple[int, ...],
     reps: int,
     cfg: TrainConfig,
-    seed: int | None = None,
     workers: int = 1,
     dataset_name: str = "data",
 ) -> GridResult:
     """Run the full N-by-T comparison grid on one dataset.
 
-    Every N, T and ``reps`` is checked before any cell is trained.  ``cfg``
-    gives each cell's training settings but its tree count, and its seed
-    unless ``seed`` is given.
+    Every N, T and ``reps`` is checked before any cell is trained: each N
+    leaves test rows and is at least ``cfg.folds``.  ``cfg`` gives each
+    cell's training settings, its seed included, but its tree count.
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
@@ -164,15 +164,14 @@ def run_grid(
         raise DataError("grid needs at least one N and one T")
     for n_train in train_sizes:
         holdout_sizes(ds.n, n_train)
+        if n_train < cfg.folds:
+            raise DataError(f"need N >= folds = {cfg.folds}, got N = {n_train}")
     for t in tree_counts:
         if t < 1:
             raise DataError(f"tree counts must be >= 1, got {t}")
-    seed = cfg.seed if seed is None else seed
     cells = {}
     for n_train in train_sizes:
         for t in tree_counts:
             cell_cfg = replace(cfg, trees_per_forest=t)
-            cells[(n_train, t)] = repeated_holdout(
-                ds, n_train, reps, cell_cfg, seed=seed, workers=workers
-            )
+            cells[(n_train, t)] = repeated_holdout(ds, n_train, reps, cell_cfg, workers=workers)
     return GridResult(dataset_name, tuple(train_sizes), tuple(tree_counts), cells)

@@ -321,7 +321,7 @@ class TestCriterion4Benchmarks:
         ds = load_csv(path, -1)
         cfg = TrainConfig(trees_per_forest=trees, seed=11)
         workers = max(1, os.cpu_count() or 1)
-        res = repeated_holdout(ds, n_train, reps=30, cfg=cfg, seed=11, workers=workers)
+        res = repeated_holdout(ds, n_train, reps=30, cfg=cfg, workers=workers)
         base = np.mean(res["baseline"])
         disdf = np.mean(res["disdf"])
         paired = float(

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import io
 import json
@@ -168,6 +169,21 @@ class TestTrain:
         assert model.config.pair_budget is None
         assert model.config.max_depth == 4
         assert model.config.stratify is True
+
+    def test_byte_order_marked_files(self, toy_csv, tmp_path, capsys):
+        # a BOM neither turns the first data row into a header nor renames a key
+        data = tmp_path / "bom.csv"
+        data.write_bytes(codecs.BOM_UTF8 + toy_csv.read_bytes())
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_bytes(codecs.BOM_UTF8 + b"trees_per_forest=3\n")
+        out = tmp_path / "m.model"
+        code = main(
+            ["train", "--data", str(data), "--label-col", "3", "--out", str(out),
+             "--config", str(cfg_file), "--fw-iterations", "50", "--max-levels", "1"]
+        )
+        assert code == 0
+        assert "on 24 rows" in capsys.readouterr().out
+        assert load_model(out).config.trees_per_forest == 3
 
     def test_bad_config_file_exit_3(self, toy_csv, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"

@@ -1,10 +1,11 @@
+import codecs
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disdf.data import Dataset, kfold_indices, load_csv, load_features, split
+from disdf.data import Dataset, fold_ids, load_csv, load_features, split
 from disdf.errors import BadCellError, DataError, RaggedRowError, SingleClassError
 
 DATA_DIR = Path(os.environ.get("DISDF_DATA_DIR", Path(__file__).parent.parent / "data"))
@@ -45,6 +46,21 @@ class TestLoadCsv:
         ds = load_csv(path, "target")
         assert ds.feature_dim == 1
         assert ds.labels.tolist() == [0, 1]
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n")
+        ds = load_csv(path, 2)
+        assert ds.n == 3
+        np.testing.assert_array_equal(ds.features[0], [1.0, 2.0])
+        np.testing.assert_array_equal(load_features(path, 2), ds.features)
+
+    def test_byte_order_mark_before_header_names_first_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"target,f1\nyes,0.5\nno,0.6\n")
+        ds = load_csv(path, "target")
+        assert ds.label_names == ("yes", "no")
+        np.testing.assert_array_equal(load_features(path, "target"), [[0.5], [0.6]])
 
     def test_missing_named_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
@@ -178,42 +194,36 @@ class TestSplit:
         assert sorted(np.concatenate([train.features, test.features]).ravel()) == list(range(15))
 
 
-class TestKfold:
+class TestFoldIds:
+    def test_pinned_holdouts(self):
+        # the holdouts of the (train, holdout) pairs this array replaced
+        fold_of = fold_ids(10, 3, seed=0)
+        assert [np.flatnonzero(fold_of == j).tolist() for j in range(3)] == [
+            [2, 4, 6, 7],
+            [3, 5, 9],
+            [0, 1, 8],
+        ]
+
     def test_exact_division(self):
-        parts = kfold_indices(9, 3, seed=0)
-        holdouts = [h for _, h in parts]
-        assert all(h.size == 3 for h in holdouts)
-        assert sorted(np.concatenate(holdouts).tolist()) == list(range(9))
+        assert np.bincount(fold_ids(9, 3, seed=0)).tolist() == [3, 3, 3]
 
-    def test_remainder_distribution(self):
-        parts = kfold_indices(10, 3, seed=0)
-        sizes = sorted(h.size for _, h in parts)
-        assert sizes == [3, 3, 4]
+    def test_remainder_goes_to_the_first_folds(self):
+        assert np.bincount(fold_ids(10, 3, seed=0)).tolist() == [4, 3, 3]
+        assert np.bincount(fold_ids(6, 4, seed=1)).tolist() == [2, 2, 1, 1]
 
-    def test_partition_property_at_scale(self):
-        # holdouts are pairwise disjoint and cover the full index range
-        parts = kfold_indices(336, 3, seed=42)
-        merged = np.concatenate([h for _, h in parts])
-        assert merged.size == 336
-        np.testing.assert_array_equal(np.sort(merged), np.arange(336))
-
-    def test_train_is_complement(self):
-        for train, hold in kfold_indices(17, 4, seed=2):
-            assert np.intersect1d(train, hold).size == 0
-            assert train.size + hold.size == 17
+    def test_sizes_at_scale(self):
+        fold_of = fold_ids(336, 3, seed=42)
+        assert fold_of.shape == (336,)
+        assert np.bincount(fold_of).tolist() == [112, 112, 112]
 
     def test_determinism(self):
-        a = kfold_indices(25, 5, seed=9)
-        b = kfold_indices(25, 5, seed=9)
-        for (ta, ha), (tb, hb) in zip(a, b):
-            np.testing.assert_array_equal(ta, tb)
-            np.testing.assert_array_equal(ha, hb)
+        np.testing.assert_array_equal(fold_ids(25, 5, seed=9), fold_ids(25, 5, seed=9))
 
     def test_bad_fold_counts(self):
-        with pytest.raises(DataError):
-            kfold_indices(5, 6, seed=0)
-        with pytest.raises(DataError):
-            kfold_indices(5, 1, seed=0)
+        with pytest.raises(DataError, match="exceeds sample count"):
+            fold_ids(5, 6, seed=0)
+        with pytest.raises(DataError, match="at least 2"):
+            fold_ids(5, 1, seed=0)
 
 
 class TestDatasetInvariants:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,15 +81,15 @@ class TestRepeatedHoldout:
     def test_deterministic_across_runs(self):
         ds = blobs(n=60, m=3, seed=3)
         cfg = fast_cfg(trees_per_forest=3, fw_iterations=60)
-        r1 = repeated_holdout(ds, 24, reps=2, cfg=cfg, seed=5)
-        r2 = repeated_holdout(ds, 24, reps=2, cfg=cfg, seed=5)
+        r1 = repeated_holdout(ds, 24, reps=2, cfg=replace(cfg, seed=5))
+        r2 = repeated_holdout(ds, 24, reps=2, cfg=replace(cfg, seed=5))
         assert r1["baseline"] == r2["baseline"]
         assert r1["disdf"] == r2["disdf"]
 
     def test_summary_mean_is_arithmetic_mean(self):
         ds = blobs(n=60, m=3, seed=4)
         cfg = fast_cfg(trees_per_forest=3, fw_iterations=60)
-        res = repeated_holdout(ds, 21, reps=3, cfg=cfg, seed=1)
+        res = repeated_holdout(ds, 21, reps=3, cfg=replace(cfg, seed=1))
         result = GridResult("toy", (21,), (3,), {(21, 3): res})
         for row in result.summary_rows():
             accs = res[row["mode"]]
@@ -98,13 +99,13 @@ class TestRepeatedHoldout:
     def test_separable_toy_baseline_accuracy(self):
         ds = blobs(n=150, m=2, gap=10.0, seed=5)
         cfg = fast_cfg(trees_per_forest=5, fw_iterations=60)
-        res = repeated_holdout(ds, 60, reps=10, cfg=cfg, seed=2)
+        res = repeated_holdout(ds, 60, reps=10, cfg=replace(cfg, seed=2))
         assert np.mean(res["baseline"]) >= 0.95
 
     def test_bad_reps(self):
         ds = blobs(n=30, m=2, seed=7)
         with pytest.raises(DataError):
-            repeated_holdout(ds, 10, reps=0, cfg=fast_cfg(), seed=0)
+            repeated_holdout(ds, 10, reps=0, cfg=fast_cfg())
 
     def test_both_modes_grow_identical_first_level(self, monkeypatch):
         # only the weights may differ between the modes of one repetition
@@ -116,7 +117,7 @@ class TestRepeatedHoldout:
 
         monkeypatch.setattr(evaluation, "train_cascade", recording_train)
         ds = blobs(n=48, m=3, seed=9)
-        repeated_holdout(ds, 24, reps=1, cfg=fast_cfg(fw_iterations=60), seed=3)
+        repeated_holdout(ds, 24, reps=1, cfg=replace(fast_cfg(fw_iterations=60), seed=3))
         pairs = zip(*(models[m].levels[0].forests for m in evaluation.MODES), strict=True)
         for f1, f2 in pairs:
             for name in TABLE[:-1]:
@@ -125,8 +126,8 @@ class TestRepeatedHoldout:
     def test_parallel_workers_match_serial(self):
         ds = blobs(n=48, m=2, seed=8)
         cfg = fast_cfg(trees_per_forest=2, fw_iterations=40)
-        serial = repeated_holdout(ds, 18, reps=2, cfg=cfg, seed=4, workers=1)
-        parallel = repeated_holdout(ds, 18, reps=2, cfg=cfg, seed=4, workers=2)
+        serial = repeated_holdout(ds, 18, reps=2, cfg=replace(cfg, seed=4), workers=1)
+        parallel = repeated_holdout(ds, 18, reps=2, cfg=replace(cfg, seed=4), workers=2)
         assert serial["baseline"] == parallel["baseline"]
         assert serial["disdf"] == parallel["disdf"]
 
@@ -203,6 +204,8 @@ class TestGrid:
             ((), (2,), 1, "at least one N"),
             ((9,), (), 1, "at least one N"),
             ((9,), (0,), 1, "tree counts"),
+            # N = 2 cannot be cut into 3 folds: not even N = 12's cell is trained
+            ((12, 2), (2,), 1, "folds = 3"),
         ],
     )
     def test_bad_grid_rejected_before_training(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from disdf.data import Dataset, kfold_indices
+from disdf.data import fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import (
     ForestModel,
@@ -19,7 +19,7 @@ from disdf.tree import (
     TreeParams,
     grow_bytes,
 )
-from tests.test_tree import leaf_forest, make_ds, one_forest
+from tests.test_tree import fold_train_rows, leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average
 # example; tree 3 is a one-hot leaf
@@ -131,7 +131,7 @@ class TestTrainForest:
         if decimals is not None:
             X = X.round(decimals)
         ds = make_ds(X, rng.integers(C, size=300), C)
-        row_sets = [train for train, _ in kfold_indices(ds.n, 3, 2)] + [np.arange(ds.n)]
+        row_sets = fold_train_rows(ds.n, 3, 2) + [np.arange(ds.n)]
         rngs = [np.random.default_rng(s) for s in range(len(row_sets))]
         n_positions = 12 * sum(len(rows) for rows in row_sets)
         tracemalloc.start()
@@ -157,7 +157,7 @@ class TestTrainForest:
         if decimals is not None:
             X = X.round(decimals)
         ds = make_ds(X, rng.integers(C, size=300), C)
-        slot = [train for train, _ in kfold_indices(ds.n, 3, 2)] + [np.arange(ds.n)]
+        slot = fold_train_rows(ds.n, 3, 2) + [np.arange(ds.n)]
         group = [RANDOM_SPLIT, COMPLETELY_RANDOM] * 2
         kinds = [kind for kind in group for _ in slot]
         rngs = [np.random.default_rng(s) for s in range(len(kinds))]
@@ -212,17 +212,14 @@ class TestRoutedTreeDists:
         X = rng.normal(size=(n, 4))
         X[:, 1] = X[:, 1].round()
         ds = make_ds(X, rng.integers(3, size=n), 3)
-        folds = kfold_indices(n, 3, 4)
+        fold_of = fold_ids(n, 3, 4)
+        row_sets = [np.flatnonzero(fold_of != j) for j in range(3)]
         # two slots' fold forests; a depth-0 forest makes single-leaf trees
         forests = []
         for params in (TreeParams(), TreeParams(max_depth=0)):
-            rngs = [np.random.default_rng(s) for s in range(len(folds))]
-            row_sets = [train for train, _ in folds]
-            forests += train_forests(ds, [kind] * len(folds), 6, params, row_sets, rngs)
-        fold_of = np.empty(n, dtype=np.intp)
-        for f, (_, hold) in enumerate(folds):
-            fold_of[hold] = f
-        which = np.concatenate([fold_of, fold_of + len(folds)])
+            rngs = [np.random.default_rng(s) for s in range(3)]
+            forests += train_forests(ds, [kind] * 3, 6, params, row_sets, rngs)
+        which = np.concatenate([fold_of, fold_of + 3])
         rows = np.tile(np.arange(n), 2)
         got = routed_tree_dists(forests, X, rows, which)
         expected = np.empty_like(got)

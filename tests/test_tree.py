@@ -5,7 +5,7 @@ import pytest
 
 from disdf.cascade import CascadeModel, LevelModel, predict_batch
 from disdf.config import TrainConfig
-from disdf.data import Dataset, kfold_indices
+from disdf.data import Dataset, fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import ForestModel, forest_tree_dists_batch, train_forests
 from disdf.serialize import _FOREST_ARRAYS, _check_forest
@@ -16,6 +16,12 @@ from tests.oracles import train_tree
 
 def make_ds(X, y, C):
     return Dataset(np.asarray(X, dtype=float), np.asarray(y), C)
+
+
+def fold_train_rows(n, folds, seed):
+    """Each fold's training rows, as a cascade level cuts them from its fold ids."""
+    fold_of = fold_ids(n, folds, seed)
+    return [np.flatnonzero(fold_of != j) for j in range(folds)]
 
 
 def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
@@ -226,7 +232,7 @@ class TestCompletelyRandom:
             y[-5:] = (y[:5] + 1) % 3
         assert tied_columns(X).size == (6 if duplicate_rows else 4)
         ds = make_ds(X, y, 3)
-        row_sets = [train for train, _ in kfold_indices(n, 3, seed)] + [np.arange(n)]
+        row_sets = fold_train_rows(n, 3, seed) + [np.arange(n)]
         seeds = np.random.SeedSequence(seed).spawn(len(row_sets))
 
         def grow_slot():
@@ -518,7 +524,7 @@ class TestOneFrontierPerSlot:
         y[25:] = 2
         ds = make_ds(X, y, 3)
         # the fold forests, a fold whose labels are pure, and the refit forest
-        row_sets = [train for train, _ in kfold_indices(n, 3, seed)]
+        row_sets = fold_train_rows(n, 3, seed)
         row_sets += [np.arange(25, n), np.arange(n)]
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
         alone_rngs = copy.deepcopy(rngs)
@@ -559,7 +565,7 @@ class TestOneFrontierPerSlot:
         y[25:] = 2
         ds = make_ds(X, y, 3)
         # per slot: the fold forests, a fold whose labels are pure, the refit forest
-        slot = [train for train, _ in kfold_indices(n, 3, seed)]
+        slot = fold_train_rows(n, 3, seed)
         slot += [np.arange(25, n), np.arange(n)]
         kinds = [kind for kind in slot_kinds for _ in slot]
         row_sets = slot * len(slot_kinds)
