@@ -111,8 +111,9 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     group's forests, k + 1 per slot on the folds' training rows and then on
     all rows, are grown by one ``train_forests`` call, kind-major inside the
     grower, with split scoring in chunks of at most ``tree.SCORE_POSITIONS``
-    positions, so the group's size bounds only its frontier and node tables.  Every row of every slot is then routed
-    through the slot's fold forest that held it out, all in one pass.
+    positions, so the group's size bounds only its frontier and node tables.
+    Every row of every slot is then routed through the slot's fold forest
+    that held it out, all in one pass.
 
     In disdf mode the group's weights are trained by one lockstep
     Frank-Wolfe solve, which gives each slot the weights it would get alone;

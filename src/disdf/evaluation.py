@@ -155,13 +155,17 @@ def run_grid(
     """Run the full N-by-T comparison grid on one dataset.
 
     Every N, T and ``reps`` is checked before any cell is trained: each N
-    leaves test rows and is at least ``cfg.folds``.  ``cfg`` gives each
-    cell's training settings, its seed included, but its tree count.
+    leaves test rows and is at least ``cfg.folds``, and no N or T is
+    repeated, which would train its cells twice.  ``cfg`` gives each cell's
+    training settings, its seed included, but its tree count.
     """
     if reps < 1:
         raise DataError("reps must be >= 1")
     if not train_sizes or not tree_counts:
         raise DataError("grid needs at least one N and one T")
+    for name, values in (("N", train_sizes), ("T", tree_counts)):
+        if len(set(values)) < len(values):
+            raise DataError(f"repeated {name} in the grid: {list(values)}")
     for n_train in train_sizes:
         holdout_sizes(ds.n, n_train)
         if n_train < cfg.folds:

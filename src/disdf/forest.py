@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,15 +42,15 @@ class ForestModel:
     child id is always larger than its parent's.  Internal node i sends an
     input x to ``children[2*i + go_left]`` with
     ``go_left = x[feature[i]] <= threshold[i]`` (a tie goes left).  A
-    reference ``>= 0`` is an internal node and ``~l`` is leaf l, whose class
-    distribution is ``dist[l]``; ``roots[t]`` is tree t's root reference,
-    itself ``~l`` for a single-leaf tree.
+    reference ``>= 0`` is an internal node and ``~l`` is leaf l, whose
+    training rows per class are ``counts[l]``; ``roots[t]`` is tree t's root
+    reference, itself ``~l`` for a single-leaf tree.
     """
 
     feature: np.ndarray  # (n_internal,) int32 split features
     threshold: np.ndarray  # (n_internal,) float64
     children: np.ndarray  # (2 * n_internal,) int32 references, right then left
-    dist: np.ndarray  # (n_leaves, C) float64 leaf class distributions
+    counts: np.ndarray  # (n_leaves, C) uint32 training rows per leaf and class
     roots: np.ndarray  # (T,) int32 references
     weights: np.ndarray  # (T,) float64 on the unit simplex
     kind: str
@@ -64,12 +65,17 @@ class ForestModel:
 
     @property
     def num_classes(self) -> int:
-        return self.dist.shape[1]
+        return self.counts.shape[1]
 
     @property
     def n_nodes(self) -> int:
         """Internal nodes plus leaves."""
-        return self.feature.shape[0] + self.dist.shape[0]
+        return self.feature.shape[0] + self.counts.shape[0]
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """(n_leaves, C) float64 leaf class distributions, the counts over their sums."""
+        return self.counts / self.counts.sum(axis=1, dtype=np.int64)[:, None]
 
     def with_weights(self, w) -> "ForestModel":
         return replace(self, weights=check_weights(w, self.n_trees))
@@ -184,7 +190,7 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     if any((f.n_trees, f.num_classes, f.n_features) != (T, C, first.n_features) for f in forests):
         raise DimensionError("forests routed together need equal trees, classes and features")
     n_internal = np.cumsum([0] + [f.feature.size for f in forests])
-    n_leaves = np.cumsum([0] + [f.dist.shape[0] for f in forests])
+    n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
 
     def shifted(refs, f):
         refs = refs.astype(np.intp)

@@ -5,22 +5,24 @@ followed by the binary payload: a length-prefixed JSON block (``config``,
 ``base_dim``, ``num_classes``, ``class_labels``, ``level_scores`` and
 ``levels``, each level the list of its forests' kinds), then one block per
 forest, level by level and forest by forest.  A forest block is three
-little-endian u64 counts, T trees, I internal nodes and L leaves, then the
+little-endian u64 sizes, T trees, I internal nodes and L leaves, then the
 raw little-endian bytes of ``weights`` (T f8), ``feature`` (I i4),
-``threshold`` (I f8), ``children`` (2I i4), ``dist`` (L x num_classes f8)
-and ``roots`` (T i4), the compact node table of
-:class:`~disdf.forest.ForestModel`.  Each fact is stored once: the counts fix
-every array's shape, and a level's input width follows from ``base_dim`` and
-the levels before it.  A round trip is bit-exact, so predictions are bitwise
-identical.
+``threshold`` (I f8), ``children`` (2I i4), ``counts`` (L x num_classes u4),
+each leaf's training rows per class, and ``roots`` (T i4), the compact node
+table of :class:`~disdf.forest.ForestModel`.  Each fact is stored once: the
+block's sizes fix every array's shape, a leaf's class distribution follows
+from its class counts, and a level's input width follows from ``base_dim``
+and the levels before it.  A round trip is bit-exact, so predictions are
+bitwise identical.
 
-Files of versions 1 to 3 are rejected.  Loading checks the JSON block's
+Files of versions 1 to 4 are rejected.  Loading checks the JSON block's
 keys, types and values, one class label per class and a score per level,
 that no bytes follow the last forest, and each table's structure, so a file
 with a valid checksum but a missing or unknown key, a forest without trees,
 a cyclic, shared, orphaned or out-of-range reference, an out-of-range
-feature or a non-finite threshold fails with :class:`ModelFormatError`
-instead of a bare ``KeyError``, a hang or misrouting at prediction.
+feature, a non-finite threshold or a leaf without rows fails with
+:class:`ModelFormatError` instead of a bare ``KeyError``, a hang or
+misrouting at prediction.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ import numpy as np
 from .cascade import CascadeModel, LevelModel
 from .config import TrainConfig
 from .errors import ConfigError, ModelFormatError
-from .forest import SIMPLEX_TOL, ForestModel, check_weights
+from .forest import ForestModel, check_weights
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
-FORMAT_VERSION = 4
-# per forest, in file order after its three counts; all but weights are
+FORMAT_VERSION = 5
+# per forest, in file order after its three sizes; all but weights are
 # ForestModel's node table
 _FOREST_ARRAYS = (
     ("weights", "<f8"),
     ("feature", "<i4"),
     ("threshold", "<f8"),
     ("children", "<i4"),
-    ("dist", "<f8"),
+    ("counts", "<u4"),
     ("roots", "<i4"),
 )
 _META_KEYS = ("config", "base_dim", "num_classes", "level_scores", "class_labels", "levels")
@@ -67,14 +69,14 @@ class _Reader:
         return out
 
     def forest(self, num_classes: int) -> dict:
-        """One forest block's arrays, each sized by the block's three counts."""
+        """One forest block's arrays, their lengths set by the block's three sizes."""
         t, i, l = struct.unpack("<3Q", self.take(24))
         sizes = (t, i, i, 2 * i, l * num_classes, t)  # in _FOREST_ARRAYS order
         arrays = {
             name: np.frombuffer(self.take(n * np.dtype(code).itemsize), dtype=code).copy()
             for (name, code), n in zip(_FOREST_ARRAYS, sizes)
         }
-        arrays["dist"] = arrays["dist"].reshape(l, num_classes)
+        arrays["counts"] = arrays["counts"].reshape(l, num_classes)
         return arrays
 
 
@@ -97,7 +99,7 @@ def save_model(model: CascadeModel, path) -> None:
     for level in model.levels:
         for forest in level.forests:
             buf.write(struct.pack("<3Q", forest.n_trees, forest.feature.size,
-                                  forest.dist.shape[0]))
+                                  forest.counts.shape[0]))
             for name, code in _FOREST_ARRAYS:
                 buf.write(np.ascontiguousarray(getattr(forest, name), dtype=code).tobytes())
     payload = buf.getvalue()
@@ -226,8 +228,8 @@ def _check_forest(path, arrays: dict, input_dim: int):
         raise ModelFormatError(f"{path}: malformed forest table: {what}")
 
     feature, children, roots = arrays["feature"], arrays["children"], arrays["roots"]
-    dist = arrays["dist"]
-    n_internal, n_leaves = feature.size, dist.shape[0]
+    counts = arrays["counts"]
+    n_internal, n_leaves = feature.size, counts.shape[0]
     if roots.size == 0:
         bad("a forest needs at least one tree")
     refs = np.concatenate([roots, children])
@@ -247,12 +249,8 @@ def _check_forest(path, arrays: dict, input_dim: int):
     # a NaN threshold would send every input right
     if not np.isfinite(arrays["threshold"]).all():
         bad("a split threshold is not finite")
-    if not (
-        np.isfinite(dist).all()
-        and np.all(dist >= -SIMPLEX_TOL)
-        and np.all(np.abs(dist.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
-    ):
-        bad("a leaf distribution is off the unit simplex")
+    if not counts.any(axis=1).all():
+        bad("a leaf holds no rows")
     try:
         check_weights(arrays["weights"], roots.size)
     except ValueError as exc:

@@ -66,12 +66,12 @@ def grow_trees(
 
     ``rows[f]`` is a (T_f, n_f) index array, repeats allowed (a bootstrap),
     and ``rngs[f]`` forest f's generator.  Returns one table per forest,
-    ``(feature, threshold, children, dist, roots)``, the node table of
+    ``(feature, threshold, children, counts, roots)``, the node table of
     :class:`~disdf.forest.ForestModel`; a forest's table is the same whether
     it is grown alone or with others.  A node becomes a leaf when it is
     pure, has fewer than ``min_leaf`` rows, is at depth ``max_depth``, or no
-    candidate feature gives a split with rows on both sides.  Leaf
-    distributions are class-frequency vectors.  One split search scores the
+    candidate feature gives a split with rows on both sides.  A leaf is
+    stored as its uint32 class counts.  One split search scores the
     positions of whole nodes, at most ``SCORE_POSITIONS`` of them unless a
     single node holds more; this bounds the scoring temporaries whatever
     the number of forests.
@@ -104,7 +104,7 @@ def grow_trees(
     sample = np.concatenate([r.ravel() for r in rows])
     node = np.repeat(np.arange(sum(n_trees)), np.repeat([r.shape[1] for r in rows], n_trees))
     owner = np.repeat(np.arange(F), n_trees)
-    features, thresholds, dists, children = [], [], [], []
+    features, thresholds, leaf_counts, children = [], [], [], []
     # per depth, the forest of each split node, leaf and child reference
     split_of, leaf_of, child_of = [], [], []
     n_internal = np.zeros(F, dtype=np.int64)
@@ -178,7 +178,7 @@ def grow_trees(
         leaf_of.append(owner[~split])
         features.append(f[found])
         thresholds.append(thr[found])
-        dists.append(counts[~split] / size[~split, None])
+        leaf_counts.append(counts[~split].astype(np.uint32))
         n_internal += n_split
         n_leaves += n_leaf
 
@@ -204,7 +204,7 @@ def grow_trees(
         by_forest(features, split_of, np.int32),
         by_forest(thresholds, split_of),
         by_forest(children or empty, child_of or empty, np.int32),
-        by_forest(dists, leaf_of),
+        by_forest(leaf_counts, leaf_of),
         roots,
     ))
     # back from kind-major to the callers' forest order
@@ -229,33 +229,27 @@ def grow_bytes(ds: Dataset, kinds: list[str], slot_positions: int) -> tuple[int,
     positions over its forests; ``ds`` has n rows of m features, C classes
     and ``n_tied`` columns that repeat a value (:func:`tied_columns`).
 
-    Each slot position is charged its frontier and node tables: ``80 + 8 C``
-    bytes for random-split-search, ``80 + 16 C`` for completely-random,
-    whose trees see every row and so grow more leaves.  The fixed charge is
-    ``16`` bytes per feature cell, for the column ranks or the tied-column
-    scan, plus one scoring chunk of ``max(SCORE_POSITIONS, n)`` positions
-    (a chunk holds whole nodes, and a root up to n), ``90 ceil(sqrt(m))``
-    bytes each for random-split-search, which scores every candidate of a
-    node at once, and ``16 + 11 n_tied`` for completely-random, which
-    gathers and reduces the tied columns per node.
-    Both charges take the costlier kind.  Fitted to tracemalloc peaks of
-    groups of one to four slots of k = 3 fold forests and a refit forest at
-    60 to 2000 rows, 4 to 16 trees, m from 1 to 100, C = 2 and 8, and no,
-    half or all columns tied: the peak read 0.35 to 0.90 of the estimate.
+    Each slot position is charged ``80 + 8 C`` bytes, of either kind, for
+    its frontier and its node tables, whose leaves are uint32 class counts.
+    The fixed charge is ``16`` bytes per feature cell, for the column ranks
+    or the tied-column scan, plus one scoring chunk of
+    ``max(SCORE_POSITIONS, n)`` positions (a chunk holds whole nodes, and a
+    root up to n), ``90 ceil(sqrt(m))`` bytes each for random-split-search,
+    which scores every candidate of a node at once, and ``16 + 11 n_tied``
+    for completely-random, which gathers and reduces the tied columns per
+    node; the chunk takes the costlier kind.  Checked against tracemalloc
+    peaks of 300 groups of one to four slots, of one kind or both, each k = 3
+    fold forests and a refit forest, at 60 to 2000 rows, 4 to 16 trees, m
+    from 1 to 100, C = 2 and 8, and no, half or all columns tied: the peak
+    read 0.14 to 0.93 of the estimate, and over 0.5 from 300 rows up, where
+    the fixed scoring chunk no longer dominates.
     """
-    per_slot = {
-        RANDOM_SPLIT: 80 + 8 * ds.num_classes,
-        COMPLETELY_RANDOM: 80 + 16 * ds.num_classes,
-    }
     per_chunk = {
         RANDOM_SPLIT: 90 * math.ceil(math.sqrt(ds.feature_dim)),
         COMPLETELY_RANDOM: 16 + 11 * tied_columns(ds.features).size,
     }
     chunk = max(SCORE_POSITIONS, ds.n) * max(per_chunk[kind] for kind in kinds)
-    return (
-        slot_positions * max(per_slot[kind] for kind in kinds),
-        16 * ds.n * ds.feature_dim + chunk,
-    )
+    return slot_positions * (80 + 8 * ds.num_classes), 16 * ds.n * ds.feature_dim + chunk
 
 
 def tied_columns(X: np.ndarray) -> np.ndarray:

@@ -101,11 +101,11 @@ class _Builder:
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.children: list[int] = []
-        self.dist: list[np.ndarray] = []
+        self.counts: list[np.ndarray] = []
 
     def add_leaf(self, counts: np.ndarray) -> int:
-        self.dist.append(counts / counts.sum())
-        return ~(len(self.dist) - 1)
+        self.counts.append(counts)
+        return ~(len(self.counts) - 1)
 
     def add_internal(self, f: int, thr: float) -> int:
         self.feature.append(f)
@@ -118,7 +118,7 @@ class _Builder:
             np.asarray(self.feature, dtype=np.int32),
             np.asarray(self.threshold, dtype=np.float64),
             np.asarray(self.children, dtype=np.int32),
-            np.vstack(self.dist),
+            np.vstack(self.counts).astype(np.uint32),
         )
 
 
@@ -167,16 +167,16 @@ def train_tree(
 
     The library's level-wise :func:`disdf.tree.grow_trees` grows the same
     tree from the same rows wherever the split draws do not matter (one
-    feature, so one candidate).  The arrays are ``(feature, threshold, children, dist)``.  Internal nodes
-    are numbered in depth-first preorder, so node 0 is the root when the tree
-    has any split and every child id is larger than its parent's.  Internal
-    node i sends an input to ``children[2*i + go_left]``, where ``go_left``
-    is ``x[feature[i]] <= threshold[i]``; an entry ``>= 0`` is an internal
-    node and ``~l`` is leaf l, whose class distribution is ``dist[l]``.  A
-    tree without splits is the single leaf ``~0``.  Growth stops when a node
-    is pure, has fewer than ``min_leaf`` samples, hits the depth cap, or no
-    usable split exists among the candidate features.  Leaf distributions
-    are class-frequency vectors.
+    feature, so one candidate).  The arrays are ``(feature, threshold,
+    children, counts)``.  Internal nodes are numbered in depth-first
+    preorder, so node 0 is the root when the tree has any split and every
+    child id is larger than its parent's.  Internal node i sends an input to
+    ``children[2*i + go_left]``, where ``go_left`` is ``x[feature[i]] <=
+    threshold[i]``; an entry ``>= 0`` is an internal node and ``~l`` is leaf
+    l, which holds ``counts[l]`` samples per class.  A tree without splits is
+    the single leaf ``~0``.  Growth stops when a node is pure, has fewer
+    than ``min_leaf`` samples, hits the depth cap, or no usable split exists
+    among the candidate features.
     """
     if kind not in TREE_KINDS:
         raise ValueError(f"unknown tree kind {kind!r}")

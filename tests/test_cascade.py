@@ -85,9 +85,9 @@ def assert_same_models(m1, m2):
                 np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
 
 
-def manual_cascade(forest_dists, n_features):
-    """Single-level cascade of single-leaf forests with the given outputs."""
-    forests = [leaf_forest([d], n_features) for d in forest_dists]
+def manual_cascade(forest_counts, n_features):
+    """Single-level cascade of single-leaf forests with the given leaf class counts."""
+    forests = [leaf_forest([c], n_features) for c in forest_counts]
     return CascadeModel(
         levels=[LevelModel(forests)],
         config=TrainConfig(mode="baseline"),
@@ -164,7 +164,7 @@ class TestDimensions:
 
 class TestAugment:
     def test_single_forest_augment_values(self):
-        forest = leaf_forest([[0.4, 0.4, 0.2]], n_features=5).with_weights(
+        forest = leaf_forest([[2, 2, 1]], n_features=5).with_weights(
             [1.0]
         )
         level = LevelModel([forest])
@@ -184,22 +184,22 @@ class TestAugment:
             np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        level = LevelModel([leaf_forest([[1.0, 0.0]], n_features=3)])
+        level = LevelModel([leaf_forest([[1, 0]], n_features=3)])
         with pytest.raises(DimensionError):
             augment_batch(level, np.zeros((1, 4)))
 
 
 class TestPredict:
     def test_argmax_of_summed_class_vectors(self):
-        model = manual_cascade([[0.7, 0.3], [0.4, 0.6]], n_features=2)
+        model = manual_cascade([[7, 3], [2, 3]], n_features=2)
         assert predict(model, np.zeros(2)) == 0
 
     def test_exact_tie_goes_to_lowest_class(self):
-        model = manual_cascade([[0.5, 0.5], [0.5, 0.5]], n_features=2)
+        model = manual_cascade([[1, 1], [1, 1]], n_features=2)
         assert predict(model, np.zeros(2)) == 0
 
     def test_degenerate_single_tree_cascade(self):
-        model = manual_cascade([[0.0, 0.0, 1.0]], n_features=1)
+        model = manual_cascade([[0, 0, 1]], n_features=1)
         assert predict(model, np.zeros(1)) == 2
 
     def test_repeated_calls_agree(self):
@@ -237,7 +237,7 @@ class TestPredict:
         np.testing.assert_array_equal(predict_batch(loaded, X), predict_batch(model, X))
 
     def test_dimension_mismatch(self):
-        model = manual_cascade([[1.0, 0.0]], n_features=2)
+        model = manual_cascade([[1, 0]], n_features=2)
         with pytest.raises(DimensionError):
             predict(model, np.zeros(3))
 

@@ -354,35 +354,18 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"version {FORMAT_VERSION + 1}"):
             load_model(path)
 
-    def test_version_1_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
-        # version 1 stored each tree's arrays separately; it is not readable
-        path = self.retag(tmp_path, 1)
+    # version 1 stored each tree's arrays separately, version 2 left, right
+    # and a dist row for every node, version 3 tree counts, level widths and
+    # array shapes twice, and version 4 float64 leaf distributions
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_version_file_rejected_exit_2(self, tmp_path, toy_csv, capsys, version):
+        path = self.retag(tmp_path, version)
         code = main(
             ["predict", "--model", str(path), "--data", str(toy_csv),
              "--label-col", "3", "--out", str(tmp_path / "p.csv")]
         )
         assert code == 2
-        assert "version 1" in capsys.readouterr().err
-
-    def test_version_2_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
-        # version 2 stored left, right and a dist row for every node
-        path = self.retag(tmp_path, 2)
-        code = main(
-            ["predict", "--model", str(path), "--data", str(toy_csv),
-             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
-        )
-        assert code == 2
-        assert "version 2" in capsys.readouterr().err
-
-    def test_version_3_file_rejected_exit_2(self, tmp_path, toy_csv, capsys):
-        # version 3 stored tree counts, level widths and array shapes twice
-        path = self.retag(tmp_path, 3)
-        code = main(
-            ["predict", "--model", str(path), "--data", str(toy_csv),
-             "--label-col", "3", "--out", str(tmp_path / "p.csv")]
-        )
-        assert code == 2
-        assert "version 3" in capsys.readouterr().err
+        assert f"version {version}" in capsys.readouterr().err
 
     def test_not_a_model_file(self, tmp_path, toy_csv):
         path = tmp_path / "junk.model"
@@ -422,7 +405,8 @@ def rewrite_meta(path, edit) -> None:
 def forest_blocks(path):
     """A model file's payload and each stored forest's byte spans in it.
 
-    A forest's spans map ``"counts"`` and each array name to ``(start, end)``.
+    A forest's spans map ``"sizes"``, its three u64 sizes, and each array name
+    to ``(start, end)``.
     Blocks are found by walking the file, not by content: two arrays of a
     table can hold equal bytes (``roots`` and ``feature`` can both read
     ``[0 1 2 3]``).
@@ -433,7 +417,7 @@ def forest_blocks(path):
     num_classes = json.loads(reader.take(meta_len))["num_classes"]
     blocks = []
     while reader.offset < len(payload):
-        spans = {"counts": (reader.offset, reader.offset + 24)}
+        spans = {"sizes": (reader.offset, reader.offset + 24)}
         pos = reader.offset + 24
         for name, array in reader.forest(num_classes).items():
             spans[name] = (pos, pos + array.nbytes)
@@ -492,7 +476,7 @@ class TestStructuralChecks:
             ("feature", 0, "input_dim", "feature"),
             ("roots", 0, 1, "roots"),
             ("roots", 1, 0, "roots"),
-            ("dist", "first_leaf", (2.0, -1.0), "simplex"),
+            ("counts", "first_leaf", (0, 0), "no rows"),
             ("weights", 0, 5.0, "simplex"),
             ("weights", 0, np.nan, "simplex"),
             ("children", 0, "~n_leaves", "out of range"),
@@ -516,7 +500,7 @@ class TestStructuralChecks:
         assert np.array_equal(forest.roots, np.arange(4))
         positions = {"first_leaf": 0}
         values = {"n_internal": forest.feature.size, "next_root": forest.roots[1],
-                  "~n_leaves": ~forest.dist.shape[0], "next_tree_leaf": ~2,
+                  "~n_leaves": ~forest.counts.shape[0], "next_tree_leaf": ~2,
                   "input_dim": model.base_dim}
         array = getattr(forest, name)
         bad = patched(array, positions.get(index, index), values.get(value, value))
@@ -529,7 +513,7 @@ class TestStructuralChecks:
     def test_tampered_count_rejected(self, saved, toy_csv, tmp_path, count, delta, forest):
         _, path = saved
         payload, blocks = forest_blocks(path)
-        at = blocks[forest]["counts"][0] + 8 * count
+        at = blocks[forest]["sizes"][0] + 8 * count
         (value,) = struct.unpack("<Q", payload[at : at + 8])
         bad = struct.pack("<Q", value + delta)
         write_payload(path, payload[:at] + bad + payload[at + 8 :])
@@ -540,12 +524,12 @@ class TestStructuralChecks:
         _, path = saved
         payload, blocks = forest_blocks(path)
         spans = blocks[0]
-        (_, n_internal, n_leaves) = struct.unpack("<3Q", payload[slice(*spans["counts"])])
+        (_, n_internal, n_leaves) = struct.unpack("<3Q", payload[slice(*spans["sizes"])])
         # the block stays self-consistent: no weights, no roots
         block = struct.pack("<3Q", 0, n_internal, n_leaves) + b"".join(
-            payload[slice(*spans[name])] for name in ("feature", "threshold", "children", "dist")
+            payload[slice(*spans[name])] for name in ("feature", "threshold", "children", "counts")
         )
-        write_payload(path, payload[: spans["counts"][0]] + block + payload[spans["roots"][1] :])
+        write_payload(path, payload[: spans["sizes"][0]] + block + payload[spans["roots"][1] :])
         self.assert_rejected(path, "at least one tree", toy_csv, tmp_path)
 
     def test_trailing_payload_bytes_rejected(self, saved, toy_csv, tmp_path):
@@ -554,8 +538,8 @@ class TestStructuralChecks:
         self.assert_rejected(path, "1 bytes after the last forest", toy_csv, tmp_path)
 
     def test_level_dims_follow_recurrence(self, tmp_path):
-        model = manual_cascade([[0.6, 0.4]], n_features=3)
-        second = LevelModel([leaf_forest([[0.1, 0.9]], n_features=5)])
+        model = manual_cascade([[3, 2]], n_features=3)
+        second = LevelModel([leaf_forest([[1, 9]], n_features=5)])
         model.levels.append(second)
         model.level_scores = (1.0, 1.0)
         path = tmp_path / "m.model"

@@ -22,12 +22,12 @@ from tests.test_forest import TABLE
 
 class TestAccuracy:
     def test_all_correct(self):
-        model = manual_cascade([[0.2, 0.8]], n_features=1)
+        model = manual_cascade([[1, 4]], n_features=1)
         test = Dataset(np.zeros((5, 1)), np.ones(5, dtype=int), 2)
         assert accuracy(model, test) == 1.0
 
     def test_three_of_four(self):
-        model = manual_cascade([[0.2, 0.8]], n_features=1)
+        model = manual_cascade([[1, 4]], n_features=1)
         test = Dataset(np.zeros((4, 1)), np.array([1, 1, 1, 0]), 2)
         assert accuracy(model, test) == 0.75
 
@@ -44,13 +44,13 @@ class TestAccuracy:
         assert accuracy(model, test) == pytest.approx(correct / test.n)
 
     def test_empty_test_set_rejected(self):
-        model = manual_cascade([[1.0, 0.0]], n_features=1)
+        model = manual_cascade([[1, 0]], n_features=1)
         empty = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
         with pytest.raises(DataError, match="empty"):
             accuracy(model, empty)
 
     def test_dimension_mismatch(self):
-        model = manual_cascade([[1.0, 0.0]], n_features=1)
+        model = manual_cascade([[1, 0]], n_features=1)
         test = Dataset(np.zeros((3, 4)), np.zeros(3, dtype=int), 2)
         with pytest.raises(DimensionError):
             accuracy(model, test)
@@ -206,6 +206,9 @@ class TestGrid:
             ((9,), (0,), 1, "tree counts"),
             # N = 2 cannot be cut into 3 folds: not even N = 12's cell is trained
             ((12, 2), (2,), 1, "folds = 3"),
+            # a repeated N or T would train its cells twice
+            ((12, 9, 12), (2,), 1, "repeated N"),
+            ((9,), (2, 1, 2), 1, "repeated T"),
         ],
     )
     def test_bad_grid_rejected_before_training(

@@ -22,7 +22,7 @@ from disdf.tree import (
 from tests.test_tree import fold_train_rows, leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average
-# example; tree 3 is a one-hot leaf
+# example, and leaf class counts that give them; tree 3 is a one-hot leaf
 DISTS = np.array(
     [
         [0.4, 0.4, 0.2],
@@ -30,10 +30,11 @@ DISTS = np.array(
         [1.0, 0.0, 0.0],
     ]
 )
+COUNTS = [[2, 2, 1], [2, 5, 3], [1, 0, 0]]
 
 
 def example_forest():
-    return leaf_forest(DISTS, n_features=2)
+    return leaf_forest(COUNTS, n_features=2)
 
 
 def class_vector(forest, x, w):
@@ -42,7 +43,7 @@ def class_vector(forest, x, w):
     return class_vectors_batch(forest.with_weights(w), x[None, :])[0]
 
 
-TABLE = ("feature", "threshold", "children", "dist", "roots", "weights")
+TABLE = ("feature", "threshold", "children", "counts", "roots", "weights")
 
 
 class TestTrainForest:
@@ -185,7 +186,7 @@ class TestTreeDists:
         np.testing.assert_allclose(out, DISTS)
 
     def test_single_tree_matrix(self):
-        f = leaf_forest([0.3, 0.7], n_features=1)
+        f = leaf_forest([3, 7], n_features=1)
         out = forest_tree_dists_batch(f, [[5.0]])[0]
         assert out.shape == (1, 2)
         np.testing.assert_allclose(out[0], [0.3, 0.7])
@@ -235,13 +236,13 @@ class TestRoutedTreeDists:
             feature=np.zeros(2, dtype=np.int32),
             threshold=np.zeros(2),
             children=np.array([1, 1, 0, 0], dtype=np.int32),
-            dist=np.array([[1.0, 0.0]]),
+            counts=np.array([[1, 0]], dtype=np.uint32),
             roots=np.zeros(1, dtype=np.int32),
             weights=[1.0],
             kind=RANDOM_SPLIT,
             n_features=1,
         )
-        fine = leaf_forest([[0.0, 1.0]])
+        fine = leaf_forest([[0, 1]])
         X = np.zeros((3, 1))
         with pytest.raises(ModelFormatError, match="cycle"):
             routed_tree_dists([fine, cyclic], X, np.arange(3), np.array([0, 1, 0]))
@@ -254,10 +255,10 @@ class TestRoutedTreeDists:
 
     def test_forests_must_share_trees_classes_and_features(self):
         X = np.zeros((2, 1))
-        for other in (leaf_forest([[1.0, 0.0]] * 2), leaf_forest([[1.0, 0.0, 0.0]]),
-                      leaf_forest([[1.0, 0.0]], n_features=2)):
+        for other in (leaf_forest([[1, 0]] * 2), leaf_forest([[1, 0, 0]]),
+                      leaf_forest([[1, 0]], n_features=2)):
             with pytest.raises(DimensionError):
-                routed_tree_dists([leaf_forest([[1.0, 0.0]]), other], X, np.arange(2),
+                routed_tree_dists([leaf_forest([[1, 0]]), other], X, np.arange(2),
                                   np.array([0, 1]))
 
 

@@ -25,13 +25,13 @@ def fold_train_rows(n, folds, seed):
 
 
 def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
-    """A one-tree forest over one tree's (feature, threshold, children, dist)."""
-    feature, threshold, children, dist = arrays
+    """A one-tree forest over one tree's (feature, threshold, children, counts)."""
+    feature, threshold, children, counts = arrays
     return ForestModel(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=float),
         children=np.asarray(children, dtype=np.int32),
-        dist=np.asarray(dist, dtype=float),
+        counts=np.asarray(counts, dtype=np.uint32),
         # node 0 is the root of a tree with any split, else leaf 0 is
         roots=np.array([0 if len(feature) else ~0], dtype=np.int32),
         weights=[1.0],
@@ -56,15 +56,15 @@ def grow(ds, kind, params, rng):
     )
 
 
-def leaf_forest(dists, n_features=1):
-    """A forest of single-leaf trees; tree t always predicts ``dists[t]``."""
-    dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    T = dists.shape[0]
+def leaf_forest(counts, n_features=1):
+    """A forest of single-leaf trees; tree t's leaf holds ``counts[t]`` rows per class."""
+    counts = np.atleast_2d(np.asarray(counts, dtype=np.uint32))
+    T = counts.shape[0]
     return ForestModel(
         feature=np.zeros(0, dtype=np.int32),
         threshold=np.zeros(0),
         children=np.zeros(0, dtype=np.int32),
-        dist=dists,
+        counts=counts,
         roots=~np.arange(T, dtype=np.int32),
         weights=np.full(T, 1.0 / T),
         kind=COMPLETELY_RANDOM,
@@ -72,10 +72,10 @@ def leaf_forest(dists, n_features=1):
     )
 
 
-def stump(feature, threshold, left_dist, right_dist, n_features):
+def stump(feature, threshold, left_counts, right_counts, n_features):
     # children[0] is taken when x > threshold, children[1] on a tie or below
     return one_tree(
-        ([feature], [threshold], [~1, ~0], np.vstack([left_dist, right_dist])),
+        ([feature], [threshold], [~1, ~0], np.vstack([left_counts, right_counts])),
         n_features,
     )
 
@@ -244,7 +244,7 @@ class TestCompletelyRandom:
         # every column checked for a constant value at every node
         monkeypatch.setattr(tree_module, "tied_columns", lambda X: np.arange(X.shape[1]))
         for got, expected in zip(default, grow_slot(), strict=True):
-            for name in ("feature", "threshold", "children", "dist", "roots"):
+            for name in ("feature", "threshold", "children", "counts", "roots"):
                 assert getattr(got, name).dtype == getattr(expected, name).dtype
                 np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
@@ -277,23 +277,23 @@ class TestSplitTies:
 
 class TestPrediction:
     def test_single_leaf_returns_distribution_for_any_input(self):
-        tree = leaf_forest([0.4, 0.4, 0.2])
+        tree = leaf_forest([2, 2, 1])
         for x in ([0.0], [100.0], [-3.5]):
             np.testing.assert_allclose(route(tree, x), [0.4, 0.4, 0.2])
 
     def test_tie_at_threshold_routes_left(self):
-        tree = stump(0, 1.0, [1.0, 0.0], [0.0, 1.0], n_features=1)
+        tree = stump(0, 1.0, [1, 0], [0, 1], n_features=1)
         np.testing.assert_allclose(route(tree, [1.0]), [1.0, 0.0])
         np.testing.assert_allclose(route(tree, [1.0 + 1e-12]), [0.0, 1.0])
 
     def test_trees_route_independently_through_global_ids(self):
         # a leaf and a stump in one table: the stump's leaf ids are global
-        stumpy = stump(1, 0.0, [1.0, 0.0], [0.0, 1.0], n_features=2)
+        stumpy = stump(1, 0.0, [1, 0], [0, 1], n_features=2)
         forest = ForestModel(
             feature=stumpy.feature,
             threshold=stumpy.threshold,
             children=np.array([~2, ~1], dtype=np.int32),
-            dist=np.vstack([[0.5, 0.5], stumpy.dist]),
+            counts=np.vstack([[1, 1], stumpy.counts]),
             roots=np.array([~0, 0], dtype=np.int32),
             weights=[0.5, 0.5],
             kind=RANDOM_SPLIT,
@@ -357,7 +357,7 @@ class TestPrediction:
             feature=np.zeros(2, dtype=np.int32),
             threshold=np.zeros(2),
             children=np.array([1, 1, 0, 0], dtype=np.int32),
-            dist=np.array([[1.0, 0.0]]),
+            counts=np.array([[1, 0]], dtype=np.uint32),
             roots=np.zeros(1, dtype=np.int32),
             weights=[1.0],
             kind=RANDOM_SPLIT,
@@ -367,7 +367,7 @@ class TestPrediction:
             forest_tree_dists_batch(forest, np.zeros((3, 1)))
 
     def test_dimension_mismatch(self):
-        tree = leaf_forest([1.0, 0.0], n_features=2)
+        tree = leaf_forest([1, 0], n_features=2)
         with pytest.raises(DimensionError):
             route(tree, [1.0])
         with pytest.raises(DimensionError):
@@ -532,7 +532,7 @@ class TestOneFrontierPerSlot:
         assert len(together) == len(row_sets)
         for rows, forest, alone_rng in zip(row_sets, together, alone_rngs):
             alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
-            for name in ("feature", "threshold", "children", "dist", "roots"):
+            for name in ("feature", "threshold", "children", "counts", "roots"):
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
@@ -580,7 +580,7 @@ class TestOneFrontierPerSlot:
         assert [forest.kind for forest in together] == kinds
         for kind, rows, forest, alone_rng in zip(kinds, row_sets, together, alone_rngs):
             alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
-            for name in ("feature", "threshold", "children", "dist", "roots"):
+            for name in ("feature", "threshold", "children", "counts", "roots"):
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
