@@ -185,6 +185,12 @@ class TestTreeDists:
         out = forest_tree_dists_batch(f, np.zeros((1, 2)))[0]
         np.testing.assert_allclose(out, DISTS)
 
+    def test_dist_is_the_counts_over_their_sums_computed_once(self):
+        f = example_forest()
+        np.testing.assert_array_equal(f.dist, DISTS)
+        # cached, so single-row predictions do not divide again
+        assert f.dist is f.dist
+
     def test_single_tree_matrix(self):
         f = leaf_forest([3, 7], n_features=1)
         out = forest_tree_dists_batch(f, [[5.0]])[0]
