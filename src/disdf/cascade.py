@@ -27,7 +27,7 @@ import numpy as np
 from . import pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, fold_ids
-from .errors import BadCellError, ConfigError, DataError, DimensionError
+from .errors import BadCellError, ConfigError, DimensionError
 from .forest import (
     ForestModel,
     class_vectors_batch,
@@ -190,14 +190,15 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     """One level's forests, the next level's Dataset, the level score and diagnostics.
 
     ``seq`` spawns the level's streams in one call: the fold partition's,
-    drawn by ``data.fold_ids``, and then one ``SeedSequence`` per slot.  The
-    forest slots are cut into contiguous groups, one pool task each,
-    whose forests are grown in one call and whose weights are trained in
-    lockstep: as many groups as workers (at most one per slot), or more when
-    a group's grower temporaries, charged by ``tree.grow_bytes`` per slot
-    plus a fixed part, would exceed ``tree.MAX_GROW_BYTES``, or in disdf
-    mode its pair statistics, charged at ``pairstats.pair_bytes`` per slot,
-    would exceed ``MAX_PAIR_BYTES``; a baseline level forms no pairs and is
+    drawn first by ``data.fold_ids``, which refuses more folds than rows,
+    and then one ``SeedSequence`` per slot.  The forest slots are cut into
+    contiguous groups, one pool task each, whose forests are grown in one
+    call and whose weights are trained in lockstep: as many groups as
+    workers (at most one per slot), or more when a group's grower
+    temporaries, charged by ``tree.grow_bytes`` per slot plus a fixed part,
+    would exceed ``tree.MAX_GROW_BYTES``, or in disdf mode its pair
+    statistics, charged per slot by ``pairstats.check_pair_bytes``, would
+    exceed ``MAX_PAIR_BYTES``; a baseline level forms no pairs and is
     charged none.  A slot's k fold forests train on (k - 1) n rows, as the
     held-out sets partition the rows, and its refit forest on n, so a slot
     grows ``T k n`` (tree, row) positions.  A level in which not even one
@@ -219,8 +220,7 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
             f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --trees to grow fewer trees"
         )
     if cfg.mode == MODE_DISDF:
-        pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-        charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+        charge = pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
         fit = min(fit, pairstats.MAX_PAIR_BYTES // charge)
     n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit))
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
@@ -253,10 +253,6 @@ def train_cascade(
     from ``rng``'s, or from ``SeedSequence(cfg.seed)`` when ``rng`` is None.
     """
     cfg.validate()
-    if train.n < cfg.folds:
-        raise DataError(
-            f"need at least folds = {cfg.folds} training rows, got {train.n}"
-        )
     seq = np.random.SeedSequence(cfg.seed) if rng is None else rng.bit_generator.seed_seq
 
     levels: list[LevelModel] = []

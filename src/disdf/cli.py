@@ -6,10 +6,11 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error; a stdout closed by its reader after the output file is written is no
-error.  The DISDF_THREADS environment variable sets the default worker
-count; --threads overrides it.  A worker count, ``bench --reps`` or an
-entry of ``bench --N-list``/``--T-list`` that is not an integer of at least
-1 exits 3, and so does a list with no entries.
+error, and a ``train --out`` path whose directory does not exist exits 2
+before training.  The DISDF_THREADS environment variable sets the default
+worker count; --threads overrides it.  A worker count, ``bench --reps`` or
+an entry of ``bench --N-list``/``--T-list`` that is not an integer of at
+least 1 exits 3, and so does a list with no entries.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--label-col", required=True, type=_parse_label_col)
     p_train.add_argument("--out", required=True, help="output model path")
     _add_config_flags(p_train)
+    p_train.set_defaults(run=cmd_train)
 
     p_pred = sub.add_parser("predict", help="predict class indices for a feature CSV")
     p_pred.add_argument("--model", required=True)
@@ -143,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="if given, drop this column, whatever its values, before predicting",
     )
     p_pred.add_argument("--out", required=True, help="output CSV of class indices")
+    p_pred.set_defaults(run=cmd_predict)
 
     p_bench = sub.add_parser("bench", help="run the N-by-T comparison grid")
     p_bench.add_argument("--data", required=True)
@@ -153,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", dest="out_dir", default="bench-results")
     p_bench.add_argument("--name", default=None, help="dataset name for reports")
     _add_config_flags(p_bench)
+    p_bench.set_defaults(run=cmd_bench)
 
     return parser
 
@@ -171,6 +175,10 @@ def _report(*lines: str) -> None:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     workers = _threads(args)
+    # checked before training, which would otherwise be lost at save_model
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise DataError(f"cannot write {args.out}: {out_dir} is not a directory")
     ds = load_csv(args.data, args.label_col)
     model = train_cascade(ds, cfg, workers=workers)
     save_model(model, args.out)
@@ -218,16 +226,9 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except (ConfigError, DimensionError, DegeneratePairsError) as exc:
         print(f"disdf: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -237,7 +238,6 @@ def main(argv=None) -> int:
     except DisdfError as exc:
         print(f"disdf: error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

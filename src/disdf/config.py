@@ -14,6 +14,16 @@ MODES = (MODE_BASELINE, MODE_DISDF)
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+# the least value of each count field; an ``int | None`` one may also be unset
+_LEAST = {"forests_per_level": 1, "trees_per_forest": 1, "max_levels": 1, "patience": 1,
+          "folds": 2, "fw_iterations": 1, "pair_budget": 1, "min_leaf": 1, "max_depth": 1}
+# the other fields' rules: whether a value is valid, and the error for one that is not
+_RULES = {
+    "tau": (lambda v: math.isfinite(v) and v > 0, "tau must be finite and > 0, got {}"),
+    "lam": (lambda v: math.isfinite(v) and v >= 0, "lambda must be finite and >= 0, got {}"),
+    "mode": (lambda v: v in MODES, f"mode must be one of {MODES}, got {{!r}}"),
+}
 
 
 def _parse_field(annotation: str, text: str):
@@ -31,6 +41,20 @@ def _parse_field(annotation: str, text: str):
 
 def _where(origin: dict | None, key: str) -> str:
     return f"{origin[key]}: " if origin and key in origin else ""
+
+
+def _problem(name: str, annotation: str, value) -> str | None:
+    """What is wrong with a field's value, or None; ``X | None`` also takes None."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+        return f"{name} must be of type {kind}, got {value!r}"
+    if name in _LEAST and value < _LEAST[name]:
+        return f"{name} must be >= {_LEAST[name]}" + (" or unset" if optional else "")
+    if name in _RULES and not _RULES[name][0](value):
+        return _RULES[name][1].format(value)
+    return None
 
 
 @dataclass
@@ -58,30 +82,17 @@ class TrainConfig:
     stratify: bool = False
 
     def validate(self, origin: dict | None = None) -> "TrainConfig":
-        """This config; an error about a key starts with its ``origin``, if any."""
-        rules = (
-            ("forests_per_level", self.forests_per_level >= 1,
-             "forests_per_level must be >= 1"),
-            ("trees_per_forest", self.trees_per_forest >= 1,
-             "trees_per_forest must be >= 1"),
-            ("max_levels", self.max_levels >= 1, "max_levels must be >= 1"),
-            ("patience", self.patience >= 1, "patience must be >= 1"),
-            ("folds", self.folds >= 2, "folds must be >= 2"),
-            ("tau", math.isfinite(self.tau) and self.tau > 0,
-             f"tau must be finite and > 0, got {self.tau}"),
-            ("lam", math.isfinite(self.lam) and self.lam >= 0,
-             f"lambda must be finite and >= 0, got {self.lam}"),
-            ("fw_iterations", self.fw_iterations >= 1, "fw_iterations must be >= 1"),
-            ("pair_budget", self.pair_budget is None or self.pair_budget >= 1,
-             "pair_budget must be >= 1 or unset"),
-            ("mode", self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
-            ("min_leaf", self.min_leaf >= 1, "min_leaf must be >= 1"),
-            ("max_depth", self.max_depth is None or self.max_depth >= 1,
-             "max_depth must be >= 1 or unset"),
-        )
-        for key, ok, message in rules:
-            if not ok:
-                raise ConfigError(f"{_where(origin, key)}{message}")
+        """This config; an error about a key starts with its ``origin``, if any.
+
+        Each value must be of its field's annotated type: a bool is no int,
+        an int is a float, and numpy integers and bools are refused, as a
+        model file's JSON cannot hold them.  A count must be at least its
+        ``_LEAST`` value, and tau, lam and mode must pass their ``_RULES``.
+        """
+        for f in fields(self):
+            problem = _problem(f.name, f.type, getattr(self, f.name))
+            if problem:
+                raise ConfigError(f"{_where(origin, f.name)}{problem}")
         return self
 
     def tree_params(self) -> TreeParams:

@@ -230,13 +230,9 @@ def _stratified_indices(labels, num_classes, n_train, rng) -> np.ndarray:
     alloc = np.floor(exact).astype(int)
     remainder = exact - alloc
     short = n_train - alloc.sum()
-    for c in np.argsort(-remainder):
-        if short == 0:
-            break
-        if alloc[c] < counts[c]:
-            alloc[c] += 1
-            short -= 1
-    # remainders in [0, 1) sum to short, so more than short classes can take one: no fill needed
+    # remainders in [0, 1) sum to short, so the short largest are all positive:
+    # each of those classes has a row left, and the allocation sums to n_train
+    alloc[np.argsort(-remainder)[:short]] += 1
     picked = []
     for c in range(num_classes):
         members = np.nonzero(labels == c)[0]

@@ -20,12 +20,12 @@ def uniform_weights(n_trees: int) -> np.ndarray:
     return np.full(n_trees, 1.0 / n_trees)
 
 
-def check_weights(w, n_trees: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def check_weights(w, n_trees: int) -> np.ndarray:
     """Validate a weight vector: right length, finite, non-negative, sums to one."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n_trees,):
         raise DimensionError(f"expected {n_trees} weights, got shape {w.shape}")
-    if not np.isfinite(w).all() or w.min() < -tol or abs(w.sum() - 1.0) > tol:
+    if not np.isfinite(w).all() or w.min() < -SIMPLEX_TOL or abs(w.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(
             f"weights are off the unit simplex: min {w.min():.3g}, sum {w.sum():.6g}"
         )
@@ -78,7 +78,7 @@ class ForestModel:
         return self.counts / self.counts.sum(axis=1, dtype=np.int64)[:, None]
 
     def with_weights(self, w) -> "ForestModel":
-        return replace(self, weights=check_weights(w, self.n_trees))
+        return replace(self, weights=w)
 
 
 def train_forests(

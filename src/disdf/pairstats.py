@@ -99,8 +99,8 @@ def compute_pair_stats(
     return PairStats(pi=pi, q_diff=q_diff, n_same=int(same.sum()))
 
 
-def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> None:
-    """Raise :class:`ConfigError` when one forest's ``pair_bytes`` exceed ``MAX_PAIR_BYTES``."""
+def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
+    """One forest's ``pair_bytes``; :class:`ConfigError` when they exceed ``MAX_PAIR_BYTES``."""
     need = pair_bytes(n, n_trees, pair_budget)
     if need > MAX_PAIR_BYTES:
         raise ConfigError(
@@ -108,6 +108,7 @@ def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> None:
             f"{need / 2**20:.0f} MiB, over the {MAX_PAIR_BYTES / 2**20:.0f} MiB "
             "limit; set --pair-budget to sample fewer pairs"
         )
+    return need
 
 
 def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:

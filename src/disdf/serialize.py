@@ -37,7 +37,7 @@ import numpy as np
 from .cascade import CascadeModel, LevelModel
 from .config import TrainConfig
 from .errors import ConfigError, ModelFormatError
-from .forest import ForestModel, check_weights
+from .forest import ForestModel
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
@@ -152,7 +152,7 @@ def load_model(path) -> CascadeModel:
     # the file, not the caller's configuration, is at fault when its config is bad
     try:
         config = TrainConfig.from_dict(_field(path, meta, "config", dict))
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise ModelFormatError(f"{path}: bad config in metadata: {exc}") from None
     num_classes = _field(path, meta, "num_classes", int, range(2, 2**31))
     input_dim = _field(path, meta, "base_dim", int, range(1, 2**31))
@@ -189,7 +189,11 @@ def load_model(path) -> CascadeModel:
         for kind in kinds:
             arrays = reader.forest(num_classes)
             _check_forest(path, arrays, input_dim)
-            forests.append(ForestModel(**arrays, kind=kind, n_features=input_dim))
+            # the block's sizes fix the weights' length; ForestModel checks their values
+            try:
+                forests.append(ForestModel(**arrays, kind=kind, n_features=input_dim))
+            except ValueError as exc:
+                raise ModelFormatError(f"{path}: malformed forest table: {exc}") from None
         levels.append(LevelModel(forests))
         input_dim = levels[-1].output_dim
     if reader.offset != len(payload):
@@ -251,7 +255,3 @@ def _check_forest(path, arrays: dict, input_dim: int):
         bad("a split threshold is not finite")
     if not counts.any(axis=1).all():
         bad("a leaf holds no rows")
-    try:
-        check_weights(arrays["weights"], roots.size)
-    except ValueError as exc:
-        bad(str(exc))

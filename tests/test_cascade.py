@@ -424,9 +424,11 @@ class TestTrainCascade:
             for f1, f2 in zip(l1.forests, l2.forests):
                 np.testing.assert_array_equal(f1.weights, f2.weights)
 
-    def test_too_few_rows_rejected(self):
+    def test_too_few_rows_rejected(self, monkeypatch):
+        # refused by the level's fold ids, before any tree is grown
+        monkeypatch.setattr(cascade, "train_forests", None)
         ds = blobs(n=2, m=2, seed=12)
-        with pytest.raises(DataError, match="folds"):
+        with pytest.raises(DataError, match="folds = 3 exceeds sample count 2"):
             train_cascade(ds, fast_cfg())
 
     def test_separable_data_perfectly_classified(self):

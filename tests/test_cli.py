@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from disdf.cascade import LevelModel, predict_batch, train_cascade
-from disdf import cascade, pairstats, tree
+from disdf import cascade, cli, pairstats, tree
 from disdf.cli import main
 from disdf.errors import ModelFormatError
 from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
@@ -140,6 +140,21 @@ class TestTrain:
         )
         assert code == 3
         assert field in capsys.readouterr().err
+
+    def test_out_into_missing_directory_rejected_before_training(
+        self, toy_csv, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train_cascade", lambda *a, **k: calls.append(a))
+        out = tmp_path / "nodir" / "m.model"
+        code = main(
+            ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+             *TRAIN_FLAGS]
+        )
+        assert code == 2
+        assert calls == []
+        assert f"{out.parent} is not a directory" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_single_class_csv_exit_2(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -577,6 +592,12 @@ class TestMetadataChecks:
             (b'"level_scores": [', b'"level_scores": ["best", ', "level scores are not all numbers"),
             (b'"levels": [', b'"levels": [], "x": [', "model has no levels"),
             (b'"num_classes": 2', b'"num_classes": 1', "'num_classes' has bad value 1"),
+            # config values of the wrong type
+            (b'"seed": 0', b'"seed": "abc"', "config.*seed must be of type int"),
+            (b'"trees_per_forest": 4', b'"trees_per_forest": 2.5',
+             "config.*trees_per_forest must be of type int"),
+            (b'"stratify": false', b'"stratify": "yes"', "config.*stratify must be of type bool"),
+            (b'"lam": 0.01', b'"lam": true', "config.*lam must be of type float"),
         ],
     )
     def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):
