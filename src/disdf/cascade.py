@@ -259,12 +259,12 @@ def train_cascade(
     scores: list[float] = []
     infos: list[tuple[dict, ...]] = []
     ds = train
-    for q in range(cfg.max_levels):
+    for _ in range(cfg.max_levels):
         level, ds, score, info = _train_level(ds, cfg, seq.spawn(1)[0], workers)
         levels.append(level)
         scores.append(score)
         infos.append(info)
-        if q + 1 == cfg.max_levels or should_stop(scores, cfg.patience):
+        if should_stop(scores, cfg.patience):
             break
 
     keep = _best_level(scores) + 1

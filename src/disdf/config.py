@@ -15,13 +15,24 @@ MODES = (MODE_BASELINE, MODE_DISDF)
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 _TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
-# the least value of each count field; an ``int | None`` one may also be unset
+# the least value of each int field; an ``int | None`` one may also be unset
 _LEAST = {"forests_per_level": 1, "trees_per_forest": 1, "max_levels": 1, "patience": 1,
-          "folds": 2, "fw_iterations": 1, "pair_budget": 1, "min_leaf": 1, "max_depth": 1}
+          "folds": 2, "fw_iterations": 1, "pair_budget": 1, "seed": 0, "min_leaf": 1,
+          "max_depth": 1}
+
+
+def is_finite(value) -> bool:
+    """Whether a real is neither infinite nor NaN and, if an int, fits in a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # the other fields' rules: whether a value is valid, and the error for one that is not
 _RULES = {
-    "tau": (lambda v: math.isfinite(v) and v > 0, "tau must be finite and > 0, got {}"),
-    "lam": (lambda v: math.isfinite(v) and v >= 0, "lambda must be finite and >= 0, got {}"),
+    "tau": (lambda v: is_finite(v) and v > 0, "tau must be finite and > 0, got {}"),
+    "lam": (lambda v: is_finite(v) and v >= 0, "lambda must be finite and >= 0, got {}"),
     "mode": (lambda v: v in MODES, f"mode must be one of {MODES}, got {{!r}}"),
 }
 
@@ -86,7 +97,7 @@ class TrainConfig:
 
         Each value must be of its field's annotated type: a bool is no int,
         an int is a float, and numpy integers and bools are refused, as a
-        model file's JSON cannot hold them.  A count must be at least its
+        model file's JSON cannot hold them.  An int must be at least its
         ``_LEAST`` value, and tau, lam and mode must pass their ``_RULES``.
         """
         for f in fields(self):

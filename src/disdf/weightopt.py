@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import is_finite
 from .pairstats import FW_COPY_SHARE, PairStats
 
 RENORM_PERIOD = 100
@@ -55,9 +56,9 @@ class ObjectiveParams:
     lam: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau <= 0:
+        if not is_finite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be a positive finite real, got {self.tau}")
-        if not np.isfinite(self.lam) or self.lam < 0:
+        if not is_finite(self.lam) or self.lam < 0:
             raise ValueError(
                 f"lambda must be a non-negative finite real, got {self.lam}"
             )
@@ -67,47 +68,27 @@ class ObjectiveParams:
         return self.stats.n_trees
 
 
-def _check_len(params: ObjectiveParams, w) -> np.ndarray:
+def objective(params: ObjectiveParams, w) -> float:
+    """J(w) as defined in the module docstring."""
+    return _value_and_gradient(params, w)[0]
+
+
+def gradient(params: ObjectiveParams, w) -> np.ndarray:
+    """Exact gradient of :func:`objective` (validated by finite differences)."""
+    return _value_and_gradient(params, w)[1]
+
+
+def _value_and_gradient(params: ObjectiveParams, w) -> tuple[float, np.ndarray]:
+    """J(w) and its gradient, from one ``q_diff @ w`` and one ``q_diff.T @ hinge``."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (params.n_trees,):
         raise ValueError(
             f"weight vector has shape {w.shape}, expected ({params.n_trees},)"
         )
-    return w
-
-
-def objective(params: ObjectiveParams, w) -> float:
-    """J(w) as defined in the module docstring."""
-    w = _check_len(params, w)
-    return _objective_at(params, w, _hinge(params, w))
-
-
-def gradient(params: ObjectiveParams, w) -> np.ndarray:
-    """Exact gradient of :func:`objective` (validated by finite differences)."""
-    w = _check_len(params, w)
-    return _gradient_at(params, w, params.stats.q_diff, _hinge(params, w))
-
-
-def _hinge(params: ObjectiveParams, w) -> np.ndarray:
-    """``max(0, tau - q_diff @ w)`` over every different-class pair row."""
-    return np.maximum(0.0, params.tau - params.stats.q_diff @ w)
-
-
-def _objective_at(params: ObjectiveParams, w, hinge) -> float:
-    """J(w) given the hinges of all rows of ``q_diff`` at w."""
-    return float(params.stats.pi @ (w * w) + hinge @ hinge + params.lam * (w @ w))
-
-
-def _gradient_at(params: ObjectiveParams, w, q, hinge) -> np.ndarray:
-    """The gradient at w given the hinges of rows ``q`` of ``q_diff``.
-
-    ``q`` must hold every row whose hinge ``max(0, tau - q_diff @ w)`` is
-    non-zero; the others add nothing to the gradient.
-    """
-    grad = 2.0 * w * (params.lam + params.stats.pi)
-    if q.shape[0]:
-        grad -= 2.0 * (q.T @ hinge)
-    return grad
+    q_diff, pi, lam = params.stats.q_diff, params.stats.pi, params.lam
+    hinge = np.maximum(0.0, params.tau - q_diff @ w)
+    value = float(pi @ (w * w) + hinge @ hinge + lam * (w @ w))
+    return value, 2.0 * w * (lam + pi) - 2.0 * (q_diff.T @ hinge)
 
 
 def _window_last(s0):
@@ -254,7 +235,6 @@ def frank_wolfe(
     results = []
     for p, w in zip(params, W):
         w = w.copy()
-        hinge = _hinge(p, w)
-        grad = _gradient_at(p, w, p.stats.q_diff, hinge)
-        results.append((w, float(w @ grad - grad.min()), _objective_at(p, w, hinge)))
+        value, grad = _value_and_gradient(p, w)
+        results.append((w, float(w @ grad - grad.min()), value))
     return results

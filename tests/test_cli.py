@@ -113,6 +113,51 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"disdf: error: {named} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_negative_seed_exit_3(self, toy_csv, tmp_path, capsys, monkeypatch, command):
+        # refused by validation, before any tree is grown
+        monkeypatch.setattr(cascade, "train_forests", None)
+        args = {"train": ["--out", str(tmp_path / "m.model")],
+                "bench": ["--N-list", "9", "--T-list", "1", "--out-dir", str(tmp_path)]}
+        code = main(
+            [command, "--data", str(toy_csv), "--label-col", "3", *args[command],
+             "--seed", "-1"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "disdf: error: seed must be >= 0\n"
+
+    def test_label_col_by_header_name(self, toy_csv, tmp_path):
+        named = tmp_path / "named.csv"
+        named.write_text("x0,x1,x2,label\n" + toy_csv.read_text())
+        models = []
+        for data, label_col in ((toy_csv, "3"), (named, "label")):
+            out = tmp_path / f"{data.stem}.model"
+            code = main(
+                ["train", "--data", str(data), "--label-col", label_col,
+                 "--out", str(out), *TRAIN_FLAGS]
+            )
+            assert code == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize(
+        "text, label_col, message",
+        [
+            ("x0,x1,x2,label\n", "3", "file contains no data rows"),
+            ("a\nb\na\n", "0", "need at least one feature column"),
+            ("1.0,2.0,a\n3.0,4.0,b\n", "5", "out of range for 3 columns"),
+        ],
+    )
+    def test_unusable_data_file_exit_2(self, tmp_path, capsys, text, label_col, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code = main(
+            ["train", "--data", str(path), "--label-col", label_col,
+             "--out", str(tmp_path / "m.model")]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_tau_in_config_file_exit_3(self, toy_csv, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("tau=inf\n")
@@ -208,6 +253,7 @@ class TestTrain:
             ("no_such_knob=1\n", 1, "no_such_knob", None),
             ("# defaults\ntau=0.7\nmax_depth=deep\n", 3, "max_depth", ["--max-depth", "2"]),
             ("stratify=maybe\n", 1, "stratify", ["--stratify"]),
+            ("tau 0.7\n", 1, "expected '<field>=<value>'", None),
             # values that parse but fail validation
             ("trees_per_forest=3\ntau=inf\n", 2, "tau", ["--tau", "0.7"]),
             ("trees_per_forest=3\nfolds=1\n", 2, "folds", ["--folds", "3"]),
@@ -274,17 +320,22 @@ class TestPredict:
         assert len(outputs[0].splitlines()) == 24
         assert outputs[0] == outputs[1]
 
-    def test_empty_input_empty_output(self, toy_csv, tmp_path):
+    def test_empty_input_empty_output(self, toy_csv, tmp_path, capsys):
         model_path = self.train_model(toy_csv, tmp_path)
         empty = tmp_path / "empty.csv"
-        empty.write_text("")
         out = tmp_path / "preds.csv"
-        code = main(
-            ["predict", "--model", str(model_path), "--data", str(empty),
-             "--out", str(out)]
-        )
-        assert code == 0
-        assert out.read_text() == ""
+        # no rows, and a header row alone
+        for text in ("", "x0,x1,x2\n"):
+            empty.write_text(text)
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = main(
+                ["predict", "--model", str(model_path), "--data", str(empty),
+                 "--out", str(out)]
+            )
+            assert code == 0
+            assert out.read_text() == ""
+            assert "0 predictions" in capsys.readouterr().out
 
     def test_wrong_dimension_exit_3(self, toy_csv, tmp_path, capsys):
         model_path = self.train_model(toy_csv, tmp_path)
@@ -598,6 +649,10 @@ class TestMetadataChecks:
              "config.*trees_per_forest must be of type int"),
             (b'"stratify": false', b'"stratify": "yes"', "config.*stratify must be of type bool"),
             (b'"lam": 0.01', b'"lam": true', "config.*lam must be of type float"),
+            # config values out of range
+            (b'"seed": 0', b'"seed": -1', "config.*seed must be >= 0"),
+            pytest.param(b'"tau": 0.5', b'"tau": ' + str(10**400).encode(),
+                         "config.*tau must be finite", id="tau-beyond-float"),
         ],
     )
     def test_bad_metadata_rejected(self, tmp_path, toy_csv, old, new, message):

@@ -51,6 +51,12 @@ def test_ints_and_numpy_floats_are_floats():
         ({"pair_budget": 0}, "pair_budget must be >= 1 or unset"),
         ({"tau": 0.0}, "tau must be finite and > 0, got 0.0"),
         ({"lam": -1.0}, "lambda must be finite and >= 0, got -1.0"),
+        ({"seed": -1}, "seed must be >= 0"),
+        # ints beyond float range
+        pytest.param({"tau": 10**400}, f"tau must be finite and > 0, got {10**400}",
+                     id="tau-beyond-float"),
+        pytest.param({"lam": 10**400}, f"lambda must be finite and >= 0, got {10**400}",
+                     id="lam-beyond-float"),
         ({"mode": "fast"}, "mode must be one of ('baseline', 'disdf'), got 'fast'"),
     ],
 )

@@ -154,6 +154,11 @@ class TestObjective:
             ObjectiveParams(no_pairs(2), tau=0.0, lam=0.0)
         with pytest.raises(ValueError, match="lambda"):
             ObjectiveParams(no_pairs(2), tau=0.5, lam=-1.0)
+        # ints too large for a float
+        with pytest.raises(ValueError, match="tau"):
+            ObjectiveParams(no_pairs(2), tau=10**400, lam=0.0)
+        with pytest.raises(ValueError, match="lambda"):
+            ObjectiveParams(no_pairs(2), tau=0.5, lam=10**400)
 
     def test_convexity_sampling(self):
         rng = np.random.default_rng(1)
@@ -307,8 +312,10 @@ class TestFrankWolfe:
             for n_diff, lam in ((6, 0.01), (40, 0.0))
         ] + [ObjectiveParams(no_pairs(5), 0.5, 0.3)]
         for n_iterations in (1, 150):
-            for p, (w, _, j) in zip(params, frank_wolfe(params, n_iterations)):
+            for p, (w, gap, j) in zip(params, frank_wolfe(params, n_iterations)):
                 assert j == objective(p, w)
+                g = gradient(p, w)
+                assert gap == w @ g - g.min()
 
     def test_forests_must_share_trees_and_tau(self):
         params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
