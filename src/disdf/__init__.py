@@ -6,7 +6,6 @@ from .cascade import (
     augment_batch,
     predict,
     predict_batch,
-    should_stop,
     train_cascade,
 )
 from .config import MODE_BASELINE, MODE_DISDF, TrainConfig

@@ -14,7 +14,8 @@ own generator, which draws the forest's bootstraps first and then one block
 per depth for the forest's own open nodes, so every forest is the one it
 would be grown alone.  The group's out-of-fold rows are routed in one pass
 and its weights are trained in one lockstep Frank-Wolfe solve; no result
-depends on the grouping.
+depends on the grouping.  Levels are added until the level score stops
+improving, by the stop rule :func:`train_cascade` states.
 """
 
 from __future__ import annotations
@@ -78,24 +79,6 @@ class CascadeModel:
     @property
     def num_classes(self) -> int:
         return self.levels[0].num_classes
-
-
-def should_stop(level_scores, patience: int) -> bool:
-    """True when the best score has not improved for ``patience`` levels."""
-    if len(level_scores) == 0:
-        raise ValueError("need at least one recorded level score")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    return len(level_scores) - 1 - _best_level(level_scores) >= patience
-
-
-def _best_level(scores) -> int:
-    best = -np.inf
-    best_idx = 0
-    for i, s in enumerate(scores):
-        if s > best + IMPROVEMENT_TOL:
-            best, best_idx = s, i
-    return best_idx
 
 
 def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
@@ -206,7 +189,24 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     do not depend on its group.  The next level's features are
     ``ds.features`` followed by each forest's out-of-fold class vectors, in
     forest order.
+
+    Before any per-slot state is made, the level's kept state is charged
+    against ``tree.MAX_GROW_BYTES``: each forest's trees, at most T (n - 1)
+    internal nodes of 20 bytes and T n leaves of C uint32 counts, its T
+    weights, and its class vectors, held twice (as its output and in the
+    next level's features).
     """
+    n, n_classes, n_trees = ds.n, ds.num_classes, cfg.trees_per_forest
+    kept = cfg.forests_per_level * (
+        n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes
+    )
+    if kept > tree.MAX_GROW_BYTES:
+        raise ConfigError(
+            f"a level of {cfg.forests_per_level} forests of {n_trees} trees on {n} rows "
+            f"keeps about {kept / 2**20:.0f} MiB of trees and class vectors, over the "
+            f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --forests or --trees "
+            "to keep fewer trees"
+        )
     kinds = cfg.forest_kinds()
     fold_seq, *slot_seeds = seq.spawn(1 + len(kinds))
     fold_of = fold_ids(ds.n, cfg.folds, fold_seq)
@@ -247,10 +247,14 @@ def train_cascade(
 ) -> CascadeModel:
     """Greedily train cascade levels until the level score stops improving.
 
-    Level score is the training-set accuracy of the level's summed
-    out-of-fold class vectors.  The returned model is truncated at the
-    best-scoring level.  Each level's ``SeedSequence`` is spawned in turn
-    from ``rng``'s, or from ``SeedSequence(cfg.seed)`` when ``rng`` is None.
+    A level's score is the training-set accuracy of its summed out-of-fold
+    class vectors.  Level i becomes the best when its score beats the best
+    so far by more than ``IMPROVEMENT_TOL``, so the first of tied levels
+    stays best.  Training stops once ``patience`` levels have followed the
+    best, or after ``max_levels``; the model keeps the levels up to the
+    best and the scores of all levels trained.  Each level's
+    ``SeedSequence`` is spawned in turn from ``rng``'s, or from
+    ``SeedSequence(cfg.seed)`` when ``rng`` is None.
     """
     cfg.validate()
     seq = np.random.SeedSequence(cfg.seed) if rng is None else rng.bit_generator.seed_seq
@@ -258,22 +262,24 @@ def train_cascade(
     levels: list[LevelModel] = []
     scores: list[float] = []
     infos: list[tuple[dict, ...]] = []
+    best = 0
     ds = train
-    for _ in range(cfg.max_levels):
+    for i in range(cfg.max_levels):
         level, ds, score, info = _train_level(ds, cfg, seq.spawn(1)[0], workers)
         levels.append(level)
         scores.append(score)
         infos.append(info)
-        if should_stop(scores, cfg.patience):
+        if score > scores[best] + IMPROVEMENT_TOL:
+            best = i
+        elif i - best >= cfg.patience:
             break
 
-    keep = _best_level(scores) + 1
     return CascadeModel(
-        levels=levels[:keep],
+        levels=levels[:best + 1],
         config=cfg,
         level_scores=tuple(scores),
         class_labels=train.label_names,
-        train_info=tuple(infos[:keep]),
+        train_info=tuple(infos[:best + 1]),
     )
 
 

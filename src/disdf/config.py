@@ -33,7 +33,7 @@ def is_finite(value) -> bool:
 _RULES = {
     "tau": (lambda v: is_finite(v) and v > 0, "tau must be finite and > 0, got {}"),
     "lam": (lambda v: is_finite(v) and v >= 0, "lambda must be finite and >= 0, got {}"),
-    "mode": (lambda v: v in MODES, f"mode must be one of {MODES}, got {{!r}}"),
+    "mode": (lambda v: v in MODES, f"mode must be one of {MODES}, got {{}}"),
 }
 
 
@@ -54,17 +54,25 @@ def _where(origin: dict | None, key: str) -> str:
     return f"{origin[key]}: " if origin and key in origin else ""
 
 
+def _show(value) -> str:
+    """``repr(value)``, or the bit length of an int too long to print in decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
+
+
 def _problem(name: str, annotation: str, value) -> str | None:
     """What is wrong with a field's value, or None; ``X | None`` also takes None."""
     kind, _, optional = annotation.partition(" | ")
     if value is None and optional:
         return None
     if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
-        return f"{name} must be of type {kind}, got {value!r}"
+        return f"{name} must be of type {kind}, got {_show(value)}"
     if name in _LEAST and value < _LEAST[name]:
         return f"{name} must be >= {_LEAST[name]}" + (" or unset" if optional else "")
     if name in _RULES and not _RULES[name][0](value):
-        return _RULES[name][1].format(value)
+        return _RULES[name][1].format(_show(value))
     return None
 
 

@@ -50,7 +50,8 @@ def compute_pair_stats(
 
     All unordered pairs i < j are used unless ``pair_budget`` is smaller than
     n(n-1)/2, in which case a uniform subsample that keeps at least one pair
-    of each z value is retained.  Raises :class:`DegeneratePairsError` when
+    of each z value is retained, drawn from ``rng``, which sampling requires
+    (a ``ValueError`` without it).  Raises :class:`DegeneratePairsError` when
     every pair shares one z value (e.g. single-class data), and
     :class:`ConfigError` before allocating when the pair arrays would exceed
     ``MAX_PAIR_BYTES``.
@@ -78,7 +79,7 @@ def compute_pair_stats(
 
     if pair_budget is not None and pair_budget < n_all:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("sampling pairs to a pair_budget needs a generator, rng")
         keep = rng.choice(n_all, size=max(int(pair_budget), 2), replace=False)
         keep = _ensure_both_kinds(keep, labels, rng)
         keep.sort()

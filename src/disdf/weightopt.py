@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import is_finite
+from .config import _problem
 from .pairstats import FW_COPY_SHARE, PairStats
 
 RENORM_PERIOD = 100
@@ -56,12 +56,10 @@ class ObjectiveParams:
     lam: float
 
     def __post_init__(self):
-        if not is_finite(self.tau) or self.tau <= 0:
-            raise ValueError(f"tau must be a positive finite real, got {self.tau}")
-        if not is_finite(self.lam) or self.lam < 0:
-            raise ValueError(
-                f"lambda must be a non-negative finite real, got {self.lam}"
-            )
+        """Check tau and lam by :class:`TrainConfig`'s rules for them."""
+        problem = _problem("tau", "float", self.tau) or _problem("lam", "float", self.lam)
+        if problem:
+            raise ValueError(problem)
 
     @property
     def n_trees(self) -> int:

@@ -8,7 +8,6 @@ from disdf.cascade import (
     augment_batch,
     predict,
     predict_batch,
-    should_stop,
     train_cascade,
 )
 from disdf.config import TrainConfig
@@ -95,28 +94,36 @@ def manual_cascade(forest_counts, n_features):
     )
 
 
-class TestShouldStop:
-    def test_plateau_triggers_stop(self):
-        assert should_stop([0.80, 0.85, 0.85], patience=1)
+class TestStopRule:
+    """train_cascade's stop rule, on scripted level scores."""
 
-    def test_single_score_never_stops(self):
-        assert not should_stop([0.9], patience=1)
+    @pytest.mark.parametrize(
+        "scores, kw, trained, kept",
+        [
+            pytest.param([0.80, 0.85, 0.85, 0.9], {}, 3, 2, id="plateau"),
+            pytest.param([0.9], {}, 1, 1, id="single-level"),
+            pytest.param([0.5, 0.6, 0.7, 0.8, 0.9], {}, 5, 5, id="monotone-rise"),
+            pytest.param([0.8, 0.8, 0.8, 0.9], {"patience": 2}, 3, 1, id="patience-2"),
+            pytest.param([0.8, 0.7, 0.9, 0.85, 0.85, 0.95], {"patience": 2}, 5, 3,
+                         id="patience-2-after-a-dip"),
+            pytest.param([0.85, 0.85 + 5e-5, 0.9], {}, 2, 1, id="rise-below-tolerance"),
+            pytest.param([0.5, 0.6, 0.7, 0.8], {"max_levels": 3}, 3, 3, id="max-levels-cap"),
+            pytest.param([0.9, 0.8, 0.7], {"patience": 5}, 3, 1, id="max-levels-after-best"),
+        ],
+    )
+    def test_levels_trained_and_kept(self, monkeypatch, scores, kw, trained, kept):
+        calls = []
 
-    def test_monotone_rise_never_stops(self):
-        scores = [0.5, 0.6, 0.7, 0.8, 0.9]
-        for upto in range(1, len(scores) + 1):
-            assert not should_stop(scores[:upto], patience=1)
+        def scripted(ds, cfg, seq, workers):
+            calls.append(len(calls))
+            return LevelModel([]), ds, scores[calls[-1]], ({"level": calls[-1]},)
 
-    def test_patience_two(self):
-        assert not should_stop([0.8, 0.8], patience=2)
-        assert should_stop([0.8, 0.8, 0.8], patience=2)
-
-    def test_tiny_improvement_does_not_count(self):
-        assert should_stop([0.85, 0.85 + 5e-5], patience=1)
-
-    def test_empty_scores_rejected(self):
-        with pytest.raises(ValueError):
-            should_stop([], patience=1)
+        monkeypatch.setattr(cascade, "_train_level", scripted)
+        model = train_cascade(blobs(n=12), fast_cfg(**{"max_levels": len(scores), **kw}))
+        assert len(model.level_scores) == len(calls) == trained
+        assert model.level_scores == tuple(scores[:trained])
+        assert model.n_levels == len(model.train_info) == kept
+        assert [info[0]["level"] for info in model.train_info] == list(range(kept))
 
 
 class TestDimensions:
@@ -350,6 +357,27 @@ class TestSlotGroups:
         limited = train_cascade(ds, baseline)
         assert [len(kinds) for _, kinds, *_ in grows] == [16] * len(limited.level_scores)
         assert_same_models(unlimited, limited)
+
+    @pytest.mark.parametrize(
+        "n, num_classes, forests, trees",
+        [
+            (24, 2, 20_000, 2),  # an 8.1 MB model at one level
+            (351, 2, 4, 1000),  # all ionosphere rows at the paper's largest T
+            (336, 8, 4, 1000),  # all ecoli rows
+        ],
+    )
+    def test_level_kept_state_within_limit_not_refused(self, monkeypatch, n, num_classes,
+                                                       forests, trees):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cascade, "_map_tasks", reached)
+        cfg = fast_cfg(forests_per_level=forests, trees_per_forest=trees)
+        with pytest.raises(Reached):
+            train_cascade(blobs(n=n, num_classes=num_classes), cfg)
 
 
 class TestTrainCascade:

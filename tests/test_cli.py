@@ -4,12 +4,16 @@ import io
 import json
 import os
 import re
+import resource
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disdf
 from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import cascade, cli, pairstats, tree
 from disdf.cli import main
@@ -718,12 +722,36 @@ def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
 def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     # refused before any tree is grown
     monkeypatch.setattr(cascade, "train_forests", None)
-    monkeypatch.setattr(tree, "MAX_GROW_BYTES", 1000)
+    # above the level's kept trees and class vectors (10,992 bytes), below
+    # one slot's grower temporaries
+    monkeypatch.setattr(tree, "MAX_GROW_BYTES", 100_000)
     out = tmp_path / "m.model"
     args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
             *TRAIN_FLAGS]
     assert main(args) == 3
-    assert "--trees" in capsys.readouterr().err
+    assert "set --trees to grow fewer trees" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path):
+    # three million forests keep about 6 GiB; the level is refused before
+    # any per-slot state is made.  Run in a process capped at 1.5 GiB, so
+    # that code which made that state first fails inside the cap instead of
+    # exhausting the host's memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = str(Path(disdf.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "m.model"
+    run = subprocess.run(
+        [sys.executable, "-m", "disdf.cli", "train", "--data", str(toy_csv), "--label-col", "3",
+         "--out", str(out), "--forests", "3000000", "--trees", "2", "--fw-iterations", "5"],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 3, run.stderr
+    assert "--forests" in run.stderr
     assert not out.exists()
 
 

@@ -7,6 +7,8 @@ from disdf import cascade
 from disdf.cascade import train_cascade
 from disdf.config import TrainConfig
 from disdf.errors import ConfigError
+from disdf.pairstats import PairStats
+from disdf.weightopt import ObjectiveParams
 from tests.test_cascade import blobs, fast_cfg
 
 
@@ -44,23 +46,47 @@ def test_ints_and_numpy_floats_are_floats():
     assert json.loads(json.dumps(cfg.to_dict()))["lam"] == 0.02
 
 
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ({"folds": 1}, "folds must be >= 2"),
-        ({"pair_budget": 0}, "pair_budget must be >= 1 or unset"),
-        ({"tau": 0.0}, "tau must be finite and > 0, got 0.0"),
-        ({"lam": -1.0}, "lambda must be finite and >= 0, got -1.0"),
-        ({"seed": -1}, "seed must be >= 0"),
-        # ints beyond float range
-        pytest.param({"tau": 10**400}, f"tau must be finite and > 0, got {10**400}",
-                     id="tau-beyond-float"),
-        pytest.param({"lam": 10**400}, f"lambda must be finite and >= 0, got {10**400}",
-                     id="lam-beyond-float"),
-        ({"mode": "fast"}, "mode must be one of ('baseline', 'disdf'), got 'fast'"),
-    ],
-)
+HUGE = 10**5000  # more digits than Python prints in decimal
+BOUND_MESSAGES = [
+    ({"folds": 1}, "folds must be >= 2"),
+    ({"pair_budget": 0}, "pair_budget must be >= 1 or unset"),
+    ({"tau": 0.0}, "tau must be finite and > 0, got 0.0"),
+    ({"lam": -1.0}, "lambda must be finite and >= 0, got -1.0"),
+    ({"seed": -1}, "seed must be >= 0"),
+    # ints beyond float range
+    pytest.param({"tau": 10**400}, f"tau must be finite and > 0, got {10**400}",
+                 id="tau-beyond-float"),
+    pytest.param({"lam": 10**400}, f"lambda must be finite and >= 0, got {10**400}",
+                 id="lam-beyond-float"),
+    ({"mode": "fast"}, "mode must be one of ('baseline', 'disdf'), got 'fast'"),
+    pytest.param({"tau": True}, "tau must be of type float, got True", id="tau-bool"),
+    pytest.param({"lam": True}, "lam must be of type float, got True", id="lam-bool"),
+    # a refused value too long to print is named by its size
+    pytest.param({"tau": HUGE}, "tau must be finite and > 0, got an int of 16610 bits",
+                 id="tau-over-digit-limit"),
+    pytest.param({"lam": HUGE}, "lambda must be finite and >= 0, got an int of 16610 bits",
+                 id="lam-over-digit-limit"),
+    pytest.param({"mode": HUGE}, "mode must be of type str, got an int of 16610 bits",
+                 id="mode-over-digit-limit"),
+    pytest.param({"stratify": HUGE}, "stratify must be of type bool, got an int of 16610 bits",
+                 id="stratify-over-digit-limit"),
+]
+
+
+@pytest.mark.parametrize("values, message", BOUND_MESSAGES)
 def test_bound_messages(values, message):
     with pytest.raises(ConfigError) as exc:
         TrainConfig(**values).validate()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [row for row in BOUND_MESSAGES if {*getattr(row, "values", row)[0]} <= {"tau", "lam"}],
+)
+def test_objective_params_share_the_tau_and_lam_rules(values, message):
+    params = {"tau": 0.5, "lam": 0.01, **values}
+    stats = PairStats(pi=np.zeros(2), q_diff=np.empty((0, 2)), n_same=0)
+    with pytest.raises(ValueError) as exc:
+        ObjectiveParams(stats, **params)
     assert str(exc.value) == message

@@ -152,6 +152,15 @@ class TestPairBudget:
         labels = np.array([0, 0, 0, 1, 1, 1])
         stats = compute_pair_stats(dists, labels, pair_budget=15, rng=rng)
         assert stats.n_pairs == 15
+        # nothing is sampled, so no generator is needed
+        assert compute_pair_stats(dists, labels, pair_budget=15).n_pairs == 15
+
+    def test_sampling_without_a_generator_rejected(self):
+        # an unseeded draw would give a different sample on every call
+        dists = random_dists(np.random.default_rng(17), 30, 3, 2)
+        labels = np.repeat([0, 1], 15)
+        with pytest.raises(ValueError, match="rng"):
+            compute_pair_stats(dists, labels, pair_budget=20)
 
     def test_both_kinds_forced_when_one_is_rare(self):
         rng = np.random.default_rng(10)
