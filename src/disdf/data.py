@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,7 +77,7 @@ class Dataset:
 def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return rows
@@ -91,18 +93,26 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _parse_feature_cell(token: str, row_no: int, col_no: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise BadCellError(
-            f"row {row_no}, column {col_no}: {token!r} is not a number"
-        ) from None
-    if not math.isfinite(value):
-        raise BadCellError(
-            f"row {row_no}, column {col_no}: {token!r} is not finite"
-        )
-    return value
+def _first_fault(path, data_rows, width, feature_cols, first_line) -> DataError:
+    """The error for the first ragged row or bad feature cell in file order.
+
+    Called only once a parse of the rows has failed, so one exists.
+    """
+    for line_no, row in enumerate(data_rows, first_line):
+        if len(row) != width:
+            return RaggedRowError(
+                f"{path}: row {line_no} has {len(row)} columns, expected {width}"
+            )
+        for col in feature_cols:
+            token = row[col].strip()
+            try:
+                value = float(token)
+            except ValueError:
+                return BadCellError(
+                    f"row {line_no}, column {col}: {token!r} is not a number"
+                )
+            if not math.isfinite(value):
+                return BadCellError(f"row {line_no}, column {col}: {token!r} is not finite")
 
 
 def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
@@ -113,6 +123,14 @@ def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
     header row.  Otherwise a header row is assumed present iff the first row
     has a non-numeric cell outside the label column.  A file without data rows
     yields a (0, 0) matrix and no tokens.
+
+    Each feature value is ``float(token.strip())`` of its cell, parsed in one
+    pass over all feature cells.  If that pass fails, the cells are walked in
+    file order and the first fault is raised: a row whose column count
+    differs from the first row's (:class:`RaggedRowError`), or a feature cell
+    that is not a number or not finite (:class:`BadCellError`).  The error
+    names the row, counting non-blank rows from 1 with the header, the
+    0-based column and the stripped token.
     """
     rows = _read_rows(path)
     if not rows:
@@ -148,17 +166,23 @@ def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
     if not feature_cols:
         raise DataError(f"{path}: need at least one feature column")
 
-    first_line = 2 if has_header else 1
-    features = np.empty((len(data_rows), len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        line_no = first_line + r
-        if len(row) != width:
-            raise RaggedRowError(
-                f"{path}: row {line_no} has {len(row)} columns, expected {width}"
-            )
-        features[r] = [
-            _parse_feature_cell(row[col].strip(), line_no, col) for col in feature_cols
-        ]
+    n, m = len(data_rows), len(feature_cols)
+    features = None
+    if all(len(row) == width for row in data_rows):
+        if label_idx is None:
+            cells = chain.from_iterable(data_rows)
+        elif m == 1:
+            # itemgetter of one column gives the cell itself, not a 1-tuple
+            cells = map(itemgetter(*feature_cols), data_rows)
+        else:
+            cells = chain.from_iterable(map(itemgetter(*feature_cols), data_rows))
+        try:
+            features = np.fromiter(map(float, map(str.strip, cells)), np.float64, count=n * m)
+        except ValueError:
+            pass
+    if features is None or not np.isfinite(features).all():
+        raise _first_fault(path, data_rows, width, feature_cols, 2 if has_header else 1)
+    features = features.reshape(n, m)
     if label_idx is None:
         return features, None
     return features, [row[label_idx].strip() for row in data_rows]
@@ -170,7 +194,10 @@ def load_csv(path, label_column) -> Dataset:
     ``label_column`` is a 0-based column index or, when the file has a header
     row, a column name.  Labels are re-encoded to contiguous 0-based indices
     in order of first appearance.  A header row is assumed present iff the
-    first row contains a non-numeric cell outside the label column.
+    first row contains a non-numeric cell outside the label column.  Each
+    feature value is ``float(token.strip())``; a ragged row or a feature cell
+    that is not a finite number raises the first such fault in file order
+    (``_read_table`` gives the rule).
     """
     features, tokens = _read_table(path, label_column)
     if not tokens:
@@ -188,7 +215,8 @@ def load_features(path, label_column=None) -> np.ndarray:
     """The (n, m) float feature matrix of a CSV, read as by :func:`load_csv`.
 
     A given ``label_column`` is dropped unread, so any labels are accepted.  A
-    file without data rows yields a (0, 0) matrix.
+    file without data rows yields a (0, 0) matrix.  Values and the error for a
+    faulty file follow :func:`load_csv`'s one rule.
     """
     return _read_table(path, label_column)[0]
 

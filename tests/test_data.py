@@ -136,6 +136,82 @@ class TestLoadFeatures:
             load_csv(path, 1)
 
 
+class TestParseRule:
+    """Each feature value is ``float(token.strip())``; a faulty file raises its first fault."""
+
+    TOKENS = [
+        "1_000", " 2 ", "+.5e-3", "-0", "0", "\u0661\u0662.\u0665", "\uff17",
+        "\u00a08\u2003", "\x1c9\x1f", "\t-1.5E+2\t", "5e-324", "-1.7976931348623157e308",
+    ]
+
+    def test_each_value_is_float_of_the_stripped_token(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = [*rng.normal(scale=1e3, size=12), 0.1, 1 / 3, 2.0**-1074, np.nextafter(1.0, 2.0)]
+        tokens = self.TOKENS + [repr(float(v)) for v in values]
+        rows = [tokens[i : i + 4] for i in range(0, len(tokens), 4)]
+        path = tmp_path / "cells.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        expected = np.array([[float(t.strip()) for t in row] for row in rows])
+        got = load_features(path)
+        assert got.shape == expected.shape
+        # bit for bit, so -0.0 and 0.0 differ
+        assert got.tobytes() == expected.tobytes()
+        text = "".join(",".join(row) + f",{'ab'[r % 2]}\n" for r, row in enumerate(rows))
+        labelled = write(tmp_path, text, name="labelled.csv")
+        assert load_csv(labelled, 4).features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # a ragged row before a bad cell, and a bad cell before a ragged row
+            ("1,2,a\n3,b\nx,4,a\n", RaggedRowError, "row 2 has 2 columns, expected 3"),
+            ("1,2,a\nx,4,a\n3,b\n", BadCellError, "row 2, column 0: 'x' is not a number"),
+            ("1,2,a\n3,4,5,a\n", RaggedRowError, "row 2 has 4 columns, expected 3"),
+            # the first bad cell of a row, by column
+            ("1,2,a,4\n3,y,b,z\n", BadCellError, "row 2, column 1: 'y' is not a number"),
+            ("1,2,a\n3,4,b\n5, nan ,a\n", BadCellError, "row 3, column 1: 'nan' is not finite"),
+            ("1,inf,a\n3,4,b\n", BadCellError, "row 1, column 1: 'inf' is not finite"),
+            ("1,2,a\n-1e400,4,b\n", BadCellError, "row 2, column 0: '-1e400' is not finite"),
+            # a non-finite cell before a non-number
+            ("1,1e400,a\nx,4,b\n", BadCellError, "row 1, column 1: '1e400' is not finite"),
+            # a header row is row 1
+            ("f,g,label\n1,2,a\n3,abc,b\n", BadCellError, "row 3, column 1: 'abc' is not a number"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, text, error, message):
+        path = write(tmp_path, text)
+        for load in (load_csv, load_features):
+            with pytest.raises(error) as caught:
+                load(path, 2)
+            assert type(caught.value) is error
+            assert message in str(caught.value)
+
+    def test_label_cell_is_not_parsed(self, tmp_path):
+        path = write(tmp_path, "1,nan\n2,abc\n")
+        np.testing.assert_array_equal(load_features(path, 1), [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "label_column, header, lines, expected",
+        [
+            # one feature column: the label column is dropped by a scalar pick
+            (1, None, ["0.5,a", "1.5,b"], [[0.5], [1.5]]),
+            (0, None, ["a,0.5", "b,1.5"], [[0.5], [1.5]]),
+            (0, None, ["a,1,2,3", "b,4,5,6"], [[1, 2, 3], [4, 5, 6]]),
+            (2, None, ["1,2,a,3", "4,5,b,6"], [[1, 2, 3], [4, 5, 6]]),
+            (-1, None, ["1,2,3,a", "4,5,6,b"], [[1, 2, 3], [4, 5, 6]]),
+            ("y", "x1,y,x2", ["1,a,2", "3,b,4"], [[1, 2], [3, 4]]),
+            ("y", "y,x1", ["a,1", "b,2"], [[1], [2]]),
+        ],
+    )
+    def test_label_column_placements(self, tmp_path, label_column, header, lines, expected):
+        text = "".join(f"{line}\n" for line in ([header] if header else []) + lines)
+        path = write(tmp_path, text)
+        ds = load_csv(path, label_column)
+        assert ds.features.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert ds.label_names == ("a", "b")
+        np.testing.assert_array_equal(load_features(path, label_column), expected)
+
+
 def toy_dataset(n=20, m=3, num_classes=2, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(

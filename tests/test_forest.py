@@ -7,6 +7,7 @@ from disdf.data import fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import (
     ForestModel,
+    _forest_leaves,
     class_vectors_batch,
     forest_tree_dists_batch,
     routed_tree_dists,
@@ -207,6 +208,128 @@ class TestTreeDists:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             forest_tree_dists_batch(example_forest(), np.zeros((1, 9)))
+
+
+def random_forest(rng, n_trees, n_features, num_classes, split_p=0.7, max_depth=6):
+    """A forest of random tree shapes, numbered breadth-first as the grower numbers them.
+
+    Each node above ``max_depth`` splits with probability ``split_p``, so
+    some roots are leaves; leaves hold random class counts, so two leaves
+    almost surely differ in their distributions.
+    """
+    feature, threshold, children, counts = [], [], [], []
+    roots = [None] * n_trees
+    # slots: where each node of the current depth is referenced from
+    level = [(roots, t) for t in range(n_trees)]
+    for depth in range(max_depth + 1):
+        next_level = []
+        for table, at in level:
+            if depth < max_depth and rng.random() < split_p:
+                table[at] = len(feature)
+                feature.append(rng.integers(n_features))
+                threshold.append(rng.normal())
+                children += [None, None]
+                next_level += [(children, len(children) - 2), (children, len(children) - 1)]
+            else:
+                table[at] = ~len(counts)
+                counts.append(rng.integers(1, 50, size=num_classes))
+        level = next_level
+    return ForestModel(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=float),
+        children=np.array(children, dtype=np.int32),
+        counts=np.array(counts, dtype=np.uint32),
+        roots=np.array(roots, dtype=np.int32),
+        weights=uniform_weights(n_trees),
+        kind=RANDOM_SPLIT,
+        n_features=n_features,
+    )
+
+
+def reference_leaves(forest, X):
+    """The leaf each row reaches in each tree, one position at a time."""
+    leaves = np.empty((X.shape[0], forest.n_trees), dtype=np.intp)
+    for r, x in enumerate(X):
+        for t, node in enumerate(forest.roots):
+            while node >= 0:
+                go_left = x[forest.feature[node]] <= forest.threshold[node]
+                node = forest.children[2 * node + go_left]
+            leaves[r, t] = ~node
+    return leaves
+
+
+def inputs_with_ties(rng, forest, n):
+    """Normal inputs, a quarter of whose cells equal some split threshold."""
+    X = rng.normal(size=(n, forest.n_features))
+    if forest.threshold.size:
+        tie = rng.random(X.shape) < 0.25
+        X[tie] = rng.choice(forest.threshold, size=tie.sum())
+    return X
+
+
+class TestWalker:
+    """Every route goes through one walker; it must match a position-at-a-time walk."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaves_equal_a_scalar_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        forest = random_forest(rng, 7, 3, 4, split_p=[0.5, 0.7, 0.9][seed % 3])
+        X = inputs_with_ties(rng, forest, 40)
+        np.testing.assert_array_equal(_forest_leaves(forest, X), reference_leaves(forest, X))
+
+    def test_concatenated_forests_equal_a_scalar_walk(self):
+        rng = np.random.default_rng(11)
+        # a depth-0 forest of single-leaf trees sits between two others
+        forests = [random_forest(rng, 5, 3, 3), random_forest(rng, 5, 3, 3, split_p=0.0),
+                   random_forest(rng, 5, 3, 3, split_p=0.9)]
+        X = inputs_with_ties(rng, forests[2], 30)
+        rows = rng.integers(30, size=90)
+        which = rng.integers(3, size=90)
+        got = routed_tree_dists(forests, X, rows, which)
+        for i, (r, f) in enumerate(zip(rows, which)):
+            leaves = reference_leaves(forests[f], X[r][None, :])[0]
+            # leaves almost surely differ in their distributions
+            np.testing.assert_array_equal(got[i], forests[f].dist[leaves])
+
+    def test_deepest_caterpillar_leaf_routes(self):
+        # node i sends x <= k - i to node i + 1 and larger x to leaf i, so
+        # x = -1 walks all n_internal nodes, the most the guard allows
+        k = 6
+        children = np.empty(2 * k, dtype=np.int32)
+        children[0::2] = ~np.arange(k)  # right: leaf i
+        children[1::2] = np.arange(1, k + 1)  # left: node i + 1
+        children[-1] = ~k
+        forest = ForestModel(
+            feature=np.zeros(k, dtype=np.int32),
+            threshold=k - np.arange(k, dtype=float),
+            children=children,
+            counts=np.eye(k + 1, dtype=np.uint32),
+            roots=np.zeros(1, dtype=np.int32),
+            weights=[1.0],
+            kind=RANDOM_SPLIT,
+            n_features=1,
+        )
+        X = np.array([[-1.0], [2.5], [k + 0.5]])
+        np.testing.assert_array_equal(_forest_leaves(forest, X), [[k], [4], [0]])
+        np.testing.assert_array_equal(
+            routed_tree_dists([forest], X, np.arange(3), np.zeros(3, dtype=int))[:, 0],
+            np.eye(k + 1)[[k, 4, 0]],
+        )
+
+    def test_child_numbered_below_its_parent_raises(self):
+        # root 1 splits to node 0, whose two leaves the walker would miss
+        forest = ForestModel(
+            feature=np.zeros(2, dtype=np.int32),
+            threshold=np.zeros(2),
+            children=np.array([~0, ~1, ~2, 0], dtype=np.int32),
+            counts=np.eye(3, dtype=np.uint32),
+            roots=np.ones(1, dtype=np.int32),
+            weights=[1.0],
+            kind=RANDOM_SPLIT,
+            n_features=1,
+        )
+        with pytest.raises(ModelFormatError, match="numbered below its parent"):
+            class_vectors_batch(forest, np.array([[-1.0]]))
 
 
 class TestRoutedTreeDists:
