@@ -30,6 +30,6 @@ from .forest import (
 from .pairstats import PairStats, compute_pair_stats
 from .serialize import load_model, save_model
 from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
-from .weightopt import ObjectiveParams, frank_wolfe, gradient, objective
+from .weightopt import ObjectiveParams, gradient, objective, solve_weights
 
 __version__ = "0.1.0"

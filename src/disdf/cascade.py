@@ -13,8 +13,8 @@ call, in one frontier over rows of the level's Dataset; each forest has its
 own generator, which draws the forest's bootstraps first and then one block
 per depth for the forest's own open nodes, so every forest is the one it
 would be grown alone.  The group's out-of-fold rows are routed in one pass
-and its weights are trained in one lockstep Frank-Wolfe solve; no result
-depends on the grouping.  Levels are added until the level score stops
+and then each forest's weights are trained on their own; no result depends
+on the grouping.  Levels are added until the level score stops
 improving, by the stop rule :func:`train_cascade` states.
 """
 
@@ -37,7 +37,7 @@ from .forest import (
     uniform_weights,
 )
 from .pairstats import compute_pair_stats
-from .weightopt import ObjectiveParams, frank_wolfe, objective
+from .weightopt import ObjectiveParams, objective, solve_weights
 
 IMPROVEMENT_TOL = 1e-4
 
@@ -81,6 +81,25 @@ class CascadeModel:
         return self.levels[0].num_classes
 
 
+def _train_weights(oof, labels, cfg: TrainConfig, pair_rng):
+    """One forest's trained weights and training facts, from its out-of-fold tensor.
+
+    Its pair statistics are formed, solved by :func:`solve_weights` and
+    dropped before the next forest's are formed.  The facts are the solve's
+    certified ``gap`` and ``iterations``, and ``objective_solver`` and
+    ``objective_uniform``, J at the returned and at uniform weights.
+    """
+    stats = compute_pair_stats(oof, labels, cfg.pair_budget, pair_rng)
+    params = ObjectiveParams(stats, cfg.tau, cfg.lam)
+    w, gap, value, steps = solve_weights(params, cfg.fw_iterations)
+    return w, {
+        "gap": gap,
+        "iterations": steps,
+        "objective_solver": value,
+        "objective_uniform": objective(params, uniform_weights(stats.n_trees)),
+    }
+
+
 def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     """Fit a group of a level's forest slots: fold forests, refit, weight training.
 
@@ -98,13 +117,10 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     Every row of every slot is then routed through the slot's fold forest
     that held it out, all in one pass.
 
-    In disdf mode the group's weights are trained by one lockstep
-    Frank-Wolfe solve, which gives each slot the weights it would get alone;
-    a slot keeps them unless uniform weights score lower on the objective.
-    Returns, per slot, the deployable forest, the out-of-fold class vectors
-    used for augmentation and level scoring, and the training facts
-    ``duality_gap``, ``objective_solver`` and ``objective_uniform`` (J at the
-    solver's and at uniform weights) and ``fallback`` (none in baseline).
+    In disdf mode each slot's weights are then trained on its own
+    (:func:`_train_weights`).  Returns, per slot, the deployable forest, the
+    out-of-fold class vectors used for augmentation and level scoring, and
+    the training facts (none in baseline).
     """
     n_trees, k, n = cfg.trees_per_forest, cfg.folds, ds.n
     forest_rngs, pair_rngs = [], []
@@ -128,30 +144,9 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     oofs = oofs.reshape(len(kinds), n, n_trees, ds.num_classes)
     slots = list(zip(forests[k::k + 1], oofs, pair_rngs))
 
-    uniform = uniform_weights(n_trees)
-    trained = [(uniform, {}) for _ in slots]
+    trained = [(uniform_weights(n_trees), {}) for _ in slots]
     if cfg.mode == MODE_DISDF:
-        objs = [
-            ObjectiveParams(
-                compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng),
-                cfg.tau,
-                cfg.lam,
-            )
-            for _, oof, pair_rng in slots
-        ]
-        trained = []
-        for obj, (w_fw, gap, j_fw) in zip(objs, frank_wolfe(objs, cfg.fw_iterations)):
-            j_uniform = objective(obj, uniform)
-            # never deploy weights worse than the uniform baseline point
-            fallback = j_fw > j_uniform
-            info = {
-                "duality_gap": gap,
-                "objective_solver": j_fw,
-                "objective_uniform": j_uniform,
-                "fallback": fallback,
-            }
-            trained.append((uniform if fallback else w_fw, info))
-
+        trained = [_train_weights(oof, ds.labels, cfg, pair_rng) for _, oof, pair_rng in slots]
     return [
         (deploy.with_weights(w), np.einsum("ntc,t->nc", oof, w), info)
         for (deploy, oof, _), (w, info) in zip(slots, trained)
@@ -176,17 +171,17 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     drawn first by ``data.fold_ids``, which refuses more folds than rows,
     and then one ``SeedSequence`` per slot.  The forest slots are cut into
     contiguous groups, one pool task each, whose forests are grown in one
-    call and whose weights are trained in lockstep: as many groups as
-    workers (at most one per slot), or more when a group's grower
-    temporaries, charged by ``tree.grow_bytes`` per slot plus a fixed part,
-    would exceed ``tree.MAX_GROW_BYTES``, or in disdf mode its pair
-    statistics, charged per slot by ``pairstats.check_pair_bytes``, would
-    exceed ``MAX_PAIR_BYTES``; a baseline level forms no pairs and is
-    charged none.  A slot's k fold forests train on (k - 1) n rows, as the
-    held-out sets partition the rows, and its refit forest on n, so a slot
-    grows ``T k n`` (tree, row) positions.  A level in which not even one
-    slot fits a limit is refused before any tree is grown.  A slot's results
-    do not depend on its group.  The next level's features are
+    call: as many groups as workers (at most one per slot), or more when a
+    group's grower temporaries, charged by ``tree.grow_bytes`` per slot plus
+    a fixed part, would exceed ``tree.MAX_GROW_BYTES``.  A slot's k fold
+    forests train on (k - 1) n rows, as the held-out sets partition the
+    rows, and its refit forest on n, so a slot grows ``T k n`` (tree, row)
+    positions.  A group forms and solves one forest's pairs at a time, so
+    in disdf mode one forest's pair statistics, charged by
+    ``pairstats.check_pair_bytes``, must fit ``MAX_PAIR_BYTES``; a baseline
+    level forms no pairs.  A level in which not even one slot fits a limit
+    is refused before any tree is grown.  A slot's results do not depend on
+    its group.  The next level's features are
     ``ds.features`` followed by each forest's out-of-fold class vectors, in
     forest order.
 
@@ -220,8 +215,7 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
             f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --trees to grow fewer trees"
         )
     if cfg.mode == MODE_DISDF:
-        charge = pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-        fit = min(fit, pairstats.MAX_PAIR_BYTES // charge)
+        pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
     n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit))
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
     fitted = _map_tasks(

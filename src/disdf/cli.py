@@ -95,7 +95,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--folds", dest="folds")
     p.add_argument("--tau", dest="tau", help="contrastive margin")
     p.add_argument("--lambda", dest="lam", help="regularization strength")
-    p.add_argument("--fw-iterations", dest="fw_iterations")
+    p.add_argument("--fw-iterations", dest="fw_iterations",
+                   help="iteration cap of each forest's weight solve")
     p.add_argument("--pair-budget", dest="pair_budget", help="pairs per forest, or none")
     p.add_argument("--seed", dest="seed")
     p.add_argument("--min-leaf", dest="min_leaf")

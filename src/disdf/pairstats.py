@@ -17,12 +17,9 @@ import numpy as np
 from .errors import ConfigError, DegeneratePairsError
 
 _CHUNK = 1024
-# bound on the pair index arrays plus q_diff and Frank-Wolfe's copy of some
-# of its rows, for all forests solved together; above it, sample pairs instead
+# bound on one forest's pair index arrays, q_diff and the weight solver's
+# residual; above it, sample pairs instead
 MAX_PAIR_BYTES = 1 << 30
-# Frank-Wolfe copies the rows of q_diff its screen keeps only while they are
-# at most this share of all rows
-FW_COPY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ def compute_pair_stats(
     for _, d in _pair_differences(tree_dists, ii[same], jj[same]):
         pi += np.einsum("ptc,ptc->t", d, d)
     diff_i, diff_j = ii[~same], jj[~same]
-    # column-major: Frank-Wolfe reads the column q_diff[:, t] and q_diff.T @ h
+    # column-major: the weight solver's q_diff @ w and q_diff.T @ h read it
+    # a whole column at a time
     q_diff = np.empty((diff_i.size, T), order="F")
     for start, d in _pair_differences(tree_dists, diff_i, diff_j):
         q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
@@ -116,13 +114,13 @@ def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
     """The memory charge of one forest's pair statistics and weight training.
 
     Bytes of the pair index arrays plus q_diff, over the pairs formed.
-    q_diff is charged for every pair, together with Frank-Wolfe's copy of
-    up to ``FW_COPY_SHARE`` of its rows.  Forests whose weights are trained
-    together hold all of theirs at once, so their group is charged this
-    times its size.
+    q_diff is charged for every pair, together with the one float per row
+    that the weight solver allocates for the residual ``q_diff @ w`` it
+    turns into the hinge in place.  A pool task forms and solves its
+    forests' pairs one forest at a time.
     """
     n_all = n * (n - 1) // 2
-    split_and_q = 2 * 8 + int(n_trees * 8 * (1 + FW_COPY_SHARE))
+    split_and_q = 2 * 8 + 8 * (n_trees + 1)
     if pair_budget is None or pair_budget >= n_all:
         # ii, jj, labels[ii], labels[jj] and the same-class mask over all
         # pairs, then the same/different split of ii and jj and q_diff

@@ -8,22 +8,14 @@ import numpy as np
 from disdf.data import Dataset
 from disdf.errors import DataError
 from disdf.tree import RANDOM_SPLIT, TREE_KINDS, TreeParams
-from disdf.weightopt import RENORM_PERIOD, ObjectiveParams, gradient, objective
+from disdf.weightopt import ObjectiveParams, gradient, objective, project_simplex
+
+# plain_frank_wolfe renormalizes its iterate every this many steps
+RENORM_PERIOD = 100
 
 
 class ConvergenceError(Exception):
     """The reference solver did not reach its tolerance within its iteration cap."""
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based, exact)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / j > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
 
 
 def reference_solve(
@@ -71,19 +63,19 @@ def reference_solve(
     )
 
 
-def plain_frank_wolfe(params: ObjectiveParams, n_iterations: int, callback=None):
-    """Frank-Wolfe that evaluates ``gradient(params, w)`` afresh at every step.
+def plain_frank_wolfe(params: ObjectiveParams, n_iterations: int):
+    """Frank-Wolfe from uniform weights with step sizes 2/(s+2), returning its
+    weights and duality gap: at 2000 steps, the J that ``solve_weights`` must
+    match or beat.
 
-    The same steps, vertex rule, renormalization and callback as
-    :func:`disdf.weightopt.frank_wolfe`, without carrying ``q_diff @ w``.
+    Each step moves toward the vertex at the smallest gradient component
+    (ties to the lowest index), and the iterate is renormalized every
+    ``RENORM_PERIOD`` steps.
     """
     w = np.full(params.n_trees, 1.0 / params.n_trees)
     for s in range(n_iterations):
         grad = gradient(params, w)
         t0 = int(np.argmin(grad))
-        gap = float(w @ grad - grad[t0])
-        if callback is not None:
-            callback(s, w.copy(), gap)
         gamma = 2.0 / (s + 2.0)
         w *= 1.0 - gamma
         w[t0] += gamma

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -284,34 +286,43 @@ class TestWorkerIndependence:
 
 
 class TestSlotGroups:
-    """A level's slots are fitted in groups whose pair statistics fit in memory."""
+    """A level's slots are fitted in groups whose grower temporaries fit in
+    memory; a group forms and solves one forest's pairs at a time."""
 
     @staticmethod
-    def record_groups(monkeypatch):
-        """Patch cascade.frank_wolfe to list the size of each lockstep solve."""
+    def record_groups(monkeypatch, folds):
+        """Patch cascade.train_forests to list the slots each call grows."""
         sizes = []
 
-        def recording(params, *args):
-            sizes.append(len(params))
-            return solve(params, *args)
+        def recording(ds, kinds, *args):
+            sizes.append(len(kinds) // (folds + 1))
+            return grow(ds, kinds, *args)
 
-        solve = cascade.frank_wolfe
-        monkeypatch.setattr(cascade, "frank_wolfe", recording)
+        grow = cascade.train_forests
+        monkeypatch.setattr(cascade, "train_forests", recording)
         return sizes
 
-    def test_memory_limit_splits_groups_with_identical_results(self, monkeypatch):
+    def test_pair_limit_is_charged_per_forest(self, monkeypatch):
         ds = blobs(n=36, m=4, seed=16)
         cfg = fast_cfg(max_levels=2, patience=2)
-        sizes = self.record_groups(monkeypatch)
         together = train_cascade(ds, cfg)
-        assert sizes == [4] * len(together.level_scores)
+        live = []
+
+        def recording(*args):
+            # the forests before this one have dropped their pair statistics
+            assert all(ref() is None for ref in live)
+            stats = compute_pair_stats(*args)
+            live.append(weakref.ref(stats))
+            return stats
+
+        monkeypatch.setattr(cascade, "compute_pair_stats", recording)
+        sizes = self.record_groups(monkeypatch, cfg.folds)
         charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-        for limit, groups in ((3 * charge, [2, 2]), (charge, [1, 1, 1, 1])):
-            monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", limit)
-            sizes.clear()
-            apart = train_cascade(ds, cfg)
-            assert sizes == groups * len(apart.level_scores)
-            assert_same_models(together, apart)
+        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge)
+        limited = train_cascade(ds, cfg)
+        assert sizes == [4] * len(limited.level_scores)
+        assert len(live) == 4 * len(limited.level_scores)
+        assert_same_models(together, limited)
 
     def test_grower_limit_splits_groups_with_identical_files(self, monkeypatch, tmp_path):
         ds = blobs(n=36, m=4, seed=17)
@@ -327,7 +338,7 @@ class TestSlotGroups:
         # chunks of one root's positions, so the slots, not the fixed part,
         # make up most of a level's charge
         monkeypatch.setattr(tree, "SCORE_POSITIONS", ds.n)
-        sizes = self.record_groups(monkeypatch)
+        sizes = self.record_groups(monkeypatch, cfg.folds)
         save_model(train_cascade(ds, cfg), tmp_path / "together.bin")
         assert sizes == [4, 4]
         # a bound every slot fits but the merged group of four does not
@@ -398,22 +409,15 @@ class TestTrainCascade:
 
     def test_trained_objective_never_worse_than_uniform(self):
         ds = blobs(n=48, m=4, seed=9)
-        model = train_cascade(ds, fast_cfg(fw_iterations=300))
+        model = train_cascade(ds, fast_cfg(fw_iterations=300, max_levels=2, patience=2))
         assert model.train_info
-        fallbacks = 0
-        for level, level_info in zip(model.levels, model.train_info):
-            for forest, info in zip(level.forests, level_info):
+        for level_info in model.train_info:
+            for info in level_info:
                 assert set(info) == {
-                    "duality_gap", "objective_solver", "objective_uniform", "fallback"
+                    "gap", "iterations", "objective_solver", "objective_uniform"
                 }
-                solver, uniform = info["objective_solver"], info["objective_uniform"]
-                assert info["fallback"] == (solver > uniform)
-                if info["fallback"]:
-                    fallbacks += 1
-                    assert np.array_equal(forest.weights, uniform_weights(forest.n_trees))
-        # the solver's first step leaves the uniform start, and on this small
-        # instance it ends above uniform's objective, so the fallback is exercised
-        assert fallbacks > 0
+                assert info["objective_solver"] <= info["objective_uniform"]
+                assert 0 <= info["iterations"] <= 300
 
     def test_same_class_distance_not_increased_on_separable_toy(self, monkeypatch):
         # with a small margin the hinge is inactive on separated clusters, so

@@ -4,10 +4,10 @@ Each case trains a small cascade, or runs one ``repeated_holdout`` cell, on
 seeded synthetic data.  Level 1's node tables are compared by the sha256 of
 each array's little-endian bytes: growth is integer and elementwise float
 arithmetic, so they do not depend on the platform.  Weights and class
-vectors go through BLAS in Frank-Wolfe and routing and are compared within
-``TOL``.  The cases cover both modes, both forest kinds, 2 to 4 folds, 1 and
-2 workers, full and sampled pairs, and ``min_leaf``/``max_depth`` settings
-that leave leaves impure.
+vectors go through BLAS in the weight solver and routing and are compared
+within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 4
+folds, 1 and 2 workers, full and sampled pairs, and ``min_leaf``/``max_depth``
+settings that leave leaves impure.
 
 ``scripts/pin_results.py`` writes the JSON file, with the Python and numpy
 that wrote it.  Regenerate it only for a change that is meant to change

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from disdf import weightopt
-from disdf.pairstats import PairStats, compute_pair_stats
-from disdf.weightopt import ObjectiveParams, frank_wolfe, gradient, objective
-from tests.oracles import (
-    ConvergenceError,
-    plain_frank_wolfe,
+from disdf.forest import uniform_weights
+from disdf.pairstats import PairStats
+from disdf.weightopt import (
+    CHECK_PERIOD,
+    SOLVE_TOL,
+    ObjectiveParams,
+    gradient,
+    objective,
     project_simplex,
-    reference_solve,
+    solve_weights,
 )
+from tests.oracles import ConvergenceError, plain_frank_wolfe, reference_solve
 
 
 def pair_rows(rng, n_trees, n_same, n_diff, num_classes=3):
@@ -228,82 +232,103 @@ class TestGradient:
             gradient(params, [1.0])
 
 
-def first_vertex(pi):
-    """Frank-Wolfe's first step (size 1) from uniform lands on the LMO vertex.
+def record_projections(monkeypatch):
+    """Patch weightopt.project_simplex to list every point it returns."""
+    points = []
 
-    Without different-class pairs and with lambda = 0 the gradient at uniform
-    is 2 pi / T, so the vertex is the one-hot at the smallest entry of pi.
-    """
-    params = ObjectiveParams(same_class_only_stats([pi]), 0.5, 0.0)
-    [(w, _, _)] = frank_wolfe([params], 1)
-    return w
+    def recording(v):
+        points.append(project(v))
+        return points[-1]
 
-
-class TestLmoVertex:
-    def test_argmin(self):
-        np.testing.assert_array_equal(first_vertex([3.0, 0.5, 2.0]), [0, 1, 0])
-
-    def test_tie_lowest_index(self):
-        np.testing.assert_array_equal(first_vertex([5.0, 5.0]), [1, 0])
-
-    def test_full_tie(self):
-        # no pairs: the gradient at uniform is a full tie, so ties go to e_0
-        params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
-        [(w, _, _)] = frank_wolfe([params], 1)
-        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
+    project = weightopt.project_simplex
+    monkeypatch.setattr(weightopt, "project_simplex", recording)
+    return points
 
 
-class TestFrankWolfe:
+def separating_instance(rng, n_trees=10, n_diff=3000):
+    """Rows shaped like a training set's different-class pairs, which fully
+    grown trees tell apart (Manhattan difference 2) or not (0), and a pi as
+    large as summed same-class differences make it."""
+    told_apart = rng.beta(5.0, 2.0, (n_diff, 1))
+    return PairStats(
+        pi=rng.uniform(50.0, 150.0, n_trees),
+        q_diff=np.asfortranarray(2.0 * (rng.random((n_diff, n_trees)) < told_apart)),
+        n_same=2000,
+    )
+
+
+def certified(params, solution, slack=1e-12):
+    """Whether the solution's gap bounds J there minus J at the reference point."""
+    w_ref = reference_solve(params, tol=1e-9)
+    excess = solution.objective - objective(params, w_ref)
+    return excess <= solution.gap + slack * solution.objective
+
+
+class TestSolveWeights:
     def test_singleton_simplex(self):
         params = ObjectiveParams(no_pairs(1), 0.5, 1.0)
-        for n_iterations in (1, 10, 500):
-            [(w, gap, _)] = frank_wolfe([params], n_iterations)
-            np.testing.assert_allclose(w, [1.0])
-            assert gap == pytest.approx(0.0, abs=1e-12)
+        for max_iterations in (1, 10, 500):
+            w, gap, _, steps = solve_weights(params, max_iterations)
+            np.testing.assert_array_equal(w, [1.0])
+            assert gap == 0.0 and steps == 0
 
-    def test_pure_regularizer_reaches_uniform(self):
-        # the per-component error of the final iterate scales with the last
-        # step size, so the 1e-3 box needs S = 500 at T = 2 and S = 2000 above
-        params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
-        [(w, _, _)] = frank_wolfe([params], 500)
-        np.testing.assert_allclose(w, 0.5, atol=1e-3)
-        for n_trees in (4, 7):
+    def test_pure_regularizer_is_solved_at_uniform(self):
+        # the gradient at uniform is a full tie, so the start is certified optimal
+        for n_trees in (2, 4, 7):
             params = ObjectiveParams(no_pairs(n_trees), 0.5, 1.0)
-            [(w, _, _)] = frank_wolfe([params], 2000)
-            np.testing.assert_allclose(w, 1.0 / n_trees, atol=1e-3)
+            w, gap, _, steps = solve_weights(params, 2000)
+            np.testing.assert_array_equal(w, uniform_weights(n_trees))
+            assert gap <= SOLVE_TOL * objective(params, w) and steps == 0
 
     def test_matches_reference_on_small_instance(self):
         rng = np.random.default_rng(3)
-        stats = pair_instance(rng, 3, 2, 2)
-        params = ObjectiveParams(stats, 0.5, 0.01)
-        [(w_fw, _, _)] = frank_wolfe([params], 2000)
-        w_ref = reference_solve(params, tol=1e-9)
-        assert objective(params, w_fw) - objective(params, w_ref) <= 1e-3
+        params = ObjectiveParams(pair_instance(rng, 3, 2, 2), 0.5, 0.01)
+        solution = solve_weights(params, 2000)
+        assert solution.gap <= SOLVE_TOL * solution.objective
+        assert certified(params, solution)
 
-    def test_simplex_preserved_at_every_iterate(self):
+    def test_certificate_bounds_the_distance_to_the_minimizer(self):
+        # with mu > 0, ||w - w*||^2 <= 2 gap / mu; the reference point is
+        # itself within sqrt(2 gap_ref / mu) of w*, its gap_ref at most 1e-9
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            n_trees = int(rng.integers(2, 9))
+            stats = pair_instance(rng, n_trees, int(rng.integers(2, 12)), 8)
+            params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.0)), 0.02)
+            mu = 2.0 * float((params.lam + stats.pi).min())
+            w, gap, _, _ = solve_weights(params, 2000)
+            w_ref = reference_solve(params, tol=1e-9)
+            distance = np.linalg.norm(w - w_ref)
+            assert distance <= np.sqrt(2 * gap / mu) + np.sqrt(2e-9 / mu) + 1e-12
+
+    def test_stops_at_the_certified_tolerance(self):
+        params = ObjectiveParams(separating_instance(np.random.default_rng(25)), 0.5, 0.01)
+        w, gap, value, steps = solve_weights(params, 2000)
+        assert 0 < steps < 100 and steps % CHECK_PERIOD == 0
+        assert gap <= SOLVE_TOL * value
+        w_fw, _ = plain_frank_wolfe(params, 2000)
+        assert value <= objective(params, w_fw)
+        # a cap below the steps needed ends the solve there, uncertified
+        capped = solve_weights(params, 7)
+        assert capped.steps == 7 and capped.gap > SOLVE_TOL * capped.objective
+
+    def test_never_above_uniform(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            stats = pair_instance(rng, int(rng.integers(2, 8)), 6, 6)
+            params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.0)), 0.01)
+            uniform = objective(params, uniform_weights(params.n_trees))
+            for max_iterations in (1, 2, 5, 6, 50):
+                assert solve_weights(params, max_iterations).objective <= uniform
+
+    def test_simplex_preserved_at_every_iterate(self, monkeypatch):
         rng = np.random.default_rng(4)
-        stats = pair_instance(rng, 5, 5, 5)
-        params = ObjectiveParams(stats, 0.5, 0.01)
-        iterates = []
-        frank_wolfe([params], 500, callback=lambda s, W, gaps: iterates.append(W[0]))
-        assert len(iterates) == 500
-        for w in iterates:
-            assert abs(w.sum() - 1.0) <= 1e-12
-            assert w.min() >= -1e-12
-
-    def test_gap_decays(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            stats = pair_instance(rng, int(rng.integers(2, 8)), 5, 5)
-            params = ObjectiveParams(stats, 0.5, 0.01)
-            [(_, gap_short, _)] = frank_wolfe([params], 20)
-            [(_, gap_long, _)] = frank_wolfe([params], 2000)
-            assert 0.0 <= gap_long <= gap_short
-
-    def test_bad_iteration_count(self):
-        params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
-        with pytest.raises(ValueError):
-            frank_wolfe([params], 0)
+        params = ObjectiveParams(pair_instance(rng, 5, 5, 5), 0.5, 0.01)
+        points = record_projections(monkeypatch)
+        w = solve_weights(params, 500).weights
+        assert len(points) > 1
+        for v in points + [w]:
+            assert abs(v.sum() - 1.0) <= 1e-12 and v.min() >= 0.0
 
     def test_returned_objective_is_objective_at_the_result(self):
         rng = np.random.default_rng(6)
@@ -311,218 +336,35 @@ class TestFrankWolfe:
             ObjectiveParams(pair_instance(rng, 5, 6, n_diff), 0.5, lam)
             for n_diff, lam in ((6, 0.01), (40, 0.0))
         ] + [ObjectiveParams(no_pairs(5), 0.5, 0.3)]
-        for n_iterations in (1, 150):
-            for p, (w, gap, j) in zip(params, frank_wolfe(params, n_iterations)):
-                assert j == objective(p, w)
-                g = gradient(p, w)
-                assert gap == w @ g - g.min()
+        for max_iterations in (1, 150):
+            for p in params:
+                w, gap, value, _ = solve_weights(p, max_iterations)
+                assert value == objective(p, w) and gap >= 0.0
 
-    def test_forests_must_share_trees_and_tau(self):
-        params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
-        with pytest.raises(ValueError, match="share"):
-            frank_wolfe([params, ObjectiveParams(no_pairs(4), 0.5, 1.0)], 10)
-        with pytest.raises(ValueError, match="share"):
-            frank_wolfe([params, ObjectiveParams(no_pairs(3), 0.6, 1.0)], 10)
-        with pytest.raises(ValueError, match="forest"):
-            frank_wolfe([], 10)
+    def test_bad_iteration_count(self):
+        params = ObjectiveParams(no_pairs(2), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            solve_weights(params, 0)
 
-
-def run_recorded(params, n_iterations):
-    """One lockstep frank_wolfe over params: per forest, its weights, gap and
-    every (step, iterate, gap) of its own that the callback saw."""
-    seen = []
-    results = frank_wolfe(params, n_iterations, callback=lambda *step: seen.append(step))
-    return [
-        (w, gap, [(s, W[f], gaps[f]) for s, W, gaps in seen])
-        for f, (w, gap, _) in enumerate(results)
-    ]
-
-
-def run_plain(params, n_iterations):
-    """The plain solver's result plus every (step, iterate, gap) it saw."""
-    seen = []
-    w, gap = plain_frank_wolfe(params, n_iterations, callback=lambda *step: seen.append(step))
-    return w, gap, seen
-
-
-def spread_instance(rng, n_trees, n_diff=3000):
-    """Pair statistics and a tau at which about 5% of rows are hinge-active at
-    uniform weights: each pair's own scale spreads the residuals, as pairs of
-    near and of far instances do."""
-    scale = rng.uniform(0.0, 2.0, (n_diff, 1))
-    q_diff = np.minimum(2.0, scale * rng.uniform(0.5, 1.5, (n_diff, n_trees)))
-    stats = PairStats(
-        pi=rng.uniform(0.5, 1.5, n_trees),
-        q_diff=np.asfortranarray(q_diff),
-        n_same=20,
-    )
-    return stats, float(np.quantile(q_diff.mean(axis=1), 0.05))
-
-
-def assert_identical(got, expected):
-    """Two recorded runs agree bit for bit."""
-    (w, gap, seen), (w_ref, gap_ref, seen_ref) = got, expected
-    assert np.array_equal(w, w_ref) and gap == gap_ref
-    assert len(seen) == len(seen_ref)
-    for (s, w_s, gap_s), (s_ref, w_ref_s, gap_ref_s) in zip(seen, seen_ref):
-        assert s == s_ref and np.array_equal(w_s, w_ref_s) and gap_s == gap_ref_s
-
-
-def assert_same_run(got, expected):
-    (w, gap, seen), (w_ref, gap_ref, seen_ref) = got, expected
-    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
-    assert gap == pytest.approx(gap_ref, rel=1e-9, abs=1e-12)
-    assert [s for s, _, _ in seen] == [s for s, _, _ in seen_ref]
-    for (_, w_s, gap_s), (_, w_ref_s, gap_ref_s) in zip(seen, seen_ref):
-        np.testing.assert_allclose(w_s, w_ref_s, rtol=0, atol=1e-12)
-        assert gap_s == pytest.approx(gap_ref_s, rel=1e-9, abs=1e-12)
-
-
-# 100 is RENORM_PERIOD and 120 and 144 start screening windows: these cross
-# the steps that recompute q_diff @ w
-ITERATION_COUNTS = [1, 99, 100, 101, 119, 120, 121, 144, 350]
-
-
-def record_screens(monkeypatch):
-    """Patch weightopt._screen to map each window's first step to the share
-    of rows it keeps."""
-    shares = {}
-
-    def recording(q_diff, residual, tau, s0, last):
-        q, r = screen(q_diff, residual, tau, s0, last)
-        shares[s0] = q.shape[0] / q_diff.shape[0]
-        return q, r
-
-    screen = weightopt._screen
-    monkeypatch.setattr(weightopt, "_screen", recording)
-    return shares
-
-
-class TestCarriedResidual:
-    """frank_wolfe carries q_diff @ w and steps over the rows its screen keeps;
-    the plain solver recomputes the whole gradient."""
-
-    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_plain_solver(self, n_iterations, order):
-        rng = np.random.default_rng(20)
-        for _ in range(3):
-            n_trees = int(rng.integers(2, 9))
-            stats = pair_instance(rng, n_trees, 8, 12)
-            assert stats.q_diff.flags.c_contiguous
-            params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.2)), 0.01)
-            laid_out = replace(stats, q_diff=np.asarray(stats.q_diff, order=order))
-            [got] = run_recorded([replace(params, stats=laid_out)], n_iterations)
-            assert_same_run(got, run_plain(params, n_iterations))
-
-    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
-    def test_empty_stats_match_plain_solver(self, n_iterations):
-        params = ObjectiveParams(no_pairs(4), 0.5, 0.1)
-        [got] = run_recorded([params], n_iterations)
-        assert_same_run(got, run_plain(params, n_iterations))
-
-    @pytest.mark.parametrize("n_iterations", [350, 2000])
-    @pytest.mark.parametrize("n_trees", [10, 100])
-    def test_screened_instances_match_plain_solver(
-        self, n_trees, n_iterations, monkeypatch
-    ):
-        stats, tau = spread_instance(np.random.default_rng(21), n_trees)
-        params = ObjectiveParams(stats, tau, 0.01)
-        shares = record_screens(monkeypatch)
-        [got] = run_recorded([params], n_iterations)
-        assert_same_run(got, run_plain(params, n_iterations))
-        assert shares[0] == 1.0
-        assert max(share for s0, share in shares.items() if s0) < 0.2
-
-    def test_windows_from_step_100_keep_under_half_of_train_pairs(self, monkeypatch):
-        """On rows shaped like a training set's different-class pairs, which
-        fully grown trees tell apart (Manhattan difference 2) or not (0), every
-        window from step 100 on screens out most rows.  A screen over a fixed
-        100-step window keeps them all from step 100 to 199."""
-        rng = np.random.default_rng(25)
-        n_diff, T = 3000, 10
-        # per pair, the share of trees that tell its two classes apart
-        told_apart = rng.beta(5.0, 2.0, (n_diff, 1))
-        stats = PairStats(
-            pi=rng.uniform(50.0, 150.0, T),
-            q_diff=np.asfortranarray(2.0 * (rng.random((n_diff, T)) < told_apart)),
-            n_same=2000,
-        )
-        params = ObjectiveParams(stats, 0.5, 0.01)
-        shares = record_screens(monkeypatch)
-        [got] = run_recorded([params], 600)
-        assert_same_run(got, run_plain(params, 600))
-        assert shares[0] == 1.0
-        late = {s0: share for s0, share in shares.items() if s0 >= 100}
-        assert sorted(late) == [100, 120, 144, 172, 200, 240, 288, 300, 360, 400, 480, 500]
-        assert max(late.values()) < 0.5
-
-    def test_rows_within_a_hair_of_tau(self, monkeypatch):
-        """Screened rows whose residuals end the window just above tau, and
-        candidates that end it just below, where their hinge is 1e-6 tau."""
-        T, tau, eps = 4, 0.5, 1e-6
-        s0 = 200
-        last = weightopt._window_last(s0)
-        assert last == 239
-        rng = np.random.default_rng(22)
-        # rows always active on trees 1..3, and far rows the screen drops
-        main = np.column_stack([np.zeros(40), rng.uniform(0, 0.4, (40, T - 1))])
-        far = np.column_stack([np.zeros(400), np.full((400, T - 1), 2.0)])
-        # hair rows read tree 0 only: at step 1 they pull it in, then the main
-        # rows hold it off, so w_0(s) = 4 / (s (s + 1)) until they act again
-        c = tau * last * (last + 1) / 4
-        hair = np.zeros((6, T))
-        hair[:, 0] = c * (1 + eps * np.array([-1, -1, -1, 1, 1, 1]))
-        stats = PairStats(
-            pi=np.array([1.0, 1.0, 1.2, 0.8]),
-            q_diff=np.asfortranarray(np.vstack([main, far, hair])),
-            n_same=10,
-        )
-        params = ObjectiveParams(stats, tau, 0.01)
-        expected = run_plain(params, 350)
-        residual = np.array([w for _, w, _ in expected[2]]) @ hair.T
-        np.testing.assert_allclose(
-            residual[last] / tau - 1, hair[:, 0] / c - 1, rtol=0, atol=1e-9
-        )
-        assert residual[2:last].min() > tau
-        shares = record_screens(monkeypatch)
-        [got] = run_recorded([params], 350)
-        assert_same_run(got, expected)
-        assert shares[s0] < 0.5
-
-
-class TestLockstep:
-    """Forests solved together get, bit for bit, what each gets alone."""
-
-    @pytest.mark.parametrize("n_iterations", ITERATION_COUNTS)
-    def test_matches_single_forest_solves(self, n_iterations):
-        rng = np.random.default_rng(24)
-        n_trees = 6
-        spread, tau = spread_instance(rng, n_trees)
-        dists = rng.dirichlet(np.ones(3), size=(40, n_trees))
-        labels = rng.integers(3, size=40)
-        forests = [
-            spread,
-            compute_pair_stats(dists, labels),
-            compute_pair_stats(dists, labels, pair_budget=150, rng=rng),
-            no_pairs(n_trees),
-            compute_pair_stats(dists, labels, pair_budget=400, rng=rng),
-        ]
-        params = [
-            ObjectiveParams(stats, tau, lam)
-            for stats, lam in zip(forests, (0.01, 0.01, 0.0, 0.2, 0.05))
-        ]
-        assert len({p.stats.q_diff.shape[0] for p in params}) == len(params)
-        results = frank_wolfe(params, n_iterations)
-        together = run_recorded(params, n_iterations)
-        for p, (w, gap, j), got in zip(params, results, together):
-            [(w_alone, gap_alone, j_alone)] = frank_wolfe([p], n_iterations)
-            assert np.array_equal(w, w_alone)
-            assert (gap, j) == (gap_alone, j_alone)
-            # a callback does not change the path
-            assert np.array_equal(got[0], w)
-            [alone] = run_recorded([p], n_iterations)
-            assert_identical(got, alone)
+    def test_zero_mu_uses_the_frank_wolfe_bound(self):
+        """With lambda = 0 and a tree whose same-class pairs never differ,
+        mu = 0: the bound is Frank-Wolfe's, the limit of the strong-convexity
+        bound as mu -> 0, and the solve is still deterministic."""
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            stats = pair_instance(rng, 4, 5, 6)
+            stats = replace(stats, pi=np.concatenate([[0.0], stats.pi[1:]]))
+            params = ObjectiveParams(stats, 0.8, 0.0)
+            w = random_simplex(rng, 4)
+            value, grad = weightopt._value_and_gradient(params, w)
+            frank_wolfe_bound = weightopt._lower_bound(value, grad, w, 0.0)
+            assert frank_wolfe_bound == pytest.approx(value + grad.min() - grad @ w, rel=1e-12)
+            near = weightopt._lower_bound(value, grad, w, 1e-12)
+            assert near == pytest.approx(frank_wolfe_bound, rel=1e-9, abs=1e-12)
+            first, again = solve_weights(params, 2000), solve_weights(params, 2000)
+            assert np.array_equal(first.weights, again.weights)
+            assert first[1:] == again[1:]
+            assert certified(params, first)
 
 
 class TestProjectSimplex:
