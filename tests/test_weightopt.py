@@ -5,7 +5,7 @@ import pytest
 
 from disdf import weightopt
 from disdf.forest import uniform_weights
-from disdf.pairstats import PairStats
+from disdf.pairstats import PairStats, compute_pair_stats
 from disdf.weightopt import (
     CHECK_PERIOD,
     SOLVE_TOL,
@@ -365,6 +365,181 @@ class TestSolveWeights:
             assert np.array_equal(first.weights, again.weights)
             assert first[1:] == again[1:]
             assert certified(params, first)
+
+    def test_gap_decays(self):
+        # a larger cap runs the same path further: the lowest J checked only
+        # falls and the highest bound only rises
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            stats = pair_instance(rng, int(rng.integers(2, 8)), 5, 5)
+            params = ObjectiveParams(stats, 0.5, 0.01)
+            gaps = [solve_weights(params, cap).gap for cap in (1, 5, 20, 2000)]
+            assert gaps == sorted(gaps, reverse=True) and gaps[-1] >= 0.0
+
+    @pytest.mark.parametrize("n_trees", [2, 6])
+    def test_hinge_only_instance(self, n_trees):
+        """No same-class pairs and lambda = 0: only the hinge has curvature,
+        so the first step size is a guess that backtracking corrects."""
+        rng = np.random.default_rng(32)
+        z, P, Q = pair_rows(rng, n_trees, 0, 30)
+        params = ObjectiveParams(stats_from_rows(z, P, Q), 1.5, 0.0)
+        assert not params.stats.pi.any()
+        solution = solve_weights(params, 2000)
+        assert solution.objective > 0.0
+        assert solution.gap <= SOLVE_TOL * solution.objective
+        assert certified(params, solution)
+
+
+def first_vertex(pi):
+    """The reference Frank-Wolfe's first step (size 1) from uniform lands on
+    its LMO vertex.
+
+    Without different-class pairs and with lambda = 0 the gradient at uniform
+    is 2 pi / T, so the vertex is the one-hot at the smallest entry of pi.
+    """
+    params = ObjectiveParams(same_class_only_stats([pi]), 0.5, 0.0)
+    return plain_frank_wolfe(params, 1)[0]
+
+
+class TestLmoVertex:
+    """The FW-2000 reference that solve_weights must match or beat steps to
+    the vertex at the smallest gradient component, ties to the lowest index."""
+
+    def test_argmin(self):
+        np.testing.assert_array_equal(first_vertex([3.0, 0.5, 2.0]), [0, 1, 0])
+
+    def test_tie_lowest_index(self):
+        np.testing.assert_array_equal(first_vertex([5.0, 5.0]), [1, 0])
+
+    def test_full_tie(self):
+        # no pairs: the gradient at uniform is a full tie, so ties go to e_0
+        params = ObjectiveParams(no_pairs(3), 0.5, 1.0)
+        np.testing.assert_array_equal(plain_frank_wolfe(params, 1)[0], [1.0, 0.0, 0.0])
+
+
+# caps that end a solve before, at and after its first two certificates
+# (every CHECK_PERIOD = 5 steps), and one it stops well within
+ITERATION_CAPS = [1, 2, 4, 5, 6, 9, 10, 11, 2000]
+
+
+def spread_instance(rng, n_trees, active_share=0.05, n_diff=3000):
+    """Pair statistics and a tau at which about ``active_share`` of rows are
+    hinge-active at uniform weights: each pair's own scale spreads the
+    residuals, as pairs of near and of far instances do."""
+    scale = rng.uniform(0.0, 2.0, (n_diff, 1))
+    q_diff = np.minimum(2.0, scale * rng.uniform(0.5, 1.5, (n_diff, n_trees)))
+    stats = PairStats(
+        pi=rng.uniform(0.5, 1.5, n_trees),
+        q_diff=np.asfortranarray(q_diff),
+        n_same=20,
+    )
+    return stats, float(np.quantile(q_diff.mean(axis=1), active_share))
+
+
+def pair_stat_forests():
+    """Six-tree forests' statistics as the cascade forms them: all pairs, two
+    pair budgets, no pairs, and a spread instance; each with its lambda."""
+    rng = np.random.default_rng(24)
+    spread, tau = spread_instance(rng, 6)
+    dists = rng.dirichlet(np.ones(3), size=(40, 6))
+    labels = rng.integers(3, size=40)
+    return {
+        "spread": (spread, tau, 0.01),
+        "all-pairs": (compute_pair_stats(dists, labels), tau, 0.01),
+        "budget-150": (compute_pair_stats(dists, labels, 150, rng), tau, 0.0),
+        "no-pairs": (no_pairs(6), tau, 0.2),
+        "budget-400": (compute_pair_stats(dists, labels, 400, rng), tau, 0.05),
+    }
+
+
+class TestCertifiedSolves:
+    """Every solve's gap bounds its distance in J from the minimum, at any
+    cap, whatever the layout of q_diff and the instance's shape."""
+
+    @pytest.mark.parametrize("max_iterations", ITERATION_CAPS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gap_certifies_at_every_cap(self, max_iterations, order):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            n_trees = int(rng.integers(2, 9))
+            stats = pair_instance(rng, n_trees, 8, 12)
+            assert stats.q_diff.flags.c_contiguous
+            params = ObjectiveParams(stats, float(rng.uniform(0.3, 1.2)), 0.01)
+            laid_out = replace(
+                params, stats=replace(stats, q_diff=np.asarray(stats.q_diff, order=order))
+            )
+            solution = solve_weights(laid_out, max_iterations)
+            w, gap, value, steps = solution
+            assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0.0
+            assert value == objective(laid_out, w)
+            assert value <= objective(laid_out, uniform_weights(n_trees))
+            assert steps == max_iterations or gap <= SOLVE_TOL * value
+            assert certified(laid_out, solution)
+            # the layout changes rounding in q_diff @ w, not the path
+            row_major = solve_weights(params, max_iterations)
+            np.testing.assert_allclose(w, row_major.weights, rtol=0, atol=1e-12)
+            assert steps == row_major.steps
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 4, 5, 8, 13, 21, 34])
+    def test_quadratic_only_matches_closed_form(self, n_trees):
+        """Without different-class pairs J is sum (lambda + pi_t) w_t^2, whose
+        minimizer over the simplex is proportional to 1 / (lambda + pi_t)."""
+        rng = np.random.default_rng(100 + n_trees)
+        stats = same_class_only_stats(rng.uniform(0.0, 2.0, (3, n_trees)))
+        params = ObjectiveParams(stats, 0.5, 0.01)
+        pull = params.lam + stats.pi
+        w_star = (1.0 / pull) / (1.0 / pull).sum()
+        w, gap, value, _ = solve_weights(params, 2000)
+        assert gap <= SOLVE_TOL * value
+        assert 0.0 <= value - objective(params, w_star) <= gap + 1e-15
+        mu = 2.0 * float(pull.min())
+        assert np.sum((w - w_star) ** 2) <= 2.0 * gap / mu + 1e-15
+
+    @pytest.mark.parametrize(
+        "name", ["spread", "all-pairs", "budget-150", "no-pairs", "budget-400"]
+    )
+    def test_pair_stat_forests_are_solved_to_tolerance(self, name):
+        stats, tau, lam = pair_stat_forests()[name]
+        params = ObjectiveParams(stats, tau, lam)
+        solution = solve_weights(params, 2000)
+        assert solution.gap <= SOLVE_TOL * solution.objective
+        assert certified(params, solution)
+        w_fw, _ = plain_frank_wolfe(params, 2000)
+        assert solution.objective <= objective(params, w_fw)
+        again = solve_weights(params, 2000)
+        assert np.array_equal(again.weights, solution.weights)
+        assert again[1:] == solution[1:]
+
+    @pytest.mark.parametrize("active_share", [0.05, 0.5])
+    @pytest.mark.parametrize("n_trees", [10, 100])
+    def test_spread_instances_beat_frank_wolfe(self, n_trees, active_share):
+        stats, tau = spread_instance(np.random.default_rng(21), n_trees, active_share)
+        params = ObjectiveParams(stats, tau, 0.01)
+        w, gap, value, steps = solve_weights(params, 2000)
+        assert steps < 2000 and gap <= SOLVE_TOL * value
+        w_fw, _ = plain_frank_wolfe(params, 2000)
+        assert value <= objective(params, w_fw)
+
+    def test_rows_within_a_hair_of_tau(self):
+        """Rows that read every tree alike have the same residual at every
+        simplex point; just above tau they add nothing, just below they add
+        a constant (1e-6 tau)^2 each.  Neither moves the minimizer."""
+        n_trees, tau, eps = 4, 0.5, 1e-6
+        rng = np.random.default_rng(22)
+        z, P, Q = pair_rows(rng, n_trees, 10, 40)
+        base = ObjectiveParams(stats_from_rows(z, P, Q), tau, 0.01)
+        hair = np.outer(tau * (1 + eps * np.array([-1, -1, -1, 1, 1, 1])), np.ones(n_trees))
+        stats = replace(base.stats, q_diff=np.vstack([base.stats.q_diff, hair]))
+        params = ObjectiveParams(stats, tau, 0.01)
+        w = uniform_weights(n_trees)
+        added = objective(params, w) - objective(base, w)
+        assert added == pytest.approx(3 * (eps * tau) ** 2, rel=1e-3)
+        solution, expected = solve_weights(params, 2000), solve_weights(base, 2000)
+        assert certified(params, solution)
+        np.testing.assert_allclose(solution.weights, expected.weights, rtol=0, atol=1e-6)
+        # the same J up to the constant, so the same certified minimum
+        slack = 1e-12 * solution.objective
+        assert solution.objective - added <= expected.objective + solution.gap + slack
 
 
 class TestProjectSimplex:
