@@ -23,7 +23,6 @@ from .evaluation import GridResult, accuracy, repeated_holdout, run_grid
 from .forest import (
     ForestModel,
     class_vectors_batch,
-    forest_tree_dists_batch,
     train_forests,
     uniform_weights,
 )

@@ -212,11 +212,6 @@ def _forest_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     return _route_leaves(forest.feature, forest.threshold, children, X, rows, refs).reshape(n, T)
 
 
-def forest_tree_dists_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Per-tree class distributions for each row of X, shape (n, T, C)."""
-    return forest.dist.take(_forest_leaves(forest, _inputs(forest, X)), axis=0)
-
-
 def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     """Per-tree class distributions of row ``rows[i]`` of X under forest
     ``forests[which[i]]``, shape (len(rows), T, C).

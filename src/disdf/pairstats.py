@@ -52,6 +52,11 @@ def compute_pair_stats(
     every pair shares one z value (e.g. single-class data), and
     :class:`ConfigError` before allocating when the pair arrays would exceed
     ``MAX_PAIR_BYTES``.
+
+    ``q_diff`` adds each pair's classes with :func:`class_sum`, in numpy's
+    own order, so it equals ``np.abs(d).sum(axis=2)`` bit for bit.  ``pi``
+    keeps its ``einsum``: no sum over class slices matched its order from
+    4 classes up.
     """
     tree_dists = np.asarray(tree_dists, dtype=np.float64)
     labels = np.asarray(labels)
@@ -93,9 +98,40 @@ def compute_pair_stats(
     # a whole column at a time
     q_diff = np.empty((diff_i.size, T), order="F")
     for start, d in _pair_differences(tree_dists, diff_i, diff_j):
-        q_diff[start : start + d.shape[0]] = np.abs(d).sum(axis=2)
+        class_sum(np.abs(d, out=d), out=q_diff[start : start + d.shape[0]])
 
     return PairStats(pi=pi, q_diff=q_diff, n_same=int(same.sum()))
+
+
+def class_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit, but for the sign of a zero sum, added up
+    from whole slices along the last axis.
+
+    numpy sums a contiguous last axis of length C by its pairwise scheme:
+    in sequence below 8, with 8 running sums over blocks of 8 (added as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
+    sequence) up to 128, and above 128 as the sum of two halves, the first
+    cut to a multiple of 8.  Each add here is one operation over all leading
+    positions, so a short class axis costs no per-row loop.
+    """
+    C = a.shape[-1]
+    if C > 128:
+        half = C // 2 - C // 2 % 8
+        return np.add(class_sum(a[..., :half]), class_sum(a[..., half:]), out=out)
+    if C < 8:
+        out = np.add(a[..., 0], a[..., 1] if C > 1 else 0.0, out=out)
+        rest = 2
+    else:
+        rest = C - C % 8
+        r = a[..., :8].copy()
+        for i in range(8, rest, 8):
+            r += a[..., i : i + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        out = np.add(r[..., 0], r[..., 1], out=out)
+    for c in range(rest, C):
+        out += a[..., c]
+    return out
 
 
 def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
@@ -158,10 +194,17 @@ def _pairs_at(linear, n):
 
 
 def _pair_differences(tree_dists, ii, jj):
-    """Yield (start, d), d the (chunk, T, C) differences of pairs from start."""
+    """Yield (start, d), d the (chunk, T, C) differences of pairs from start.
+
+    Rows are gathered with ``take`` from the (n, T*C) view and subtracted in
+    place: the same bits as fancy indexing, and faster.
+    """
+    rows = tree_dists.reshape(tree_dists.shape[0], -1)
     for start in range(0, ii.size, _CHUNK):
         end = start + _CHUNK
-        yield start, tree_dists[ii[start:end]] - tree_dists[jj[start:end]]
+        d = rows.take(ii[start:end], axis=0)
+        d -= rows.take(jj[start:end], axis=0)
+        yield start, d.reshape(-1, *tree_dists.shape[1:])
 
 
 def _ensure_both_kinds(keep, labels, rng):

@@ -1,5 +1,5 @@
-"""Reference implementations used as test oracles: a depth-first tree grower
-and solvers for the per-forest weight problem."""
+"""Reference implementations used as test oracles: a depth-first tree grower,
+one forest's per-tree routing and solvers for the per-forest weight problem."""
 
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from disdf.data import Dataset
 from disdf.errors import DataError
+from disdf.forest import ForestModel, routed_tree_dists
 from disdf.tree import RANDOM_SPLIT, TREE_KINDS, TreeParams
 from disdf.weightopt import ObjectiveParams, gradient, objective, project_simplex
 
@@ -230,3 +231,10 @@ def train_tree(
             builder.children[slot] = node
 
     return builder.finish()
+
+
+def forest_tree_dists_batch(forest: ForestModel, X) -> np.ndarray:
+    """Per-tree class distributions for each row of X, shape (n, T, C):
+    :func:`~disdf.forest.routed_tree_dists` on the one forest."""
+    n = len(X)
+    return routed_tree_dists([forest], X, np.arange(n), np.zeros(n, dtype=np.intp))

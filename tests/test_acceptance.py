@@ -18,10 +18,10 @@ from disdf.config import TrainConfig
 from disdf.data import Dataset, load_csv
 from disdf.errors import DegeneratePairsError
 from disdf.evaluation import repeated_holdout
-from disdf.forest import forest_tree_dists_batch, uniform_weights
+from disdf.forest import uniform_weights
 from disdf.serialize import load_model, save_model
 from disdf.weightopt import SOLVE_TOL, ObjectiveParams, gradient, objective, solve_weights
-from tests.oracles import plain_frank_wolfe, reference_solve
+from tests.oracles import forest_tree_dists_batch, plain_frank_wolfe, reference_solve
 from tests.test_cascade import blobs, train_recording_pairs
 from tests.test_weightopt import (
     away_from_kinks,

@@ -23,12 +23,12 @@ from disdf.errors import (
 )
 from disdf.forest import (
     class_vectors_batch,
-    forest_tree_dists_batch,
     uniform_weights,
 )
 from disdf.pairstats import compute_pair_stats
 from disdf.serialize import load_model, save_model
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
+from tests.oracles import forest_tree_dists_batch
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest, one_forest
 

@@ -9,7 +9,6 @@ from disdf.forest import (
     ForestModel,
     _forest_leaves,
     class_vectors_batch,
-    forest_tree_dists_batch,
     routed_tree_dists,
     train_forests,
     uniform_weights,
@@ -20,6 +19,7 @@ from disdf.tree import (
     TreeParams,
     grow_bytes,
 )
+from tests.oracles import forest_tree_dists_batch
 from tests.test_tree import fold_train_rows, leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average

@@ -84,6 +84,36 @@ class TestPairValues:
         np.testing.assert_allclose(stats.pi, pi, atol=1e-12)
 
 
+class TestExactClassSums:
+    """q_diff's class sums add in numpy's own order: the same bits as ``sum``."""
+
+    @pytest.mark.parametrize("C", [*range(1, 131), 200])
+    def test_class_sum_equals_numpy_sum(self, C):
+        rng = np.random.default_rng(C)
+        # a whole chunk of pairs and a short last one, of mixed signs and magnitudes
+        for P in (pairstats._CHUNK, 37):
+            a = rng.normal(size=(P, 3, C)) * 10.0 ** rng.integers(-8, 9, size=(P, 3, C))
+            want = a.sum(axis=-1)
+            np.testing.assert_array_equal(pairstats.class_sum(a), want)
+            out = np.empty((P + 5, 3), order="F")
+            pairstats.class_sum(a, out=out[:P])
+            np.testing.assert_array_equal(out[:P], want)
+
+    @pytest.mark.parametrize("C", [2, 3, 7, 8, 9, 12])
+    def test_q_diff_equals_numpy_sum(self, C):
+        rng = np.random.default_rng(C)
+        # 2775 pairs, so q_diff spans whole chunks and a short last one
+        n = 75
+        dists = random_dists(rng, n, 6, C)
+        labels = np.arange(n) % C
+        stats = compute_pair_stats(dists, labels)
+        ii, jj = np.triu_indices(n, k=1)
+        diff = labels[ii] != labels[jj]
+        assert stats.q_diff.shape[0] > pairstats._CHUNK
+        want = np.abs(dists[ii[diff]] - dists[jj[diff]]).sum(axis=2)
+        np.testing.assert_array_equal(stats.q_diff, want)
+
+
 class TestInvariants:
     def test_bounds(self):
         rng = np.random.default_rng(2)

@@ -5,9 +5,9 @@ seeded synthetic data.  Level 1's node tables are compared by the sha256 of
 each array's little-endian bytes: growth is integer and elementwise float
 arithmetic, so they do not depend on the platform.  Weights and class
 vectors go through BLAS in the weight solver and routing and are compared
-within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 4
-folds, 1 and 2 workers, full and sampled pairs, and ``min_leaf``/``max_depth``
-settings that leave leaves impure.
+within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 8
+classes, 2 to 4 folds, 1 and 2 workers, full and sampled pairs, and
+``min_leaf``/``max_depth`` settings that leave leaves impure.
 
 ``scripts/pin_results.py`` writes the JSON file, with the Python and numpy
 that wrote it.  Regenerate it only for a change that is meant to change
@@ -79,6 +79,7 @@ CASES = {
         2,
         None,
     ),
+    "disdf-k3-w2-8class": ((96, 5, 8, 9, False), dict(trees_per_forest=5, max_levels=2), 2, None),
     "holdout-k3-w1": (
         (90, 4, 3, 8, False),
         dict(trees_per_forest=3, max_levels=2),

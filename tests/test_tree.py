@@ -7,11 +7,11 @@ from disdf.cascade import CascadeModel, LevelModel, predict_batch
 from disdf.config import TrainConfig
 from disdf.data import Dataset, fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
-from disdf.forest import ForestModel, forest_tree_dists_batch, train_forests
+from disdf.forest import ForestModel, train_forests
 from disdf.serialize import _FOREST_ARRAYS, _check_forest
 from disdf import tree as tree_module
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees, tied_columns
-from tests.oracles import train_tree
+from tests.oracles import forest_tree_dists_batch, train_tree
 
 
 def make_ds(X, y, C):
@@ -273,6 +273,27 @@ class TestSplitTies:
         for seed in range(8):
             tree = grow(ds, RANDOM_SPLIT, TreeParams(max_depth=1), np.random.default_rng(seed))
             assert (tree.feature[0], tree.threshold[0]) == (1, 2.5)
+
+
+class TestPackedOrder:
+    """``_packed_order`` is a stable argsort that leaves its keys sorted."""
+
+    def test_equals_a_stable_argsort_on_ties(self):
+        keys = np.random.default_rng(0).integers(0, 40, size=5000)
+        packed = keys.copy()
+        order = tree_module._packed_order(packed)
+        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(packed, np.sort(keys))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1025])
+    def test_at_the_largest_key_int64_admits(self, n):
+        # positions take (n - 1).bit_length() bits; the key has the rest
+        top = np.iinfo(np.int64).max >> (n - 1).bit_length()
+        keys = np.random.default_rng(n).choice([0, 1, top - 1, top], size=n)
+        packed = keys.copy()
+        order = tree_module._packed_order(packed)
+        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(packed, np.sort(keys))
 
 
 class TestPrediction:
