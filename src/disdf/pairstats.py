@@ -53,10 +53,11 @@ def compute_pair_stats(
     :class:`ConfigError` before allocating when the pair arrays would exceed
     ``MAX_PAIR_BYTES``.
 
-    ``q_diff`` adds each pair's classes with :func:`class_sum`, in numpy's
-    own order, so it equals ``np.abs(d).sum(axis=2)`` bit for bit.  ``pi``
-    keeps its ``einsum``: no sum over class slices matched its order from
-    4 classes up.
+    ``q_diff`` adds each pair's classes with :func:`class_sum`: below 8
+    classes in sequence from whole class slices, which is numpy's own order,
+    and from 8 up with numpy's ``sum``, so it equals
+    ``np.abs(d).sum(axis=2)`` bit for bit.  ``pi`` keeps its ``einsum``: no
+    sum over class slices matched its order from 4 classes up.
     """
     tree_dists = np.asarray(tree_dists, dtype=np.float64)
     labels = np.asarray(labels)
@@ -104,32 +105,20 @@ def compute_pair_stats(
 
 
 def class_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a.sum(axis=-1)`` bit for bit, but for the sign of a zero sum, added up
-    from whole slices along the last axis.
+    """``a.sum(axis=-1)`` bit for bit, but for the sign of a zero sum.
 
-    numpy sums a contiguous last axis of length C by its pairwise scheme:
-    in sequence below 8, with 8 running sums over blocks of 8 (added as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
-    sequence) up to 128, and above 128 as the sum of two halves, the first
-    cut to a multiple of 8.  Each add here is one operation over all leading
-    positions, so a short class axis costs no per-row loop.
+    numpy adds a contiguous last axis shorter than 8 in sequence; so does
+    this, one whole slice at a time, so a short class axis costs no per-row
+    loop.  From 8 up it is numpy's own sum.
     """
     C = a.shape[-1]
-    if C > 128:
-        half = C // 2 - C // 2 % 8
-        return np.add(class_sum(a[..., :half]), class_sum(a[..., half:]), out=out)
-    if C < 8:
-        out = np.add(a[..., 0], a[..., 1] if C > 1 else 0.0, out=out)
-        rest = 2
-    else:
-        rest = C - C % 8
-        r = a[..., :8].copy()
-        for i in range(8, rest, 8):
-            r += a[..., i : i + 8]
-        r = r[..., 0::2] + r[..., 1::2]
-        r = r[..., 0::2] + r[..., 1::2]
-        out = np.add(r[..., 0], r[..., 1], out=out)
-    for c in range(rest, C):
+    if C >= 8:
+        if out is None:
+            return a.sum(axis=-1)
+        out[...] = a.sum(axis=-1)
+        return out
+    out = np.add(a[..., 0], a[..., 1] if C > 1 else 0.0, out=out)
+    for c in range(2, C):
         out += a[..., c]
     return out
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from disdf.data import Dataset
 from disdf.errors import DataError
-from disdf.forest import ForestModel, routed_tree_dists
+from disdf.forest import ForestModel, _forest_leaves, _inputs
 from disdf.tree import RANDOM_SPLIT, TREE_KINDS, TreeParams
 from disdf.weightopt import ObjectiveParams, gradient, objective, project_simplex
 
@@ -234,7 +234,6 @@ def train_tree(
 
 
 def forest_tree_dists_batch(forest: ForestModel, X) -> np.ndarray:
-    """Per-tree class distributions for each row of X, shape (n, T, C):
-    :func:`~disdf.forest.routed_tree_dists` on the one forest."""
-    n = len(X)
-    return routed_tree_dists([forest], X, np.arange(n), np.zeros(n, dtype=np.intp))
+    """Per-tree class distributions for each row of X, shape (n, T, C),
+    routed through the one forest alone."""
+    return forest.dist.take(_forest_leaves(forest, _inputs(forest, X)), axis=0)

@@ -87,7 +87,7 @@ class TestPairValues:
 class TestExactClassSums:
     """q_diff's class sums add in numpy's own order: the same bits as ``sum``."""
 
-    @pytest.mark.parametrize("C", [*range(1, 131), 200])
+    @pytest.mark.parametrize("C", [*range(1, 8), 8, 12])
     def test_class_sum_equals_numpy_sum(self, C):
         rng = np.random.default_rng(C)
         # a whole chunk of pairs and a short last one, of mixed signs and magnitudes
