@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -79,7 +80,7 @@ class ForestModel:
 
     @cached_property
     def walk_refs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``children`` and ``roots`` as :func:`_route_leaves` reads them (:func:`_walk_refs`)."""
+        """``children`` and ``roots`` renumbered for :func:`_walk_tables` (:func:`_walk_refs`)."""
         children, roots = _walk_refs([self])
         return children, roots[0]
 
@@ -141,14 +142,13 @@ def _inputs(forest: ForestModel, X) -> np.ndarray:
 
 def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     """The children and the (len(forests), T) roots of the forests' node
-    tables concatenated, as :func:`_route_leaves` reads them.
+    tables concatenated, renumbered for :func:`_walk_tables`.
 
     Each forest's node and leaf ids are shifted past those of the forests
     before it.  With I internal nodes in all, internal node i stays i and
-    leaf l becomes I + l, above every internal node.  A -1 after the
-    children is the entry that finished positions read.  The references
-    are int32 like the forests' own ids; a table of 2**31 nodes would take
-    over 30 GB.
+    leaf l becomes I + l, above every internal node.  The references are
+    int32 like the forests' own ids; a table of 2**31 nodes would take over
+    30 GB.
     """
     n_internal = np.cumsum([0] + [f.feature.size for f in forests])
     n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
@@ -158,58 +158,96 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
 
     children = [renumbered(forest.children, f) for f, forest in enumerate(forests)]
     roots = np.stack([renumbered(forest.roots, f) for f, forest in enumerate(forests)])
-    return np.concatenate(children + [[-1]], dtype=np.int32), roots
+    return np.concatenate(children, dtype=np.int32), roots
 
 
-def _route_leaves(feature, threshold, children, X, rows, refs) -> np.ndarray:
+def _walk_tables(feature, threshold, children, n_leaves: int):
+    """Walk tables over the internal nodes and the leaves, for :func:`_route_leaves`.
+
+    ``feature`` and ``threshold`` hold I internal nodes and ``children`` their
+    references as :func:`_walk_refs` renumbers them.  The tables are intp
+    ``feature``, float64 ``threshold`` and intp ``children`` over I + n_leaves
+    nodes, 32 bytes a node; node I + l is leaf l, with feature 0, threshold
+    +inf and both children pointing to itself, so a walk that reaches a leaf
+    stays there.  Returned with I as ``(feature, threshold, children, I)``.
+
+    A child numbered at or below its parent would let a walk loop or miss its
+    leaf, so it raises :class:`ModelFormatError` here; with every child above
+    its parent, each walk reaches its leaf within I steps.
+    """
+    n_internal = feature.size
+    nodes = n_internal + n_leaves
+    below = np.flatnonzero(np.minimum(children[0::2], children[1::2]) <= np.arange(n_internal))
+    if below.size:
+        raise ModelFormatError(
+            f"node {below[0]} has a child numbered at or below it: "
+            "the node table has a cycle or a child numbered below its parent"
+        )
+    walk_children = np.empty(2 * nodes, dtype=np.intp)
+    walk_children[:children.size] = children
+    leaves = np.arange(n_internal, nodes)
+    walk_children[children.size::2] = leaves
+    walk_children[children.size + 1::2] = leaves
+    walk_feature = np.zeros(nodes, dtype=np.intp)
+    walk_feature[:n_internal] = feature
+    walk_threshold = np.full(nodes, np.inf)
+    walk_threshold[:n_internal] = threshold
+    return walk_feature, walk_threshold, walk_children, n_internal
+
+
+def _route_leaves(tables, X, rows, refs) -> np.ndarray:
     """The leaf that row ``rows[p]`` of X reaches from reference ``refs[p]``, per position p.
 
-    ``feature``, ``threshold`` and the references are a node table of I
-    internal nodes as :func:`_walk_refs` gives it.  Each step moves every
-    position on internal node i to ``children[2i + go_left]``, reading its
-    split value from ``X.ravel()`` at ``row * m + feature[i]``.  A position
-    that has reached a leaf (an id of I or more) keeps walking: clipped
-    indices make it read node I - 1's split and the -1 after the children,
-    and ``max`` with its own id keeps it on its leaf.  ``max`` moves every
-    other position, as a child's id is above its parent's.  Finished
-    positions are dropped from the walk, and their leaves written out, once
-    half of the positions walked have finished.  A table whose walk needs
-    more than I steps, the most any root-to-leaf path can take, has a cycle
-    or a child numbered below its parent, and raises
-    :class:`ModelFormatError` instead of looping forever.
+    ``tables`` are :func:`_walk_tables`' and the references node ids in them.
+    Each step moves every position on node i to ``children[2i + go_left]``,
+    with ``go_left = flat[row * m + feature[i]] <= threshold[i]`` read from
+    ``flat = X.ravel()``.  That is 8 passes over the positions: gather the
+    feature, add the row offset, gather the value, gather the threshold,
+    compare, double, add, and gather the child.  A position on a leaf (an id
+    of I or more) reads feature 0 and threshold +inf and stays, so the step
+    needs no clipped reads.  Every second step, once half of the positions
+    walked have finished, their leaves are written out and they are dropped.
+    A call holds about 8 arrays of 8 bytes per position beside its output.
     """
+    feature, threshold, children, n_internal = tables
     flat = X.ravel()
-    n_internal = feature.size
-    # leaves shares at's buffer until the first drop replaces at
-    leaves = at = np.array(refs, dtype=np.intp)
+    at = np.array(refs, dtype=np.intp)
+    leaves = np.empty_like(at)
     pos = np.arange(at.size)
     row_start = rows * X.shape[1]
-    for _ in range(n_internal + 1):
-        if 2 * np.count_nonzero(at >= n_internal) >= at.size:
-            leaves[pos] = at
-            live = np.flatnonzero(at < n_internal)
-            pos, at, row_start = pos.take(live), at.take(live), row_start.take(live)
-            if not at.size:
-                return leaves - n_internal
-        go_left = (
-            flat.take(row_start + feature.take(at, mode="clip"))
-            <= threshold.take(at, mode="clip")
-        )
-        child = at << 1
-        child += go_left
-        np.maximum(children.take(child, mode="clip"), at, out=at)
-    raise ModelFormatError(
-        f"routing took more than {n_internal} steps: "
-        "the node table has a cycle or a child numbered below its parent"
-    )
+    for step in itertools.count():
+        if step % 2 == 0:
+            done = at >= n_internal
+            n_done = np.count_nonzero(done)
+            if 2 * n_done >= at.size:
+                leaves[pos] = at
+                if n_done == at.size:
+                    return leaves - n_internal
+                live = np.flatnonzero(~done)
+                pos, at, row_start = pos.take(live), at.take(live), row_start.take(live)
+        cell = feature.take(at)
+        cell += row_start
+        go_left = flat.take(cell) <= threshold.take(at)
+        at <<= 1
+        at += go_left
+        at = children.take(at)
+
+
+def _forest_tables(forest: ForestModel):
+    """The forest's walk tables (:func:`_walk_tables`) and its (T,) root ids in them."""
+    children, roots = forest.walk_refs
+    return _walk_tables(forest.feature, forest.threshold, children, forest.counts.shape[0]), roots
+
+
+def _tree_leaves(tables, roots, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches from each root, shape (n, len(roots))."""
+    n, T = X.shape[0], roots.size
+    return _route_leaves(tables, X, np.repeat(np.arange(n), T), np.tile(roots, n)).reshape(n, T)
 
 
 def _forest_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """The leaf each row of X reaches in each tree, shape (n, T)."""
-    n, T = X.shape[0], forest.n_trees
-    children, roots = forest.walk_refs
-    rows, refs = np.repeat(np.arange(n), T), np.tile(roots, n)
-    return _route_leaves(forest.feature, forest.threshold, children, X, rows, refs).reshape(n, T)
+    return _tree_leaves(*_forest_tables(forest), X)
 
 
 def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
@@ -218,7 +256,9 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
 
     The forests share T, C and their feature count.  All positions are
     routed in one pass over the forests' node tables concatenated, each
-    forest's node and leaf ids shifted past those of the forests before it.
+    forest's node and leaf ids shifted past those of the forests before it,
+    and expanded once into walk tables (:func:`_walk_tables`), which refuse a
+    malformed table before any position walks.
     """
     first = forests[0]
     X = _inputs(first, X)
@@ -226,14 +266,13 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     if any((f.n_trees, f.num_classes, f.n_features) != (T, C, first.n_features) for f in forests):
         raise DimensionError("forests routed together need equal trees, classes and features")
     children, roots = _walk_refs(forests)
-    leaves = _route_leaves(
+    tables = _walk_tables(
         np.concatenate([f.feature for f in forests]),
         np.concatenate([f.threshold for f in forests]),
         children,
-        X,
-        np.repeat(rows, T),
-        roots.take(which, axis=0).ravel(),
+        sum(f.counts.shape[0] for f in forests),
     )
+    leaves = _route_leaves(tables, X, np.repeat(rows, T), roots.take(which, axis=0).ravel())
     dist = np.concatenate([f.dist for f in forests])
     return dist.take(leaves, axis=0).reshape(len(rows), T, C)
 
@@ -241,18 +280,23 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class vectors for each row of X under the forest's weights, shape (n, C).
 
-    Rows are routed and weighted ``_BLOCK`` at a time, so the routing
-    temporaries and the (rows, T, C) leaf distributions stay one block's size.
-    Blocks of routing matter too: at 4096 rows x 50 trees, routing all rows at
-    once and only weighting in blocks had the allocator map and fault in the
-    routing temporaries afresh on every call (about 13,000 minor page faults
-    per warm predict job, against none, and 42% slower).  Blocks of 1024 rows
-    timed within noise of 512, and 256 and 128 rows 13% and 22% slower.
+    The forest's walk tables (:func:`_walk_tables`, 32 bytes per node and
+    leaf) are expanded once per call from its cached ``walk_refs`` and freed
+    on return.  Rows are then routed and weighted ``_BLOCK`` at a time, so the
+    routing temporaries and the (rows, T, C) leaf distributions stay one
+    block's size.  On the largest forest of the seed-7 predict-multiclass
+    model (17,332 nodes and leaves, 50 trees, 8 classes) a call on its
+    4096-row query peaks at 2.9 MB (tracemalloc): 0.55 MB of tables, 0.26 MB
+    of output and one block's temporaries.  Over its 4 forests, blocks of
+    1024 and 2048 rows timed within noise of 512 (paired median ratios 0.99
+    and 1.00 over 30 rounds), and 4096, 256 and 128 rows 3.5%, 11% and 29%
+    slower; no warm call took a minor page fault at any of these sizes.
     """
     X = _inputs(forest, X)
     out = np.empty((X.shape[0], forest.num_classes))
+    tables, roots = _forest_tables(forest)
     for start in range(0, X.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        leaves = _forest_leaves(forest, X[rows])
+        leaves = _tree_leaves(tables, roots, X[rows])
         out[rows] = np.einsum("ntc,t->nc", forest.dist.take(leaves, axis=0), forest.weights)
     return out

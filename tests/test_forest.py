@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from disdf import forest as forest_module
 from disdf.data import fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import (
@@ -332,6 +333,61 @@ class TestWalker:
             class_vectors_batch(forest, np.array([[-1.0]]))
 
 
+def below_parent_forest():
+    # root 1 splits to node 0, whose two leaves a walk would miss
+    return ForestModel(
+        feature=np.zeros(2, dtype=np.int32),
+        threshold=np.zeros(2),
+        children=np.array([~0, ~1, ~2, 0], dtype=np.int32),
+        counts=np.eye(3, dtype=np.uint32),
+        roots=np.ones(1, dtype=np.int32),
+        weights=[1.0],
+        kind=RANDOM_SPLIT,
+        n_features=1,
+    )
+
+
+class TestWalkTables:
+    """Walk tables with self-looping leaves, expanded once per call."""
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("split_p", [0.8, 0.0])
+    def test_class_vectors_equal_the_weighted_scalar_walk(self, n, split_p):
+        # split_p 0 makes a forest of single-leaf trees, whose walks start on leaves
+        rng = np.random.default_rng(n)
+        forest = random_forest(rng, 9, 3, 4, split_p=split_p)
+        forest = forest.with_weights(rng.dirichlet(np.ones(9)))
+        X = inputs_with_ties(rng, forest, n)
+        expected = np.einsum("ntc,t->nc", forest.dist[reference_leaves(forest, X)], forest.weights)
+        np.testing.assert_array_equal(class_vectors_batch(forest, X), expected)
+
+    def test_child_below_its_parent_raises_through_both_entry_points(self):
+        forest = below_parent_forest()
+        X = np.array([[-1.0], [1.0]])
+        with pytest.raises(ModelFormatError, match="numbered below its parent"):
+            class_vectors_batch(forest, X)
+        with pytest.raises(ModelFormatError, match="numbered below its parent"):
+            routed_tree_dists([leaf_forest([[1, 0, 0]]), forest], X, np.arange(2), np.zeros(2, int))
+
+    def test_tables_expanded_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return walk_tables(*args)
+
+        walk_tables = forest_module._walk_tables
+        monkeypatch.setattr(forest_module, "_walk_tables", counted)
+        rng = np.random.default_rng(3)
+        forests = [random_forest(rng, 5, 3, 3) for _ in range(2)]
+        # 1025 rows are three blocks of class_vectors_batch
+        X = inputs_with_ties(rng, forests[0], 1025)
+        class_vectors_batch(forests[0], X)
+        assert len(calls) == 1
+        routed_tree_dists(forests, X, np.arange(1025), rng.integers(2, size=1025))
+        assert len(calls) == 2
+
+
 class TestRoutedTreeDists:
     """One routing pass over several forests' node tables concatenated."""
 
@@ -377,10 +433,10 @@ class TestRoutedTreeDists:
             routed_tree_dists([fine, cyclic], X, np.arange(3), np.array([0, 1, 0]))
         with pytest.raises(ModelFormatError, match="cycle"):
             class_vectors_batch(cyclic, X)
-        np.testing.assert_array_equal(
-            routed_tree_dists([fine, cyclic], X, np.arange(3), np.zeros(3, dtype=int)),
-            np.tile([[[0.0, 1.0]]], (3, 1, 1)),
-        )
+        # the tables are checked whole, before any position walks: a cyclic
+        # forest is refused even when no row is routed through it
+        with pytest.raises(ModelFormatError, match="cycle"):
+            routed_tree_dists([fine, cyclic], X, np.arange(3), np.zeros(3, dtype=int))
 
     def test_forests_must_share_trees_classes_and_features(self):
         X = np.zeros((2, 1))
