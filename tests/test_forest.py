@@ -369,6 +369,21 @@ class TestWalkTables:
         with pytest.raises(ModelFormatError, match="numbered below its parent"):
             routed_tree_dists([leaf_forest([[1, 0, 0]]), forest], X, np.arange(2), np.zeros(2, int))
 
+    def test_child_equal_to_its_parent_raises(self):
+        # node 0 sends inputs at or below 0 to itself: a walk there would never end
+        forest = ForestModel(
+            feature=np.zeros(1, dtype=np.int32),
+            threshold=np.zeros(1),
+            children=np.array([~0, 0], dtype=np.int32),
+            counts=np.array([[1, 0]], dtype=np.uint32),
+            roots=np.zeros(1, dtype=np.int32),
+            weights=[1.0],
+            kind=RANDOM_SPLIT,
+            n_features=1,
+        )
+        with pytest.raises(ModelFormatError, match="cycle"):
+            class_vectors_batch(forest, np.array([[1.0], [-1.0]]))
+
     def test_tables_expanded_once_per_call(self, monkeypatch):
         calls = []
 
