@@ -5,8 +5,10 @@ Run from the repository root:
 
   python3 scripts/pin_results.py
 
-The file records the Python and numpy that wrote it.  Rewrite it only for a
-change that is meant to change results.
+The file records the Python and numpy that wrote it and the platform key
+(the machine and numpy's enabled CPU features) under which tests/test_pinned.py
+compares weights and class vectors exactly.  Rewrite it only for a change
+that is meant to change results.
 """
 
 import json
@@ -19,13 +21,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from tests.test_pinned import CASES, PINNED, TOL, case_results  # noqa: E402
+from tests.test_pinned import CASES, PINNED, TOL, case_results, platform_key  # noqa: E402
 
 
 def main() -> None:
     out = {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "platform": platform_key(),
         "tolerance": TOL,
         "cases": {name: case_results(name) for name in sorted(CASES)},
     }

@@ -6,7 +6,10 @@ array of fold ids per level shared by all its forests.  Those
 out-of-fold per-tree distributions feed both the pairwise statistics for
 weight training and the augmented features handed to the next level, while a
 refit-on-all-data forest (with the trained weights attached, trees matched by
-position) is what the deployed model uses.  The forests of a level are
+position) is what the deployed model uses.  Each level reads the base
+features plus the class vectors of every earlier level
+(:attr:`LevelModel.output_dim`, :func:`augment_batch`); gcForest (Zhou & Feng
+2017) appends only the previous level's, which differs from three levels on.  The forests of a level are
 fitted in groups of slots, one process-pool task each.  A group's forests,
 each slot's k fold forests and refit forest, of both kinds, are grown in one
 call, in one frontier over rows of the level's Dataset; each forest has its

@@ -80,12 +80,52 @@ class ForestModel:
 
     @cached_property
     def walk_refs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``children`` and ``roots`` renumbered for :func:`_walk_tables` (:func:`_walk_refs`)."""
+        """``children`` and ``roots`` renumbered for :func:`_walk_tables` and checked,
+        once per forest (:func:`_walk_refs`)."""
         children, roots = _walk_refs([self])
         return children, roots[0]
 
     def with_weights(self, w) -> "ForestModel":
         return replace(self, weights=w)
+
+
+def check_table(feature, threshold, children, counts, roots, n_features: int) -> None:
+    """Refuse a node table that could hang, misroute or index out of bounds.
+
+    The arrays are :class:`ForestModel`'s, with its dtypes and shapes.  These
+    are the table's rules: at least one tree, every reference in range, every
+    internal child numbered above its parent, each node and leaf referenced
+    exactly once, split features in ``[0, n_features)``, finite thresholds
+    and no empty leaf.  ``serialize.load_model`` runs it on each forest it
+    reads; a table that :func:`train_forests` grows keeps them by
+    construction.  Raises :class:`ModelFormatError`.
+    """
+
+    def bad(what: str):
+        raise ModelFormatError(f"malformed forest table: {what}")
+
+    n_internal, n_leaves = feature.size, counts.shape[0]
+    if roots.size == 0:
+        bad("a forest needs at least one tree")
+    refs = np.concatenate([roots, children])
+    if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
+        bad("a node or leaf id in roots or children is out of range")
+    parent = np.arange(children.size) // 2
+    if np.any((children >= 0) & (children <= parent)):
+        bad("an internal child id is not greater than its parent's id")
+    # with ids increasing down every path, one reference per node and leaf
+    # makes each tree a proper binary tree hanging from exactly one root
+    nodes = np.bincount(refs[refs >= 0], minlength=n_internal)
+    leaves = np.bincount(~refs[refs < 0], minlength=n_leaves)
+    if np.any(nodes != 1) or np.any(leaves != 1):
+        bad("a node or leaf is not referenced exactly once by roots and children")
+    if np.any(feature < 0) or np.any(feature >= n_features):
+        bad(f"a split feature is outside [0, {n_features})")
+    # a NaN threshold would send every input right
+    if not np.isfinite(threshold).all():
+        bad("a split threshold is not finite")
+    if not counts.any(axis=1).all():
+        bad("a leaf holds no rows")
 
 
 def train_forests(
@@ -149,6 +189,15 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     leaf l becomes I + l, above every internal node.  The references are
     int32 like the forests' own ids; a table of 2**31 nodes would take over
     30 GB.
+
+    The walker's one rule is checked here: a child numbered at or below its
+    parent would let a walk loop or miss its leaf, so it raises
+    :class:`ModelFormatError`; with every child above its parent, each walk
+    reaches its leaf within I steps.  ``ForestModel.walk_refs`` caches the
+    result, so :func:`class_vectors_batch` checks a forest once, while a
+    refusal is not cached and is raised again on the next call.
+    :func:`routed_tree_dists` calls this on every call.  The other rules of
+    a table are :func:`check_table`'s, which runs when a model is loaded.
     """
     n_internal = np.cumsum([0] + [f.feature.size for f in forests])
     n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
@@ -157,41 +206,40 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
         return np.where(refs >= 0, refs + n_internal[f], n_internal[-1] + n_leaves[f] + ~refs)
 
     children = [renumbered(forest.children, f) for f, forest in enumerate(forests)]
+    children = np.concatenate(children, dtype=np.int32)
     roots = np.stack([renumbered(forest.roots, f) for f, forest in enumerate(forests)])
-    return np.concatenate(children, dtype=np.int32), roots
-
-
-def _walk_tables(feature, threshold, children, n_leaves: int):
-    """Walk tables over the internal nodes and the leaves, for :func:`_route_leaves`.
-
-    ``feature`` and ``threshold`` hold I internal nodes and ``children`` their
-    references as :func:`_walk_refs` renumbers them.  The tables are intp
-    ``feature``, float64 ``threshold`` and intp ``children`` over I + n_leaves
-    nodes, 32 bytes a node; node I + l is leaf l, with feature 0, threshold
-    +inf and both children pointing to itself, so a walk that reaches a leaf
-    stays there.  Returned with I as ``(feature, threshold, children, I)``.
-
-    A child numbered at or below its parent would let a walk loop or miss its
-    leaf, so it raises :class:`ModelFormatError` here; with every child above
-    its parent, each walk reaches its leaf within I steps.
-    """
-    n_internal = feature.size
-    nodes = n_internal + n_leaves
-    below = np.flatnonzero(np.minimum(children[0::2], children[1::2]) <= np.arange(n_internal))
+    below = np.flatnonzero(np.minimum(children[0::2], children[1::2]) <= np.arange(n_internal[-1]))
     if below.size:
         raise ModelFormatError(
             f"node {below[0]} has a child numbered at or below it: "
             "the node table has a cycle or a child numbered below its parent"
         )
+    return children, roots
+
+
+def _walk_tables(forests: list[ForestModel], children: np.ndarray):
+    """Walk tables over the forests' internal nodes and leaves, for :func:`_route_leaves`.
+
+    ``children`` are the references of the forests' I internal nodes in all,
+    as :func:`_walk_refs` renumbers and checks them.  The tables are intp
+    ``feature``, float64 ``threshold`` and intp ``children`` over the nodes
+    and leaves, 32 bytes a node; node I + l is leaf l, with feature 0,
+    threshold +inf and both children pointing to itself, so a walk that
+    reaches a leaf stays there.  Returned with I as
+    ``(feature, threshold, children, I)``.  This is a pure expansion and
+    checks nothing.
+    """
+    n_internal = children.size // 2
+    nodes = n_internal + sum(f.counts.shape[0] for f in forests)
     walk_children = np.empty(2 * nodes, dtype=np.intp)
     walk_children[:children.size] = children
     leaves = np.arange(n_internal, nodes)
     walk_children[children.size::2] = leaves
     walk_children[children.size + 1::2] = leaves
     walk_feature = np.zeros(nodes, dtype=np.intp)
-    walk_feature[:n_internal] = feature
+    np.concatenate([f.feature for f in forests], out=walk_feature[:n_internal])
     walk_threshold = np.full(nodes, np.inf)
-    walk_threshold[:n_internal] = threshold
+    np.concatenate([f.threshold for f in forests], out=walk_threshold[:n_internal])
     return walk_feature, walk_threshold, walk_children, n_internal
 
 
@@ -233,23 +281,6 @@ def _route_leaves(tables, X, rows, refs) -> np.ndarray:
         at = children.take(at)
 
 
-def _forest_tables(forest: ForestModel):
-    """The forest's walk tables (:func:`_walk_tables`) and its (T,) root ids in them."""
-    children, roots = forest.walk_refs
-    return _walk_tables(forest.feature, forest.threshold, children, forest.counts.shape[0]), roots
-
-
-def _tree_leaves(tables, roots, X: np.ndarray) -> np.ndarray:
-    """The leaf each row of X reaches from each root, shape (n, len(roots))."""
-    n, T = X.shape[0], roots.size
-    return _route_leaves(tables, X, np.repeat(np.arange(n), T), np.tile(roots, n)).reshape(n, T)
-
-
-def _forest_leaves(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """The leaf each row of X reaches in each tree, shape (n, T)."""
-    return _tree_leaves(*_forest_tables(forest), X)
-
-
 def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     """Per-tree class distributions of row ``rows[i]`` of X under forest
     ``forests[which[i]]``, shape (len(rows), T, C).
@@ -257,8 +288,10 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     The forests share T, C and their feature count.  All positions are
     routed in one pass over the forests' node tables concatenated, each
     forest's node and leaf ids shifted past those of the forests before it,
-    and expanded once into walk tables (:func:`_walk_tables`), which refuse a
-    malformed table before any position walks.
+    and expanded once into walk tables (:func:`_walk_tables`).  The
+    concatenated table is checked on every call by :func:`_walk_refs`,
+    before any position walks, so a malformed forest is refused even when
+    no row is routed through it.
     """
     first = forests[0]
     X = _inputs(first, X)
@@ -266,12 +299,7 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     if any((f.n_trees, f.num_classes, f.n_features) != (T, C, first.n_features) for f in forests):
         raise DimensionError("forests routed together need equal trees, classes and features")
     children, roots = _walk_refs(forests)
-    tables = _walk_tables(
-        np.concatenate([f.feature for f in forests]),
-        np.concatenate([f.threshold for f in forests]),
-        children,
-        sum(f.counts.shape[0] for f in forests),
-    )
+    tables = _walk_tables(forests, children)
     leaves = _route_leaves(tables, X, np.repeat(rows, T), roots.take(which, axis=0).ravel())
     dist = np.concatenate([f.dist for f in forests])
     return dist.take(leaves, axis=0).reshape(len(rows), T, C)
@@ -280,10 +308,11 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class vectors for each row of X under the forest's weights, shape (n, C).
 
-    The forest's walk tables (:func:`_walk_tables`, 32 bytes per node and
-    leaf) are expanded once per call from its cached ``walk_refs`` and freed
-    on return.  Rows are then routed and weighted ``_BLOCK`` at a time, so the
-    routing temporaries and the (rows, T, C) leaf distributions stay one
+    The forest's table is checked once, when its ``walk_refs`` are first
+    cached (:func:`_walk_refs`).  Its walk tables (:func:`_walk_tables`, 32
+    bytes per node and leaf) are expanded from them once per call and freed
+    on return.  Rows are then routed and weighted ``_BLOCK`` at a time, so
+    the routing temporaries and the (rows, T, C) leaf distributions stay one
     block's size.  On the largest forest of the seed-7 predict-multiclass
     model (17,332 nodes and leaves, 50 trees, 8 classes) a call on its
     4096-row query peaks at 2.9 MB (tracemalloc): 0.55 MB of tables, 0.26 MB
@@ -294,9 +323,14 @@ def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """
     X = _inputs(forest, X)
     out = np.empty((X.shape[0], forest.num_classes))
-    tables, roots = _forest_tables(forest)
+    children, roots = forest.walk_refs
+    tables = _walk_tables([forest], children)
     for start in range(0, X.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        leaves = _tree_leaves(tables, roots, X[rows])
-        out[rows] = np.einsum("ntc,t->nc", forest.dist.take(leaves, axis=0), forest.weights)
+        block = X[start : start + _BLOCK]
+        n, T = block.shape[0], roots.size
+        leaves = _route_leaves(tables, block, np.repeat(np.arange(n), T), np.tile(roots, n))
+        # no name holds a block's (n, T, C) distributions into the next block
+        out[start : start + n] = np.einsum(
+            "ntc,t->nc", forest.dist.take(leaves.reshape(n, T), axis=0), forest.weights
+        )
     return out

@@ -17,12 +17,12 @@ bitwise identical.
 
 Files of versions 1 to 4 are rejected.  Loading checks the JSON block's
 keys, types and values, one class label per class and a score per level,
-that no bytes follow the last forest, and each table's structure, so a file
-with a valid checksum but a missing or unknown key, a forest without trees,
-a cyclic, shared, orphaned or out-of-range reference, an out-of-range
-feature, a non-finite threshold or a leaf without rows fails with
-:class:`ModelFormatError` instead of a bare ``KeyError``, a hang or
-misrouting at prediction.
+and that no bytes follow the last forest, so a file with a valid checksum
+but a missing or unknown key fails with :class:`ModelFormatError` instead of
+a bare ``KeyError``.  This module states no rule of a node table: each
+forest block read is checked by :func:`~disdf.forest.check_table`, and its
+weights by :class:`~disdf.forest.ForestModel`, before any input is routed,
+and a refusal is raised with the file's path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .cascade import CascadeModel, LevelModel
 from .config import TrainConfig
 from .errors import ConfigError, ModelFormatError
-from .forest import ForestModel
+from .forest import ForestModel, check_table
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
@@ -187,11 +187,16 @@ def load_model(path) -> CascadeModel:
             )
         forests = []
         for kind in kinds:
-            arrays = reader.forest(num_classes)
-            _check_forest(path, arrays, input_dim)
+            table = reader.forest(num_classes)
+            weights = table.pop("weights")
             # the block's sizes fix the weights' length; ForestModel checks their values
             try:
-                forests.append(ForestModel(**arrays, kind=kind, n_features=input_dim))
+                check_table(**table, n_features=input_dim)
+                forests.append(
+                    ForestModel(**table, weights=weights, kind=kind, n_features=input_dim)
+                )
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"{path}: {exc}") from None
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: malformed forest table: {exc}") from None
         levels.append(LevelModel(forests))
@@ -221,37 +226,3 @@ def _field(path, block, key: str, kind: type, choices=None):
         )
     return value
 
-
-def _check_forest(path, arrays: dict, input_dim: int):
-    """Reject a node table that could hang, misroute or index out of bounds.
-
-    The arrays' dtypes and shapes are those :meth:`_Reader.forest` gives them.
-    """
-
-    def bad(what: str):
-        raise ModelFormatError(f"{path}: malformed forest table: {what}")
-
-    feature, children, roots = arrays["feature"], arrays["children"], arrays["roots"]
-    counts = arrays["counts"]
-    n_internal, n_leaves = feature.size, counts.shape[0]
-    if roots.size == 0:
-        bad("a forest needs at least one tree")
-    refs = np.concatenate([roots, children])
-    if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
-        bad("a node or leaf id in roots or children is out of range")
-    parent = np.arange(children.size) // 2
-    if np.any((children >= 0) & (children <= parent)):
-        bad("an internal child id is not greater than its parent's id")
-    # with ids increasing down every path, one reference per node and leaf
-    # makes each tree a proper binary tree hanging from exactly one root
-    nodes = np.bincount(refs[refs >= 0], minlength=n_internal)
-    leaves = np.bincount(~refs[refs < 0], minlength=n_leaves)
-    if np.any(nodes != 1) or np.any(leaves != 1):
-        bad("a node or leaf is not referenced exactly once by roots and children")
-    if np.any(feature < 0) or np.any(feature >= input_dim):
-        bad(f"a split feature is outside [0, {input_dim})")
-    # a NaN threshold would send every input right
-    if not np.isfinite(arrays["threshold"]).all():
-        bad("a split threshold is not finite")
-    if not counts.any(axis=1).all():
-        bad("a leaf holds no rows")

@@ -7,7 +7,7 @@ import numpy as np
 
 from disdf.data import Dataset
 from disdf.errors import DataError
-from disdf.forest import ForestModel, _forest_leaves, _inputs
+from disdf.forest import ForestModel, _inputs, _route_leaves, _walk_tables
 from disdf.tree import RANDOM_SPLIT, TREE_KINDS, TreeParams
 from disdf.weightopt import ObjectiveParams, gradient, objective, project_simplex
 
@@ -233,7 +233,17 @@ def train_tree(
     return builder.finish()
 
 
+def forest_leaves(forest: ForestModel, X) -> np.ndarray:
+    """The leaf each row of X reaches in each tree, shape (n, T), routed
+    through the one forest alone by the library's walker."""
+    X = _inputs(forest, X)
+    children, roots = forest.walk_refs
+    tables = _walk_tables([forest], children)
+    n, T = X.shape[0], roots.size
+    return _route_leaves(tables, X, np.repeat(np.arange(n), T), np.tile(roots, n)).reshape(n, T)
+
+
 def forest_tree_dists_batch(forest: ForestModel, X) -> np.ndarray:
     """Per-tree class distributions for each row of X, shape (n, T, C),
     routed through the one forest alone."""
-    return forest.dist.take(_forest_leaves(forest, _inputs(forest, X)), axis=0)
+    return forest.dist.take(forest_leaves(forest, X), axis=0)

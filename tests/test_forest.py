@@ -1,26 +1,29 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from disdf import forest as forest_module
+from disdf.cascade import CascadeModel, LevelModel
+from disdf.config import TrainConfig
 from disdf.data import fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import (
     ForestModel,
-    _forest_leaves,
     class_vectors_batch,
     routed_tree_dists,
     train_forests,
     uniform_weights,
 )
+from disdf.serialize import load_model, save_model
 from disdf.tree import (
     COMPLETELY_RANDOM,
     RANDOM_SPLIT,
     TreeParams,
     grow_bytes,
 )
-from tests.oracles import forest_tree_dists_batch
+from tests.oracles import forest_leaves, forest_tree_dists_batch
 from tests.test_tree import fold_train_rows, leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average
@@ -276,7 +279,7 @@ class TestWalker:
         rng = np.random.default_rng(seed)
         forest = random_forest(rng, 7, 3, 4, split_p=[0.5, 0.7, 0.9][seed % 3])
         X = inputs_with_ties(rng, forest, 40)
-        np.testing.assert_array_equal(_forest_leaves(forest, X), reference_leaves(forest, X))
+        np.testing.assert_array_equal(forest_leaves(forest, X), reference_leaves(forest, X))
 
     def test_concatenated_forests_equal_a_scalar_walk(self):
         rng = np.random.default_rng(11)
@@ -311,26 +314,15 @@ class TestWalker:
             n_features=1,
         )
         X = np.array([[-1.0], [2.5], [k + 0.5]])
-        np.testing.assert_array_equal(_forest_leaves(forest, X), [[k], [4], [0]])
+        np.testing.assert_array_equal(forest_leaves(forest, X), [[k], [4], [0]])
         np.testing.assert_array_equal(
             routed_tree_dists([forest], X, np.arange(3), np.zeros(3, dtype=int))[:, 0],
             np.eye(k + 1)[[k, 4, 0]],
         )
 
     def test_child_numbered_below_its_parent_raises(self):
-        # root 1 splits to node 0, whose two leaves the walker would miss
-        forest = ForestModel(
-            feature=np.zeros(2, dtype=np.int32),
-            threshold=np.zeros(2),
-            children=np.array([~0, ~1, ~2, 0], dtype=np.int32),
-            counts=np.eye(3, dtype=np.uint32),
-            roots=np.ones(1, dtype=np.int32),
-            weights=[1.0],
-            kind=RANDOM_SPLIT,
-            n_features=1,
-        )
         with pytest.raises(ModelFormatError, match="numbered below its parent"):
-            class_vectors_batch(forest, np.array([[-1.0]]))
+            class_vectors_batch(below_parent_forest(), np.array([[-1.0]]))
 
 
 def below_parent_forest():
@@ -341,6 +333,20 @@ def below_parent_forest():
         children=np.array([~0, ~1, ~2, 0], dtype=np.int32),
         counts=np.eye(3, dtype=np.uint32),
         roots=np.ones(1, dtype=np.int32),
+        weights=[1.0],
+        kind=RANDOM_SPLIT,
+        n_features=1,
+    )
+
+
+def own_child_forest():
+    # node 0 sends inputs at or below 0 to itself: a walk there would never end
+    return ForestModel(
+        feature=np.zeros(1, dtype=np.int32),
+        threshold=np.zeros(1),
+        children=np.array([~0, 0], dtype=np.int32),
+        counts=np.array([[1, 0]], dtype=np.uint32),
+        roots=np.zeros(1, dtype=np.int32),
         weights=[1.0],
         kind=RANDOM_SPLIT,
         n_features=1,
@@ -370,19 +376,8 @@ class TestWalkTables:
             routed_tree_dists([leaf_forest([[1, 0, 0]]), forest], X, np.arange(2), np.zeros(2, int))
 
     def test_child_equal_to_its_parent_raises(self):
-        # node 0 sends inputs at or below 0 to itself: a walk there would never end
-        forest = ForestModel(
-            feature=np.zeros(1, dtype=np.int32),
-            threshold=np.zeros(1),
-            children=np.array([~0, 0], dtype=np.int32),
-            counts=np.array([[1, 0]], dtype=np.uint32),
-            roots=np.zeros(1, dtype=np.int32),
-            weights=[1.0],
-            kind=RANDOM_SPLIT,
-            n_features=1,
-        )
         with pytest.raises(ModelFormatError, match="cycle"):
-            class_vectors_batch(forest, np.array([[1.0], [-1.0]]))
+            class_vectors_batch(own_child_forest(), np.array([[1.0], [-1.0]]))
 
     def test_tables_expanded_once_per_call(self, monkeypatch):
         calls = []
@@ -401,6 +396,60 @@ class TestWalkTables:
         assert len(calls) == 1
         routed_tree_dists(forests, X, np.arange(1025), rng.integers(2, size=1025))
         assert len(calls) == 2
+
+
+class TestTableChecks:
+    """The walker's rule is checked by _walk_refs: once per forest through its
+    cached walk_refs, once per routed_tree_dists call, and never at load,
+    where check_table states every rule of a table."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+
+        def counted(forests):
+            calls.append(len(forests))
+            return walk_refs(forests)
+
+        walk_refs = forest_module._walk_refs
+        monkeypatch.setattr(forest_module, "_walk_refs", counted)
+        return calls
+
+    def test_a_forest_is_checked_once_across_calls(self, checked):
+        rng = np.random.default_rng(4)
+        forest = random_forest(rng, 5, 3, 3)
+        X = inputs_with_ties(rng, forest, 20)
+        first = class_vectors_batch(forest, X)
+        np.testing.assert_array_equal(class_vectors_batch(forest, X), first)
+        assert checked == [1]
+
+    def test_a_refusal_is_not_cached(self, checked):
+        forest = own_child_forest()
+        for _ in range(2):
+            with pytest.raises(ModelFormatError, match="cycle"):
+                class_vectors_batch(forest, np.array([[1.0], [-1.0]]))
+        assert checked == [1, 1]
+
+    def test_routed_tree_dists_checks_on_every_call(self, checked):
+        rng = np.random.default_rng(6)
+        forests = [random_forest(rng, 5, 3, 3) for _ in range(2)]
+        X = inputs_with_ties(rng, forests[0], 10)
+        for _ in range(2):
+            routed_tree_dists(forests, X, np.arange(10), rng.integers(2, size=10))
+        assert checked == [2, 2]
+
+    def test_a_model_file_with_such_a_table_fails_at_load(self, checked, tmp_path):
+        model = CascadeModel(
+            levels=[LevelModel([own_child_forest()])],
+            config=TrainConfig(mode="baseline"),
+            level_scores=(1.0,),
+        )
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        message = f"^{re.escape(str(path))}: malformed forest table: an internal child id"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        assert checked == []
 
 
 class TestRoutedTreeDists:

@@ -4,20 +4,24 @@ Each case trains a small cascade, or runs one ``repeated_holdout`` cell, on
 seeded synthetic data.  Level 1's node tables are compared by the sha256 of
 each array's little-endian bytes: growth is integer and elementwise float
 arithmetic, so they do not depend on the platform.  Weights and class
-vectors go through BLAS in the weight solver and routing and are compared
-within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 8
-classes, 2 to 4 folds, 1 and 2 workers, full and sampled pairs, and
+vectors go through BLAS and numpy's CPU-dispatched kernels in the weight
+solver and routing.  On the platform that wrote the file (the same
+:func:`platform_key` and numpy version) they must repeat exactly, so a
+change that moves any of them by one ulp fails; elsewhere they are compared
+within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 8 classes, 2
+to 4 folds, 1 and 2 workers, full and sampled pairs, and
 ``min_leaf``/``max_depth`` settings that leave leaves impure.
 
-``scripts/pin_results.py`` writes the JSON file, with the Python and numpy
-that wrote it.  Regenerate it only for a change that is meant to change
-results, and record the old and new digests with that change.
+``scripts/pin_results.py`` writes the JSON file, with the Python, numpy and
+platform key that wrote it.  Regenerate it only for a change that is meant
+to change results, and record the old and new digests with that change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ from disdf.data import Dataset
 from disdf.evaluation import repeated_holdout
 
 PINNED = Path(__file__).with_name("pinned_results.json")
-# absolute tolerance on weights and class vectors
+# absolute tolerance on weights and class vectors off the platform that pinned them
 TOL = 1e-9
 # per forest, the node-table arrays digested and the dtype of their bytes
 TABLE_ARRAYS = (
@@ -97,6 +101,19 @@ def case_data(n, m, classes, seed, rounded) -> Dataset:
     return Dataset(np.round(X) if rounded else X, y, classes)
 
 
+def platform_key() -> dict:
+    """The machine and numpy's enabled CPU features, which pick the kernels
+    and so the order in which numpy and its BLAS add."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "machine": platform.machine(),
+        "numpy_cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
+    }
+
+
 def digest(a, dtype) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
 
@@ -133,12 +150,19 @@ def pinned() -> dict:
     return json.loads(PINNED.read_text())
 
 
+@pytest.fixture(scope="module")
+def tolerance(pinned) -> float:
+    """0, that is equality, on the platform and numpy that wrote the file; else ``TOL``."""
+    here = pinned.get("platform") == platform_key() and pinned["numpy"] == np.__version__
+    return 0.0 if here else TOL
+
+
 def test_pinned_file_covers_every_case(pinned):
     assert sorted(pinned["cases"]) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_case_reproduces_pinned_results(pinned, name):
+def test_case_reproduces_pinned_results(pinned, tolerance, name):
     want, got = pinned["cases"][name], case_results(name)
     assert got.keys() == want.keys()
     if "accuracies" in want:
@@ -150,4 +174,4 @@ def test_case_reproduces_pinned_results(pinned, name):
     for key in ("weights", "class_vectors"):
         assert len(got[key]) == len(want[key])
         for g, w in zip(got[key], want[key]):
-            np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
+            np.testing.assert_allclose(g, w, rtol=0, atol=tolerance)

@@ -7,8 +7,7 @@ from disdf.cascade import CascadeModel, LevelModel, predict_batch
 from disdf.config import TrainConfig
 from disdf.data import Dataset, fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
-from disdf.forest import ForestModel, train_forests
-from disdf.serialize import _FOREST_ARRAYS, _check_forest
+from disdf.forest import ForestModel, check_table, train_forests
 from disdf import tree as tree_module
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees, tied_columns
 from tests.oracles import forest_tree_dists_batch, train_tree
@@ -515,8 +514,8 @@ class TestLevelwiseGrower:
             ]
             for features, labels, params in cases:
                 forest = one_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
-                arrays = {name: getattr(forest, name) for name, _ in _FOREST_ARRAYS}
-                _check_forest("grown", arrays, features.shape[1])
+                check_table(forest.feature, forest.threshold, forest.children,
+                            forest.counts, forest.roots, features.shape[1])
                 assert forest.dist.shape[0] == forest.feature.size + n_trees
                 if params.max_depth is not None:
                     depths = [tree_depth(forest, t) for t in range(n_trees)]
