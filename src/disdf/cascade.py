@@ -9,20 +9,23 @@ refit-on-all-data forest (with the trained weights attached, trees matched by
 position) is what the deployed model uses.  Each level reads the base
 features plus the class vectors of every earlier level
 (:attr:`LevelModel.output_dim`, :func:`augment_batch`); gcForest (Zhou & Feng
-2017) appends only the previous level's, which differs from three levels on.  The forests of a level are
-fitted in groups of slots, one process-pool task each.  A group's forests,
-each slot's k fold forests and refit forest, of both kinds, are grown in one
-call, in one frontier over rows of the level's Dataset; each forest has its
-own generator, which draws the forest's bootstraps first and then one block
-per depth for the forest's own open nodes, so every forest is the one it
-would be grown alone.  The group's out-of-fold rows are routed in one pass
-and then each forest's weights are trained on their own; no result depends
-on the grouping.  Levels are added until the level score stops
-improving, by the stop rule :func:`train_cascade` states.
+2017) appends only the previous level's, which differs from three levels
+on.  The forests of a level are fitted in groups of slots, one task each;
+with several workers, :func:`_map_tasks` runs each worker process's
+contiguous share of the tasks and takes the results back through a pipe.  A
+group's forests, each slot's k fold forests and refit forest, of both kinds,
+are grown in one call, in one frontier over rows of the level's Dataset;
+each forest has its own generator, which draws the forest's bootstraps first
+and then one block per depth for the forest's own open nodes, so every
+forest is the one it would be grown alone.  The group's out-of-fold rows
+are routed in one pass and then each forest's weights are trained on their
+own; no result depends on the grouping.  Levels are added until the level
+score stops improving, by the stop rule :func:`train_cascade` states.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +34,7 @@ import numpy as np
 from . import pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, fold_ids
-from .errors import BadCellError, ConfigError, DimensionError
+from .errors import BadCellError, ConfigError, DimensionError, DisdfError
 from .forest import (
     ForestModel,
     class_vectors_batch,
@@ -110,8 +113,8 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     forests' in fold order, then the refit forest's, then the pair
     sampler's.  It is a ``SeedSequence`` rather than a Generator because
     numpy before 2.0 drops a Generator's ``SeedSequence`` when pickling it to
-    a pool worker, and spawning there would not be reproducible.  So a
-    slot's forests and pairs do not depend on the group it is fitted in.
+    a spawned worker process, and spawning there would not be reproducible.
+    So a slot's forests and pairs do not depend on the group it is fitted in.
     ``fold_of`` gives the fold that holds out each row of ``ds``.  The
     group's forests, k + 1 per slot on the folds' training rows and then on
     all rows, are grown by one ``train_forests`` call, kind-major inside the
@@ -156,15 +159,76 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     ]
 
 
-def _map_tasks(fn, *arg_lists, workers: int) -> list:
-    """``list(map(fn, *arg_lists))``, in a pool when workers and calls are > 1."""
-    calls = len(arg_lists[0])
-    if workers > 1 and calls > 1:
-        from concurrent.futures import ProcessPoolExecutor
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, the cause of the exception it raised."""
 
-        with ProcessPoolExecutor(max_workers=min(workers, calls)) as pool:
-            return list(pool.map(fn, *arg_lists))
-    return list(map(fn, *arg_lists))
+
+def _run_share(fn, arg_lists, share, conn):
+    """A worker's body: ``fn`` over its share of the calls, sent once through ``conn``.
+
+    Sends ``(True, results)``, or ``(False, (exception, traceback text))``
+    for the first call that raises.
+    """
+    try:
+        message = (True, [fn(*args) for args in zip(*(a[share] for a in arg_lists))])
+    except Exception as exc:
+        message = (False, (exc, traceback.format_exc()))
+    with conn:
+        conn.send(message)
+
+
+def _map_tasks(fn, *arg_lists, workers: int) -> list:
+    """``list(map(fn, *arg_lists))``, in worker processes when workers and calls are > 1.
+
+    The calls are cut into ``min(workers, calls)`` contiguous shares, one
+    worker process each, which runs its share's calls one at a time and
+    sends their results back once through a one-way pipe.  The shares are
+    received in order, so the results are in map order.  A worker's
+    exception is raised here with its own type, caused by a
+    ``_WorkerTraceback`` that shows where it was raised; a worker that ends
+    without sending is a :class:`DisdfError` naming its exit code.  Every
+    worker has ended and been joined before this returns or raises.
+    """
+    calls = len(arg_lists[0])
+    if workers <= 1 or calls <= 1:
+        return list(map(fn, *arg_lists))
+    import multiprocessing
+
+    shares = [slice(s[0], s[-1] + 1) for s in np.array_split(range(calls), min(workers, calls))]
+    procs, conns, results = [], [], []
+    try:
+        for share in shares:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            conns.append(recv)
+            # the parent's copy of the send end is closed, so a worker's exit is an EOF
+            with send:
+                proc = multiprocessing.Process(
+                    target=_run_share, args=(fn, arg_lists, share, send)
+                )
+                proc.start()
+            procs.append(proc)
+        for proc, conn in zip(procs, conns):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise DisdfError(
+                    f"a worker process ended with exit code {proc.exitcode} "
+                    "before sending its results"
+                ) from None
+            if not ok:
+                exc, text = value
+                raise exc from _WorkerTraceback(text)
+            results += value
+    finally:
+        # after an error a worker may still be computing; after its results it is only exiting
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
+        for conn in conns:
+            conn.close()
+    return results
 
 
 def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
@@ -173,10 +237,11 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     ``seq`` spawns the level's streams in one call: the fold partition's,
     drawn first by ``data.fold_ids``, which refuses more folds than rows,
     and then one ``SeedSequence`` per slot.  The forest slots are cut into
-    contiguous groups, one pool task each, whose forests are grown in one
-    call: as many groups as workers (at most one per slot), or more when a
-    group's grower temporaries, charged by ``tree.grow_bytes`` per slot plus
-    a fixed part, would exceed ``tree.MAX_GROW_BYTES``.  A slot's k fold
+    contiguous groups, one task of :func:`_map_tasks` each, whose forests are
+    grown in one call: as many groups as workers (at most one per slot), or
+    more when a group's grower temporaries, charged by ``tree.grow_bytes``
+    per slot plus a fixed part, would exceed ``tree.MAX_GROW_BYTES``.
+    Each worker process fits a contiguous share of the groups.  A slot's k fold
     forests train on (k - 1) n rows, as the held-out sets partition the
     rows, and its refit forest on n, so a slot grows ``T k n`` (tree, row)
     positions.  A group forms and solves one forest's pairs at a time, so

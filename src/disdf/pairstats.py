@@ -141,7 +141,7 @@ def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
     Bytes of the pair index arrays plus q_diff, over the pairs formed.
     q_diff is charged for every pair, together with the one float per row
     that the weight solver allocates for the residual ``q_diff @ w`` it
-    turns into the hinge in place.  A pool task forms and solves its
+    turns into the hinge in place.  A group of slots forms and solves its
     forests' pairs one forest at a time.
     """
     n_all = n * (n - 1) // 2

@@ -1,8 +1,15 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disdf
 from disdf import cascade, pairstats, tree
 from disdf.cascade import (
     CascadeModel,
@@ -20,6 +27,7 @@ from disdf.errors import (
     DataError,
     DegeneratePairsError,
     DimensionError,
+    DisdfError,
 )
 from disdf.forest import (
     class_vectors_batch,
@@ -273,7 +281,8 @@ class TestWorkerIndependence:
             for workers in (2, 3):
                 assert_same_models(serial, train_cascade(ds, cfg, workers=workers))
 
-    def test_worker_error_reaches_caller_unchanged(self):
+    def test_worker_error_reaches_caller_unchanged(self, deadline):
+        # one class only: every pair is same-class, raised in the workers at 2
         features = np.random.default_rng(0).normal(size=(12, 3))
         ds = Dataset(features, np.zeros(12, dtype=int), 2)
         errors = []
@@ -281,8 +290,83 @@ class TestWorkerIndependence:
             with pytest.raises(DegeneratePairsError) as caught:
                 train_cascade(ds, fast_cfg(), workers=workers)
             errors.append(caught.value)
-        assert type(errors[0]) is type(errors[1])
+        assert type(errors[0]) is type(errors[1]) is DegeneratePairsError
         assert str(errors[0]) == str(errors[1])
+        assert multiprocessing.active_children() == []
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a monkeypatched function reaches worker processes only when they fork",
+)
+
+
+def pid_and_divmod(x, y):
+    return os.getpid(), divmod(x, y)
+
+
+def exit_in_worker(parent):
+    if os.getpid() != parent:
+        os._exit(1)
+    return parent
+
+
+def fail_first_share(i):
+    if i == 0:
+        raise ValueError("share 0 failed")
+    time.sleep(30)
+
+
+class TestWorkerRunner:
+    """``cascade._map_tasks``: one worker process per contiguous share of the
+    calls; results in map order; no failure hangs or leaves a process."""
+
+    @pytest.mark.parametrize(
+        "calls, workers, shares",
+        [(7, 3, [3, 2, 2]), (2, 5, [1, 1]), (1, 4, None)],  # None: run in this process
+    )
+    def test_shares_keep_map_order(self, deadline, calls, workers, shares):
+        xs, ys = list(range(10, 10 + calls)), list(range(1, calls + 1))
+        out = cascade._map_tasks(pid_and_divmod, xs, ys, workers=workers)
+        assert [r for _, r in out] == list(map(divmod, xs, ys))
+        pids = [pid for pid, _ in out]
+        if shares is None:
+            assert pids == [os.getpid()]
+        else:
+            runs = [pids[i] for i in np.cumsum([0] + shares[:-1])]
+            assert pids == [pid for pid, size in zip(runs, shares) for _ in range(size)]
+            assert len(set(pids)) == len(shares) and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error_naming_its_exit_code(self, deadline):
+        with pytest.raises(DisdfError, match="exit code 1 "):
+            cascade._map_tasks(exit_in_worker, [os.getpid()] * 3, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_share_stops_the_others(self, deadline):
+        # share 1 would sleep for 30 s; it is killed once share 0 fails
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="share 0 failed") as caught:
+            cascade._map_tasks(fail_first_share, range(2), workers=2)
+        assert time.perf_counter() - start < 10
+        assert "in fail_first_share" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_unflushed_output_is_written_once(self):
+        # stdout into a pipe is block-buffered (without PYTHONUNBUFFERED): a
+        # worker forked with the line still in its buffer would write it again
+        code = (
+            "print('written before the workers start')\n"
+            "from disdf.cascade import _map_tasks\n"
+            "assert _map_tasks(abs, [1, -2], workers=2) == [1, 2]\n"
+        )
+        src = str(Path(disdf.__file__).parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "written before the workers start\n"
 
 
 class TestSlotGroups:

@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import resource
@@ -17,9 +18,9 @@ import disdf
 from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import cascade, cli, pairstats, tree
 from disdf.cli import main
-from disdf.errors import ModelFormatError
+from disdf.errors import DegeneratePairsError, ModelFormatError
 from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
-from tests.test_cascade import blobs, fast_cfg, manual_cascade
+from tests.test_cascade import blobs, fast_cfg, manual_cascade, needs_fork
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
 
@@ -874,3 +875,37 @@ class TestThreads:
         np.testing.assert_array_equal(
             predict_batch(m_serial, X), predict_batch(m_parallel, X)
         )
+
+    @needs_fork
+    def test_worker_error_exit_3(self, toy_csv, tmp_path, monkeypatch, capsys, deadline):
+        def degenerate(*args):
+            raise DegeneratePairsError("every pair is a same-class pair (patched)")
+
+        monkeypatch.setattr(cascade, "compute_pair_stats", degenerate)
+        out = tmp_path / "m.model"
+        code = main(["--threads", "2", "train", "--data", str(toy_csv), "--label-col", "3",
+                     "--out", str(out), *TRAIN_FLAGS])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "disdf: error: every pair is a same-class pair (patched)\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_that_dies_exit_1(self, toy_csv, tmp_path, monkeypatch, capsys, deadline):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("pair statistics ran in the calling process")
+
+        monkeypatch.setattr(cascade, "compute_pair_stats", die)
+        out = tmp_path / "m.model"
+        code = main(["--threads", "2", "train", "--data", str(toy_csv), "--label-col", "3",
+                     "--out", str(out), *TRAIN_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("disdf: error: ") and "exit code 1 " in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []

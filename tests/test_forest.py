@@ -157,7 +157,7 @@ class TestTrainForest:
         pytest.param(30, 2, 1, id="30-2-rounded"),
     ])
     def test_grow_bytes_estimates_a_mixed_group_peak(self, m, C, decimals):
-        # a pool task at one worker: four slots of both kinds in one frontier
+        # a slot group at one worker: four slots of both kinds in one frontier
         rng = np.random.default_rng(1)
         X = rng.normal(size=(300, m))
         if decimals is not None:

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import tracemalloc
 import uuid
@@ -11,7 +10,7 @@ from disdf.cascade import train_cascade
 from disdf.errors import ConfigError, DegeneratePairsError
 from disdf.pairstats import compute_pair_stats
 from disdf.weightopt import ObjectiveParams, solve_weights
-from tests.test_cascade import blobs, fast_cfg
+from tests.test_cascade import blobs, fast_cfg, needs_fork
 
 
 def random_dists(rng, n, n_trees, num_classes):
@@ -324,10 +323,7 @@ class TestLayout:
         assert stats.q_diff.shape == (stats.n_pairs - stats.n_same, 3)
         assert stats.q_diff.flags.f_contiguous
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the recording wrapper reaches pool workers only when they fork",
-    )
+    @needs_fork
     def test_inside_two_worker_training(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cascade, "compute_pair_stats", record_layout(tmp_path))
         model = train_cascade(blobs(n=36, m=4, seed=19), fast_cfg(), workers=2)

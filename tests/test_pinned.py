@@ -8,9 +8,10 @@ vectors go through BLAS and numpy's CPU-dispatched kernels in the weight
 solver and routing.  On the platform that wrote the file (the same
 :func:`platform_key` and numpy version) they must repeat exactly, so a
 change that moves any of them by one ulp fails; elsewhere they are compared
-within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 8 classes, 2
-to 4 folds, 1 and 2 workers, full and sampled pairs, and
-``min_leaf``/``max_depth`` settings that leave leaves impure.
+within ``TOL``.  The cases cover both modes, both forest kinds, 2 to 8 classes
+(8 with pure and with impure leaves), 2 to 4 folds, 1 and 2 workers, full
+and sampled pairs, and ``min_leaf``/``max_depth`` settings that leave leaves
+impure.
 
 ``scripts/pin_results.py`` writes the JSON file, with the Python, numpy and
 platform key that wrote it.  Regenerate it only for a change that is meant
@@ -84,6 +85,13 @@ CASES = {
         None,
     ),
     "disdf-k3-w2-8class": ((96, 5, 8, 9, False), dict(trees_per_forest=5, max_levels=2), 2, None),
+    # impure leaves, so class_sum adds 8 classes of fractions, whose sum depends on the order
+    "disdf-k3-w2-8class-depth3": (
+        (96, 5, 8, 10, False),
+        dict(trees_per_forest=5, max_depth=3, max_levels=2),
+        2,
+        None,
+    ),
     "holdout-k3-w1": (
         (90, 4, 3, 8, False),
         dict(trees_per_forest=3, max_levels=2),
