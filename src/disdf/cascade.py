@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from . import pairstats, tree
+from . import config, pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, fold_ids
 from .errors import BadCellError, ConfigError, DimensionError, DisdfError
@@ -236,61 +236,53 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
 
     ``seq`` spawns the level's streams in one call: the fold partition's,
     drawn first by ``data.fold_ids``, which refuses more folds than rows,
-    and then one ``SeedSequence`` per slot.  The forest slots are cut into
-    contiguous groups, one task of :func:`_map_tasks` each, whose forests are
-    grown in one call: as many groups as workers (at most one per slot), or
-    more when a group's grower temporaries, charged by ``tree.grow_bytes``
-    per slot plus a fixed part, would exceed ``tree.MAX_GROW_BYTES``.
-    Each worker process fits a contiguous share of the groups.  A slot's k fold
-    forests train on (k - 1) n rows, as the held-out sets partition the
-    rows, and its refit forest on n, so a slot grows ``T k n`` (tree, row)
-    positions.  A group forms and solves one forest's pairs at a time, so
-    in disdf mode one forest's pair statistics, charged by
-    ``pairstats.check_pair_bytes``, must fit ``MAX_PAIR_BYTES``; a baseline
-    level forms no pairs.  A level in which not even one slot fits a limit
-    is refused before any tree is grown.  A slot's results do not depend on
-    its group.  The next level's features are
-    ``ds.features`` followed by each forest's out-of-fold class vectors, in
-    forest order.
+    and then one ``SeedSequence`` per slot.  A slot's k fold forests train
+    on (k - 1) n rows, as the held-out sets partition the rows, and its
+    refit forest on n, so a slot grows ``T k n`` (tree, row) positions.
 
-    Before any per-slot state is made, the level's kept state is charged
-    against ``tree.MAX_GROW_BYTES``: each forest's trees, at most T (n - 1)
-    internal nodes of 20 bytes and T n leaves of C uint32 counts, its T
-    weights, and its class vectors, held twice (as its output and in the
-    next level's features).
+    The level is charged once against ``config.MEMORY_LIMIT``, before any
+    per-slot state is made.  Its kept state is each forest's trees, at most
+    T (n - 1) internal nodes of 20 bytes and T n leaves of C uint32 counts,
+    its T weights, and its class vectors, held twice (as its output and in
+    the next level's features).  One worker needs the larger of two peaks:
+    growing one slot, ``tree.grow_bytes`` per slot plus a fixed part, and
+    one forest's pair statistics, ``pairstats.pair_bytes``, as a group
+    forms and solves one forest's pairs at a time (a baseline level forms
+    none).  A level whose kept state or need exceeds the limit is refused.
+    Otherwise ``at_once``, the workers that run at once, is the least of
+    ``workers``, the slots and the needs that fit the limit.  The slots are
+    cut into contiguous groups, one task of :func:`_map_tasks` each, whose
+    forests are grown in one call: ``at_once`` groups, or more when a
+    group's growth would exceed a worker's share of the limit.  Each of the
+    ``at_once`` worker processes fits a contiguous share of the groups.  A
+    slot's results depend neither on its group nor on the workers.  The
+    next level's features are ``ds.features`` followed by each forest's
+    out-of-fold class vectors, in forest order.
     """
-    n, n_classes, n_trees = ds.n, ds.num_classes, cfg.trees_per_forest
-    kept = cfg.forests_per_level * (
-        n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes
-    )
-    if kept > tree.MAX_GROW_BYTES:
+    n, n_classes, n_trees, kinds = ds.n, ds.num_classes, cfg.trees_per_forest, cfg.forest_kinds()
+    kept = len(kinds) * (n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes)
+    per_slot, fixed = tree.grow_bytes(ds, kinds, n_trees * cfg.folds * n)
+    pairs = pairstats.pair_bytes(n, n_trees, cfg.pair_budget) if cfg.mode == MODE_DISDF else 0
+    need, limit = max(per_slot + fixed, pairs), config.MEMORY_LIMIT
+    if max(kept, need) > limit:
         raise ConfigError(
-            f"a level of {cfg.forests_per_level} forests of {n_trees} trees on {n} rows "
-            f"keeps about {kept / 2**20:.0f} MiB of trees and class vectors, over the "
-            f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --forests or --trees "
-            "to keep fewer trees"
+            f"a level of {len(kinds)} forests of {n_trees} trees on {n} rows x "
+            f"{ds.feature_dim} features keeps about {kept / 2**20:.0f} MiB of trees and "
+            f"class vectors; a worker needs about {(per_slot + fixed) / 2**20:.0f} MiB to grow "
+            f"a slot's {cfg.folds + 1} forests and {pairs / 2**20:.0f} MiB for a forest's "
+            f"pair statistics; the limit is {limit / 2**20:.0f} MiB.  --forests and --trees "
+            "keep fewer trees, --trees grows fewer and --pair-budget samples fewer pairs"
         )
-    kinds = cfg.forest_kinds()
+    at_once = min(max(workers, 1), len(kinds), limit // need)
+    n_groups = max(at_once, -(-len(kinds) // ((limit // at_once - fixed) // per_slot)))
     fold_seq, *slot_seeds = seq.spawn(1 + len(kinds))
-    fold_of = fold_ids(ds.n, cfg.folds, fold_seq)
-    slot_grow, fixed_grow = tree.grow_bytes(ds, kinds, cfg.trees_per_forest * cfg.folds * ds.n)
-    fit = (tree.MAX_GROW_BYTES - fixed_grow) // slot_grow
-    if fit < 1:
-        raise ConfigError(
-            f"growing a slot's {cfg.folds + 1} forests of {cfg.trees_per_forest} trees "
-            f"on {ds.n} rows x {ds.feature_dim} features needs about "
-            f"{(slot_grow + fixed_grow) / 2**20:.0f} MiB, over the "
-            f"{tree.MAX_GROW_BYTES / 2**20:.0f} MiB limit; set --trees to grow fewer trees"
-        )
-    if cfg.mode == MODE_DISDF:
-        pairstats.check_pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-    n_groups = max(min(workers, len(kinds)), -(-len(kinds) // fit))
+    fold_of = fold_ids(n, cfg.folds, fold_seq)
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]
     fitted = _map_tasks(
         partial(_fit_slots, ds, cfg, fold_of),
         [kinds[g] for g in groups],
         [slot_seeds[g] for g in groups],
-        workers=workers,
+        workers=at_once,
     )
     forests, oof_class_vectors, infos = zip(*(slot for group in fitted for slot in group))
     summed = np.sum(oof_class_vectors, axis=0)

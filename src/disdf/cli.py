@@ -6,8 +6,9 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error; a stdout closed by its reader after the output file is written is no
-error, and a ``train --out`` path whose directory does not exist exits 2
-before training.  The DISDF_THREADS environment variable sets the default
+error.  A ``train --out`` path that is a directory or whose directory does not
+exist, and a ``bench --out-dir`` that is a file or lies under one, exit 2
+before any training.  The DISDF_THREADS environment variable sets the default
 worker count; --threads overrides it.  A worker count, ``bench --reps`` or
 an entry of ``bench --N-list``/``--T-list`` that is not an integer of at
 least 1 exits 3, and so does a list with no entries.
@@ -99,7 +100,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration cap of each forest's weight solve")
     p.add_argument("--pair-budget", dest="pair_budget", help="pairs per forest, or none")
     p.add_argument("--seed", dest="seed")
-    p.add_argument("--min-leaf", dest="min_leaf")
+    p.add_argument("--min-leaf", dest="min_leaf",
+                   help="smallest node that may split; a pure node never splits, "
+                   "so 1 and 2 grow the same trees")
     p.add_argument("--max-depth", dest="max_depth", help="tree depth cap, or none")
     p.add_argument("--stratify", dest="stratify", action="store_const", const="true")
 
@@ -177,9 +180,11 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     workers = _threads(args)
     # checked before training, which would otherwise be lost at save_model
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise DataError(f"cannot write {args.out}: {out_dir} is not a directory")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise DataError(f"cannot write {out}: {out.parent} is not a directory")
+    if out.is_dir():
+        raise DataError(f"cannot write {out}: it is a directory")
     ds = load_csv(args.data, args.label_col)
     model = train_cascade(ds, cfg, workers=workers)
     save_model(model, args.out)
@@ -211,12 +216,17 @@ def cmd_bench(args) -> int:
     reps = _positive_int(args.reps, "--reps")
     train_sizes = _parse_int_list(args.n_list, "--N-list")
     tree_counts = _parse_int_list(args.t_list, "--T-list")
+    out_dir = Path(args.out_dir)
+    # checked before the grid, whose results a failing mkdir would lose: the
+    # nearest existing one of out_dir and its parents must be a directory
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"cannot make {out_dir}: {existing} is not a directory")
     ds = load_csv(args.data, args.label_col)
     name = args.name or Path(args.data).stem
     result = run_grid(
         ds, train_sizes, tree_counts, reps, cfg, workers=workers, dataset_name=name
     )
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_rep = out_dir / f"{name}_accuracies.csv"
     summary = out_dir / f"{name}_summary.csv"

@@ -11,6 +11,11 @@ from .tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
 MODE_DISDF = "disdf"
 MODE_BASELINE = "baseline"
 MODES = (MODE_BASELINE, MODE_DISDF)
+# bound on a level's memory, charged once per level by cascade._train_level:
+# its kept state, and per worker that runs at once its grower temporaries or
+# one forest's pair statistics; compute_pair_stats checks a forest's pairs
+# against it too.  It also keeps tree._packed_order's keys inside int64.
+MEMORY_LIMIT = 1 << 30
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .errors import ConfigError, DegeneratePairsError
 
 _CHUNK = 1024
-# bound on one forest's pair index arrays, q_diff and the weight solver's
-# residual; above it, sample pairs instead
-MAX_PAIR_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,8 @@ def compute_pair_stats(
     of each z value is retained, drawn from ``rng``, which sampling requires
     (a ``ValueError`` without it).  Raises :class:`DegeneratePairsError` when
     every pair shares one z value (e.g. single-class data), and
-    :class:`ConfigError` before allocating when the pair arrays would exceed
-    ``MAX_PAIR_BYTES``.
+    :class:`ConfigError` before allocating when the pair arrays, charged by
+    :func:`pair_bytes`, would exceed ``config.MEMORY_LIMIT``.
 
     ``q_diff`` adds each pair's classes with :func:`class_sum`: below 8
     classes in sequence from whole class slices, which is numpy's own order,
@@ -69,7 +67,13 @@ def compute_pair_stats(
     if n < 2:
         raise DegeneratePairsError("need at least two samples to form pairs")
     T = tree_dists.shape[1]
-    check_pair_bytes(n, T, pair_budget)
+    need = pair_bytes(n, T, pair_budget)
+    if need > config.MEMORY_LIMIT:
+        raise ConfigError(
+            f"pair statistics for {n} rows and {T} trees need about {need / 2**20:.0f} MiB, "
+            f"over the {config.MEMORY_LIMIT / 2**20:.0f} MiB limit; set --pair-budget "
+            "to sample fewer pairs"
+        )
 
     n_all = n * (n - 1) // 2
     n_same_all = int(_same_class_after(labels).sum())
@@ -121,18 +125,6 @@ def class_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     for c in range(2, C):
         out += a[..., c]
     return out
-
-
-def check_pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:
-    """One forest's ``pair_bytes``; :class:`ConfigError` when they exceed ``MAX_PAIR_BYTES``."""
-    need = pair_bytes(n, n_trees, pair_budget)
-    if need > MAX_PAIR_BYTES:
-        raise ConfigError(
-            f"pair statistics for {n} rows and {n_trees} trees need about "
-            f"{need / 2**20:.0f} MiB, over the {MAX_PAIR_BYTES / 2**20:.0f} MiB "
-            "limit; set --pair-budget to sample fewer pairs"
-        )
-    return need
 
 
 def pair_bytes(n: int, n_trees: int, pair_budget: int | None) -> int:

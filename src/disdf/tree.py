@@ -43,22 +43,14 @@ from .errors import DataError
 RANDOM_SPLIT = "random-split-search"
 COMPLETELY_RANDOM = "completely-random"
 TREE_KINDS = (RANDOM_SPLIT, COMPLETELY_RANDOM)
-# bound on one grow_trees call's temporaries, as estimated by grow_bytes.
-# It also keeps _packed_order's keys inside int64.  A level is grown only
-# when 16 n m bytes of column ranks and 80 bytes per (tree, row) position fit
-# it, so n m < 2**26 and a call's P positions < 2**24 (n rows, m features).
-# A scoring chunk of S nodes and N positions packs keys below k S n, k <=
-# 2 sqrt(m) candidates, with positions below 2 k N: under 2**55, as S N <=
-# max(2**23, n) (nodes share a chunk only up to 2**12 positions, and an open
-# node has 2 rows).  The frontier packs child nodes below P with positions
-# below 2 P: under 2**49.
-MAX_GROW_BYTES = 1 << 30
 # positions one split search scores at a time; a larger node is scored alone
 SCORE_POSITIONS = 1 << 12
 
 
 @dataclass(frozen=True)
 class TreeParams:
+    # the smallest node that may split; a pure node never splits, so 1 and 2
+    # grow the same trees
     min_leaf: int = 1
     max_depth: int | None = None
 
@@ -283,8 +275,15 @@ def _packed_order(key: np.ndarray) -> np.ndarray:
 
     One in-place sort of ``key << b | position``, b bits holding a position:
     on 24k keys about half the time of an argsort (numpy 2.4 on a 2-vCPU
-    x86-64 VM).  ``MAX_GROW_BYTES`` keeps the grower's packed keys inside
-    int64.
+    x86-64 VM).  ``config.MEMORY_LIMIT`` keeps the grower's packed keys
+    inside int64.  A level is grown only when 16 n m bytes of column ranks
+    and 80 bytes per (tree, row) position fit it, so n m < 2**26 and a
+    call's P positions < 2**24 (n rows, m features).  A scoring chunk of S
+    nodes and N positions packs keys below k S n, k <= 2 sqrt(m)
+    candidates, with positions below 2 k N: under 2**55, as S N <=
+    max(2**23, n) (nodes share a chunk only up to 2**12 positions, and an
+    open node has 2 rows).  The frontier packs child nodes below P with
+    positions below 2 P: under 2**49.
     """
     b = max(key.size - 1, 0).bit_length()
     key <<= b

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import disdf
-from disdf import cascade, pairstats, tree
+from disdf import cascade, config, pairstats, tree
 from disdf.cascade import (
     CascadeModel,
     LevelModel,
@@ -317,15 +317,25 @@ def fail_first_share(i):
     time.sleep(30)
 
 
+@pytest.fixture(params=multiprocessing.get_all_start_methods())
+def start_method(request, monkeypatch):
+    """Start ``_map_tasks``'s workers by each method the platform offers."""
+    context = multiprocessing.get_context(request.param)
+    monkeypatch.setattr(multiprocessing, "Process", context.Process)
+    monkeypatch.setattr(multiprocessing, "Pipe", context.Pipe)
+    return request.param
+
+
 class TestWorkerRunner:
     """``cascade._map_tasks``: one worker process per contiguous share of the
-    calls; results in map order; no failure hangs or leaves a process."""
+    calls; results in map order; no failure hangs or leaves a process; the
+    same results by every start method."""
 
     @pytest.mark.parametrize(
         "calls, workers, shares",
         [(7, 3, [3, 2, 2]), (2, 5, [1, 1]), (1, 4, None)],  # None: run in this process
     )
-    def test_shares_keep_map_order(self, deadline, calls, workers, shares):
+    def test_shares_keep_map_order(self, deadline, start_method, calls, workers, shares):
         xs, ys = list(range(10, 10 + calls)), list(range(1, calls + 1))
         out = cascade._map_tasks(pid_and_divmod, xs, ys, workers=workers)
         assert [r for _, r in out] == list(map(divmod, xs, ys))
@@ -338,18 +348,26 @@ class TestWorkerRunner:
             assert len(set(pids)) == len(shares) and os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
-    def test_worker_that_dies_is_an_error_naming_its_exit_code(self, deadline):
+    def test_worker_that_dies_is_an_error_naming_its_exit_code(self, deadline, start_method):
         with pytest.raises(DisdfError, match="exit code 1 "):
             cascade._map_tasks(exit_in_worker, [os.getpid()] * 3, workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_failed_share_stops_the_others(self, deadline):
+    def test_failed_share_stops_the_others(self, deadline, start_method):
         # share 1 would sleep for 30 s; it is killed once share 0 fails
         start = time.perf_counter()
         with pytest.raises(ValueError, match="share 0 failed") as caught:
             cascade._map_tasks(fail_first_share, range(2), workers=2)
         assert time.perf_counter() - start < 10
         assert "in fail_first_share" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_two_worker_train_writes_the_serial_model(self, deadline, start_method, tmp_path):
+        ds = blobs(n=36, m=4, seed=15)
+        cfg = fast_cfg(max_levels=2, patience=2)
+        save_model(train_cascade(ds, cfg), tmp_path / "serial.bin")
+        save_model(train_cascade(ds, cfg, workers=2), tmp_path / "two.bin")
+        assert (tmp_path / "serial.bin").read_bytes() == (tmp_path / "two.bin").read_bytes()
         assert multiprocessing.active_children() == []
 
     def test_unflushed_output_is_written_once(self):
@@ -386,8 +404,17 @@ class TestSlotGroups:
         monkeypatch.setattr(cascade, "train_forests", recording)
         return sizes
 
+    @staticmethod
+    def one_worker_need(ds, cfg):
+        """A level's need for one worker: growing one slot, or one forest's pairs."""
+        slot, fixed = tree.grow_bytes(ds, cfg.forest_kinds(), cfg.trees_per_forest * cfg.folds * ds.n)
+        return slot, fixed, pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
+
     def test_pair_limit_is_charged_per_forest(self, monkeypatch):
-        ds = blobs(n=36, m=4, seed=16)
+        # on 300 rows one forest's pairs outweigh growing all 4 slots at once
+        # at both levels, so a limit of one forest's pair charge neither
+        # refuses nor splits the level
+        ds = blobs(n=300, m=4, seed=16)
         cfg = fast_cfg(max_levels=2, patience=2)
         together = train_cascade(ds, cfg)
         live = []
@@ -402,9 +429,9 @@ class TestSlotGroups:
         monkeypatch.setattr(cascade, "compute_pair_stats", recording)
         sizes = self.record_groups(monkeypatch, cfg.folds)
         charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", charge)
         limited = train_cascade(ds, cfg)
-        assert sizes == [4] * len(limited.level_scores)
+        assert sizes == [4] * len(limited.level_scores) == [4, 4]
         assert len(live) == 4 * len(limited.level_scores)
         assert_same_models(together, limited)
 
@@ -428,18 +455,20 @@ class TestSlotGroups:
         # a bound every slot fits but the merged group of four does not
         limit = max(slot + fixed for slot, fixed in charges)
         assert limit < min(4 * slot + fixed for slot, fixed in charges)
-        monkeypatch.setattr(tree, "MAX_GROW_BYTES", limit)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", limit)
         sizes.clear()
         save_model(train_cascade(ds, cfg), tmp_path / "apart.bin")
         assert max(sizes) < 4
         assert (tmp_path / "together.bin").read_bytes() == (tmp_path / "apart.bin").read_bytes()
 
     def test_limit_below_one_slot_rejected(self, monkeypatch):
-        ds = blobs(n=36, m=4, seed=16)
+        # on 300 rows growing all 4 slots fits below one forest's pair charge
+        ds = blobs(n=300, m=4, seed=16)
         cfg, baseline = fast_cfg(), fast_cfg(mode="baseline")
+        slot, fixed, charge = self.one_worker_need(ds, cfg)
+        assert 4 * slot + fixed < charge - 1
         unlimited = train_cascade(ds, baseline)
-        charge = pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
-        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", charge - 1)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", charge - 1)
         grows = []
         grow = cascade.train_forests
         monkeypatch.setattr(cascade, "train_forests", lambda *a: grows.append(a) or grow(*a))
@@ -452,6 +481,34 @@ class TestSlotGroups:
         limited = train_cascade(ds, baseline)
         assert [len(kinds) for _, kinds, *_ in grows] == [16] * len(limited.level_scores)
         assert_same_models(unlimited, limited)
+
+    def test_workers_that_run_at_once_share_the_limit(self, monkeypatch, tmp_path, deadline):
+        ds = blobs(n=36, m=4, seed=18)
+        cfg = fast_cfg()
+        save_model(train_cascade(ds, cfg), tmp_path / "serial.bin")
+        slot, fixed, pairs = self.one_worker_need(ds, cfg)
+        need = max(slot + fixed, pairs)
+        runs = []
+
+        def recording(fit, kinds, seeds, workers):
+            runs.append(([len(group) for group in kinds], workers))
+            return map_tasks(fit, kinds, seeds, workers=workers)
+
+        map_tasks = cascade._map_tasks
+        monkeypatch.setattr(cascade, "_map_tasks", recording)
+        # one worker's need fits twice, not four times: 2 workers, each
+        # fitting two groups of one slot in turn
+        monkeypatch.setattr(config, "MEMORY_LIMIT", 2 * need)
+        save_model(train_cascade(ds, cfg, workers=4), tmp_path / "limited.bin")
+        assert runs == [([1, 1, 1, 1], 2)]
+        assert (tmp_path / "serial.bin").read_bytes() == (tmp_path / "limited.bin").read_bytes()
+        # a need above the limit is refused before any tree is grown
+        monkeypatch.setattr(cascade, "train_forests", None)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", need - 1)
+        with pytest.raises(ConfigError, match="--trees"):
+            train_cascade(ds, cfg, workers=4)
+        assert len(runs) == 1
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "n, num_classes, forests, trees",

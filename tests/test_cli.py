@@ -16,7 +16,7 @@ import pytest
 
 import disdf
 from disdf.cascade import LevelModel, predict_batch, train_cascade
-from disdf import cascade, cli, pairstats, tree
+from disdf import cascade, cli, config
 from disdf.cli import main
 from disdf.errors import DegeneratePairsError, ModelFormatError
 from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
@@ -205,6 +205,22 @@ class TestTrain:
         assert calls == []
         assert f"{out.parent} is not a directory" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_out_naming_a_directory_rejected_before_training(
+        self, toy_csv, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train_cascade", lambda *a, **k: calls.append(a))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = main(
+            ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+             *TRAIN_FLAGS]
+        )
+        assert code == 2
+        assert calls == []
+        assert f"{out}: it is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_single_class_csv_exit_2(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -708,12 +724,15 @@ def test_mutation_fuzz(tmp_path):
     assert outcomes["rejected"] > 0 and outcomes["predicted"] > 0
 
 
-def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
-    # 24 rows, 3 trees: 23460 bytes for all 276 pairs, 3492 for a budget of 20
-    monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 12000)
+def test_pair_memory_bound_exit_3(tmp_path, monkeypatch, capsys):
+    # 300 rows, 3 trees: all 44,850 pairs charge 3.6 MB, over the limit;
+    # growing the level's 4 slots takes 1.8 MB and a budget of 20 pairs 17 KB
+    ds = blobs(n=300, m=3, seed=19)
+    data = tmp_path / "rows.csv"
+    data.write_text("".join(f"{x[0]},{x[1]},{x[2]},{y}\n" for x, y in zip(ds.features, ds.labels)))
+    monkeypatch.setattr(config, "MEMORY_LIMIT", 2_000_000)
     out = tmp_path / "m.model"
-    args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
-            *TRAIN_FLAGS]
+    args = ["train", "--data", str(data), "--label-col", "3", "--out", str(out), *TRAIN_FLAGS]
     assert main(args) == 3
     assert "--pair-budget" in capsys.readouterr().err
     assert not out.exists()
@@ -723,14 +742,14 @@ def test_pair_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
 def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     # refused before any tree is grown
     monkeypatch.setattr(cascade, "train_forests", None)
-    # above the level's kept trees and class vectors (10,992 bytes), below
-    # one slot's grower temporaries
-    monkeypatch.setattr(tree, "MAX_GROW_BYTES", 100_000)
+    # above the level's kept trees and class vectors (10,992 bytes) and one
+    # forest's pairs (23,460), below one slot's grower temporaries
+    monkeypatch.setattr(config, "MEMORY_LIMIT", 100_000)
     out = tmp_path / "m.model"
     args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
             *TRAIN_FLAGS]
     assert main(args) == 3
-    assert "set --trees to grow fewer trees" in capsys.readouterr().err
+    assert "--trees grows fewer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -807,6 +826,25 @@ class TestBench:
         )
         assert code == 2
         assert "N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [(), ("sub",), ("sub", "subsub")])
+    def test_out_dir_on_a_file_rejected_before_the_grid(
+        self, toy_csv, tmp_path, monkeypatch, capsys, under
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: calls.append(a))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = main(
+            ["bench", "--data", str(toy_csv), "--label-col", "3",
+             "--N-list", "9", "--T-list", "1", "--reps", "1",
+             "--out-dir", str(afile.joinpath(*under))]
+        )
+        assert code == 2
+        assert calls == []
+        assert f"{afile} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "toy.csv"]
 
     @pytest.mark.parametrize(
         "n_list, t_list",

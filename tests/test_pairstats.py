@@ -5,7 +5,7 @@ import uuid
 import numpy as np
 import pytest
 
-from disdf import cascade, pairstats
+from disdf import cascade, config, pairstats
 from disdf.cascade import train_cascade
 from disdf.errors import ConfigError, DegeneratePairsError
 from disdf.pairstats import compute_pair_stats
@@ -251,7 +251,7 @@ class TestPairBudget:
 
 class TestMemoryBound:
     def test_checked_before_pairs_are_formed(self, monkeypatch):
-        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 1000)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", 1000)
         rng = np.random.default_rng(13)
         # single-class labels fail only once pairs exist, so this must come first
         with pytest.raises(ConfigError, match="--pair-budget"):
@@ -263,7 +263,7 @@ class TestMemoryBound:
         labels = np.repeat([0, 1], 6)
         # all 66 pairs: 2178 index bytes plus 344 per pair, 24882; a budget
         # of 8 forms only the kept pairs: 3848
-        monkeypatch.setattr(pairstats, "MAX_PAIR_BYTES", 6000)
+        monkeypatch.setattr(config, "MEMORY_LIMIT", 6000)
         with pytest.raises(ConfigError, match="--pair-budget"):
             compute_pair_stats(dists, labels)
         stats = compute_pair_stats(dists, labels, pair_budget=8, rng=rng)

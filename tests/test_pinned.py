@@ -78,9 +78,9 @@ CASES = {
         2,
         None,
     ),
-    "disdf-k3-w2-minleaf2-rounded": (
+    "disdf-k3-w2-minleaf3-rounded": (
         (70, 4, 2, 7, True),
-        dict(trees_per_forest=6, min_leaf=2, fw_iterations=250, max_levels=2),
+        dict(trees_per_forest=6, min_leaf=3, fw_iterations=250, max_levels=2),
         2,
         None,
     ),

@@ -157,6 +157,21 @@ class TestRandomSplitSearch:
         assert tree.n_nodes == 1
 
 
+@pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
+def test_min_leaf_is_the_smallest_node_that_may_split(kind):
+    # a 1-row node is pure, so min_leaf 2 closes no node that 1 leaves open;
+    # 3 closes the 2-row nodes that hold both classes
+    rng = np.random.default_rng(20)
+    ds = make_ds(rng.normal(size=(80, 3)), rng.integers(2, size=80), 2)
+    tables = [
+        one_forest(ds, kind, 8, TreeParams(min_leaf=min_leaf), np.random.default_rng(21))
+        for min_leaf in (1, 2, 3)
+    ]
+    for name in ("feature", "threshold", "children", "counts", "roots"):
+        np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
+    assert tables[2].n_nodes < tables[0].n_nodes
+
+
 class TestCompletelyRandom:
     def test_thresholds_inside_node_range(self):
         rng = np.random.default_rng(3)
