@@ -259,22 +259,25 @@ def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
     next level's features are ``ds.features`` followed by each forest's
     out-of-fold class vectors, in forest order.
     """
-    n, n_classes, n_trees, kinds = ds.n, ds.num_classes, cfg.trees_per_forest, cfg.forest_kinds()
-    kept = len(kinds) * (n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes)
-    per_slot, fixed = tree.grow_bytes(ds, kinds, n_trees * cfg.folds * n)
+    n, n_classes = ds.n, ds.num_classes
+    n_slots, n_trees = cfg.forests_per_level, cfg.trees_per_forest
+    kept = n_slots * (n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes)
+    # the kinds that occur: forest_kinds alternates them, random-split-search first
+    per_slot, fixed = tree.grow_bytes(ds, tree.TREE_KINDS[:n_slots], n_trees * cfg.folds * n)
     pairs = pairstats.pair_bytes(n, n_trees, cfg.pair_budget) if cfg.mode == MODE_DISDF else 0
     need, limit = max(per_slot + fixed, pairs), config.MEMORY_LIMIT
     if max(kept, need) > limit:
         raise ConfigError(
-            f"a level of {len(kinds)} forests of {n_trees} trees on {n} rows x "
+            f"a level of {n_slots} forests of {n_trees} trees on {n} rows x "
             f"{ds.feature_dim} features keeps about {kept / 2**20:.0f} MiB of trees and "
             f"class vectors; a worker needs about {(per_slot + fixed) / 2**20:.0f} MiB to grow "
             f"a slot's {cfg.folds + 1} forests and {pairs / 2**20:.0f} MiB for a forest's "
             f"pair statistics; the limit is {limit / 2**20:.0f} MiB.  --forests and --trees "
             "keep fewer trees, --trees grows fewer and --pair-budget samples fewer pairs"
         )
-    at_once = min(max(workers, 1), len(kinds), limit // need)
-    n_groups = max(at_once, -(-len(kinds) // ((limit // at_once - fixed) // per_slot)))
+    kinds = cfg.forest_kinds()
+    at_once = min(max(workers, 1), n_slots, limit // need)
+    n_groups = max(at_once, -(-n_slots // ((limit // at_once - fixed) // per_slot)))
     fold_seq, *slot_seeds = seq.spawn(1 + len(kinds))
     fold_of = fold_ids(n, cfg.folds, fold_seq)
     groups = [slice(g[0], g[-1] + 1) for g in np.array_split(range(len(kinds)), n_groups)]

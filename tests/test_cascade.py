@@ -387,6 +387,19 @@ class TestWorkerRunner:
         assert run.stdout == "written before the workers start\n"
 
 
+def level_charges(ds, cfg):
+    """A level's charges against the memory limit, as ``(kept, slot, fixed, pairs)``:
+    its kept trees and class vectors, by the formula of ``_train_level``;
+    growing s slots at once takes ``s * slot + fixed``; one forest's pairs.
+    """
+    n, n_classes, n_trees = ds.n, ds.num_classes, cfg.trees_per_forest
+    kept = cfg.forests_per_level * (
+        n_trees * (20 * (n - 1) + 4 * n_classes * n + 8) + 16 * n * n_classes
+    )
+    slot, fixed = tree.grow_bytes(ds, cfg.forest_kinds(), n_trees * cfg.folds * n)
+    return kept, slot, fixed, pairstats.pair_bytes(n, n_trees, cfg.pair_budget)
+
+
 class TestSlotGroups:
     """A level's slots are fitted in groups whose grower temporaries fit in
     memory; a group forms and solves one forest's pairs at a time."""
@@ -403,12 +416,6 @@ class TestSlotGroups:
         grow = cascade.train_forests
         monkeypatch.setattr(cascade, "train_forests", recording)
         return sizes
-
-    @staticmethod
-    def one_worker_need(ds, cfg):
-        """A level's need for one worker: growing one slot, or one forest's pairs."""
-        slot, fixed = tree.grow_bytes(ds, cfg.forest_kinds(), cfg.trees_per_forest * cfg.folds * ds.n)
-        return slot, fixed, pairstats.pair_bytes(ds.n, cfg.trees_per_forest, cfg.pair_budget)
 
     def test_pair_limit_is_charged_per_forest(self, monkeypatch):
         # on 300 rows one forest's pairs outweigh growing all 4 slots at once
@@ -465,8 +472,8 @@ class TestSlotGroups:
         # on 300 rows growing all 4 slots fits below one forest's pair charge
         ds = blobs(n=300, m=4, seed=16)
         cfg, baseline = fast_cfg(), fast_cfg(mode="baseline")
-        slot, fixed, charge = self.one_worker_need(ds, cfg)
-        assert 4 * slot + fixed < charge - 1
+        kept, slot, fixed, charge = level_charges(ds, cfg)
+        assert max(kept, 4 * slot + fixed) < charge - 1
         unlimited = train_cascade(ds, baseline)
         monkeypatch.setattr(config, "MEMORY_LIMIT", charge - 1)
         grows = []
@@ -486,8 +493,10 @@ class TestSlotGroups:
         ds = blobs(n=36, m=4, seed=18)
         cfg = fast_cfg()
         save_model(train_cascade(ds, cfg), tmp_path / "serial.bin")
-        slot, fixed, pairs = self.one_worker_need(ds, cfg)
-        need = max(slot + fixed, pairs)
+        kept, slot, fixed, pairs = level_charges(ds, cfg)
+        # one worker's need is growing a slot, above the kept state and the pairs
+        need = slot + fixed
+        assert max(kept, pairs) < need - 1
         runs = []
 
         def recording(fit, kinds, seeds, workers):
@@ -509,6 +518,19 @@ class TestSlotGroups:
             train_cascade(ds, cfg, workers=4)
         assert len(runs) == 1
         assert multiprocessing.active_children() == []
+
+    def test_refused_from_the_forest_count(self, monkeypatch):
+        # a billion forests keep far over the limit; the level is refused
+        # before a list of a billion forest kinds would be made
+        def forest_kinds(cfg):
+            raise AssertionError("forest kinds listed before the level was charged")
+
+        ds = blobs(n=24)
+        _, slot, fixed, pairs = level_charges(ds, fast_cfg())
+        assert max(slot + fixed, pairs) < config.MEMORY_LIMIT
+        monkeypatch.setattr(TrainConfig, "forest_kinds", forest_kinds)
+        with pytest.raises(ConfigError, match="--forests"):
+            train_cascade(ds, fast_cfg(forests_per_level=10**9))
 
     @pytest.mark.parametrize(
         "n, num_classes, forests, trees",

@@ -18,9 +18,11 @@ import disdf
 from disdf.cascade import LevelModel, predict_batch, train_cascade
 from disdf import cascade, cli, config
 from disdf.cli import main
+from disdf.config import TrainConfig
+from disdf.data import load_csv
 from disdf.errors import DegeneratePairsError, ModelFormatError
 from disdf.serialize import FORMAT_VERSION, _Reader, load_model, save_model
-from tests.test_cascade import blobs, fast_cfg, manual_cascade, needs_fork
+from tests.test_cascade import blobs, fast_cfg, level_charges, manual_cascade, needs_fork
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest
 
@@ -730,7 +732,10 @@ def test_pair_memory_bound_exit_3(tmp_path, monkeypatch, capsys):
     ds = blobs(n=300, m=3, seed=19)
     data = tmp_path / "rows.csv"
     data.write_text("".join(f"{x[0]},{x[1]},{x[2]},{y}\n" for x, y in zip(ds.features, ds.labels)))
-    monkeypatch.setattr(config, "MEMORY_LIMIT", 2_000_000)
+    limit = 2_000_000
+    kept, slot, fixed, pairs = level_charges(load_csv(data, 3), TrainConfig(trees_per_forest=3))
+    assert max(kept, 4 * slot + fixed) < limit < pairs
+    monkeypatch.setattr(config, "MEMORY_LIMIT", limit)
     out = tmp_path / "m.model"
     args = ["train", "--data", str(data), "--label-col", "3", "--out", str(out), *TRAIN_FLAGS]
     assert main(args) == 3
@@ -744,7 +749,10 @@ def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cascade, "train_forests", None)
     # above the level's kept trees and class vectors (10,992 bytes) and one
     # forest's pairs (23,460), below one slot's grower temporaries
-    monkeypatch.setattr(config, "MEMORY_LIMIT", 100_000)
+    limit = 100_000
+    kept, slot, fixed, pairs = level_charges(load_csv(toy_csv, 3), TrainConfig(trees_per_forest=3))
+    assert max(kept, pairs) < limit < slot + fixed
+    monkeypatch.setattr(config, "MEMORY_LIMIT", limit)
     out = tmp_path / "m.model"
     args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
             *TRAIN_FLAGS]
@@ -753,11 +761,13 @@ def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path):
-    # three million forests keep about 6 GiB; the level is refused before
-    # any per-slot state is made.  Run in a process capped at 1.5 GiB, so
-    # that code which made that state first fails inside the cap instead of
-    # exhausting the host's memory.
+@pytest.mark.parametrize("forests", [3_000_000, 1_000_000_000])
+def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path, forests):
+    # three million forests keep about 6 GiB, and a billion a list of their
+    # kinds alone would take 8 GiB; the level is refused before any per-slot
+    # state is made.  Run in a process capped at 1.5 GiB, so that code which
+    # made that state first fails inside the cap instead of exhausting the
+    # host's memory.
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
@@ -767,7 +777,7 @@ def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path):
     out = tmp_path / "m.model"
     run = subprocess.run(
         [sys.executable, "-m", "disdf.cli", "train", "--data", str(toy_csv), "--label-col", "3",
-         "--out", str(out), "--forests", "3000000", "--trees", "2", "--fw-iterations", "5"],
+         "--out", str(out), "--forests", str(forests), "--trees", "2", "--fw-iterations", "5"],
         preexec_fn=cap, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 3, run.stderr
