@@ -18,9 +18,12 @@ are grown in one call, in one frontier over rows of the level's Dataset;
 each forest has its own generator, which draws the forest's bootstraps first
 and then one block per depth for the forest's own open nodes, so every
 forest is the one it would be grown alone.  The group's out-of-fold rows
-are routed in one pass and then each forest's weights are trained on their
-own; no result depends on the grouping.  Levels are added until the level
-score stops improving, by the stop rule :func:`train_cascade` states.
+are routed in one pass.  In disdf mode :func:`_fit_slots` then calls
+:func:`compute_pair_stats` and :func:`solve_weights` for one forest at a
+time, and the model keeps each forest's :class:`Solution` in
+:attr:`CascadeModel.train_info`.  No result depends on the grouping.
+Levels are added until the level score stops improving, by the stop rule
+:func:`train_cascade` states.
 """
 
 from __future__ import annotations
@@ -35,15 +38,9 @@ from . import config, pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, fold_ids
 from .errors import BadCellError, ConfigError, DimensionError, DisdfError
-from .forest import (
-    ForestModel,
-    class_vectors_batch,
-    routed_tree_dists,
-    train_forests,
-    uniform_weights,
-)
+from .forest import ForestModel, class_vectors_batch, routed_tree_dists, train_forests
 from .pairstats import compute_pair_stats
-from .weightopt import ObjectiveParams, objective, solve_weights
+from .weightopt import ObjectiveParams, Solution, solve_weights
 
 IMPROVEMENT_TOL = 1e-4
 
@@ -71,8 +68,8 @@ class CascadeModel:
     config: TrainConfig
     level_scores: tuple[float, ...] = ()
     class_labels: tuple[str, ...] | None = None
-    # per-level, per-forest optimizer diagnostics; not persisted
-    train_info: tuple = ()
+    # per kept level, each forest's weight-solve Solution (None in baseline mode); not saved
+    train_info: tuple[tuple[Solution | None, ...], ...] = ()
 
     @property
     def n_levels(self) -> int:
@@ -85,25 +82,6 @@ class CascadeModel:
     @property
     def num_classes(self) -> int:
         return self.levels[0].num_classes
-
-
-def _train_weights(oof, labels, cfg: TrainConfig, pair_rng):
-    """One forest's trained weights and training facts, from its out-of-fold tensor.
-
-    Its pair statistics are formed, solved by :func:`solve_weights` and
-    dropped before the next forest's are formed.  The facts are the solve's
-    certified ``gap`` and ``iterations``, and ``objective_solver`` and
-    ``objective_uniform``, J at the returned and at uniform weights.
-    """
-    stats = compute_pair_stats(oof, labels, cfg.pair_budget, pair_rng)
-    params = ObjectiveParams(stats, cfg.tau, cfg.lam)
-    w, gap, value, steps = solve_weights(params, cfg.fw_iterations)
-    return w, {
-        "gap": gap,
-        "iterations": steps,
-        "objective_solver": value,
-        "objective_uniform": objective(params, uniform_weights(stats.n_trees)),
-    }
 
 
 def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
@@ -123,10 +101,14 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     Every row of every slot is then routed through the slot's fold forest
     that held it out, all in one pass.
 
-    In disdf mode each slot's weights are then trained on its own
-    (:func:`_train_weights`).  Returns, per slot, the deployable forest, the
-    out-of-fold class vectors used for augmentation and level scoring, and
-    the training facts (none in baseline).
+    In disdf mode each slot's weights are then trained here, one forest at
+    a time: :func:`compute_pair_stats` forms the forest's pair statistics
+    from its out-of-fold tensor and :func:`solve_weights` solves them, and
+    the statistics are dropped before the next forest's are formed.  A
+    baseline slot keeps the uniform weights it was grown with.  Returns,
+    per slot, the deployable forest, the out-of-fold class vectors used for
+    augmentation and level scoring, and the solve's :class:`Solution`
+    (None in baseline mode).
     """
     n_trees, k, n = cfg.trees_per_forest, cfg.folds, ds.n
     forest_rngs, pair_rngs = [], []
@@ -148,15 +130,16 @@ def _fit_slots(ds: Dataset, cfg: TrainConfig, fold_of, kinds, seeds):
     which = (np.arange(len(kinds))[:, None] * k + fold_of).ravel()
     oofs = routed_tree_dists(fold_forests, ds.features, np.tile(np.arange(n), len(kinds)), which)
     oofs = oofs.reshape(len(kinds), n, n_trees, ds.num_classes)
-    slots = list(zip(forests[k::k + 1], oofs, pair_rngs))
-
-    trained = [(uniform_weights(n_trees), {}) for _ in slots]
-    if cfg.mode == MODE_DISDF:
-        trained = [_train_weights(oof, ds.labels, cfg, pair_rng) for _, oof, pair_rng in slots]
-    return [
-        (deploy.with_weights(w), np.einsum("ntc,t->nc", oof, w), info)
-        for (deploy, oof, _), (w, info) in zip(slots, trained)
-    ]
+    fitted = []
+    for deploy, oof, pair_rng in zip(forests[k::k + 1], oofs, pair_rngs):
+        solution = None
+        if cfg.mode == MODE_DISDF:
+            stats = compute_pair_stats(oof, ds.labels, cfg.pair_budget, pair_rng)
+            solution = solve_weights(ObjectiveParams(stats, cfg.tau, cfg.lam), cfg.fw_iterations)
+            del stats  # dropped before the next forest's pairs are formed
+            deploy = deploy.with_weights(solution.weights)
+        fitted.append((deploy, np.einsum("ntc,t->nc", oof, deploy.weights), solution))
+    return fitted
 
 
 class _WorkerTraceback(Exception):
@@ -232,7 +215,7 @@ def _map_tasks(fn, *arg_lists, workers: int) -> list:
 
 
 def _train_level(ds: Dataset, cfg: TrainConfig, seq, workers):
-    """One level's forests, the next level's Dataset, the level score and diagnostics.
+    """One level's forests, the next level's Dataset, the level score and its forests' solves.
 
     ``seq`` spawns the level's streams in one call: the fold partition's,
     drawn first by ``data.fold_ids``, which refuses more folds than rows,
@@ -318,7 +301,7 @@ def train_cascade(
 
     levels: list[LevelModel] = []
     scores: list[float] = []
-    infos: list[tuple[dict, ...]] = []
+    infos: list[tuple[Solution | None, ...]] = []
     best = 0
     ds = train
     for i in range(cfg.max_levels):

@@ -7,9 +7,10 @@ flags winning; ``TrainConfig.from_text`` parses both, so ``none`` unsets
 Exit codes: 0 ok, 1 internal error, 2 I/O or data-file error, 3 validation
 error; a stdout closed by its reader after the output file is written is no
 error.  A ``train --out`` path that is a directory or whose directory does not
-exist, and a ``bench --out-dir`` that is a file or lies under one, exit 2
-before any training.  The DISDF_THREADS environment variable sets the default
-worker count; --threads overrides it.  A worker count, ``bench --reps`` or
+exist, a ``bench --out-dir`` that is a file or lies under one, a ``bench
+--name`` that is not one plain file name, and a bench CSV path that is a
+directory exit 2 before any training.  The DISDF_THREADS environment variable
+sets the default worker count; --threads overrides it.  A worker count, ``bench --reps`` or
 an entry of ``bench --N-list``/``--T-list`` that is not an integer of at
 least 1 exits 3, and so does a list with no entries.
 """
@@ -222,14 +223,20 @@ def cmd_bench(args) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise DataError(f"cannot make {out_dir}: {existing} is not a directory")
-    ds = load_csv(args.data, args.label_col)
+    # the name must keep both CSVs in out_dir, and neither may be a directory
     name = args.name or Path(args.data).stem
+    if name in (".", "..") or Path(name).name != name:
+        raise DataError(f"--name {name!r} is not a plain file name")
+    per_rep = out_dir / f"{name}_accuracies.csv"
+    summary = out_dir / f"{name}_summary.csv"
+    for path in (per_rep, summary):
+        if path.is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
+    ds = load_csv(args.data, args.label_col)
     result = run_grid(
         ds, train_sizes, tree_counts, reps, cfg, workers=workers, dataset_name=name
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_rep = out_dir / f"{name}_accuracies.csv"
-    summary = out_dir / f"{name}_summary.csv"
     result.write_csv(per_rep)
     result.write_summary_csv(summary)
     _report(result.format_table(), f"per-rep results: {per_rep}", f"summary: {summary}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError, ModelFormatError
-from .tree import RANDOM_SPLIT, TreeParams, grow_trees
+from .tree import RANDOM_SPLIT, TREE_KINDS, TreeParams, grow_trees
 
 SIMPLEX_TOL = 1e-6
 # rows that class_vectors_batch routes and weighs at a time
@@ -147,12 +147,17 @@ def train_forests(
     draws for its forest's own open nodes (:func:`~disdf.tree.grow_trees`),
     so a forest is the same whether it is grown alone or with others, and
     split scoring is bounded to ``tree.SCORE_POSITIONS`` positions at a time
-    however many forests are grown.
+    however many forests are grown.  Refuses, before growing any tree, fewer
+    than one tree, an unknown kind (``ValueError``), unpaired kinds, row
+    sets and generators (``ValueError``) and an empty row set
+    (:class:`DataError`); the grower checks none of these again.
     """
     if n_trees < 1:
         raise ValueError(f"need at least one tree, got {n_trees}")
     rows = []
     for kind, idx, rng in zip(kinds, row_sets, rngs, strict=True):
+        if kind not in TREE_KINDS:
+            raise ValueError(f"unknown tree kind {kind!r}")
         if len(idx) == 0:
             raise DataError("cannot train a forest on no rows")
         if kind == RANDOM_SPLIT:
@@ -190,15 +195,25 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     int32 like the forests' own ids; a table of 2**31 nodes would take over
     30 GB.
 
-    The walker's one rule is checked here: a child numbered at or below its
-    parent would let a walk loop or miss its leaf, so it raises
-    :class:`ModelFormatError`; with every child above its parent, each walk
-    reaches its leaf within I steps.  ``ForestModel.walk_refs`` caches the
+    The walker's two rules are checked here, each refusal a
+    :class:`ModelFormatError`: every root and child id is in range, inside
+    its own forest's nodes and leaves, so every walk reads inside the walk
+    tables; and every child is numbered above its parent, as one at or
+    below it would let a walk loop or miss its leaf, so each walk reaches
+    its leaf within I steps.  ``ForestModel.walk_refs`` caches the
     result, so :func:`class_vectors_batch` checks a forest once, while a
     refusal is not cached and is raised again on the next call.
     :func:`routed_tree_dists` calls this on every call.  The other rules of
     a table are :func:`check_table`'s, which runs when a model is loaded.
     """
+    for f, forest in enumerate(forests):
+        low, high = -forest.counts.shape[0], forest.feature.size
+        for refs in (forest.roots, forest.children):
+            if refs.size and (refs.min() < low or refs.max() >= high):
+                raise ModelFormatError(
+                    f"forest {f}: a root or child id is out of range for {high} "
+                    f"internal nodes and {-low} leaves"
+                )
     n_internal = np.cumsum([0] + [f.feature.size for f in forests])
     n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
 
@@ -285,7 +300,10 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     """Per-tree class distributions of row ``rows[i]`` of X under forest
     ``forests[which[i]]``, shape (len(rows), T, C).
 
-    The forests share T, C and their feature count.  All positions are
+    The caller passes forests of equal T, C and feature count m and X as a
+    float64 (n, m) matrix, as ``cascade._fit_slots`` does with the forests of
+    one :func:`train_forests` call and their Dataset's features; none of
+    this is checked again here.  All positions are
     routed in one pass over the forests' node tables concatenated, each
     forest's node and leaf ids shifted past those of the forests before it,
     and expanded once into walk tables (:func:`_walk_tables`).  The
@@ -293,11 +311,7 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     before any position walks, so a malformed forest is refused even when
     no row is routed through it.
     """
-    first = forests[0]
-    X = _inputs(first, X)
-    T, C = first.n_trees, first.num_classes
-    if any((f.n_trees, f.num_classes, f.n_features) != (T, C, first.n_features) for f in forests):
-        raise DimensionError("forests routed together need equal trees, classes and features")
+    T, C = forests[0].n_trees, forests[0].num_classes
     children, roots = _walk_refs(forests)
     tables = _walk_tables(forests, children)
     leaves = _route_leaves(tables, X, np.repeat(rows, T), roots.take(which, axis=0).ravel())

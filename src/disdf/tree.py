@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError
 
 RANDOM_SPLIT = "random-split-search"
 COMPLETELY_RANDOM = "completely-random"
@@ -74,14 +73,10 @@ def grow_trees(
     stored as its uint32 class counts.  One split search scores the
     positions of whole nodes, at most ``SCORE_POSITIONS`` of them unless a
     single node holds more; this bounds the scoring temporaries whatever
-    the number of forests.
+    the number of forests.  It checks none of its inputs:
+    :func:`~disdf.forest.train_forests`, its caller, refuses an unknown
+    kind, unpaired kinds, row sets and generators, and an empty row set.
     """
-    if not len(kinds) == len(rows) == len(rngs):
-        raise ValueError("need one kind, one row set and one generator per forest")
-    if any(kind not in TREE_KINDS for kind in kinds):
-        raise ValueError(f"unknown tree kind in {list(kinds)!r}")
-    if any(r.shape[1] == 0 for r in rows):
-        raise DataError("cannot train a tree on an empty sample view")
     X, y, C = ds.features, ds.labels, ds.num_classes
     m = X.shape[1]
     values = X.ravel()

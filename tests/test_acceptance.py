@@ -301,10 +301,10 @@ class TestCriterion3Discriminative:
             model, records = train_recording_pairs(
                 monkeypatch, ds, cfg, rng=np.random.default_rng(seed)
             )
-            solver_gains += [
-                1 - info["objective_solver"] / info["objective_uniform"]
-                for info in model.train_info[0]
-            ]
+            uniform = uniform_weights(cfg.trees_per_forest)
+            for solution, (_, _, _, stats) in zip(model.train_info[0], records, strict=True):
+                at_uniform = objective(ObjectiveParams(stats, cfg.tau, cfg.lam), uniform)
+                solver_gains.append(1 - solution.objective / at_uniform)
             ratios_trained.append(level_d1_ratio(records, trained=True))
             ratios_uniform.append(level_d1_ratio(records, trained=False))
         elapsed = time.perf_counter() - start

@@ -36,6 +36,7 @@ from disdf.forest import (
 from disdf.pairstats import compute_pair_stats
 from disdf.serialize import load_model, save_model
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams
+from disdf.weightopt import ObjectiveParams, Solution, objective
 from tests.oracles import forest_tree_dists_batch
 from tests.test_forest import TABLE
 from tests.test_tree import leaf_forest, one_forest
@@ -68,9 +69,9 @@ def fast_cfg(**kw):
 def train_recording_pairs(monkeypatch, ds, cfg, **kw):
     """Train in this process, recording what each forest's pair statistics saw.
 
-    Returns the model and, for each forest of its first level in slot order,
-    the forest, the out-of-fold ``(n, T, C)`` tensor and labels that
-    ``compute_pair_stats`` received, and the ``PairStats`` it returned.
+    Returns the model and, for each forest of its kept levels in level and
+    slot order, the forest, the out-of-fold ``(n, T, C)`` tensor and labels
+    that ``compute_pair_stats`` received, and the ``PairStats`` it returned.
     """
     calls = []
 
@@ -81,7 +82,8 @@ def train_recording_pairs(monkeypatch, ds, cfg, **kw):
 
     monkeypatch.setattr(cascade, "compute_pair_stats", recording)
     model = train_cascade(ds, cfg, **kw)
-    return model, [(f, *call) for f, call in zip(model.levels[0].forests, calls)]
+    forests = [f for level in model.levels for f in level.forests]
+    return model, [(f, *call) for f, call in zip(forests, calls)]
 
 
 def assert_same_models(m1, m2):
@@ -280,6 +282,21 @@ class TestWorkerIndependence:
             # 2 workers fit groups of 2 slots each; 3 fit uneven groups of 2, 1, 1
             for workers in (2, 3):
                 assert_same_models(serial, train_cascade(ds, cfg, workers=workers))
+
+    def test_two_workers_give_the_serial_solves_and_model_bytes(self, tmp_path):
+        ds = blobs(n=36, m=4, seed=15)
+        cfg = fast_cfg(max_levels=2, patience=2)
+        models = [train_cascade(ds, cfg, workers=workers) for workers in (1, 2)]
+        serial, two = (model.train_info for model in models)
+        assert len(serial) == models[0].n_levels
+        for level_1, level_2 in zip(serial, two, strict=True):
+            for s1, s2 in zip(level_1, level_2, strict=True):
+                assert isinstance(s1, Solution)
+                np.testing.assert_array_equal(s1.weights, s2.weights)
+                assert (s1.gap, s1.objective, s1.steps) == (s2.gap, s2.objective, s2.steps)
+        for workers, model in zip((1, 2), models):
+            save_model(model, tmp_path / f"{workers}.bin")
+        assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
 
     def test_worker_error_reaches_caller_unchanged(self, deadline):
         # one class only: every pair is same-class, raised in the workers at 2
@@ -563,6 +580,8 @@ class TestTrainCascade:
                 np.testing.assert_allclose(
                     forest.weights, 1.0 / forest.n_trees, atol=1e-12
                 )
+        # no weight solve, so no Solution
+        assert [set(level) for level in model.train_info] == [{None}] * model.n_levels
 
     def test_forest_kind_layout(self):
         ds = blobs(n=30, m=3, seed=8)
@@ -570,17 +589,18 @@ class TestTrainCascade:
         kinds = [f.kind for f in model.levels[0].forests]
         assert kinds == [RANDOM_SPLIT, COMPLETELY_RANDOM, RANDOM_SPLIT, COMPLETELY_RANDOM]
 
-    def test_trained_objective_never_worse_than_uniform(self):
+    def test_trained_objective_never_worse_than_uniform(self, monkeypatch):
         ds = blobs(n=48, m=4, seed=9)
-        model = train_cascade(ds, fast_cfg(fw_iterations=300, max_levels=2, patience=2))
-        assert model.train_info
-        for level_info in model.train_info:
-            for info in level_info:
-                assert set(info) == {
-                    "gap", "iterations", "objective_solver", "objective_uniform"
-                }
-                assert info["objective_solver"] <= info["objective_uniform"]
-                assert 0 <= info["iterations"] <= 300
+        cfg = fast_cfg(fw_iterations=300, max_levels=2, patience=2)
+        model, records = train_recording_pairs(monkeypatch, ds, cfg)
+        solutions = [solution for level in model.train_info for solution in level]
+        assert len(solutions) == len(records) == model.n_levels * cfg.forests_per_level
+        for solution, (forest, _, _, stats) in zip(solutions, records):
+            assert isinstance(solution, Solution)
+            np.testing.assert_array_equal(solution.weights, forest.weights)
+            params = ObjectiveParams(stats, cfg.tau, cfg.lam)
+            assert solution.objective <= objective(params, uniform_weights(forest.n_trees))
+            assert 0 <= solution.steps <= 300
 
     def test_same_class_distance_not_increased_on_separable_toy(self, monkeypatch):
         # with a small margin the hinge is inactive on separated clusters, so

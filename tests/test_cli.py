@@ -856,6 +856,47 @@ class TestBench:
         assert afile.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "toy.csv"]
 
+    @staticmethod
+    def bench_spied(monkeypatch, toy_csv, out_dir, *flags):
+        """``disdf bench`` on toy_csv with spies on load_csv and run_grid; their calls."""
+        calls = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: calls.append("load_csv"))
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: calls.append("run_grid"))
+        code = main(
+            ["bench", "--data", str(toy_csv), "--label-col", "3",
+             "--N-list", "9", "--T-list", "1", "--reps", "1",
+             "--out-dir", str(out_dir), *flags]
+        )
+        return code, calls
+
+    @pytest.mark.parametrize("name", ["sub/x", "absolute", "x/", ".", ".."])
+    def test_name_that_is_not_one_file_name_rejected_before_the_grid(
+        self, toy_csv, tmp_path, monkeypatch, capsys, name
+    ):
+        # both directories exist, so a name reaching them would be written there
+        out_dir = tmp_path / "results"
+        (out_dir / "sub").mkdir(parents=True)
+        (tmp_path / "abs").mkdir()
+        if name == "absolute":
+            name = str(tmp_path / "abs" / "x")
+        code, calls = self.bench_spied(monkeypatch, toy_csv, out_dir, "--name", name)
+        assert code == 2
+        assert calls == []
+        assert "is not a plain file name" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [toy_csv]
+
+    @pytest.mark.parametrize("which", ["accuracies", "summary"])
+    def test_csv_path_that_is_a_directory_rejected_before_the_grid(
+        self, toy_csv, tmp_path, monkeypatch, capsys, which
+    ):
+        taken = tmp_path / "results" / f"toy_{which}.csv"
+        taken.mkdir(parents=True)
+        code, calls = self.bench_spied(monkeypatch, toy_csv, tmp_path / "results")
+        assert code == 2
+        assert calls == []
+        assert f"cannot write {taken}: it is a directory" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [toy_csv]
+
     @pytest.mark.parametrize(
         "n_list, t_list",
         [("9;12", "1"), ("9", "0"), ("0", "1"), (",", "1")],

@@ -375,6 +375,41 @@ class TestWalkTables:
         with pytest.raises(ModelFormatError, match="numbered below its parent"):
             routed_tree_dists([leaf_forest([[1, 0, 0]]), forest], X, np.arange(2), np.zeros(2, int))
 
+    @pytest.mark.parametrize(
+        "children, root",
+        [
+            pytest.param([~0, 5], 0, id="child-above-the-leaves"),
+            pytest.param([~0, ~2], 0, id="child-below-the-leaves"),
+            pytest.param([~0, ~1], 1, id="root-above-the-nodes"),
+            pytest.param([~0, ~1], ~2, id="root-below-the-leaves"),
+        ],
+    )
+    def test_out_of_range_id_raises_through_both_entry_points(self, children, root):
+        def stump(children, root):
+            # one internal node and two leaves: ids ~1..0 are in range
+            return ForestModel(
+                feature=np.zeros(1, dtype=np.int32),
+                threshold=np.zeros(1),
+                children=np.array(children, dtype=np.int32),
+                counts=np.eye(2, dtype=np.uint32),
+                roots=np.array([root], dtype=np.int32),
+                weights=[1.0],
+                kind=RANDOM_SPLIT,
+                n_features=1,
+            )
+
+        bad, good = stump(children, root), stump([~0, ~1], 0)
+        X = np.array([[-1.0], [1.0]])
+        with pytest.raises(ModelFormatError, match="^forest 0: .* out of range"):
+            class_vectors_batch(bad, X)
+        # each forest is checked against its own ids: shifted past the first
+        # forest's, a bad id of the first may name a node of the second
+        rows, which = np.arange(2), np.zeros(2, dtype=int)
+        with pytest.raises(ModelFormatError, match="^forest 0: .* out of range"):
+            routed_tree_dists([bad, good], X, rows, which + 1)
+        with pytest.raises(ModelFormatError, match="^forest 1: .* out of range"):
+            routed_tree_dists([good, bad], X, rows, which)
+
     def test_child_equal_to_its_parent_raises(self):
         with pytest.raises(ModelFormatError, match="cycle"):
             class_vectors_batch(own_child_forest(), np.array([[1.0], [-1.0]]))
@@ -501,14 +536,6 @@ class TestRoutedTreeDists:
         # forest is refused even when no row is routed through it
         with pytest.raises(ModelFormatError, match="cycle"):
             routed_tree_dists([fine, cyclic], X, np.arange(3), np.zeros(3, dtype=int))
-
-    def test_forests_must_share_trees_classes_and_features(self):
-        X = np.zeros((2, 1))
-        for other in (leaf_forest([[1, 0]] * 2), leaf_forest([[1, 0, 0]]),
-                      leaf_forest([[1, 0]], n_features=2)):
-            with pytest.raises(DimensionError):
-                routed_tree_dists([leaf_forest([[1, 0]]), other], X, np.arange(2),
-                                  np.array([0, 1]))
 
 
 class TestClassVector:

@@ -115,11 +115,6 @@ class TestDegenerateInputs:
         tree = grow(ds, kind, TreeParams(), np.random.default_rng(0))
         assert tree.n_nodes == 1
 
-    def test_empty_view_rejected(self, kind):
-        ds = make_ds(np.empty((0, 2)), np.empty(0, dtype=int), 2)
-        with pytest.raises(DataError):
-            grow(ds, kind, TreeParams(), np.random.default_rng(0))
-
 
 class TestRandomSplitSearch:
     def test_separable_data_gives_depth_one_perfect_tree(self):
@@ -632,3 +627,11 @@ class TestOneFrontierPerSlot:
             )
         with pytest.raises(DataError):
             train_forests(ds, [RANDOM_SPLIT], 2, TreeParams(), [np.arange(0)], rngs)
+
+    def test_unknown_kind_refused(self):
+        ds = make_ds(np.arange(6.0)[:, None], [0, 1] * 3, 2)
+        with pytest.raises(ValueError, match="unknown tree kind 'oblique'"):
+            train_forests(
+                ds, [RANDOM_SPLIT, "oblique"], 2, TreeParams(), [np.arange(6)] * 2,
+                [np.random.default_rng(0), np.random.default_rng(1)],
+            )
