@@ -6,13 +6,15 @@ Run from anywhere inside the repository:
   python3 scripts/bench_pairs.py --parent HEAD~1 --tag walker \\
       --workload predict-multiclass --seed 7 --seconds 10 --pairs 10
 
-The parent revision is checked out into a temporary ``git worktree``, which
-is removed on exit.  Each pair runs ``perfbench/run.py`` once in the parent's
-work tree and once in this checkout (with its uncommitted changes, if any),
-the parent first in even pairs and second in odd ones, so that a drift in
-machine speed falls on both sides alike.  Nothing is measured here: the file
-holds what perfbench printed, the final JSON line and the report lines above
-it, and statistics over those values.
+Both sides run from sibling copies in one temporary directory, which is
+removed on exit: the parent revision's files from ``git archive``, and this
+checkout's files that git does not ignore, uncommitted changes included, so
+neither side runs from a place the other does not.  Each pair runs
+``perfbench/run.py`` once in each copy, the parent first in even pairs and
+second in odd ones, so that a drift in machine speed falls on both sides
+alike.  Nothing is measured here: the file holds what perfbench printed, the
+final JSON line and the report lines above it, and statistics over those
+values.
 
 Per workload and metric the file gives each side's median and quartiles, the
 change's median minus the parent's beside the parent's own quartile spread
@@ -55,6 +57,27 @@ def higher_is_better(root: Path) -> set[str]:
         return set()
     return {m["name"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])
             if m.get("better") == "higher"}
+
+
+def export_revision(root: Path, commit: str, dest: Path) -> None:
+    """Write ``commit``'s tracked files into the new directory ``dest``."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(root), "archive", commit],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, archive.args)
+
+
+def copy_checkout(root: Path, dest: Path) -> None:
+    """Copy the checkout's files that git does not ignore, as they are on disk, into ``dest``."""
+    names = git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        source = root / name
+        if source.is_file():  # a tracked file deleted from disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_perfbench(side_root: Path, argv: list[str]) -> dict:
@@ -140,14 +163,14 @@ def main(argv=None) -> int:
               "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no"))}
     out = args.out or root / f"BENCH_{args.tag}.json"
 
-    # a SIGTERM unwinds through the finally below, so the worktree is removed
+    # a SIGTERM unwinds through the finally below, so the copies are removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    worktree = scratch / "parent"
+    sides = {"parent": scratch / "parent", "change": scratch / "change"}
     runs = []
     try:
-        git(root, "worktree", "add", "--detach", str(worktree), parent_commit)
-        sides = {"parent": worktree, "change": root}
+        export_revision(root, parent_commit, sides["parent"])
+        copy_checkout(root, sides["change"])
         for workload in args.workload:
             argv_ = [sys.executable, "perfbench/run.py", "--workload", workload,
                      "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -161,10 +184,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} {side}: exit {run['returncode']}, "
                           f"fingerprint {run['fingerprint']}", file=sys.stderr, flush=True)
     finally:
-        subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(worktree)],
-                       capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "-C", str(root), "worktree", "prune"], capture_output=True)
 
     higher = higher_is_better(root)
     workloads = {}

@@ -2,13 +2,20 @@
 
 ``load_csv`` (training files) and ``load_features`` (query files) share one
 CSV reader, ``_read_table``; only ``load_csv`` encodes and checks labels.
-Files are read as UTF-8, with or without a byte-order mark.
+Files are read as UTF-8, with or without a byte-order mark.  A regular file
+with no label column whose data lines numpy's C reader (``np.loadtxt``)
+accepts as finite numbers is parsed there in one call; numpy strips and
+converts each cell as ``float(token.strip())`` does, so the values are the
+same.  Every other file is read cell by cell with ``csv``, and every error
+comes from that reader.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -93,6 +100,70 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _has_header(row, label_idx) -> bool:
+    """Whether ``row`` is a header: it has a non-numeric cell outside the label column."""
+    return any(not _is_number(cell) for col, cell in enumerate(row) if col != label_idx)
+
+
+# numpy's loader decompresses a file by its name's suffix
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_plain(path) -> np.ndarray | None:
+    """The matrix of a file of feature columns only, from ``np.loadtxt``, or None.
+
+    The first non-blank row is read with ``csv``, as ``_read_table`` reads it,
+    for the header rule and the width.  numpy then parses the lines after a
+    header, or every line, as plain comma-separated floats, with no comments
+    and no quotes.  The result is kept only if numpy accepted the file without
+    a warning, it has rows, its width is the first row's and every value is
+    finite; otherwise None, and ``_read_table`` reads the file cell by cell.
+
+    An accepted line holds ``width`` ASCII float literals with optional
+    whitespace around them, which ``csv`` splits into the same cells.  numpy
+    strips the same whitespace as ``str.strip`` (``Py_UNICODE_ISSPACE``) and
+    converts with ``PyOS_string_to_double``, as ``float`` does, so each value
+    is ``float(token.strip())``.  Blank lines, which numpy skips, are skipped
+    by ``_read_rows`` too; whitespace-only lines, quotes, ``#``, ``0_0``,
+    non-ASCII digits and ragged rows make numpy refuse the file.  Files numpy
+    would open otherwise than as read here (a pipe or device, which must be
+    opened once, or a compressed suffix) are left to ``csv``.
+    """
+    try:
+        # absolute and str, so numpy takes it for neither a URL nor a list of lines
+        name = os.path.abspath(os.fsdecode(path))
+    except TypeError:  # a file descriptor
+        return None
+    if not os.path.isfile(name) or os.path.splitext(name)[1].lower() in _COMPRESSED:
+        return None
+    try:
+        with open(name, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next((row for row in reader if any(map(str.strip, row))), None)
+    except (OSError, UnicodeDecodeError, csv.Error):
+        return None
+    if first is None:
+        return None
+    # recorded, not raised: the filters are process-wide, and another thread's
+    # warning in this window then only sends this file to csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            features = np.loadtxt(
+                name, dtype=np.float64, comments=None, delimiter=",",
+                skiprows=reader.line_num if _has_header(first, None) else 0,
+                encoding="utf-8-sig", ndmin=2, quotechar=None,
+            )
+        except (ValueError, OSError):
+            return None
+    # a header-only file warns "input contained no data"; its (0, 0) comes from
+    # csv, so no rows is refused even if another thread reset the filters
+    if caught or not len(features) or features.shape[1] != len(first) \
+            or not np.isfinite(features).all():
+        return None
+    return features
+
+
 def _first_fault(path, data_rows, width, feature_cols, first_line) -> DataError:
     """The error for the first ragged row or bad feature cell in file order.
 
@@ -124,14 +195,23 @@ def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
     has a non-numeric cell outside the label column.  A file without data rows
     yields a (0, 0) matrix and no tokens.
 
-    Each feature value is ``float(token.strip())`` of its cell, parsed in one
-    pass over all feature cells.  If that pass fails, the cells are walked in
-    file order and the first fault is raised: a row whose column count
-    differs from the first row's (:class:`RaggedRowError`), or a feature cell
-    that is not a number or not finite (:class:`BadCellError`).  The error
-    names the row, counting non-blank rows from 1 with the header, the
-    0-based column and the stripped token.
+    Each feature value is ``float(token.strip())`` of its cell.  With no
+    label column, a regular file whose data lines are all the first row's
+    number of finite ASCII float literals is parsed by ``np.loadtxt``, which
+    strips and converts a cell as ``float(token.strip())`` does
+    (``_read_plain`` gives the rule).  Any other file is read with ``csv`` and
+    parsed in one pass over all its feature cells.  If that pass fails, the
+    cells are walked in file order and the first fault is raised: a row whose
+    column count differs from the first row's (:class:`RaggedRowError`), or a
+    feature cell that is not a number or not finite (:class:`BadCellError`).
+    The error names the row, counting non-blank rows from 1 with the header,
+    the 0-based column and the stripped token.  Every error comes from this
+    cell-by-cell reader, never from numpy.
     """
+    if label_column is None:
+        features = _read_plain(path)
+        if features is not None:
+            return features, None
     rows = _read_rows(path)
     if not rows:
         return np.empty((0, 0), dtype=np.float64), None
@@ -154,11 +234,7 @@ def _read_table(path, label_column) -> tuple[np.ndarray, list[str] | None]:
                     f"{path}: label column {label_idx} out of range for {width} columns"
                 )
             label_idx %= width
-        has_header = any(
-            not _is_number(cell)
-            for col, cell in enumerate(rows[0])
-            if col != label_idx
-        )
+        has_header = _has_header(rows[0], label_idx)
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         return np.empty((0, 0), dtype=np.float64), None

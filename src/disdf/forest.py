@@ -23,6 +23,8 @@ def uniform_weights(n_trees: int) -> np.ndarray:
 
 def check_weights(w, n_trees: int) -> np.ndarray:
     """Validate a weight vector: right length, finite, non-negative, sums to one."""
+    if n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got {n_trees}")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n_trees,):
         raise DimensionError(f"expected {n_trees} weights, got shape {w.shape}")

@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py end to end: HEAD against itself, one tiny pair."""
+"""scripts/bench_pairs.py: HEAD against itself end to end, and the two copies it runs from."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -18,6 +19,10 @@ def worktrees() -> str:
                           check=True, capture_output=True, text=True).stdout
 
 
+def files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture
 def git_checkout():
     if shutil.which("git") is None:
@@ -30,7 +35,7 @@ def git_checkout():
         pytest.skip("not a git work tree with a commit")
 
 
-def test_head_against_itself_writes_the_schema_and_removes_its_worktree(git_checkout, tmp_path):
+def test_head_against_itself_writes_the_schema_and_removes_its_copies(git_checkout, tmp_path):
     temp = tmp_path / "temp"
     temp.mkdir()
     out = tmp_path / "BENCH_self.json"
@@ -41,7 +46,7 @@ def test_head_against_itself_writes_the_schema_and_removes_its_worktree(git_chec
         capture_output=True, text=True, env={**os.environ, "TMPDIR": str(temp)}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # the parent's worktree is gone, from git's list and from disk
+    # both sides ran from copies that are gone, and git gained no worktree
     assert worktrees() == before
     assert not any(temp.iterdir())
 
@@ -73,3 +78,29 @@ def test_head_against_itself_writes_the_schema_and_removes_its_worktree(git_chec
             assert entry["change_wins"] in (0, 1)
             assert entry["delta"] == pytest.approx(
                 entry["change"]["median"] - entry["parent"]["median"])
+
+
+def test_sides_are_the_parent_archive_and_the_checkout_as_on_disk(git_checkout, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("*.pyc\n")
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    commit = bench_pairs.git(repo, "rev-parse", "HEAD")
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "cache.pyc").write_text("ignored\n")
+
+    bench_pairs.export_revision(repo, commit, tmp_path / "parent")
+    bench_pairs.copy_checkout(repo, tmp_path / "change")
+    assert files(tmp_path / "parent") == {
+        ".gitignore": "*.pyc\n", "pkg/kept.py": "committed\n", "gone.py": "committed\n"}
+    assert files(tmp_path / "change") == {
+        ".gitignore": "*.pyc\n", "pkg/kept.py": "edited\n", "new.py": "untracked\n"}

@@ -1,5 +1,9 @@
 import codecs
+import csv
+import gzip
 import os
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +214,203 @@ class TestParseRule:
         assert ds.features.tobytes() == np.array(expected, dtype=np.float64).tobytes()
         assert ds.label_names == ("a", "b")
         np.testing.assert_array_equal(load_features(path, label_column), expected)
+
+
+def is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_reference(path):
+    """A label-less file read with ``csv.reader`` and ``float(token.strip())``; None if it faults."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+    width = len(rows[0]) if rows else 0
+    if rows and not all(map(is_number, rows[0])):
+        rows = rows[1:]
+    if not rows:
+        return np.empty((0, 0))
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        values = np.array([[float(token.strip()) for token in row] for row in rows])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def outcome(path):
+    """``load_features(path)``'s matrix and None, or None and the error it raised."""
+    try:
+        return load_features(path), None
+    except DataError as exc:
+        return None, exc
+
+
+def refuse(*args, **kwargs):
+    raise ValueError("refused, so the cell-by-cell reader runs")
+
+
+def not_called(*args, **kwargs):
+    raise AssertionError("np.loadtxt ran")
+
+
+class TestNumpyReader:
+    """Label-less files numpy's C reader accepts are parsed there, others cell by cell."""
+
+    # tokens numpy parses as float(token.strip()) does
+    PLAIN = ["0", "-0", "+7", "-12", "1e5", "-2.5E-3", "+.5e+2", "5.", ".25", "5e-324",
+             "1.7976931348623157e308", " 3 ", "\t4\t", "\x1c5\x1f", "\u00a06\u2003", "7\x0c"]
+    # tokens it refuses: float accepts some of them, and some are faults
+    OTHER = ["0_0", "1_000", "\u0661", "\uff17", "\u0661\u0662.\u0665", '"1.5"', '"2"', "1#2",
+             "#", "", " ", "nan", "inf", "-inf", "1e400", "-1e400", "abc"]
+
+    @staticmethod
+    def token(rng, clean):
+        if not clean and rng.random() < 0.15:
+            return str(rng.choice(TestNumpyReader.OTHER))
+        if rng.random() < 0.5:
+            return str(rng.choice(TestNumpyReader.PLAIN))
+        return repr(float(rng.normal() * 10.0 ** rng.integers(-8, 9)))
+
+    def random_file(self, rng, path):
+        width = int(rng.integers(1, 5))
+        clean = rng.random() < 0.5
+        rows = [[self.token(rng, clean) for _ in range(width)] for _ in range(rng.integers(0, 6))]
+        if rows and rng.random() < 0.15:
+            r = int(rng.integers(len(rows)))
+            rows[r] = rows[r][:-1] if width > 1 and rng.random() < 0.5 else rows[r] + ["1"]
+        lines = [",".join(row) for row in rows]
+        eol = str(rng.choice(["\n", "\r\n", "\r"]))
+        if rng.random() < 0.4:
+            # a header, whose quoted first name may span two lines
+            first = f'"f{eol}0"' if rng.random() < 0.3 else "f0"
+            lines.insert(0, ",".join([first] + [f"f{j}" for j in range(1, width)]))
+        for _ in range(rng.integers(0, 3)):
+            lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "  ", "\t", " , "])))
+        text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
+        bom = codecs.BOM_UTF8 if rng.random() < 0.3 else b""
+        path.write_bytes(bom + text.encode("utf-8"))
+
+    def test_same_matrix_or_same_error_as_cell_by_cell(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(34)
+        parsed = []
+        real = np.loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(real(*args, **kwargs))
+            return parsed[-1]
+
+        by_numpy = faulty = 0
+        for i in range(200):
+            path = tmp_path / f"q{i}.csv"
+            self.random_file(rng, path)
+            expected = csv_reference(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "loadtxt", spy)
+                got, error = outcome(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "loadtxt", refuse)
+                cell_by_cell, cell_error = outcome(path)
+            if expected is None:
+                faulty += 1
+                assert got is None and cell_by_cell is None, path.read_bytes()
+                assert type(error) is type(cell_error) and str(error) == str(cell_error)
+            else:
+                by_numpy += any(got is out for out in parsed)
+                for matrix in (got, cell_by_cell):
+                    assert matrix.shape == expected.shape, path.read_bytes()
+                    # bit for bit, so -0.0 and 0.0 differ
+                    assert matrix.tobytes() == expected.tobytes(), path.read_bytes()
+        # both readers and both outcomes are exercised
+        assert by_numpy >= 40 and faulty >= 40 and 200 - by_numpy - faulty >= 20
+
+    def test_numpy_parses_a_plain_file_and_a_refused_one_falls_back(self, tmp_path, monkeypatch):
+        calls, parsed = [], []
+        real = np.loadtxt
+
+        def spy(name, **kwargs):
+            calls.append(name)
+            parsed.append(real(name, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        plain = write(tmp_path, "x,y\n1.5,2\n3,-4e-1\n", name="plain.csv")
+        got = load_features(plain)
+        assert calls == [os.path.abspath(plain)] and got is parsed[0]
+        assert got.tobytes() == np.array([[1.5, 2.0], [3.0, -0.4]]).tobytes()
+        fallback = write(tmp_path, "x,y\n0_0,2\n3,-4e-1\n", name="fallback.csv")
+        got = load_features(fallback)
+        assert len(calls) == 2 and len(parsed) == 1
+        assert got.tobytes() == np.array([[0.0, 2.0], [3.0, -0.4]]).tobytes()
+        # numpy reads a quote as a character, so csv unquotes a quoted file
+        quoted = write(tmp_path, 'x,y\n"1.5",2\n', name="quoted.csv")
+        np.testing.assert_array_equal(load_features(quoted), [[1.5, 2.0]])
+        assert len(calls) == 3 and len(parsed) == 1
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # numpy's usecols would not see these: every column is read
+            ("1,2\n3\n4,5\n", RaggedRowError, "row 2 has 1 columns, expected 2"),
+            ("x,y\n1,2\n3,4,5\n", RaggedRowError, "row 3 has 3 columns, expected 2"),
+            # numpy's default comments="#" would read 1#2 as 1
+            ("1\n1#2\n", BadCellError, "row 2, column 0: '1#2' is not a number"),
+            ("1,2\n3,nan\n", BadCellError, "row 2, column 1: 'nan' is not finite"),
+        ],
+    )
+    def test_faults_keep_their_errors(self, tmp_path, text, error, message):
+        with pytest.raises(error) as caught:
+            load_features(write(tmp_path, text))
+        assert type(caught.value) is error
+        assert message in str(caught.value)
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n", "x,y\n", "\nx\n\n"])
+    def test_no_data_rows_give_an_empty_matrix(self, tmp_path, text):
+        # numpy warns "input contained no data" here, and would give (0, 1)
+        assert load_features(write(tmp_path, text)).shape == (0, 0)
+
+    def test_no_data_rows_without_the_warning(self, tmp_path, monkeypatch):
+        # as when another thread sets the process-wide warning filters to ignore
+        ignore = warnings.simplefilter
+        monkeypatch.setattr(warnings, "simplefilter", lambda *args, **kwargs: ignore("ignore"))
+        assert load_features(write(tmp_path, "x\n")).shape == (0, 0)
+
+    @pytest.mark.parametrize("text", ["\n  \n\nx,y\n1,2\n3,4\n", "\r\n\r\nx,y\r\n1,2\r\n3,4\r\n"])
+    def test_blank_lines_before_a_header(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        np.testing.assert_array_equal(load_features(path), [[1, 2], [3, 4]])
+
+    def test_quoted_cells_are_unquoted_by_csv(self, tmp_path):
+        path = write(tmp_path, '"1",2\n3,"4.5"\n')
+        np.testing.assert_array_equal(load_features(path), [[1, 2], [3, 4.5]])
+
+    def test_other_path_forms(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "1,2\n3,4\n")
+        np.testing.assert_array_equal(load_features(os.fsencode(path)), [[1, 2], [3, 4]])
+        fd = os.open(path, os.O_RDONLY)
+        np.testing.assert_array_equal(load_features(fd), [[1, 2], [3, 4]])
+        # numpy would decompress a file by its suffix: such a file is read as csv reads it
+        monkeypatch.setattr(np, "loadtxt", not_called)
+        np.testing.assert_array_equal(load_features(write(tmp_path, "1,2\n", "q.csv.gz")), [[1, 2]])
+        gz = tmp_path / "real.csv.gz"
+        gz.write_bytes(gzip.compress(b"1,2\n"))
+        with pytest.raises(DataError, match="cannot read"):
+            load_features(gz)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_opened_once(self, tmp_path, monkeypatch, deadline):
+        fifo = tmp_path / "query.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("1,2\n3,4\n",), daemon=True)
+        writer.start()
+        monkeypatch.setattr(np, "loadtxt", not_called)
+        np.testing.assert_array_equal(load_features(fifo), [[1, 2], [3, 4]])
+        writer.join()
 
 
 def toy_dataset(n=20, m=3, num_classes=2, seed=0):

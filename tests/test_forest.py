@@ -577,6 +577,13 @@ class TestClassVector:
         with pytest.raises(DimensionError):
             class_vector(example_forest(), np.zeros(2), [0.5, 0.5])
 
+    def test_forest_of_no_trees_rejected(self):
+        f = example_forest()
+        empty = np.empty(0, dtype=np.int32)
+        with pytest.raises(ValueError, match="a forest needs at least one tree, got 0"):
+            ForestModel(f.feature, f.threshold, f.children, f.counts, empty, np.empty(0),
+                        f.kind, f.n_features)
+
     def test_batch_uses_trained_weights(self):
         f = example_forest().with_weights([0.5, 0.3, 0.2])
         out = class_vectors_batch(f, np.zeros((4, 2)))
