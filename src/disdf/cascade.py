@@ -37,7 +37,7 @@ import numpy as np
 from . import config, pairstats, tree
 from .config import MODE_DISDF, TrainConfig
 from .data import Dataset, fold_ids
-from .errors import BadCellError, ConfigError, DimensionError, DisdfError
+from .errors import ConfigError, DimensionError, DisdfError
 from .forest import ForestModel, class_vectors_batch, routed_tree_dists, train_forests
 from .pairstats import compute_pair_stats
 from .weightopt import ObjectiveParams, Solution, solve_weights
@@ -340,14 +340,12 @@ def predict(model: CascadeModel, x: np.ndarray) -> int:
 
 
 def predict_batch(model: CascadeModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.base_dim:
-        raise DimensionError(
-            f"expected (n, {model.base_dim}) inputs, got {X.shape}"
-        )
-    # a NaN would silently go right at every split
-    if not np.isfinite(X).all():
-        raise BadCellError("features contain NaN or infinite values")
+    """Class of each row of X, shape (n,).
+
+    X is checked by the first forest it meets, whose ``n_features`` is
+    ``model.base_dim``: a wrong width is a :class:`DimensionError` and a
+    non-finite value a :class:`BadCellError` (``forest._inputs``).
+    """
     for level in model.levels[:-1]:
         X = augment_batch(level, X)
     class_vectors = [class_vectors_batch(f, X) for f in model.levels[-1].forests]

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError, ModelFormatError
+from .errors import BadCellError, DataError, DimensionError, ModelFormatError
 from .tree import RANDOM_SPLIT, TREE_KINDS, TreeParams, grow_trees
 
 SIMPLEX_TOL = 1e-6
@@ -82,8 +82,12 @@ class ForestModel:
 
     @cached_property
     def walk_refs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``children`` and ``roots`` renumbered for :func:`_walk_tables` and checked,
-        once per forest (:func:`_walk_refs`)."""
+        """``children`` and ``roots`` renumbered for :func:`_walk_tables`
+        (:func:`_walk_refs`), once per forest, after :func:`check_table` has
+        passed its table.  Every deploy route reads them, so no forest is
+        routed unchecked; a refusal is not cached and is raised again on the
+        next read."""
+        check_table(self)
         children, roots = _walk_refs([self])
         return children, roots[0]
 
@@ -91,29 +95,29 @@ class ForestModel:
         return replace(self, weights=w)
 
 
-def check_table(feature, threshold, children, counts, roots, n_features: int) -> None:
-    """Refuse a node table that could hang, misroute or index out of bounds.
+def check_table(forest: ForestModel) -> None:
+    """Refuse a forest whose node table could hang, misroute or index out of bounds.
 
-    The arrays are :class:`ForestModel`'s, with its dtypes and shapes.  These
-    are the table's rules: at least one tree, every reference in range, every
-    internal child numbered above its parent, each node and leaf referenced
-    exactly once, split features in ``[0, n_features)``, finite thresholds
-    and no empty leaf.  ``serialize.load_model`` runs it on each forest it
-    reads; a table that :func:`train_forests` grows keeps them by
-    construction.  Raises :class:`ModelFormatError`.
+    This is the one statement of a table's rules: every reference in
+    range, every internal child numbered above its parent, so a walk
+    reaches its leaf within I steps for I internal nodes, each node and
+    leaf referenced exactly once, split features in ``[0, n_features)``,
+    finite thresholds and no empty leaf.  ``ForestModel`` has refused a
+    forest of no trees already.  It runs once per forest, when
+    :attr:`ForestModel.walk_refs` is first read, as ``load_model`` does for
+    each forest it loads; a table that :func:`train_forests` grows keeps
+    the rules by construction.  Raises :class:`ModelFormatError`.
     """
 
     def bad(what: str):
         raise ModelFormatError(f"malformed forest table: {what}")
 
-    n_internal, n_leaves = feature.size, counts.shape[0]
-    if roots.size == 0:
-        bad("a forest needs at least one tree")
-    refs = np.concatenate([roots, children])
+    n_internal, n_leaves = forest.feature.size, forest.counts.shape[0]
+    refs = np.concatenate([forest.roots, forest.children])
     if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
         bad("a node or leaf id in roots or children is out of range")
-    parent = np.arange(children.size) // 2
-    if np.any((children >= 0) & (children <= parent)):
+    parent = np.arange(forest.children.size) // 2
+    if np.any((forest.children >= 0) & (forest.children <= parent)):
         bad("an internal child id is not greater than its parent's id")
     # with ids increasing down every path, one reference per node and leaf
     # makes each tree a proper binary tree hanging from exactly one root
@@ -121,12 +125,12 @@ def check_table(feature, threshold, children, counts, roots, n_features: int) ->
     leaves = np.bincount(~refs[refs < 0], minlength=n_leaves)
     if np.any(nodes != 1) or np.any(leaves != 1):
         bad("a node or leaf is not referenced exactly once by roots and children")
-    if np.any(feature < 0) or np.any(feature >= n_features):
-        bad(f"a split feature is outside [0, {n_features})")
+    if np.any(forest.feature < 0) or np.any(forest.feature >= forest.n_features):
+        bad(f"a split feature is outside [0, {forest.n_features})")
     # a NaN threshold would send every input right
-    if not np.isfinite(threshold).all():
+    if not np.isfinite(forest.threshold).all():
         bad("a split threshold is not finite")
-    if not counts.any(axis=1).all():
+    if not forest.counts.any(axis=1).all():
         bad("a leaf holds no rows")
 
 
@@ -178,12 +182,15 @@ def train_forests(
 
 
 def _inputs(forest: ForestModel, X) -> np.ndarray:
-    """X as a float64 (n, m) matrix for the forest's m features."""
+    """X as a float64 (n, m) matrix of finite values for the forest's m features."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise DimensionError(
             f"expected (n, {forest.n_features}) inputs, got {X.shape}"
         )
+    # a NaN would silently go right at every split
+    if not np.isfinite(X).all():
+        raise BadCellError("features contain NaN or infinite values")
     return X
 
 
@@ -197,25 +204,10 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     int32 like the forests' own ids; a table of 2**31 nodes would take over
     30 GB.
 
-    The walker's two rules are checked here, each refusal a
-    :class:`ModelFormatError`: every root and child id is in range, inside
-    its own forest's nodes and leaves, so every walk reads inside the walk
-    tables; and every child is numbered above its parent, as one at or
-    below it would let a walk loop or miss its leaf, so each walk reaches
-    its leaf within I steps.  ``ForestModel.walk_refs`` caches the
-    result, so :func:`class_vectors_batch` checks a forest once, while a
-    refusal is not cached and is raised again on the next call.
-    :func:`routed_tree_dists` calls this on every call.  The other rules of
-    a table are :func:`check_table`'s, which runs when a model is loaded.
+    This is a pure renumbering and checks nothing: the tables are
+    :func:`check_table`'s, through ``ForestModel.walk_refs``, or grown by
+    :func:`train_forests`.
     """
-    for f, forest in enumerate(forests):
-        low, high = -forest.counts.shape[0], forest.feature.size
-        for refs in (forest.roots, forest.children):
-            if refs.size and (refs.min() < low or refs.max() >= high):
-                raise ModelFormatError(
-                    f"forest {f}: a root or child id is out of range for {high} "
-                    f"internal nodes and {-low} leaves"
-                )
     n_internal = np.cumsum([0] + [f.feature.size for f in forests])
     n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
 
@@ -225,12 +217,6 @@ def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     children = [renumbered(forest.children, f) for f, forest in enumerate(forests)]
     children = np.concatenate(children, dtype=np.int32)
     roots = np.stack([renumbered(forest.roots, f) for f, forest in enumerate(forests)])
-    below = np.flatnonzero(np.minimum(children[0::2], children[1::2]) <= np.arange(n_internal[-1]))
-    if below.size:
-        raise ModelFormatError(
-            f"node {below[0]} has a child numbered at or below it: "
-            "the node table has a cycle or a child numbered below its parent"
-        )
     return children, roots
 
 
@@ -238,7 +224,7 @@ def _walk_tables(forests: list[ForestModel], children: np.ndarray):
     """Walk tables over the forests' internal nodes and leaves, for :func:`_route_leaves`.
 
     ``children`` are the references of the forests' I internal nodes in all,
-    as :func:`_walk_refs` renumbers and checks them.  The tables are intp
+    as :func:`_walk_refs` renumbers them.  The tables are intp
     ``feature``, float64 ``threshold`` and intp ``children`` over the nodes
     and leaves, 32 bytes a node; node I + l is leaf l, with feature 0,
     threshold +inf and both children pointing to itself, so a walk that
@@ -302,16 +288,14 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
     """Per-tree class distributions of row ``rows[i]`` of X under forest
     ``forests[which[i]]``, shape (len(rows), T, C).
 
-    The caller passes forests of equal T, C and feature count m and X as a
-    float64 (n, m) matrix, as ``cascade._fit_slots`` does with the forests of
-    one :func:`train_forests` call and their Dataset's features; none of
-    this is checked again here.  All positions are
-    routed in one pass over the forests' node tables concatenated, each
-    forest's node and leaf ids shifted past those of the forests before it,
-    and expanded once into walk tables (:func:`_walk_tables`).  The
-    concatenated table is checked on every call by :func:`_walk_refs`,
-    before any position walks, so a malformed forest is refused even when
-    no row is routed through it.
+    The caller passes forests of equal T, C and feature count m, grown by
+    :func:`train_forests`, and X as a float64 (n, m) matrix, as
+    ``cascade._fit_slots`` does with the forests of one call and their
+    Dataset's features; none of this, the tables' rules included, is
+    checked here.  All positions are routed in one pass over the forests'
+    node tables concatenated, each forest's node and leaf ids shifted past
+    those of the forests before it (:func:`_walk_refs`), and expanded once
+    into walk tables (:func:`_walk_tables`).
     """
     T, C = forests[0].n_trees, forests[0].num_classes
     children, roots = _walk_refs(forests)
@@ -324,8 +308,9 @@ def routed_tree_dists(forests: list[ForestModel], X, rows, which) -> np.ndarray:
 def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class vectors for each row of X under the forest's weights, shape (n, C).
 
-    The forest's table is checked once, when its ``walk_refs`` are first
-    cached (:func:`_walk_refs`).  Its walk tables (:func:`_walk_tables`, 32
+    X must hold finite values (:class:`BadCellError`).  The forest's table
+    is checked once, when its ``walk_refs`` are first cached
+    (:func:`check_table`).  Its walk tables (:func:`_walk_tables`, 32
     bytes per node and leaf) are expanded from them once per call and freed
     on return.  Rows are then routed and weighted ``_BLOCK`` at a time, so
     the routing temporaries and the (rows, T, C) leaf distributions stay one

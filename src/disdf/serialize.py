@@ -20,9 +20,12 @@ keys, types and values, one class label per class and a score per level,
 and that no bytes follow the last forest, so a file with a valid checksum
 but a missing or unknown key fails with :class:`ModelFormatError` instead of
 a bare ``KeyError``.  This module states no rule of a node table: each
-forest block read is checked by :func:`~disdf.forest.check_table`, and its
-weights by :class:`~disdf.forest.ForestModel`, before any input is routed,
-and a refusal is raised with the file's path.
+forest block read is checked by :func:`~disdf.forest.check_table`, through
+the forest's ``walk_refs``, and its weights by
+:class:`~disdf.forest.ForestModel`, before any input is routed, and a
+refusal is raised with the file's path.  The header is read line by line
+with a bound and the payload no further than its declared size, so a
+file of another kind is refused without being read whole.
 """
 
 from __future__ import annotations
@@ -30,14 +33,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
+from stat import S_ISREG
 
 import numpy as np
 
 from .cascade import CascadeModel, LevelModel
 from .config import TrainConfig
 from .errors import ConfigError, ModelFormatError
-from .forest import ForestModel, check_table
+from .forest import ForestModel
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
@@ -52,6 +57,10 @@ _FOREST_ARRAYS = (
     ("counts", "<u4"),
     ("roots", "<i4"),
 )
+# a header is the magic line, the sha256 and bytes lines and the "---" line,
+# each under _LINE_BYTES bytes; payloads are read _CHUNK bytes at a time
+_LINE_BYTES = 128
+_CHUNK = 1 << 24
 _META_KEYS = ("config", "base_dim", "num_classes", "level_scores", "class_labels", "levels")
 
 
@@ -110,38 +119,71 @@ def save_model(model: CascadeModel, path) -> None:
         fh.write(payload)
 
 
-def load_model(path) -> CascadeModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head, sep, payload = blob.partition(b"---\n")
-    if not sep:
-        raise ModelFormatError(f"{path}: not a model file (missing header)")
-    lines = head.decode(errors="replace").splitlines()
-    if len(lines) < 3 or not lines[0].startswith(MAGIC + " "):
-        raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    try:
-        version = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ModelFormatError(f"{path}: malformed version tag") from None
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {version} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    try:
-        fields = dict(line.split(None, 1) for line in lines[1:3])
-        expect_bytes = int(fields["bytes"])
-        expect_digest = fields["sha256"]
-    except (KeyError, ValueError):
-        raise ModelFormatError(f"{path}: malformed header") from None
-    if len(payload) != expect_bytes:
-        raise ModelFormatError(
-            f"{path}: truncated payload ({len(payload)} of {expect_bytes} bytes)"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expect_digest:
-        raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
+def _read_payload(path) -> bytes:
+    """The checked payload of the model file at ``path``.
 
+    No more is read than the header's four lines, of at most
+    ``_LINE_BYTES`` bytes each, and its declared payload plus one byte, in
+    chunks of at most ``_CHUNK`` bytes, so a device or a large file of
+    another kind is refused without being read whole.  A regular file of
+    another size than its header declares is refused before its payload is
+    read.
+    """
+    with open(path, "rb") as fh:
+        # three lines and the "---" line; a header whose "---" line comes
+        # sooner is refused below, so what is read past it does not matter
+        head = [fh.readline(_LINE_BYTES) for _ in range(4)]
+        if b"---\n" not in head:
+            raise ModelFormatError(f"{path}: not a model file (missing header)")
+        head = head[: head.index(b"---\n")]
+        lines = [line.decode(errors="replace").rstrip("\n") for line in head]
+        if len(lines) < 3 or not lines[0].startswith(MAGIC + " "):
+            raise ModelFormatError(f"{path}: not a model file (bad magic)")
+        try:
+            version = int(lines[0].split()[1])
+        except (IndexError, ValueError):
+            raise ModelFormatError(f"{path}: malformed version tag") from None
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(
+                f"{path}: unsupported format version {version} "
+                f"(this build reads version {FORMAT_VERSION})"
+            )
+        try:
+            fields = dict(line.split(None, 1) for line in lines[1:3])
+            expect_bytes = int(fields["bytes"])
+            expect_digest = fields["sha256"]
+        except (KeyError, ValueError):
+            raise ModelFormatError(f"{path}: malformed header") from None
+
+        def truncated(n_bytes):
+            return ModelFormatError(
+                f"{path}: truncated payload ({n_bytes} of {expect_bytes} bytes)"
+            )
+
+        st = os.fstat(fh.fileno())
+        if S_ISREG(st.st_mode) and st.st_size - fh.tell() != expect_bytes:
+            raise truncated(st.st_size - fh.tell())
+        chunks, left = [], expect_bytes + 1
+        while left > 0 and (chunk := fh.read(min(left, _CHUNK))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    payload = b"".join(chunks)
+    if len(payload) != expect_bytes:
+        raise truncated(len(payload))
+    if hashlib.sha256(payload).hexdigest() != expect_digest:
+        raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
+    return payload
+
+
+def load_model(path) -> CascadeModel:
+    """The model saved at ``path``, its forests checked (:func:`_read_payload`).
+
+    Each forest's weights are checked by :class:`ForestModel` and its node
+    table by reading its ``walk_refs`` (:func:`~disdf.forest.check_table`),
+    which are then cached, so the forest is not checked again when it
+    routes.  Every refusal is a :class:`ModelFormatError` naming the path.
+    """
+    payload = _read_payload(path)
     reader = _Reader(payload, path)
     (meta_len,) = struct.unpack("<Q", reader.take(8))
     try:
@@ -189,12 +231,12 @@ def load_model(path) -> CascadeModel:
         for kind in kinds:
             table = reader.forest(num_classes)
             weights = table.pop("weights")
-            # the block's sizes fix the weights' length; ForestModel checks their values
+            # the block's sizes fix the weights' length; ForestModel checks their
+            # values and reading walk_refs the table, whose renumbering is kept
             try:
-                check_table(**table, n_features=input_dim)
-                forests.append(
-                    ForestModel(**table, weights=weights, kind=kind, n_features=input_dim)
-                )
+                forest = ForestModel(**table, weights=weights, kind=kind, n_features=input_dim)
+                forest.walk_refs
+                forests.append(forest)
             except ModelFormatError as exc:
                 raise ModelFormatError(f"{path}: {exc}") from None
             except ValueError as exc:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -267,8 +268,11 @@ class TestPredict:
         model = train_cascade(ds, fast_cfg(mode="baseline"))
         X = ds.features[:4].copy()
         X[2, 1] = bad
-        with pytest.raises(BadCellError):
-            predict_batch(model, X)
+        level = model.levels[0]
+        for call in (partial(predict_batch, model), partial(augment_batch, level),
+                     partial(class_vectors_batch, level.forests[0])):
+            with pytest.raises(BadCellError):
+                call(X)
         with pytest.raises(BadCellError):
             predict(model, X[2])
 

@@ -9,6 +9,7 @@ import resource
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,38 @@ class TestModelFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ModelFormatError, match="truncated|checksum"):
             load_model(path)
+        # a regular file is sized before its payload is read, so a huge
+        # declared payload is neither allocated nor read
+        head, sep, payload = blob.partition(b"---\n")
+        head = re.sub(rb"bytes \d+", b"bytes %d" % (1 << 60), head)
+        path.write_bytes(head + sep + payload)
+        with pytest.raises(ModelFormatError,
+                           match=rf"truncated payload \({len(payload)} of {1 << 60} bytes\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_model_read_through_a_pipe(self, tmp_path, cut):
+        # a pipe has no size: its payload is read up to the declared size
+        model, ds = self.trained()
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        blob = path.read_bytes()
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob[: len(blob) - cut],))
+        writer.start()
+        try:
+            if cut:
+                with pytest.raises(ModelFormatError, match="truncated payload"):
+                    load_model(pipe)
+            else:
+                loaded = load_model(pipe)
+                np.testing.assert_array_equal(
+                    predict_batch(loaded, ds.features), predict_batch(model, ds.features)
+                )
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
     def retag(self, tmp_path, version):
         model, _ = self.trained()
@@ -761,24 +794,33 @@ def test_grow_memory_bound_exit_3(toy_csv, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("forests", [3_000_000, 1_000_000_000])
-def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path, forests):
-    # three million forests keep about 6 GiB, and a billion a list of their
-    # kinds alone would take 8 GiB; the level is refused before any per-slot
-    # state is made.  Run in a process capped at 1.5 GiB, so that code which
-    # made that state first fails inside the cap instead of exhausting the
-    # host's memory.
+def capped_cli(args, limit):
+    """``python -m disdf.cli`` on ``args`` in a process whose address space
+    is capped at ``limit`` bytes, so that code which allocates what it should
+    refuse fails inside the cap instead of exhausting the host's memory."""
+
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = str(Path(disdf.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = tmp_path / "m.model"
-    run = subprocess.run(
-        [sys.executable, "-m", "disdf.cli", "train", "--data", str(toy_csv), "--label-col", "3",
-         "--out", str(out), "--forests", str(forests), "--trees", "2", "--fw-iterations", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "disdf.cli", *args],
         preexec_fn=cap, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("forests", [3_000_000, 1_000_000_000])
+def test_oversized_forests_exit_3_before_any_slot(toy_csv, tmp_path, forests):
+    # three million forests keep about 6 GiB, and a billion a list of their
+    # kinds alone would take 8 GiB; the level is refused before any per-slot
+    # state is made, inside a cap of 1.5 GiB
+    out = tmp_path / "m.model"
+    run = capped_cli(
+        ["train", "--data", str(toy_csv), "--label-col", "3", "--out", str(out),
+         "--forests", str(forests), "--trees", "2", "--fw-iterations", "5"],
+        1536 << 20,
     )
     assert run.returncode == 3, run.stderr
     assert "--forests" in run.stderr
@@ -791,6 +833,8 @@ HOSTILE_FILES = {
     "config-not-utf8": ("--config", b"# \xe9t\xe9\ntau=0.5\n"),
     "csv-field-over-limit": ("--data", b"1.0," + b"a" * 200_000 + b"\n"),
     "metadata-nested-100k-deep": ("--model", None),
+    # a model file is refused from its first lines, not read whole
+    "csv-as-model": ("--model", b"1.0,2.0,3.0,a\n" * 100_000),
 }
 
 
@@ -798,10 +842,13 @@ HOSTILE_FILES = {
 def test_hostile_file_exit_2(case, toy_csv, tmp_path, capsys):
     flag, content = HOSTILE_FILES[case]
     path = tmp_path / "hostile"
-    if content is None:
-        # the checksum is valid, so only the JSON parser meets the nesting
-        meta = b"[" * 100_000 + b"]" * 100_000
-        write_payload(path, struct.pack("<Q", len(meta)) + meta)
+    if flag == "--model":
+        if content is None:
+            # the checksum is valid, so only the JSON parser meets the nesting
+            meta = b"[" * 100_000 + b"]" * 100_000
+            write_payload(path, struct.pack("<Q", len(meta)) + meta)
+        else:
+            path.write_bytes(content)
         args = ["predict", "--model", str(path), "--data", str(toy_csv)]
     else:
         path.write_bytes(content)
@@ -811,6 +858,21 @@ def test_hostile_file_exit_2(case, toy_csv, tmp_path, capsys):
             args += ["--config", str(path)]
     assert main(args + ["--label-col", "3", "--out", str(tmp_path / "out")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("device", ["/dev/zero", "/dev/urandom"])
+def test_device_as_model_exit_2(device, toy_csv, tmp_path):
+    # an endless file is refused from a bounded read of its first lines,
+    # inside a cap of 1 GiB that reading it whole would exhaust
+    if not os.path.exists(device):
+        pytest.skip(f"no {device} here")
+    run = capped_cli(
+        ["predict", "--model", device, "--data", str(toy_csv), "--label-col", "3",
+         "--out", str(tmp_path / "p.csv")],
+        1 << 30,
+    )
+    assert run.returncode == 2, run.stderr
+    assert f"{device}: not a model file (missing header)" in run.stderr
 
 
 class TestBench:

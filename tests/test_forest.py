@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from disdf import forest as forest_module
-from disdf.cascade import CascadeModel, LevelModel
+from disdf.cascade import CascadeModel, LevelModel, augment_batch, predict_batch, train_cascade
 from disdf.config import TrainConfig
 from disdf.data import fold_ids
 from disdf.errors import DataError, DimensionError, ModelFormatError
@@ -321,7 +321,7 @@ class TestWalker:
         )
 
     def test_child_numbered_below_its_parent_raises(self):
-        with pytest.raises(ModelFormatError, match="numbered below its parent"):
+        with pytest.raises(ModelFormatError, match="not greater than its parent"):
             class_vectors_batch(below_parent_forest(), np.array([[-1.0]]))
 
 
@@ -367,14 +367,6 @@ class TestWalkTables:
         expected = np.einsum("ntc,t->nc", forest.dist[reference_leaves(forest, X)], forest.weights)
         np.testing.assert_array_equal(class_vectors_batch(forest, X), expected)
 
-    def test_child_below_its_parent_raises_through_both_entry_points(self):
-        forest = below_parent_forest()
-        X = np.array([[-1.0], [1.0]])
-        with pytest.raises(ModelFormatError, match="numbered below its parent"):
-            class_vectors_batch(forest, X)
-        with pytest.raises(ModelFormatError, match="numbered below its parent"):
-            routed_tree_dists([leaf_forest([[1, 0, 0]]), forest], X, np.arange(2), np.zeros(2, int))
-
     @pytest.mark.parametrize(
         "children, root",
         [
@@ -384,7 +376,7 @@ class TestWalkTables:
             pytest.param([~0, ~1], ~2, id="root-below-the-leaves"),
         ],
     )
-    def test_out_of_range_id_raises_through_both_entry_points(self, children, root):
+    def test_out_of_range_id_raises(self, children, root):
         def stump(children, root):
             # one internal node and two leaves: ids ~1..0 are in range
             return ForestModel(
@@ -398,20 +390,11 @@ class TestWalkTables:
                 n_features=1,
             )
 
-        bad, good = stump(children, root), stump([~0, ~1], 0)
-        X = np.array([[-1.0], [1.0]])
-        with pytest.raises(ModelFormatError, match="^forest 0: .* out of range"):
-            class_vectors_batch(bad, X)
-        # each forest is checked against its own ids: shifted past the first
-        # forest's, a bad id of the first may name a node of the second
-        rows, which = np.arange(2), np.zeros(2, dtype=int)
-        with pytest.raises(ModelFormatError, match="^forest 0: .* out of range"):
-            routed_tree_dists([bad, good], X, rows, which + 1)
-        with pytest.raises(ModelFormatError, match="^forest 1: .* out of range"):
-            routed_tree_dists([good, bad], X, rows, which)
+        with pytest.raises(ModelFormatError, match="out of range"):
+            class_vectors_batch(stump(children, root), np.array([[-1.0], [1.0]]))
 
     def test_child_equal_to_its_parent_raises(self):
-        with pytest.raises(ModelFormatError, match="cycle"):
+        with pytest.raises(ModelFormatError, match="not greater than its parent"):
             class_vectors_batch(own_child_forest(), np.array([[1.0], [-1.0]]))
 
     def test_tables_expanded_once_per_call(self, monkeypatch):
@@ -434,20 +417,20 @@ class TestWalkTables:
 
 
 class TestTableChecks:
-    """The walker's rule is checked by _walk_refs: once per forest through its
-    cached walk_refs, once per routed_tree_dists call, and never at load,
-    where check_table states every rule of a table."""
+    """check_table runs once per forest, when its walk_refs are first read:
+    at load for a loaded model, at the first route for a trained one, and
+    never in training, whose grown tables routed_tree_dists trusts."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
         calls = []
 
-        def counted(forests):
-            calls.append(len(forests))
-            return walk_refs(forests)
+        def counted(forest):
+            calls.append(id(forest))
+            return check_table(forest)
 
-        walk_refs = forest_module._walk_refs
-        monkeypatch.setattr(forest_module, "_walk_refs", counted)
+        check_table = forest_module.check_table
+        monkeypatch.setattr(forest_module, "check_table", counted)
         return calls
 
     def test_a_forest_is_checked_once_across_calls(self, checked):
@@ -456,22 +439,14 @@ class TestTableChecks:
         X = inputs_with_ties(rng, forest, 20)
         first = class_vectors_batch(forest, X)
         np.testing.assert_array_equal(class_vectors_batch(forest, X), first)
-        assert checked == [1]
+        assert checked == [id(forest)]
 
     def test_a_refusal_is_not_cached(self, checked):
         forest = own_child_forest()
         for _ in range(2):
-            with pytest.raises(ModelFormatError, match="cycle"):
+            with pytest.raises(ModelFormatError, match="not greater than its parent"):
                 class_vectors_batch(forest, np.array([[1.0], [-1.0]]))
-        assert checked == [1, 1]
-
-    def test_routed_tree_dists_checks_on_every_call(self, checked):
-        rng = np.random.default_rng(6)
-        forests = [random_forest(rng, 5, 3, 3) for _ in range(2)]
-        X = inputs_with_ties(rng, forests[0], 10)
-        for _ in range(2):
-            routed_tree_dists(forests, X, np.arange(10), rng.integers(2, size=10))
-        assert checked == [2, 2]
+        assert checked == [id(forest)] * 2
 
     def test_a_model_file_with_such_a_table_fails_at_load(self, checked, tmp_path):
         model = CascadeModel(
@@ -484,7 +459,76 @@ class TestTableChecks:
         message = f"^{re.escape(str(path))}: malformed forest table: an internal child id"
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+        assert len(checked) == 1
+
+    def test_training_checks_none_and_each_deploy_forest_is_checked_once(
+        self, checked, tmp_path
+    ):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 3))
+        ds = make_ds(X, (X[:, 0] > 0).astype(int), 2)
+        cfg = TrainConfig(trees_per_forest=3, max_levels=2, patience=2, fw_iterations=20)
+        model = train_cascade(ds, cfg, workers=1)
         assert checked == []
+        path = tmp_path / "m.model"
+        save_model(model, path)
+
+        def checked_once(fitted):
+            for _ in range(2):
+                predict_batch(fitted, X)
+            forests = [f for level in fitted.levels for f in level.forests]
+            return sorted(checked) == sorted(map(id, forests))
+
+        assert checked_once(model)
+        checked.clear()
+        # a loaded model's forests are checked at load and not again
+        assert checked_once(load_model(path))
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # a stump whose left child splits again: ids 0, 1 and leaves ~0..~2
+            pytest.param({"feature": [0, 2]}, "split feature", id="feature-n_features"),
+            pytest.param({"feature": [-1, 0]}, "split feature", id="feature-minus-one"),
+            pytest.param({"threshold": [0.0, np.nan]}, "threshold", id="nan-threshold"),
+            pytest.param({"counts": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}, "no rows",
+                         id="empty-leaf"),
+            pytest.param({"children": [~0, 1, ~1, ~1]}, "exactly once", id="leaf-twice"),
+            pytest.param({"children": [~0, ~1, ~2, 0], "roots": [1]},
+                         "not greater than its parent", id="child-below-its-parent"),
+            pytest.param({"children": [~0, 1, ~1, 0]}, "not greater than its parent",
+                         id="two-node-cycle"),
+            pytest.param({"children": [~0, 2, ~1, ~2]}, "out of range", id="id-out-of-range"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["class_vectors_batch", "augment_batch", "predict_batch"])
+    def test_read_side_refuses_a_broken_table_before_routing(
+        self, monkeypatch, table, message, entry
+    ):
+        def routed(*args):
+            raise AssertionError("a row was routed")
+
+        monkeypatch.setattr(forest_module, "_route_leaves", routed)
+        arrays = {
+            "feature": [0, 1], "threshold": [0.0, 0.0], "children": [~0, 1, ~1, ~2],
+            "counts": np.eye(3), "roots": [0], **table,
+        }
+        dtypes = {"feature": np.int32, "threshold": np.float64, "children": np.int32,
+                  "counts": np.uint32, "roots": np.int32}
+        forest = ForestModel(
+            **{name: np.array(arrays[name], dtype=dtypes[name]) for name in dtypes},
+            weights=[1.0], kind=RANDOM_SPLIT, n_features=2,
+        )
+        level = LevelModel([forest])
+        call = {
+            "class_vectors_batch": lambda X: class_vectors_batch(forest, X),
+            "augment_batch": lambda X: augment_batch(level, X),
+            "predict_batch": lambda X: predict_batch(
+                CascadeModel(levels=[level], config=TrainConfig()), X),
+        }[entry]
+        for _ in range(2):
+            with pytest.raises(ModelFormatError, match=f"malformed forest table: .*{message}"):
+                call(np.array([[-1.0, 1.0], [1.0, -1.0], [0.5, 0.5]]))
 
 
 class TestRoutedTreeDists:
@@ -513,29 +557,6 @@ class TestRoutedTreeDists:
             expected[at] = forest_tree_dists_batch(forest, X[rows[at]])
         assert got.shape == (2 * n, 6, 3)
         np.testing.assert_array_equal(got, expected)
-
-    def test_cyclic_table_raises_through_the_shared_walker(self):
-        # nodes 0 and 1 send every input to each other; no leaf is reachable
-        cyclic = ForestModel(
-            feature=np.zeros(2, dtype=np.int32),
-            threshold=np.zeros(2),
-            children=np.array([1, 1, 0, 0], dtype=np.int32),
-            counts=np.array([[1, 0]], dtype=np.uint32),
-            roots=np.zeros(1, dtype=np.int32),
-            weights=[1.0],
-            kind=RANDOM_SPLIT,
-            n_features=1,
-        )
-        fine = leaf_forest([[0, 1]])
-        X = np.zeros((3, 1))
-        with pytest.raises(ModelFormatError, match="cycle"):
-            routed_tree_dists([fine, cyclic], X, np.arange(3), np.array([0, 1, 0]))
-        with pytest.raises(ModelFormatError, match="cycle"):
-            class_vectors_batch(cyclic, X)
-        # the tables are checked whole, before any position walks: a cyclic
-        # forest is refused even when no row is routed through it
-        with pytest.raises(ModelFormatError, match="cycle"):
-            routed_tree_dists([fine, cyclic], X, np.arange(3), np.zeros(3, dtype=int))
 
 
 class TestClassVector:

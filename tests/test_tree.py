@@ -393,7 +393,7 @@ class TestPrediction:
             kind=RANDOM_SPLIT,
             n_features=1,
         )
-        with pytest.raises(ModelFormatError, match="cycle"):
+        with pytest.raises(ModelFormatError, match="not greater than its parent"):
             forest_tree_dists_batch(forest, np.zeros((3, 1)))
 
     def test_dimension_mismatch(self):
@@ -524,8 +524,7 @@ class TestLevelwiseGrower:
             ]
             for features, labels, params in cases:
                 forest = one_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
-                check_table(forest.feature, forest.threshold, forest.children,
-                            forest.counts, forest.roots, features.shape[1])
+                check_table(forest)
                 assert forest.dist.shape[0] == forest.feature.size + n_trees
                 if params.max_depth is not None:
                     depths = [tree_depth(forest, t) for t in range(n_trees)]
