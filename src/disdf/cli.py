@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
+# the longest --config file read; a config names a dozen fields, so a longer
+# file is not one, and it is refused without being read whole
+CONFIG_BYTES = 1 << 16
 
 
 def _parse_label_col(text: str):
@@ -58,10 +61,18 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _read_config_file(path) -> tuple[dict, dict]:
-    """A config file's ``key=value`` texts, and the ``file:line`` of each key."""
+    """A config file's ``key=value`` texts, and the ``file:line`` of each key.
+
+    At most ``CONFIG_BYTES`` bytes are read; a longer file is refused with
+    :class:`DataError`.
+    """
     text, origin = {}, {}
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read(CONFIG_BYTES + 1)
+        if len(raw) > CONFIG_BYTES:
+            raise DataError(f"config file {path} is longer than {CONFIG_BYTES} bytes")
+        lines = raw.decode("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, 1):

@@ -7,7 +7,8 @@ with no label column whose data lines numpy's C reader (``np.loadtxt``)
 accepts as finite numbers is parsed there in one call; numpy strips and
 converts each cell as ``float(token.strip())`` does, so the values are the
 same.  Every other file is read cell by cell with ``csv``, and every error
-comes from that reader.
+comes from that reader, which is fed lines of at most ``LINE_CHARS``
+characters, newline included, and refuses a longer one.
 """
 
 from __future__ import annotations
@@ -81,10 +82,23 @@ class Dataset:
         )
 
 
+# the longest line, in characters, that the csv reader is fed; a longer one
+# is refused before it is read whole
+LINE_CHARS = 1 << 24
+
+
+def _lines(fh, path):
+    """The lines of text file ``fh``, each read with a bound of ``LINE_CHARS``."""
+    while line := fh.readline(LINE_CHARS):
+        if len(line) == LINE_CHARS and line[-1] not in "\r\n":
+            raise DataError(f"cannot read {path}: a line is longer than {LINE_CHARS} characters")
+        yield line
+
+
 def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+            rows = [row for row in csv.reader(_lines(fh, path)) if any(map(str.strip, row))]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return rows
@@ -138,9 +152,9 @@ def _read_plain(path) -> np.ndarray | None:
         return None
     try:
         with open(name, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_lines(fh, path))
             first = next((row for row in reader if any(map(str.strip, row))), None)
-    except (OSError, UnicodeDecodeError, csv.Error):
+    except (OSError, UnicodeDecodeError, csv.Error, DataError):
         return None
     if first is None:
         return None

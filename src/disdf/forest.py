@@ -39,22 +39,23 @@ def check_weights(w, n_trees: int) -> np.ndarray:
 class ForestModel:
     """T trees of one kind in one compact node table, plus simplex weights.
 
-    Only internal nodes have rows in ``feature`` and ``threshold``.  Node and
-    leaf ids are global across the forest and numbered breadth-first: all
-    nodes at depth d, tree by tree, come before any node at depth d + 1, so a
-    child id is always larger than its parent's.  Internal node i sends an
-    input x to ``children[2*i + go_left]`` with
-    ``go_left = x[feature[i]] <= threshold[i]`` (a tie goes left).  A
-    reference ``>= 0`` is an internal node and ``~l`` is leaf l, whose
-    training rows per class are ``counts[l]``; ``roots[t]`` is tree t's root
-    reference, itself ``~l`` for a single-leaf tree.
+    Only internal nodes have rows in ``feature`` and ``threshold``; internal
+    node i sends an input x left when ``x[feature[i]] <= threshold[i]`` (a
+    tie goes left).  The trees' shape is ``is_node``, one bit per reference
+    in breadth-first order: the T roots, then each internal node's (left,
+    right) children, True for an internal node and False for a leaf.  Read
+    in that order, the references number the internal nodes 0, 1, 2, ...
+    and the leaves 0, 1, 2, ..., so a node's id is its rank among the True
+    bits and a leaf's its rank among the False ones, and internal node i's
+    children are references T + 2i and T + 2i + 1.  This is the level-order
+    succinct tree of Jacobson ("Space-efficient static trees and graphs",
+    FOCS 1989).  Leaf l's training rows per class are ``counts[l]``.
     """
 
-    feature: np.ndarray  # (n_internal,) int32 split features
-    threshold: np.ndarray  # (n_internal,) float64
-    children: np.ndarray  # (2 * n_internal,) int32 references, right then left
-    counts: np.ndarray  # (n_leaves, C) uint32 training rows per leaf and class
-    roots: np.ndarray  # (T,) int32 references
+    feature: np.ndarray  # (I,) int32 split features
+    threshold: np.ndarray  # (I,) float64
+    is_node: np.ndarray  # (T + 2I,) bool, one bit per reference
+    counts: np.ndarray  # (T + I, C) uint32 training rows per leaf and class
     weights: np.ndarray  # (T,) float64 on the unit simplex
     kind: str
     n_features: int
@@ -64,7 +65,7 @@ class ForestModel:
 
     @property
     def n_trees(self) -> int:
-        return self.roots.shape[0]
+        return self.is_node.size - 2 * self.feature.size
 
     @property
     def num_classes(self) -> int:
@@ -82,11 +83,10 @@ class ForestModel:
 
     @cached_property
     def walk_refs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``children`` and ``roots`` renumbered for :func:`_walk_tables`
-        (:func:`_walk_refs`), once per forest, after :func:`check_table` has
-        passed its table.  Every deploy route reads them, so no forest is
-        routed unchecked; a refusal is not cached and is raised again on the
-        next read."""
+        """The walker's children and roots (:func:`_walk_refs`), once per
+        forest, after :func:`check_table` has passed its table.  Every
+        deploy route reads them, so no forest is routed unchecked; a refusal
+        is not cached and is raised again on the next read."""
         check_table(self)
         children, roots = _walk_refs([self])
         return children, roots[0]
@@ -98,34 +98,39 @@ class ForestModel:
 def check_table(forest: ForestModel) -> None:
     """Refuse a forest whose node table could hang, misroute or index out of bounds.
 
-    This is the one statement of a table's rules: every reference in
-    range, every internal child numbered above its parent, so a walk
-    reaches its leaf within I steps for I internal nodes, each node and
-    leaf referenced exactly once, split features in ``[0, n_features)``,
-    finite thresholds and no empty leaf.  ``ForestModel`` has refused a
-    forest of no trees already.  It runs once per forest, when
-    :attr:`ForestModel.walk_refs` is first read, as ``load_model`` does for
-    each forest it loads; a table that :func:`train_forests` grows keeps
-    the rules by construction.  Raises :class:`ModelFormatError`.
+    This is the one statement of a table's rules, for the breadth-first bits
+    of :class:`ForestModel` (Jacobson, FOCS 1989).  ``feature`` and
+    ``threshold`` are two 1-D arrays of one length I, ``is_node`` a 1-D bool
+    array and ``counts`` a 2-D array of a row per leaf.  The bits number
+    T + 2I, as ``n_trees`` is defined, and ``ForestModel`` has refused
+    T < 1.  Exactly I of them are set, so there are T + I leaves, and the
+    j-th set bit sits before position T + 2j, where internal node j's
+    children start, so every child is numbered above its parent and a walk
+    reaches its leaf within I steps.  Every reference is then in range and
+    each node and leaf referenced exactly once by construction.  Split
+    features lie in ``[0, n_features)``, thresholds are finite and no leaf
+    is empty.  It runs once per forest, when :attr:`ForestModel.walk_refs`
+    is first read, as ``load_model`` does for each forest it loads; a table
+    that :func:`train_forests` grows keeps the rules by construction.
+    Raises :class:`ModelFormatError`.
     """
 
     def bad(what: str):
         raise ModelFormatError(f"malformed forest table: {what}")
 
-    n_internal, n_leaves = forest.feature.size, forest.counts.shape[0]
-    refs = np.concatenate([forest.roots, forest.children])
-    if np.any(refs >= n_internal) or np.any(refs < -n_leaves):
-        bad("a node or leaf id in roots or children is out of range")
-    parent = np.arange(forest.children.size) // 2
-    if np.any((forest.children >= 0) & (forest.children <= parent)):
+    feature, is_node = forest.feature, forest.is_node
+    if feature.ndim != 1 or forest.threshold.shape != feature.shape:
+        bad("feature and threshold are not 1-D arrays of one length")
+    if is_node.ndim != 1 or is_node.dtype != bool:
+        bad("is_node is not a 1-D bool array")
+    nodes = np.flatnonzero(is_node)
+    if nodes.size != feature.size:
+        bad(f"{nodes.size} bits mark internal nodes, for {feature.size} split features")
+    if forest.counts.ndim != 2 or forest.counts.shape[0] != is_node.size - nodes.size:
+        bad(f"counts is not a 2-D array of {is_node.size - nodes.size} leaf rows")
+    if np.any(nodes >= forest.n_trees + 2 * np.arange(nodes.size)):
         bad("an internal child id is not greater than its parent's id")
-    # with ids increasing down every path, one reference per node and leaf
-    # makes each tree a proper binary tree hanging from exactly one root
-    nodes = np.bincount(refs[refs >= 0], minlength=n_internal)
-    leaves = np.bincount(~refs[refs < 0], minlength=n_leaves)
-    if np.any(nodes != 1) or np.any(leaves != 1):
-        bad("a node or leaf is not referenced exactly once by roots and children")
-    if np.any(forest.feature < 0) or np.any(forest.feature >= forest.n_features):
+    if np.any(feature < 0) or np.any(feature >= forest.n_features):
         bad(f"a split feature is outside [0, {forest.n_features})")
     # a NaN threshold would send every input right
     if not np.isfinite(forest.threshold).all():
@@ -196,28 +201,26 @@ def _inputs(forest: ForestModel, X) -> np.ndarray:
 
 def _walk_refs(forests: list[ForestModel]) -> tuple[np.ndarray, np.ndarray]:
     """The children and the (len(forests), T) roots of the forests' node
-    tables concatenated, renumbered for :func:`_walk_tables`.
+    tables concatenated, numbered for :func:`_walk_tables`.
 
-    Each forest's node and leaf ids are shifted past those of the forests
-    before it.  With I internal nodes in all, internal node i stays i and
-    leaf l becomes I + l, above every internal node.  The references are
-    int32 like the forests' own ids; a table of 2**31 nodes would take over
-    30 GB.
+    With I internal nodes in all, a reference to an internal node is its
+    rank among the forests' True bits concatenated, and a reference to a
+    leaf I plus its rank among the False ones, so each forest's ids follow
+    those of the forests before it and every leaf lies above every internal
+    node.  Node i's children are stored right then left, for the walker's
+    ``children[2i + go_left]``.  The children are int32, as every walk
+    reads them; a table of 2**31 nodes would take over 30 GB.
 
     This is a pure renumbering and checks nothing: the tables are
     :func:`check_table`'s, through ``ForestModel.walk_refs``, or grown by
     :func:`train_forests`.
     """
-    n_internal = np.cumsum([0] + [f.feature.size for f in forests])
-    n_leaves = np.cumsum([0] + [f.counts.shape[0] for f in forests])
-
-    def renumbered(refs, f):
-        return np.where(refs >= 0, refs + n_internal[f], n_internal[-1] + n_leaves[f] + ~refs)
-
-    children = [renumbered(forest.children, f) for f, forest in enumerate(forests)]
-    children = np.concatenate(children, dtype=np.int32)
-    roots = np.stack([renumbered(forest.roots, f) for f, forest in enumerate(forests)])
-    return children, roots
+    bits = np.concatenate([f.is_node for f in forests])
+    n_nodes = np.cumsum(bits)
+    refs = np.where(bits, n_nodes - 1, n_nodes[-1] + np.arange(bits.size) - n_nodes)
+    is_root = np.concatenate([np.arange(f.is_node.size) < f.n_trees for f in forests])
+    children = refs[~is_root].reshape(-1, 2)[:, ::-1].ravel().astype(np.int32)
+    return children, refs[is_root].reshape(len(forests), -1)
 
 
 def _walk_tables(forests: list[ForestModel], children: np.ndarray):
@@ -323,8 +326,8 @@ def class_vectors_batch(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     slower; no warm call took a minor page fault at any of these sizes.
     """
     X = _inputs(forest, X)
-    out = np.empty((X.shape[0], forest.num_classes))
     children, roots = forest.walk_refs
+    out = np.empty((X.shape[0], forest.num_classes))
     tables = _walk_tables([forest], children)
     for start in range(0, X.shape[0], _BLOCK):
         block = X[start : start + _BLOCK]

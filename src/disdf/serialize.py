@@ -4,28 +4,32 @@ Layout: a text header (magic, format version, payload sha256 and byte count)
 followed by the binary payload: a length-prefixed JSON block (``config``,
 ``base_dim``, ``num_classes``, ``class_labels``, ``level_scores`` and
 ``levels``, each level the list of its forests' kinds), then one block per
-forest, level by level and forest by forest.  A forest block is three
-little-endian u64 sizes, T trees, I internal nodes and L leaves, then the
-raw little-endian bytes of ``weights`` (T f8), ``feature`` (I i4),
-``threshold`` (I f8), ``children`` (2I i4), ``counts`` (L x num_classes u4),
-each leaf's training rows per class, and ``roots`` (T i4), the compact node
-table of :class:`~disdf.forest.ForestModel`.  Each fact is stored once: the
-block's sizes fix every array's shape, a leaf's class distribution follows
-from its class counts, and a level's input width follows from ``base_dim``
-and the levels before it.  A round trip is bit-exact, so predictions are
-bitwise identical.
+forest, level by level and forest by forest.  A forest block is two
+little-endian u64 sizes, T trees and I internal nodes, then the raw
+little-endian bytes of ``weights`` (T f8), ``feature`` (I i4),
+``threshold`` (I f8), ``is_node`` (T + 2I bits packed eight to a byte,
+first bit lowest, the last byte padded with zero bits) and ``counts``
+(T + I leaves x num_classes u4), each leaf's training rows per class: the
+compact node table of :class:`~disdf.forest.ForestModel`, whose shape is
+one bit per reference in breadth-first order (Jacobson's level-order
+succinct tree, FOCS 1989).  Each fact is stored once: the block's sizes fix
+every array's shape, a leaf's class distribution follows from its class
+counts, and a level's input width follows from ``base_dim`` and the levels
+before it.  A round trip is bit-exact, so predictions are bitwise
+identical.
 
-Files of versions 1 to 4 are rejected.  Loading checks the JSON block's
+Files of versions 1 to 5 are rejected; version 5 stored each forest's
+shape as int32 child and root references.  Loading checks the JSON block's
 keys, types and values, one class label per class and a score per level,
-and that no bytes follow the last forest, so a file with a valid checksum
-but a missing or unknown key fails with :class:`ModelFormatError` instead of
-a bare ``KeyError``.  This module states no rule of a node table: each
-forest block read is checked by :func:`~disdf.forest.check_table`, through
-the forest's ``walk_refs``, and its weights by
-:class:`~disdf.forest.ForestModel`, before any input is routed, and a
-refusal is raised with the file's path.  The header is read line by line
-with a bound and the payload no further than its declared size, so a
-file of another kind is refused without being read whole.
+that every pad bit is zero and that no bytes follow the last forest, so a
+file with a valid checksum but a missing or unknown key fails with
+:class:`ModelFormatError` instead of a bare ``KeyError``.  This module
+states no rule of a node table: each forest block read is checked by
+:func:`~disdf.forest.check_table`, through the forest's ``walk_refs``, and
+its weights by :class:`~disdf.forest.ForestModel`, before any input is
+routed, and a refusal is raised with the file's path.  The header is read
+line by line with a bound and the payload no further than its declared
+size, so a file of another kind is refused without being read whole.
 """
 
 from __future__ import annotations
@@ -46,17 +50,7 @@ from .forest import ForestModel
 from .tree import TREE_KINDS
 
 MAGIC = "DISDF-MODEL"
-FORMAT_VERSION = 5
-# per forest, in file order after its three sizes; all but weights are
-# ForestModel's node table
-_FOREST_ARRAYS = (
-    ("weights", "<f8"),
-    ("feature", "<i4"),
-    ("threshold", "<f8"),
-    ("children", "<i4"),
-    ("counts", "<u4"),
-    ("roots", "<i4"),
-)
+FORMAT_VERSION = 6
 # a header is the magic line, the sha256 and bytes lines and the "---" line,
 # each under _LINE_BYTES bytes; payloads are read _CHUNK bytes at a time
 _LINE_BYTES = 128
@@ -77,15 +71,19 @@ class _Reader:
         self.offset += n
         return out
 
+    def array(self, n: int, code: str) -> np.ndarray:
+        return np.frombuffer(self.take(n * np.dtype(code).itemsize), dtype=code).copy()
+
     def forest(self, num_classes: int) -> dict:
-        """One forest block's arrays, their lengths set by the block's three sizes."""
-        t, i, l = struct.unpack("<3Q", self.take(24))
-        sizes = (t, i, i, 2 * i, l * num_classes, t)  # in _FOREST_ARRAYS order
-        arrays = {
-            name: np.frombuffer(self.take(n * np.dtype(code).itemsize), dtype=code).copy()
-            for (name, code), n in zip(_FOREST_ARRAYS, sizes)
-        }
-        arrays["counts"] = arrays["counts"].reshape(l, num_classes)
+        """One forest block's arrays, their lengths set by the block's two sizes."""
+        t, i = struct.unpack("<2Q", self.take(16))
+        arrays = {"weights": self.array(t, "<f8"), "feature": self.array(i, "<i4"),
+                  "threshold": self.array(i, "<f8")}
+        bits = np.unpackbits(self.array((t + 2 * i + 7) // 8, "u1"), bitorder="little")
+        if bits[t + 2 * i :].any():
+            raise ModelFormatError(f"{self.path}: malformed forest table: pad bits are not zero")
+        arrays["is_node"] = bits[: t + 2 * i].astype(bool)
+        arrays["counts"] = self.array((t + i) * num_classes, "<u4").reshape(t + i, num_classes)
         return arrays
 
 
@@ -107,10 +105,12 @@ def save_model(model: CascadeModel, path) -> None:
     buf.write(meta)
     for level in model.levels:
         for forest in level.forests:
-            buf.write(struct.pack("<3Q", forest.n_trees, forest.feature.size,
-                                  forest.counts.shape[0]))
-            for name, code in _FOREST_ARRAYS:
-                buf.write(np.ascontiguousarray(getattr(forest, name), dtype=code).tobytes())
+            buf.write(struct.pack("<2Q", forest.n_trees, forest.feature.size))
+            for array, code in ((forest.weights, "<f8"), (forest.feature, "<i4"),
+                                (forest.threshold, "<f8"),
+                                (np.packbits(forest.is_node, bitorder="little"), "u1"),
+                                (forest.counts, "<u4")):
+                buf.write(np.ascontiguousarray(array, dtype=code).tobytes())
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).hexdigest()
     header = f"{MAGIC} {FORMAT_VERSION}\nsha256 {digest}\nbytes {len(payload)}\n---\n"

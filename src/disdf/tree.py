@@ -19,9 +19,13 @@ open nodes of one kind are one contiguous run; each run is scored in chunks
 of whole nodes, at most ``SCORE_POSITIONS`` positions each.  Rows are
 indices into one :class:`~disdf.data.Dataset`, so forests grown on different
 rows of it (a cascade group's fold forests and refit forests) share one
-frontier.  Each forest gets its own node table, with node and leaf ids
-numbered breadth-first across that forest (every node at depth d, tree by
-tree, before any at depth d + 1), so a child's id exceeds its parent's.
+frontier.  Each forest gets its own node table, whose shape is one bit per
+frontier node, split or leaf, in the order the frontier meets them: every
+node at depth d, tree by tree, before any at depth d + 1, a split node's
+children left then right.  That is the breadth-first order in which
+:class:`~disdf.forest.ForestModel` numbers its nodes and leaves, so a
+child's id exceeds its parent's: Jacobson's level-order succinct tree
+("Space-efficient static trees and graphs", FOCS 1989).
 Each forest has its own generator: per depth, it draws one block for its own
 open nodes in frontier order, (nodes, m) uniforms whose argsort orders each
 random-split-search node's candidates, or (nodes, 2) uniforms that pick each
@@ -65,7 +69,7 @@ def grow_trees(
 
     ``rows[f]`` is a (T_f, n_f) index array, repeats allowed (a bootstrap),
     and ``rngs[f]`` forest f's generator.  Returns one table per forest,
-    ``(feature, threshold, children, counts, roots)``, the node table of
+    ``(feature, threshold, is_node, counts)``, the node table of
     :class:`~disdf.forest.ForestModel`; a forest's table is the same whether
     it is grown alone or with others.  A node becomes a leaf when it is
     pure, has fewer than ``min_leaf`` rows, is at depth ``max_depth``, or no
@@ -99,11 +103,9 @@ def grow_trees(
     sample = np.concatenate([r.ravel() for r in rows])
     node = np.repeat(np.arange(sum(n_trees)), np.repeat([r.shape[1] for r in rows], n_trees))
     owner = np.repeat(np.arange(F), n_trees)
-    features, thresholds, leaf_counts, children = [], [], [], []
-    # per depth, the forest of each split node, leaf and child reference
-    split_of, leaf_of, child_of = [], [], []
-    n_internal = np.zeros(F, dtype=np.int64)
-    n_leaves = np.zeros(F, dtype=np.int64)
+    features, thresholds, leaf_counts, bits = [], [], [], []
+    # per depth, the forest of each split node, leaf and frontier node
+    split_of, leaf_of, node_of = [], [], []
     depth = 0
     while owner.size:
         n_nodes = owner.size
@@ -153,29 +155,17 @@ def grow_trees(
         # a split whose rows all fall on one side (floating-point edge cases) is a leaf
         found &= (n_left > 0) & (n_left < s_size)
 
-        # a forest's ids at this depth follow its ids above: count past the
-        # forest's shallower nodes, not past other forests' nodes at this depth
+        # a forest's frontier nodes, depth by depth, are its references in
+        # breadth-first order: its roots, then each split node's (left, right)
         split = np.zeros(n_nodes, dtype=bool)
         split[open_] = found
-        n_split = np.bincount(owner[split], minlength=F)
-        n_leaf = np.bincount(owner, minlength=F) - n_split
-        ids = np.cumsum(split) - 1 + (n_internal + n_split - np.cumsum(n_split))[owner]
-        leaf_ids = np.cumsum(~split) - 1 + (n_leaves + n_leaf - np.cumsum(n_leaf))[owner]
-        ref = np.where(split, ids, ~leaf_ids)
-        if depth:
-            # a depth's refs come in (left, right) pairs per internal node one
-            # depth up, which stores them right then left
-            children.append(ref.reshape(-1, 2)[:, ::-1].ravel())
-            child_of.append(owner)
-        else:
-            roots = np.split(ref.astype(np.int32), np.cumsum(n_trees)[:-1])
+        bits.append(split)
+        node_of.append(owner)
         split_of.append(owner[split])
         leaf_of.append(owner[~split])
         features.append(f[found])
         thresholds.append(thr[found])
         leaf_counts.append(counts[~split].astype(np.uint32))
-        n_internal += n_split
-        n_leaves += n_leaf
 
         # next frontier: split node k's left child is node 2k, its right 2k + 1
         move = found[s_node]
@@ -193,13 +183,11 @@ def grow_trees(
         order = np.argsort(of, kind="stable")
         return np.split(flat.take(order, axis=0), np.cumsum(np.bincount(of, minlength=F))[:-1])
 
-    empty = [np.zeros(0, np.intp)]
     tables = list(zip(
         by_forest(features, split_of, np.int32),
         by_forest(thresholds, split_of),
-        by_forest(children or empty, child_of or empty, np.int32),
+        by_forest(bits, node_of),
         by_forest(leaf_counts, leaf_of),
-        roots,
     ))
     # back from kind-major to the callers' forest order
     return [tables[i] for i in np.argsort(forest_order)]
@@ -223,7 +211,7 @@ def grow_bytes(ds: Dataset, kinds: list[str], slot_positions: int) -> tuple[int,
     positions over its forests; ``ds`` has n rows of m features, C classes
     and ``n_tied`` columns that repeat a value (:func:`tied_columns`).
 
-    Each slot position is charged ``80 + 8 C`` bytes, of either kind, for
+    Each slot position is charged ``72 + 8 C`` bytes, of either kind, for
     its frontier and its node tables, whose leaves are uint32 class counts.
     The fixed charge is ``16`` bytes per feature cell, for the column ranks
     or the tied-column scan, plus one scoring chunk of
@@ -232,18 +220,18 @@ def grow_bytes(ds: Dataset, kinds: list[str], slot_positions: int) -> tuple[int,
     which scores every candidate of a node at once, and ``16 + 11 n_tied``
     for completely-random, which gathers and reduces the tied columns per
     node; the chunk takes the costlier kind.  Checked against tracemalloc
-    peaks of 300 groups of one to four slots, of one kind or both, each k = 3
+    peaks of 160 groups of one to four slots, of one kind or both, each k = 3
     fold forests and a refit forest, at 60 to 2000 rows, 4 to 16 trees, m
-    from 1 to 100, C = 2 and 8, and no, half or all columns tied: the peak
-    read 0.14 to 0.93 of the estimate, and over 0.5 from 300 rows up, where
-    the fixed scoring chunk no longer dominates.
+    from 1 to 100, C = 2 and 8, and no, half or all columns rounded to
+    integers: the peak read 0.14 to 0.86 of the estimate, and 0.34 or more
+    from 300 rows up, where the fixed scoring chunk no longer dominates.
     """
     per_chunk = {
         RANDOM_SPLIT: 90 * math.ceil(math.sqrt(ds.feature_dim)),
         COMPLETELY_RANDOM: 16 + 11 * tied_columns(ds.features).size,
     }
     chunk = max(SCORE_POSITIONS, ds.n) * max(per_chunk[kind] for kind in kinds)
-    return slot_positions * (80 + 8 * ds.num_classes), 16 * ds.n * ds.feature_dim + chunk
+    return slot_positions * (72 + 8 * ds.num_classes), 16 * ds.n * ds.feature_dim + chunk
 
 
 def tied_columns(X: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Reference implementations used as test oracles: a depth-first tree grower,
-one forest's per-tree routing and solvers for the per-forest weight problem."""
+node tables by child and root references, one forest's per-tree routing and
+solvers for the per-forest weight problem."""
 
 import math
 
@@ -247,3 +248,61 @@ def forest_tree_dists_batch(forest: ForestModel, X) -> np.ndarray:
     """Per-tree class distributions for each row of X, shape (n, T, C),
     routed through the one forest alone."""
     return forest.dist.take(forest_leaves(forest, X), axis=0)
+
+
+def refs_from_bits(is_node) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 ``(children, roots)`` references that a forest's
+    breadth-first bits stand for, one bit at a time.
+
+    A reference ``>= 0`` is an internal node and ``~l`` is leaf l, each
+    numbered in bit order.  ``roots[t]`` is tree t's root and
+    ``children[2*i + go_left]`` internal node i's child, right then left,
+    where ``go_left`` is ``x[feature[i]] <= threshold[i]``.
+    """
+    refs, n_nodes, n_leaves = [], 0, 0
+    for bit in is_node:
+        if bit:
+            refs.append(n_nodes)
+            n_nodes += 1
+        else:
+            refs.append(~n_leaves)
+            n_leaves += 1
+    T = len(refs) - 2 * n_nodes
+    children = []
+    for i in range(n_nodes):
+        children += [refs[T + 2 * i + 1], refs[T + 2 * i]]
+    return np.array(children, dtype=np.int32), np.array(refs[:T], dtype=np.int32)
+
+
+def table_from_refs(feature, threshold, children, counts, roots) -> dict:
+    """A node table given by ``children`` and ``roots`` references (as
+    :func:`refs_from_bits` gives them), renumbered breadth-first, as the
+    ``feature``, ``threshold``, ``is_node`` and ``counts`` of a
+    :class:`ForestModel`.
+
+    The references are met one at a time in a queue that starts with the
+    roots and takes each internal node's left, then right child; each
+    reference gives a bit, and its node or leaf the next id of its kind.
+    """
+    queue, bits, nodes, leaves = list(roots), [], [], []
+    for ref in queue:
+        bits.append(ref >= 0)
+        if ref >= 0:
+            nodes.append(ref)
+            queue += [children[2 * ref + 1], children[2 * ref]]
+        else:
+            leaves.append(~ref)
+    nodes, leaves = np.array(nodes, dtype=np.intp), np.array(leaves, dtype=np.intp)
+    return {
+        "feature": np.asarray(feature, dtype=np.int32)[nodes],
+        "threshold": np.asarray(threshold, dtype=np.float64)[nodes],
+        "is_node": np.array(bits, dtype=bool),
+        "counts": np.asarray(counts, dtype=np.uint32)[leaves],
+    }
+
+
+def forest_from_refs(feature, threshold, children, counts, roots, **rest) -> ForestModel:
+    """The :class:`ForestModel` of a node table given by references
+    (:func:`table_from_refs`); ``rest`` holds its weights, kind and
+    feature count."""
+    return ForestModel(**table_from_refs(feature, threshold, children, counts, roots), **rest)

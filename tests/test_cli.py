@@ -478,8 +478,9 @@ class TestModelFile:
 
     # version 1 stored each tree's arrays separately, version 2 left, right
     # and a dist row for every node, version 3 tree counts, level widths and
-    # array shapes twice, and version 4 float64 leaf distributions
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    # array shapes twice, version 4 float64 leaf distributions and version 5
+    # int32 child and root references
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_file_rejected_exit_2(self, tmp_path, toy_csv, capsys, version):
         path = self.retag(tmp_path, version)
         code = main(
@@ -527,11 +528,10 @@ def rewrite_meta(path, edit) -> None:
 def forest_blocks(path):
     """A model file's payload and each stored forest's byte spans in it.
 
-    A forest's spans map ``"sizes"``, its three u64 sizes, and each array name
-    to ``(start, end)``.
-    Blocks are found by walking the file, not by content: two arrays of a
-    table can hold equal bytes (``roots`` and ``feature`` can both read
-    ``[0 1 2 3]``).
+    A forest's spans map ``"sizes"``, its two u64 sizes, and each array name
+    to ``(start, end)``; ``"is_node"`` spans its packed bytes.  Blocks are
+    found by walking the file, not by content: two arrays of a table can hold
+    equal bytes.
     """
     payload = path.read_bytes().partition(b"---\n")[2]
     reader = _Reader(payload, path)
@@ -539,17 +539,25 @@ def forest_blocks(path):
     num_classes = json.loads(reader.take(meta_len))["num_classes"]
     blocks = []
     while reader.offset < len(payload):
-        spans = {"sizes": (reader.offset, reader.offset + 24)}
-        pos = reader.offset + 24
-        for name, array in reader.forest(num_classes).items():
-            spans[name] = (pos, pos + array.nbytes)
-            pos += array.nbytes
+        pos = reader.offset
+        t, i = struct.unpack("<2Q", payload[pos : pos + 16])
+        spans = {}
+        for name, n_bytes in (("sizes", 16), ("weights", 8 * t), ("feature", 4 * i),
+                              ("threshold", 8 * i), ("is_node", (t + 2 * i + 7) // 8),
+                              ("counts", 4 * (t + i) * num_classes)):
+            spans[name] = (pos, pos + n_bytes)
+            pos += n_bytes
+        reader.forest(num_classes)
+        assert reader.offset == pos
         blocks.append(spans)
     return payload, blocks
 
 
 def rewrite_array(path, name: str, new: np.ndarray) -> None:
-    """Replace array ``name`` of the first stored forest by ``new``."""
+    """Replace array ``name`` of the first stored forest by ``new``; bits are
+    packed as the file stores them."""
+    if new.dtype == bool:
+        new = np.packbits(new, bitorder="little")
     payload, blocks = forest_blocks(path)
     start, end = blocks[0][name]
     assert new.nbytes == end - start
@@ -582,48 +590,42 @@ class TestStructuralChecks:
         )
         assert code == 2
 
+    @staticmethod
+    def four_stumps(model):
+        # forest 0 holds four stumps: tree t is node t with leaves 2t and 2t+1
+        forest = model.levels[0].forests[0]
+        assert np.array_equal(forest.is_node, np.arange(12) < 4)
+        return forest
+
     def test_self_loop_rejected_instead_of_hanging(self, saved, toy_csv, tmp_path):
         model, path = saved
-        forest = model.levels[0].forests[0]
-        assert forest.roots[0] == 0 and forest.feature.size > 0
-        # node 0's left child becomes node 0 itself
-        rewrite_array(path, "children", patched(forest.children, 1, 0))
-        self.assert_rejected(path, "child", toy_csv, tmp_path)
+        forest = self.four_stumps(model)
+        # tree 3's root becomes a leaf, and node 3 its own left child
+        rewrite_array(path, "is_node", patched(forest.is_node, [3, 10], [False, True]))
+        self.assert_rejected(path, "not greater than its parent", toy_csv, tmp_path)
 
     @pytest.mark.parametrize(
         "name, index, value, message",
         [
-            ("children", 0, "n_internal", "child"),
-            ("children", 1, "next_root", "child"),
             ("feature", 0, "input_dim", "feature"),
-            ("roots", 0, 1, "roots"),
-            ("roots", 1, 0, "roots"),
             ("counts", "first_leaf", (0, 0), "no rows"),
             ("weights", 0, 5.0, "simplex"),
             ("weights", 0, np.nan, "simplex"),
-            ("children", 0, "~n_leaves", "out of range"),
-            ("children", 3, 0, "not greater than its parent"),
-            # leaf 1 orphaned and leaf 0 shared, within one tree
-            ("children", 0, ~0, "exactly once"),
-            # tree 0 links to tree 1's leaf
-            ("children", 0, "next_tree_leaf", "exactly once"),
             ("feature", 0, -1, "feature"),
-            ("roots", 0, "n_internal", "out of range"),
             ("threshold", 0, np.nan, "threshold"),
             ("threshold", 1, np.inf, "threshold"),
+            # tree 0's first leaf becomes a fifth internal node, or its root a leaf
+            ("is_node", 4, True, "5 bits mark internal nodes, for 4 split features"),
+            ("is_node", 0, False, "3 bits mark internal nodes, for 4 split features"),
         ],
     )
     def test_broken_table_rejected(
         self, saved, toy_csv, tmp_path, name, index, value, message
     ):
         model, path = saved
-        forest = model.levels[0].forests[0]
-        # forest 0 holds four stumps: tree t is node t with leaves 2t and 2t+1
-        assert np.array_equal(forest.roots, np.arange(4))
+        forest = self.four_stumps(model)
         positions = {"first_leaf": 0}
-        values = {"n_internal": forest.feature.size, "next_root": forest.roots[1],
-                  "~n_leaves": ~forest.counts.shape[0], "next_tree_leaf": ~2,
-                  "input_dim": model.base_dim}
+        values = {"input_dim": model.base_dim}
         array = getattr(forest, name)
         bad = patched(array, positions.get(index, index), values.get(value, value))
         rewrite_array(path, name, bad)
@@ -631,7 +633,7 @@ class TestStructuralChecks:
 
     @pytest.mark.parametrize("forest", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("delta", [-1, 1])
-    @pytest.mark.parametrize("count", range(3), ids=["n_trees", "n_internal", "n_leaves"])
+    @pytest.mark.parametrize("count", range(2), ids=["n_trees", "n_internal"])
     def test_tampered_count_rejected(self, saved, toy_csv, tmp_path, count, delta, forest):
         _, path = saved
         payload, blocks = forest_blocks(path)
@@ -642,16 +644,29 @@ class TestStructuralChecks:
         message = f"^{re.escape(str(path))}: (model payload is truncated|malformed forest table)"
         self.assert_rejected(path, message, toy_csv, tmp_path)
 
+    def test_nonzero_pad_bits_rejected(self, saved, toy_csv, tmp_path):
+        model, path = saved
+        self.four_stumps(model)
+        payload, blocks = forest_blocks(path)
+        # 12 bits fill two bytes; the last byte's top four bits are padding
+        last = blocks[0]["is_node"][1] - 1
+        assert payload[last] == 0
+        write_payload(path, payload[:last] + b"\x80" + payload[last + 1 :])
+        self.assert_rejected(path, "malformed forest table: pad bits", toy_csv, tmp_path)
+
     def test_zero_tree_forest_rejected(self, saved, toy_csv, tmp_path):
-        _, path = saved
+        model, path = saved
+        forest = self.four_stumps(model)
         payload, blocks = forest_blocks(path)
         spans = blocks[0]
-        (_, n_internal, n_leaves) = struct.unpack("<3Q", payload[slice(*spans["sizes"])])
-        # the block stays self-consistent: no weights, no roots
-        block = struct.pack("<3Q", 0, n_internal, n_leaves) + b"".join(
-            payload[slice(*spans[name])] for name in ("feature", "threshold", "children", "counts")
-        )
-        write_payload(path, payload[: spans["sizes"][0]] + block + payload[spans["roots"][1] :])
+        # the block stays self-consistent: no weights, no roots and 2I bits
+        # for I internal nodes, of which I leaves
+        n_internal = forest.feature.size
+        block = struct.pack("<2Q", 0, n_internal) + b"".join(
+            payload[slice(*spans[name])] for name in ("feature", "threshold")
+        ) + np.packbits(forest.is_node[4:], bitorder="little").tobytes() \
+            + forest.counts[:n_internal].astype("<u4").tobytes()
+        write_payload(path, payload[: spans["sizes"][0]] + block + payload[spans["counts"][1] :])
         self.assert_rejected(path, "at least one tree", toy_csv, tmp_path)
 
     def test_trailing_payload_bytes_rejected(self, saved, toy_csv, tmp_path):
@@ -858,6 +873,35 @@ def test_hostile_file_exit_2(case, toy_csv, tmp_path, capsys):
             args += ["--config", str(path)]
     assert main(args + ["--label-col", "3", "--out", str(tmp_path / "out")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+def test_endless_data_or_config_exit_2(flag, toy_csv, tmp_path):
+    # /dev/zero has no newline: its lines and a config file are read with a
+    # bound, inside a cap of 768 MiB that reading it whole would exhaust
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero here")
+    args = ["train", "--out", str(tmp_path / "m.model")]
+    if flag == "--data":
+        args += ["--data", "/dev/zero", "--label-col", "label"]
+    else:
+        args += ["--data", str(toy_csv), "--label-col", "3", "--config", "/dev/zero"]
+    run = capped_cli(args, 768 << 20)
+    assert run.returncode == 2, run.stderr
+    message = "a line is longer than" if flag == "--data" else "config file /dev/zero is longer"
+    assert message in run.stderr
+
+
+def test_config_file_over_the_bound_exit_2(toy_csv, tmp_path, capsys, monkeypatch):
+    cfg_file = tmp_path / "cfg.txt"
+    args = ["train", "--data", str(toy_csv), "--label-col", "3", "--out",
+            str(tmp_path / "m.model"), "--config", str(cfg_file), "--max-levels", "1"]
+    monkeypatch.setattr(cli, "CONFIG_BYTES", 12)
+    cfg_file.write_text("tau=0.5\n# a\n")
+    assert main(args) == 0
+    cfg_file.write_text("tau=0.5\n# ab\n")
+    assert main(args) == 2
+    assert f"config file {cfg_file} is longer than 12 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("device", ["/dev/zero", "/dev/urandom"])

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from disdf import data as data_module
 from disdf.data import Dataset, fold_ids, load_csv, load_features, split
 from disdf.errors import BadCellError, DataError, RaggedRowError, SingleClassError
 
@@ -384,6 +385,23 @@ class TestNumpyReader:
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
         np.testing.assert_array_equal(load_features(path), [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("read, short, long", [
+        pytest.param(lambda path: load_csv(path, 2), "1,2,a\n3,4,b\n", "1,2,a\n10,2,b\n",
+                     id="load_csv"),
+        # numpy's reader is tried only after csv has read the first row
+        pytest.param(load_features, "1,2\n3,4\n", "100,20\n1,2\n", id="load_features"),
+    ])
+    def test_a_line_that_reaches_the_bound_is_refused(
+        self, tmp_path, monkeypatch, read, short, long
+    ):
+        # six characters are read at a time: "1,2,a\n" ends within them,
+        # "10,2,b\n" does not
+        monkeypatch.setattr(data_module, "LINE_CHARS", 6)
+        read(write(tmp_path, short))
+        with pytest.raises(DataError, match="a line is longer than 6 characters") as caught:
+            read(write(tmp_path, long))
+        assert type(caught.value) is DataError
 
     def test_quoted_cells_are_unquoted_by_csv(self, tmp_path):
         path = write(tmp_path, '"1",2\n3,"4.5"\n')

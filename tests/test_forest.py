@@ -23,7 +23,7 @@ from disdf.tree import (
     TreeParams,
     grow_bytes,
 )
-from tests.oracles import forest_leaves, forest_tree_dists_batch
+from tests.oracles import forest_from_refs, forest_leaves, forest_tree_dists_batch, refs_from_bits
 from tests.test_tree import fold_train_rows, leaf_forest, make_ds, one_forest
 
 # three-tree, three-class leaf distributions from the worked weighted-average
@@ -48,7 +48,7 @@ def class_vector(forest, x, w):
     return class_vectors_batch(forest.with_weights(w), x[None, :])[0]
 
 
-TABLE = ("feature", "threshold", "children", "counts", "roots", "weights")
+TABLE = ("feature", "threshold", "is_node", "counts", "weights")
 
 
 class TestTrainForest:
@@ -77,23 +77,24 @@ class TestTrainForest:
         rng = np.random.default_rng(8)
         ds = make_ds(rng.normal(size=(30, 3)), rng.integers(3, size=30), 3)
         f = one_forest(ds, COMPLETELY_RANDOM, 4, TreeParams(), np.random.default_rng(9))
-        assert f.feature.dtype == f.children.dtype == f.roots.dtype == np.int32
+        assert f.feature.dtype == np.int32 and f.is_node.dtype == bool
         # a breadth-first walk over all trees at once, depth by depth, tree by
         # tree and left child first, meets the global ids in increasing order
+        children, roots = refs_from_bits(f.is_node)
         nodes, leaves = [], []
-        frontier = list(f.roots)
+        frontier = list(roots)
         while frontier:
             nodes += [ref for ref in frontier if ref >= 0]
             leaves += [~ref for ref in frontier if ref < 0]
             frontier = [
-                f.children[2 * ref + go_left]
+                children[2 * ref + go_left]
                 for ref in frontier
                 if ref >= 0
                 for go_left in (1, 0)
             ]
         assert nodes == list(range(f.feature.size))
         assert leaves == list(range(f.dist.shape[0]))
-        assert f.feature.size > 4 and np.array_equal(f.roots, np.arange(4))
+        assert f.feature.size > 4 and np.array_equal(roots, np.arange(4))
 
     @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
     def test_growth_temporaries_bounded(self, kind):
@@ -238,12 +239,12 @@ def random_forest(rng, n_trees, n_features, num_classes, split_p=0.7, max_depth=
                 table[at] = ~len(counts)
                 counts.append(rng.integers(1, 50, size=num_classes))
         level = next_level
-    return ForestModel(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=float),
-        children=np.array(children, dtype=np.int32),
-        counts=np.array(counts, dtype=np.uint32),
-        roots=np.array(roots, dtype=np.int32),
+    return forest_from_refs(
+        feature,
+        threshold,
+        children,
+        counts,
+        roots,
         weights=uniform_weights(n_trees),
         kind=RANDOM_SPLIT,
         n_features=n_features,
@@ -252,12 +253,13 @@ def random_forest(rng, n_trees, n_features, num_classes, split_p=0.7, max_depth=
 
 def reference_leaves(forest, X):
     """The leaf each row reaches in each tree, one position at a time."""
+    children, roots = refs_from_bits(forest.is_node)
     leaves = np.empty((X.shape[0], forest.n_trees), dtype=np.intp)
     for r, x in enumerate(X):
-        for t, node in enumerate(forest.roots):
+        for t, node in enumerate(roots):
             while node >= 0:
                 go_left = x[forest.feature[node]] <= forest.threshold[node]
-                node = forest.children[2 * node + go_left]
+                node = children[2 * node + go_left]
             leaves[r, t] = ~node
     return leaves
 
@@ -303,18 +305,20 @@ class TestWalker:
         children[0::2] = ~np.arange(k)  # right: leaf i
         children[1::2] = np.arange(1, k + 1)  # left: node i + 1
         children[-1] = ~k
-        forest = ForestModel(
-            feature=np.zeros(k, dtype=np.int32),
+        forest = forest_from_refs(
+            feature=np.zeros(k),
             threshold=k - np.arange(k, dtype=float),
             children=children,
-            counts=np.eye(k + 1, dtype=np.uint32),
-            roots=np.zeros(1, dtype=np.int32),
+            counts=np.eye(k + 1),
+            roots=[0],
             weights=[1.0],
             kind=RANDOM_SPLIT,
             n_features=1,
         )
         X = np.array([[-1.0], [2.5], [k + 0.5]])
-        np.testing.assert_array_equal(forest_leaves(forest, X), [[k], [4], [0]])
+        # breadth-first, the last node's left leaf k is numbered before its
+        # right leaf k - 1, so the two swap ids
+        np.testing.assert_array_equal(forest_leaves(forest, X), [[k - 1], [4], [0]])
         np.testing.assert_array_equal(
             routed_tree_dists([forest], X, np.arange(3), np.zeros(3, dtype=int))[:, 0],
             np.eye(k + 1)[[k, 4, 0]],
@@ -326,13 +330,13 @@ class TestWalker:
 
 
 def below_parent_forest():
-    # root 1 splits to node 0, whose two leaves a walk would miss
+    # root 0 splits to leaves 0 and 1; the fourth reference, node 1's own
+    # left child, numbers node 1 where a walk would never reach it
     return ForestModel(
         feature=np.zeros(2, dtype=np.int32),
         threshold=np.zeros(2),
-        children=np.array([~0, ~1, ~2, 0], dtype=np.int32),
+        is_node=np.array([1, 0, 0, 1, 0], dtype=bool),
         counts=np.eye(3, dtype=np.uint32),
-        roots=np.ones(1, dtype=np.int32),
         weights=[1.0],
         kind=RANDOM_SPLIT,
         n_features=1,
@@ -340,13 +344,13 @@ def below_parent_forest():
 
 
 def own_child_forest():
-    # node 0 sends inputs at or below 0 to itself: a walk there would never end
+    # the root is leaf 0 and node 0 its own left child, which it sends inputs
+    # at or below 0 to: a walk there would never end
     return ForestModel(
         feature=np.zeros(1, dtype=np.int32),
         threshold=np.zeros(1),
-        children=np.array([~0, 0], dtype=np.int32),
-        counts=np.array([[1, 0]], dtype=np.uint32),
-        roots=np.zeros(1, dtype=np.int32),
+        is_node=np.array([0, 1, 0], dtype=bool),
+        counts=np.eye(2, dtype=np.uint32),
         weights=[1.0],
         kind=RANDOM_SPLIT,
         n_features=1,
@@ -366,32 +370,6 @@ class TestWalkTables:
         X = inputs_with_ties(rng, forest, n)
         expected = np.einsum("ntc,t->nc", forest.dist[reference_leaves(forest, X)], forest.weights)
         np.testing.assert_array_equal(class_vectors_batch(forest, X), expected)
-
-    @pytest.mark.parametrize(
-        "children, root",
-        [
-            pytest.param([~0, 5], 0, id="child-above-the-leaves"),
-            pytest.param([~0, ~2], 0, id="child-below-the-leaves"),
-            pytest.param([~0, ~1], 1, id="root-above-the-nodes"),
-            pytest.param([~0, ~1], ~2, id="root-below-the-leaves"),
-        ],
-    )
-    def test_out_of_range_id_raises(self, children, root):
-        def stump(children, root):
-            # one internal node and two leaves: ids ~1..0 are in range
-            return ForestModel(
-                feature=np.zeros(1, dtype=np.int32),
-                threshold=np.zeros(1),
-                children=np.array(children, dtype=np.int32),
-                counts=np.eye(2, dtype=np.uint32),
-                roots=np.array([root], dtype=np.int32),
-                weights=[1.0],
-                kind=RANDOM_SPLIT,
-                n_features=1,
-            )
-
-        with pytest.raises(ModelFormatError, match="out of range"):
-            class_vectors_batch(stump(children, root), np.array([[-1.0], [1.0]]))
 
     def test_child_equal_to_its_parent_raises(self):
         with pytest.raises(ModelFormatError, match="not greater than its parent"):
@@ -487,18 +465,31 @@ class TestTableChecks:
     @pytest.mark.parametrize(
         "table, message",
         [
-            # a stump whose left child splits again: ids 0, 1 and leaves ~0..~2
+            # a stump whose left child splits again: nodes 0, 1 and leaves 0..2
             pytest.param({"feature": [0, 2]}, "split feature", id="feature-n_features"),
             pytest.param({"feature": [-1, 0]}, "split feature", id="feature-minus-one"),
             pytest.param({"threshold": [0.0, np.nan]}, "threshold", id="nan-threshold"),
             pytest.param({"counts": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}, "no rows",
                          id="empty-leaf"),
-            pytest.param({"children": [~0, 1, ~1, ~1]}, "exactly once", id="leaf-twice"),
-            pytest.param({"children": [~0, ~1, ~2, 0], "roots": [1]},
-                         "not greater than its parent", id="child-below-its-parent"),
-            pytest.param({"children": [~0, 1, ~1, 0]}, "not greater than its parent",
-                         id="two-node-cycle"),
-            pytest.param({"children": [~0, 2, ~1, ~2]}, "out of range", id="id-out-of-range"),
+            # node 1 becomes its own left child
+            pytest.param({"is_node": [1, 0, 0, 1, 0]}, "not greater than its parent",
+                         id="child-below-its-parent"),
+            pytest.param({"is_node": [1, 1, 0, 1, 0]}, "3 bits mark internal nodes, for 2",
+                         id="bits-above-the-nodes"),
+            pytest.param({"is_node": [0, 1, 0, 0, 0]}, "1 bits mark internal nodes, for 2",
+                         id="bits-below-the-nodes"),
+            # a one-node forest whose threshold is missing
+            pytest.param({"feature": [0], "threshold": [], "is_node": [1, 0, 0],
+                          "counts": [[1, 0, 0], [0, 1, 0]]}, "one length",
+                         id="threshold-shorter-than-feature"),
+            pytest.param({"threshold": [[0.0, 0.0]]}, "one length", id="threshold-2-d"),
+            pytest.param({"is_node": np.array([[1, 1, 0, 0, 0]], dtype=bool)}, "1-D bool",
+                         id="is_node-2-d"),
+            pytest.param({"is_node": np.array([1, 1, 0, 0, 0], dtype=np.uint8)}, "1-D bool",
+                         id="is_node-not-bool"),
+            pytest.param({"counts": [[1, 0, 0], [0, 1, 0]]}, "3 leaf rows", id="counts-short"),
+            pytest.param({"counts": np.ones(3, dtype=np.uint32)}, "3 leaf rows",
+                         id="counts-1-d"),
         ],
     )
     @pytest.mark.parametrize("entry", ["class_vectors_batch", "augment_batch", "predict_batch"])
@@ -510,13 +501,15 @@ class TestTableChecks:
 
         monkeypatch.setattr(forest_module, "_route_leaves", routed)
         arrays = {
-            "feature": [0, 1], "threshold": [0.0, 0.0], "children": [~0, 1, ~1, ~2],
-            "counts": np.eye(3), "roots": [0], **table,
+            "feature": [0, 1], "threshold": [0.0, 0.0], "is_node": [1, 1, 0, 0, 0],
+            "counts": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], **table,
         }
-        dtypes = {"feature": np.int32, "threshold": np.float64, "children": np.int32,
-                  "counts": np.uint32, "roots": np.int32}
+        dtypes = {"feature": np.int32, "threshold": np.float64, "is_node": bool,
+                  "counts": np.uint32}
+        # a case's own array keeps its dtype
         forest = ForestModel(
-            **{name: np.array(arrays[name], dtype=dtypes[name]) for name in dtypes},
+            **{name: v if isinstance(v, np.ndarray) else np.array(v, dtype=dtypes[name])
+               for name, v in arrays.items()},
             weights=[1.0], kind=RANDOM_SPLIT, n_features=2,
         )
         level = LevelModel([forest])
@@ -600,9 +593,8 @@ class TestClassVector:
 
     def test_forest_of_no_trees_rejected(self):
         f = example_forest()
-        empty = np.empty(0, dtype=np.int32)
         with pytest.raises(ValueError, match="a forest needs at least one tree, got 0"):
-            ForestModel(f.feature, f.threshold, f.children, f.counts, empty, np.empty(0),
+            ForestModel(f.feature, f.threshold, np.zeros(0, dtype=bool), f.counts, np.empty(0),
                         f.kind, f.n_features)
 
     def test_batch_uses_trained_weights(self):

@@ -32,11 +32,13 @@ from disdf.cascade import augment_batch, class_vectors_batch, train_cascade
 from disdf.config import TrainConfig
 from disdf.data import Dataset
 from disdf.evaluation import repeated_holdout
+from tests.oracles import refs_from_bits
 
 PINNED = Path(__file__).with_name("pinned_results.json")
 # absolute tolerance on weights and class vectors off the platform that pinned them
 TOL = 1e-9
-# per forest, the node-table arrays digested and the dtype of their bytes
+# per forest, the node-table arrays digested and the dtype of their bytes;
+# children and roots are the references the forest's bits stand for
 TABLE_ARRAYS = (
     ("feature", "<i4"),
     ("threshold", "<f8"),
@@ -126,6 +128,14 @@ def digest(a, dtype) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
 
 
+def table_arrays(forest) -> dict:
+    """The digested arrays of a forest's node table, its child and root
+    references rebuilt from its bits."""
+    children, roots = refs_from_bits(forest.is_node)
+    return {"feature": forest.feature, "threshold": forest.threshold,
+            "children": children, "roots": roots, "dist": forest.dist}
+
+
 def case_results(name: str) -> dict:
     """What case ``name`` computes, as stored in ``pinned_results.json``."""
     data, settings, workers, holdout = CASES[name]
@@ -145,8 +155,8 @@ def case_results(name: str) -> dict:
         "levels_trained": len(model.level_scores),
         "levels_kept": model.n_levels,
         "level1_tables": [
-            {key: digest(getattr(f, key), dtype) for key, dtype in TABLE_ARRAYS}
-            for f in model.levels[0].forests
+            {key: digest(table[key], dtype) for key, dtype in TABLE_ARRAYS}
+            for table in map(table_arrays, model.levels[0].forests)
         ],
         "weights": [f.weights.tolist() for level in model.levels for f in level.forests],
         "class_vectors": vectors,

@@ -10,7 +10,16 @@ from disdf.errors import DataError, DimensionError, ModelFormatError
 from disdf.forest import ForestModel, check_table, train_forests
 from disdf import tree as tree_module
 from disdf.tree import COMPLETELY_RANDOM, RANDOM_SPLIT, TreeParams, grow_trees, tied_columns
-from tests.oracles import forest_tree_dists_batch, train_tree
+from tests.oracles import (
+    forest_from_refs,
+    forest_tree_dists_batch,
+    refs_from_bits,
+    table_from_refs,
+    train_tree,
+)
+
+# a ForestModel's node table, as grow_trees returns it
+TABLE = ("feature", "threshold", "is_node", "counts")
 
 
 def make_ds(X, y, C):
@@ -24,15 +33,16 @@ def fold_train_rows(n, folds, seed):
 
 
 def one_tree(arrays, n_features, kind=RANDOM_SPLIT):
-    """A one-tree forest over one tree's (feature, threshold, children, counts)."""
+    """A one-tree forest over one tree's (feature, threshold, children, counts),
+    renumbered breadth-first."""
     feature, threshold, children, counts = arrays
-    return ForestModel(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=float),
-        children=np.asarray(children, dtype=np.int32),
-        counts=np.asarray(counts, dtype=np.uint32),
+    return forest_from_refs(
+        feature,
+        threshold,
+        np.asarray(children, dtype=np.int32),
+        counts,
         # node 0 is the root of a tree with any split, else leaf 0 is
-        roots=np.array([0 if len(feature) else ~0], dtype=np.int32),
+        roots=[0 if len(feature) else ~0],
         weights=[1.0],
         kind=kind,
         n_features=n_features,
@@ -59,12 +69,12 @@ def leaf_forest(counts, n_features=1):
     """A forest of single-leaf trees; tree t's leaf holds ``counts[t]`` rows per class."""
     counts = np.atleast_2d(np.asarray(counts, dtype=np.uint32))
     T = counts.shape[0]
-    return ForestModel(
-        feature=np.zeros(0, dtype=np.int32),
-        threshold=np.zeros(0),
-        children=np.zeros(0, dtype=np.int32),
+    return forest_from_refs(
+        feature=[],
+        threshold=[],
+        children=[],
         counts=counts,
-        roots=~np.arange(T, dtype=np.int32),
+        roots=~np.arange(T),
         weights=np.full(T, 1.0 / T),
         kind=COMPLETELY_RANDOM,
         n_features=n_features,
@@ -86,20 +96,39 @@ def route(tree, x):
 
 def walk(forest, x, t):
     """Reference walker: one input down tree t, one node at a time."""
-    node = forest.roots[t]
+    children, roots = refs_from_bits(forest.is_node)
+    node = roots[t]
     while node >= 0:
         go_left = x[forest.feature[node]] <= forest.threshold[node]
-        node = forest.children[2 * node + int(go_left)]
+        node = children[2 * node + int(go_left)]
     return forest.dist[~node]
 
 
 def tree_depth(tree, t=0):
+    children, roots = refs_from_bits(tree.is_node)
+
     def rec(ref):
         if ref < 0:
             return 0
-        return 1 + max(rec(tree.children[2 * ref]), rec(tree.children[2 * ref + 1]))
+        return 1 + max(rec(children[2 * ref]), rec(children[2 * ref + 1]))
 
-    return rec(tree.roots[t])
+    return rec(roots[t])
+
+
+def assert_bit_rules(forest):
+    """The forest's bits keep the rules check_table states, read one bit at a
+    time, and the references they stand for give the same table back."""
+    bits, I, T = forest.is_node, forest.feature.size, forest.n_trees
+    assert bits.dtype == bool and bits.shape == (T + 2 * I,)
+    assert bits.sum() == I and forest.counts.shape[0] == T + I
+    for j, position in enumerate(np.flatnonzero(bits)):
+        # internal node j's children start at T + 2j
+        assert position < T + 2 * j
+    children, roots = refs_from_bits(bits)
+    table = table_from_refs(forest.feature, forest.threshold, children, forest.counts, roots)
+    for name in TABLE:
+        assert table[name].dtype == getattr(forest, name).dtype
+        np.testing.assert_array_equal(table[name], getattr(forest, name))
 
 
 @pytest.mark.parametrize("kind", [RANDOM_SPLIT, COMPLETELY_RANDOM])
@@ -162,7 +191,7 @@ def test_min_leaf_is_the_smallest_node_that_may_split(kind):
         one_forest(ds, kind, 8, TreeParams(min_leaf=min_leaf), np.random.default_rng(21))
         for min_leaf in (1, 2, 3)
     ]
-    for name in ("feature", "threshold", "children", "counts", "roots"):
+    for name in TABLE:
         np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
     assert tables[2].n_nodes < tables[0].n_nodes
 
@@ -253,7 +282,7 @@ class TestCompletelyRandom:
         # every column checked for a constant value at every node
         monkeypatch.setattr(tree_module, "tied_columns", lambda X: np.arange(X.shape[1]))
         for got, expected in zip(default, grow_slot(), strict=True):
-            for name in ("feature", "threshold", "children", "counts", "roots"):
+            for name in TABLE:
                 assert getattr(got, name).dtype == getattr(expected, name).dtype
                 np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
@@ -319,12 +348,12 @@ class TestPrediction:
     def test_trees_route_independently_through_global_ids(self):
         # a leaf and a stump in one table: the stump's leaf ids are global
         stumpy = stump(1, 0.0, [1, 0], [0, 1], n_features=2)
-        forest = ForestModel(
+        forest = forest_from_refs(
             feature=stumpy.feature,
             threshold=stumpy.threshold,
-            children=np.array([~2, ~1], dtype=np.int32),
+            children=[~2, ~1],
             counts=np.vstack([[1, 1], stumpy.counts]),
-            roots=np.array([~0, 0], dtype=np.int32),
+            roots=[~0, 0],
             weights=[0.5, 0.5],
             kind=RANDOM_SPLIT,
             n_features=2,
@@ -365,8 +394,9 @@ class TestPrediction:
             ds = make_ds(rng.normal(size=(n, 3)), rng.integers(3, size=n), 3)
             forest = one_forest(ds, kind, 8, TreeParams(max_depth=depth), rng)
             forests.append(forest.with_weights(rng.dirichlet(np.ones(8))))
-        assert any(np.any(f.roots < 0) for f in forests)
-        assert any(np.any(f.roots >= 0) for f in forests)
+        root_bits = [f.is_node[: f.n_trees] for f in forests]
+        assert any(not bits.all() for bits in root_bits)
+        assert any(bits.any() for bits in root_bits)
         X = rng.normal(scale=1.5, size=(60, 3))
         summed = np.zeros((60, 3))
         for forest in forests:
@@ -382,13 +412,13 @@ class TestPrediction:
         np.testing.assert_array_equal(predict_batch(model, X), np.argmax(summed, axis=1))
 
     def test_cyclic_table_raises_instead_of_hanging(self):
-        # nodes 0 and 1 send every input to each other; no leaf is reachable
+        # the root is leaf 0, and node 0 is its own left child, so a walk
+        # that reached it would never leave
         forest = ForestModel(
             feature=np.zeros(2, dtype=np.int32),
             threshold=np.zeros(2),
-            children=np.array([1, 1, 0, 0], dtype=np.int32),
-            counts=np.array([[1, 0]], dtype=np.uint32),
-            roots=np.zeros(1, dtype=np.int32),
+            is_node=np.array([0, 1, 1, 0, 0], dtype=bool),
+            counts=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint32),
             weights=[1.0],
             kind=RANDOM_SPLIT,
             n_features=1,
@@ -422,14 +452,15 @@ class TestTreeShape:
         ds = make_ds(rng.normal(size=(70, 4)), rng.integers(3, size=70), 3)
         tree = grow(ds, RANDOM_SPLIT, TreeParams(), rng)
         n_internal, n_leaves = tree.feature.size, tree.dist.shape[0]
-        inner = tree.children[tree.children >= 0]
+        children, _ = refs_from_bits(tree.is_node)
+        inner = children[children >= 0]
         # every non-root internal node and every leaf is a child exactly once
         assert sorted(inner.tolist()) == list(range(1, n_internal))
-        assert sorted((~tree.children[tree.children < 0]).tolist()) == list(range(n_leaves))
+        assert sorted((~children[children < 0]).tolist()) == list(range(n_leaves))
         assert n_leaves == n_internal + 1
         # breadth-first ids: a child's id exceeds its parent's
-        parents = np.arange(tree.children.size) // 2
-        assert np.all(inner > parents[tree.children >= 0])
+        parents = np.arange(children.size) // 2
+        assert np.all(inner > parents[children >= 0])
 
     def test_leaf_distributions_valid(self):
         rng = np.random.default_rng(22)
@@ -441,23 +472,25 @@ class TestTreeShape:
 
 def tree_nodes(forest, t):
     """Internal node ids of tree t, found by walking from its root."""
-    out, todo = [], [forest.roots[t]]
+    children, roots = refs_from_bits(forest.is_node)
+    out, todo = [], [roots[t]]
     while todo:
         ref = todo.pop()
         if ref >= 0:
             out.append(ref)
-            todo += [forest.children[2 * ref], forest.children[2 * ref + 1]]
+            todo += [children[2 * ref], children[2 * ref + 1]]
     return out
 
 
 def node_rows(forest, X, t):
     """Rows of X that reach each node reference of tree t."""
+    children, roots = refs_from_bits(forest.is_node)
     rows = {}
     for i, x in enumerate(X):
-        ref = forest.roots[t]
+        ref = roots[t]
         rows.setdefault(ref, []).append(i)
         while ref >= 0:
-            ref = forest.children[2 * ref + int(x[forest.feature[ref]] <= forest.threshold[ref])]
+            ref = children[2 * ref + int(x[forest.feature[ref]] <= forest.threshold[ref])]
             rows.setdefault(ref, []).append(i)
     return rows
 
@@ -525,6 +558,7 @@ class TestLevelwiseGrower:
             for features, labels, params in cases:
                 forest = one_forest(make_ds(features, labels, 3), kind, n_trees, params, rng)
                 check_table(forest)
+                assert_bit_rules(forest)
                 assert forest.dist.shape[0] == forest.feature.size + n_trees
                 if params.max_depth is not None:
                     depths = [tree_depth(forest, t) for t in range(n_trees)]
@@ -561,7 +595,7 @@ class TestOneFrontierPerSlot:
         assert len(together) == len(row_sets)
         for rows, forest, alone_rng in zip(row_sets, together, alone_rngs):
             alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
-            for name in ("feature", "threshold", "children", "counts", "roots"):
+            for name in TABLE:
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
@@ -608,8 +642,9 @@ class TestOneFrontierPerSlot:
         monkeypatch.undo()  # each forest alone is scored in one chunk per depth
         assert [forest.kind for forest in together] == kinds
         for kind, rows, forest, alone_rng in zip(kinds, row_sets, together, alone_rngs):
+            assert_bit_rules(forest)
             alone = one_forest(ds.subset(rows), kind, 4, params, alone_rng)
-            for name in ("feature", "threshold", "children", "counts", "roots"):
+            for name in TABLE:
                 got, expected = getattr(forest, name), getattr(alone, name)
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
